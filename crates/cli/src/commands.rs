@@ -432,16 +432,16 @@ fn infer(args: &ParsedArgs) -> Result<CommandOutput, ArgError> {
                 cancel: None,
                 revision: 0,
             };
-            let partial = if streamed {
-                // Out-of-core: mmap the statuses straight into the column
-                // bitsets — the row-major matrix and the dense correlation
-                // matrix are never materialized.
-                let cols = {
-                    let _p = rec.phase("load_statuses");
-                    diffnet_simulate::io::load_status_columns(statuses_path).map_err(|e| {
-                        io_err(&format!("cannot load statuses {statuses_path:?}"), e)
-                    })?
-                };
+            // mmap the statuses straight into the column bitsets: the
+            // row-major matrix is never materialized.
+            let cols = {
+                let _p = rec.phase("load_statuses");
+                diffnet_simulate::io::load_status_columns(statuses_path)
+                    .map_err(|e| io_err(&format!("cannot load statuses {statuses_path:?}"), e))?
+            };
+            if streamed {
+                // Out-of-core: the dense correlation matrix is never
+                // materialized either.
                 let shard = shard_spec.map(|(index, count)| {
                     diffnet_tends::plan_shards(cols.num_nodes(), count)[index]
                 });
@@ -465,20 +465,10 @@ fn infer(args: &ParsedArgs) -> Result<CommandOutput, ArgError> {
                         ));
                     }
                 }
-                Tends::with_config(cfg)
-                    .reconstruct_robust_from_columns(&cols, rec, &options)
-                    .map_err(|e| ArgError::new(e.to_string()))?
-            } else {
-                let statuses = {
-                    let _p = rec.phase("load_statuses");
-                    diffnet_simulate::io::load_status_matrix(statuses_path).map_err(|e| {
-                        io_err(&format!("cannot load statuses {statuses_path:?}"), e)
-                    })?
-                };
-                Tends::with_config(cfg)
-                    .reconstruct_robust(&statuses, rec, &options)
-                    .map_err(|e| ArgError::new(e.to_string()))?
-            };
+            }
+            let partial = Tends::with_config(cfg)
+                .reconstruct_robust_from_columns(&cols, rec, &options)
+                .map_err(|e| ArgError::new(e.to_string()))?;
             if streamed {
                 let evicted = rec
                     .snapshot()
@@ -680,9 +670,11 @@ fn stats(args: &ParsedArgs) -> Result<String, ArgError> {
 }
 
 /// Phases a TENDS run report must contain — the `report-check` default.
+/// (`infer` loads the statuses straight into columns, so its reports have
+/// no separate `status_columns` phase; library runs from a row-major
+/// matrix still record one.)
 const TENDS_PHASES: &[&str] = &[
     "load_statuses",
-    "status_columns",
     "correlation_matrix",
     "threshold",
     "candidate_pruning",

@@ -19,11 +19,10 @@
 //! bytes buffered so far it either produces one parsed request plus the
 //! byte count it consumed (pipelined requests parse one at a time from
 //! the same buffer), asks for more bytes, or rejects with a typed error.
-//! The epoll reactor drives it directly from readiness events; the
-//! blocking [`read_request`] used by tests is a thin loop around it.
+//! The epoll reactor drives it directly from readiness events.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::time::Duration;
 
 /// The request methods the job API serves.
@@ -318,41 +317,10 @@ pub fn parse_buffered(buf: &[u8], limits: &Limits) -> Result<Parsed, HttpError> 
     })
 }
 
-/// Reads one request from `stream`, enforcing `limits` — the blocking
-/// wrapper around [`parse_buffered`] used by the unit tests and any
-/// one-shot tooling. Bytes past the first request's declared length are
-/// rejected (this entry point does not pipeline).
-pub fn read_request<S: Read>(stream: &mut S, limits: &Limits) -> Result<Request, HttpError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(512);
-    let mut chunk = [0u8; 8 * 1024];
-    loop {
-        match parse_buffered(&buf, limits)? {
-            Parsed::Complete { request, consumed } => {
-                if buf.len() > consumed {
-                    return Err(HttpError::Malformed(format!(
-                        "{} bytes past the declared Content-Length",
-                        buf.len() - consumed
-                    )));
-                }
-                return Ok(request);
-            }
-            Parsed::NeedMore => {}
-        }
-        let read = stream.read(&mut chunk)?;
-        if read == 0 {
-            if buf.is_empty() {
-                return Err(HttpError::Malformed("empty request".to_string()));
-            }
-            return Err(truncation_error(&buf));
-        }
-        buf.extend_from_slice(&chunk[..read]);
-    }
-}
-
 /// The typed error for a connection that hit EOF with a partial request
 /// still buffered: a half-sent head is `Malformed`, a half-sent body is
-/// `TruncatedBody` with the declared-vs-received counts. Shared by the
-/// blocking reader and the reactor's peer-EOF path.
+/// `TruncatedBody` with the declared-vs-received counts. The reactor
+/// reports it when a peer closes mid-request.
 pub fn truncation_error(buf: &[u8]) -> HttpError {
     match find_head_end(buf) {
         None => HttpError::Malformed("connection closed mid request head".to_string()),
@@ -528,8 +496,17 @@ pub fn configure_stream(stream: &std::net::TcpStream) -> io::Result<()> {
 mod tests {
     use super::*;
 
+    /// Parses `raw` as everything a peer sent before closing: a complete
+    /// request, or the typed error the reactor's EOF path reports.
+    fn parse_with(raw: &[u8], limits: &Limits) -> Result<Request, HttpError> {
+        match parse_buffered(raw, limits)? {
+            Parsed::Complete { request, .. } => Ok(request),
+            Parsed::NeedMore => Err(truncation_error(raw)),
+        }
+    }
+
     fn parse(raw: &[u8]) -> Result<Request, HttpError> {
-        read_request(&mut io::Cursor::new(raw.to_vec()), &Limits::default())
+        parse_with(raw, &Limits::default())
     }
 
     #[test]
@@ -579,7 +556,7 @@ mod tests {
         // The body bytes are never provided: the declared length alone
         // must trigger the rejection.
         let raw = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 1000000\r\n\r\n";
-        let err = read_request(&mut io::Cursor::new(raw.to_vec()), &limits).unwrap_err();
+        let err = parse_with(raw, &limits).unwrap_err();
         assert_eq!(err.status(), 413);
     }
 
@@ -591,7 +568,7 @@ mod tests {
         };
         let mut raw = b"GET / HTTP/1.1\r\n".to_vec();
         raw.extend_from_slice(format!("X-Junk: {}\r\n\r\n", "a".repeat(200)).as_bytes());
-        let err = read_request(&mut io::Cursor::new(raw), &limits).unwrap_err();
+        let err = parse_with(&raw, &limits).unwrap_err();
         assert_eq!(err.status(), 431);
     }
 

@@ -5,7 +5,8 @@
 //! ```text
 //! data/job-7/
 //!   job.json         # JobMeta — id, spec, state machine, shape, errors
-//!   statuses.txt     # the uploaded status matrix (tends jobs)
+//!   statuses.txt     # the status matrix (tends jobs): the upload, verbatim,
+//!                    #   plus the rows of every applied append
 //!   observations.txt # the uploaded observation set (baseline jobs)
 //!   checkpoint.json  # PR-4 tends checkpoint; the durability log
 //!   append.txt       # appended-only cascades awaiting the warm re-run
@@ -34,6 +35,14 @@
 //! node. Appends that arrive while the job is queued or running are
 //! buffered as `pending-append-N.txt` and folded in — one revision bump
 //! per batch — at the next terminal transition.
+//!
+//! Applying an append never parses the history. `statuses.txt` is
+//! rewritten (atomically) as a fresh header carrying the combined
+//! process count, the old file's rows copied byte for byte through a
+//! bounded buffer, then the batch's rows — so the I/O of an append grows
+//! with the batch, not with the job. Every status file a run reads is
+//! loaded straight into column bitsets by
+//! [`load_status_columns`](diffnet_simulate::io::load_status_columns).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
@@ -51,10 +60,9 @@ use diffnet_observe::{
     DEFAULT_SAMPLE_INTERVAL,
 };
 use diffnet_simulate::io::{
-    load_status_columns, load_status_matrix, read_observations, read_status_matrix,
-    save_status_matrix,
+    copy_status_rows, load_status_columns, read_observations, read_status_columns,
+    write_status_header,
 };
-use diffnet_simulate::StatusMatrix;
 use diffnet_tends::{plan_shards, NodeError, RobustOptions, Tends, TendsConfig};
 
 /// Algorithms a job may request. `tends` takes a status matrix body;
@@ -555,12 +563,12 @@ impl JobManager {
             }
         }
         let (processes, nodes) = if spec.takes_statuses() {
-            let m = read_status_matrix(body)
+            let cols = read_status_columns(body)
                 .map_err(|e| JobError::new(422, format!("bad status matrix: {e}")))?;
-            if m.num_processes() == 0 || m.num_nodes() == 0 {
+            if cols.num_processes() == 0 || cols.num_nodes() == 0 {
                 return Err(JobError::new(422, "status matrix is empty"));
             }
-            (m.num_processes(), m.num_nodes())
+            (cols.num_processes(), cols.num_nodes())
         } else {
             let obs = read_observations(body)
                 .map_err(|e| JobError::new(422, format!("bad observations: {e}")))?;
@@ -597,19 +605,19 @@ impl JobManager {
 
     /// Appends cascades (extra status rows) to a tends job.
     ///
-    /// On a terminal job the append is applied immediately: the combined
-    /// matrix replaces `statuses.txt`, the appended-only rows land in
-    /// `append.txt`, the checkpoint is *kept* (it carries the pair-count
-    /// sufficient statistics the warm re-run folds onto), `revision` is
-    /// bumped, and the job re-queues for incremental re-estimation.
+    /// The validated upload is stored verbatim as `pending-append-N.txt`.
+    /// On a terminal job it is applied immediately: its rows are spliced
+    /// onto `statuses.txt`, the appended-only rows land in `append.txt`,
+    /// the checkpoint is *kept* (it carries the pair-count sufficient
+    /// statistics the warm re-run folds onto), `revision` is bumped, and
+    /// the job re-queues for incremental re-estimation.
     ///
-    /// While the job is queued or running the append is buffered on disk
-    /// (`pending-append-N.txt`) instead of returning `409`; every
-    /// buffered batch is folded in — with a single revision bump — at
-    /// the next terminal transition. Returns the job meta plus whether
-    /// the append was buffered.
+    /// While the job is queued or running the batch stays buffered
+    /// instead of returning `409`; every buffered batch is folded in —
+    /// with a single revision bump — at the next terminal transition.
+    /// Returns the job meta plus whether the append was buffered.
     pub fn append_cascades(&self, id: u64, body: &[u8]) -> Result<(JobMeta, bool), JobError> {
-        let appended = read_status_matrix(body)
+        let appended = read_status_columns(body)
             .map_err(|e| JobError::new(422, format!("bad status matrix: {e}")))?;
         if appended.num_processes() == 0 {
             return Err(JobError::new(422, "no cascades in upload"));
@@ -655,7 +663,7 @@ impl JobManager {
         // survive a process restart just like every other transition.
         let dir = self.job_dir(id);
         let seq = next_pending_seq(&dir);
-        save_status_matrix(&appended, dir.join(pending_name(seq)))
+        save_atomic(dir.join(pending_name(seq)), |w| w.write_all(body))
             .map_err(|e| JobError::new(500, format!("cannot store appended cascades: {e}")))?;
         self.rec
             .add("cascades_appended", appended.num_processes() as u64);
@@ -673,6 +681,11 @@ impl JobManager {
     /// revision once, and re-queues. The caller holds the state lock and
     /// has checked the job is terminal. The checkpoint file survives —
     /// it is the warm state [`run_tends`](Self::run_tends) resumes from.
+    ///
+    /// Only the batches are parsed (for their row counts). The history in
+    /// `statuses.txt` is spliced as bytes — a fresh header, its rows, the
+    /// batches' rows — so the cost of an append follows the batch size,
+    /// not the depth of the history.
     fn apply_pending_locked(&self, st: &mut ManagerState, id: u64) -> Result<JobMeta, JobError> {
         let dir = self.job_dir(id);
         let pending = pending_paths(&dir);
@@ -683,30 +696,29 @@ impl JobManager {
         if pending.is_empty() {
             return Ok(entry.meta.clone());
         }
-        let existing = load_status_matrix(dir.join("statuses.txt"))
-            .map_err(|e| JobError::new(500, format!("cannot reload job input: {e}")))?;
-        let mut batch: Option<StatusMatrix> = None;
+        let mut batch = 0usize;
         for path in &pending {
-            let m = load_status_matrix(path)
+            let cols = load_status_columns(path)
                 .map_err(|e| JobError::new(500, format!("cannot reload pending append: {e}")))?;
-            batch = Some(match batch {
-                None => m,
-                Some(b) => concat_statuses(&b, &m),
-            });
+            batch += cols.num_processes();
         }
-        let batch = batch.expect("pending is non-empty");
-        let combined = concat_statuses(&existing, &batch);
+        let nodes = entry.meta.nodes;
+        let processes = entry.meta.processes + batch;
         // `append.txt` is the warm path's delta input: exactly the rows
         // not yet folded into the checkpoint's sufficient statistics.
-        save_status_matrix(&batch, dir.join("append.txt"))
+        splice_status_files(&dir.join("append.txt"), batch, nodes, &pending)
             .map_err(|e| JobError::new(500, format!("cannot store appended cascades: {e}")))?;
-        save_status_matrix(&combined, dir.join("statuses.txt"))
+        let input = dir.join("statuses.txt");
+        let sources: Vec<PathBuf> = std::iter::once(input.clone())
+            .chain(pending.iter().cloned())
+            .collect();
+        splice_status_files(&input, processes, nodes, &sources)
             .map_err(|e| JobError::new(500, format!("cannot store combined input: {e}")))?;
         for stale in ["edges.txt", "report.json"] {
             let _ = fs::remove_file(dir.join(stale));
         }
 
-        entry.meta.processes = combined.num_processes();
+        entry.meta.processes = processes;
         entry.meta.revision += 1;
         entry.meta.state = JobState::Queued;
         entry.meta.failed_nodes.clear();
@@ -853,9 +865,13 @@ impl JobManager {
                 drop(st);
                 let _ = self.save_meta(&meta);
                 // Cascades appended mid-run were buffered; fold them in
-                // (one revision bump for the whole batch) and re-queue.
+                // (one revision bump for the whole batch) and re-queue —
+                // unless, while the lock was released, an append already
+                // re-queued the job (then the batches wait for its run).
                 let mut st = self.state.lock().expect("state lock");
-                if !pending_paths(&self.job_dir(id)).is_empty()
+                let terminal = st.jobs.get(&id).is_some_and(|e| e.meta.state.is_terminal());
+                if terminal
+                    && !pending_paths(&self.job_dir(id)).is_empty()
                     && self.apply_pending_locked(&mut st, id).is_ok()
                 {
                     drop(st);
@@ -882,20 +898,20 @@ impl JobManager {
             // tends sufficient-statistics revision is 0-based.
             revision: meta.revision.saturating_sub(1),
         };
-        // Mirror the CLI's `infer` path exactly — same phases, same
-        // config defaults — so the report's deterministic section is
-        // byte-identical to an offline `diffnet infer` run.
+        // Mirror the CLI's `infer` path exactly — same loader, same
+        // phases, same config defaults — so the report's deterministic
+        // section is byte-identical to an offline `diffnet infer` run.
+        // The statuses are mmap'ed straight into the column bitsets; the
+        // row-major matrix never exists.
+        let cols = {
+            let _p = rec.phase("load_statuses");
+            match load_status_columns(dir.join("statuses.txt")) {
+                Ok(c) => c,
+                Err(e) => return Outcome::failed(format!("cannot load statuses: {e}")),
+            }
+        };
         let run = if meta.spec.is_streamed() {
-            // Out-of-core: mmap the statuses straight into the column
-            // bitset and never materialize the row-major matrix or the
-            // dense correlation matrix.
-            let cols = {
-                let _p = rec.phase("load_statuses");
-                match load_status_columns(dir.join("statuses.txt")) {
-                    Ok(c) => c,
-                    Err(e) => return Outcome::failed(format!("cannot load statuses: {e}")),
-                }
-            };
+            // Out-of-core: never materialize the dense correlation matrix.
             let shard = match (meta.spec.shard_index, meta.spec.shard_count) {
                 (Some(i), Some(c)) => Some(plan_shards(cols.num_nodes(), c)[i]),
                 _ => None,
@@ -908,13 +924,6 @@ impl JobManager {
             };
             Tends::with_config(cfg).reconstruct_robust_from_columns(&cols, rec, &options)
         } else {
-            let statuses = {
-                let _p = rec.phase("load_statuses");
-                match load_status_matrix(dir.join("statuses.txt")) {
-                    Ok(m) => m,
-                    Err(e) => return Outcome::failed(format!("cannot load statuses: {e}")),
-                }
-            };
             let cfg = TendsConfig {
                 threads: meta.spec.threads,
                 ..TendsConfig::default()
@@ -928,9 +937,9 @@ impl JobManager {
                 // the combined matrix, so a failure to warm-start
                 // (foreign, stale, or corrupt checkpoint) just drops the
                 // checkpoint and falls back to the full re-run.
-                match load_status_matrix(&append_input) {
+                match load_status_columns(&append_input) {
                     Ok(appended) => {
-                        match tends.reconstruct_robust_append(&statuses, &appended, rec, &options) {
+                        match tends.reconstruct_robust_append(&cols, &appended, rec, &options) {
                             Ok(p) => {
                                 let _ = fs::remove_file(&append_input);
                                 Ok(p)
@@ -944,7 +953,7 @@ impl JobManager {
                                 );
                                 let _ = fs::remove_file(&checkpoint);
                                 let _ = fs::remove_file(&append_input);
-                                tends.reconstruct_robust(&statuses, rec, &options)
+                                tends.reconstruct_robust_from_columns(&cols, rec, &options)
                             }
                         }
                     }
@@ -952,7 +961,7 @@ impl JobManager {
                 }
             } else {
                 let _ = fs::remove_file(&append_input);
-                tends.reconstruct_robust(&statuses, rec, &options)
+                tends.reconstruct_robust_from_columns(&cols, rec, &options)
             }
         };
         let partial = match run {
@@ -1114,27 +1123,23 @@ fn next_pending_seq(dir: &Path) -> u64 {
         .map_or(1, |max| max + 1)
 }
 
-/// Row-wise concatenation of two status matrices with equal node counts.
-fn concat_statuses(a: &StatusMatrix, b: &StatusMatrix) -> StatusMatrix {
-    debug_assert_eq!(a.num_nodes(), b.num_nodes());
-    let n = a.num_nodes();
-    let beta = a.num_processes() + b.num_processes();
-    let mut out = StatusMatrix::new(beta, n);
-    for l in 0..a.num_processes() {
-        for i in 0..n {
-            if a.get(l, i as u32) {
-                out.set(l, i as u32);
-            }
+/// Atomically writes `dest` as a status file: a fresh header declaring
+/// `processes x nodes`, then the rows of every file in `sources`, in
+/// order, copied verbatim by [`copy_status_rows`]. `dest` may itself be
+/// one of the sources — it is read before the rename replaces it.
+fn splice_status_files(
+    dest: &Path,
+    processes: usize,
+    nodes: usize,
+    sources: &[PathBuf],
+) -> io::Result<()> {
+    save_atomic(dest, |w| {
+        write_status_header(&mut *w, processes, nodes)?;
+        for src in sources {
+            copy_status_rows(fs::File::open(src)?, &mut *w)?;
         }
-    }
-    for l in 0..b.num_processes() {
-        for i in 0..n {
-            if b.get(l, i as u32) {
-                out.set(a.num_processes() + l, i as u32);
-            }
-        }
-    }
-    out
+        Ok(())
+    })
 }
 
 /// Renders the wire form of a job's status for `GET /v1/jobs/{id}`.
@@ -1175,6 +1180,7 @@ pub fn status_json(meta: &JobMeta, live: Option<&Snapshot>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diffnet_simulate::StatusMatrix;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1211,6 +1217,37 @@ mod tests {
         let mut buf = Vec::new();
         diffnet_simulate::io::write_status_matrix(m, &mut buf).expect("serialize");
         buf
+    }
+
+    /// `m` as a hand-made upload: CRLF line ends, tab and space
+    /// separators, comment lines between rows, no trailing newline.
+    fn irregular_bytes(m: &StatusMatrix) -> Vec<u8> {
+        let mut out = b"# uploaded by hand\r\n".to_vec();
+        for l in 0..m.num_processes() {
+            if l % 7 == 3 {
+                out.extend_from_slice(b"# a comment between rows\r\n");
+            }
+            let cells: Vec<&str> = (0..m.num_nodes() as u32)
+                .map(|i| if m.get(l, i) { "1" } else { "0" })
+                .collect();
+            let sep = if l % 2 == 0 { " " } else { "\t" };
+            out.extend_from_slice(cells.join(sep).as_bytes());
+            out.extend_from_slice(b"\r\n");
+        }
+        out.truncate(out.len() - 2);
+        out
+    }
+
+    /// The processes of `parts`, stacked in order into one matrix.
+    fn stack(parts: &[&StatusMatrix]) -> StatusMatrix {
+        let rows: Vec<Vec<bool>> = parts
+            .iter()
+            .flat_map(|m| {
+                (0..m.num_processes())
+                    .map(move |l| (0..m.num_nodes() as u32).map(|i| m.get(l, i)).collect())
+            })
+            .collect();
+        StatusMatrix::from_rows(&rows)
     }
 
     fn manager(dir: &Path) -> (Arc<JobManager>, Arc<AtomicBool>) {
@@ -1487,7 +1524,7 @@ mod tests {
 
         // The re-estimated result equals a fresh job over the combined
         // input: incremental append is exact, not approximate.
-        let combined = concat_statuses(&first, &more);
+        let combined = stack(&[&first, &more]);
         let fresh = m
             .submit(JobSpec::default(), &statuses_bytes(&combined))
             .expect("submit combined");
@@ -1552,7 +1589,69 @@ mod tests {
         assert!(pending_paths(&m.job_dir(1)).is_empty());
 
         // Byte-identical to a fresh run over base + A + B.
-        let combined = concat_statuses(&concat_statuses(&first, &more_a), &more_b);
+        let combined = stack(&[&first, &more_a, &more_b]);
+        let fresh = m
+            .submit(JobSpec::default(), &statuses_bytes(&combined))
+            .expect("submit combined");
+        wait_terminal(&m, fresh.id);
+        assert_eq!(
+            m.read_output(1, "edges.txt").expect("edges"),
+            m.read_output(fresh.id, "edges.txt").expect("edges"),
+        );
+        m.shutdown_and_join();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn irregular_upload_splices_with_direct_and_buffered_appends() {
+        let dir = tmp_dir("splice");
+        let (m, _) = manager(&dir);
+        let first = sample_statuses(30, 8);
+        m.submit(JobSpec::default(), &irregular_bytes(&first))
+            .expect("submit");
+        wait_terminal(&m, 1);
+
+        // One append applied at once to the terminal job ...
+        let more_a = sample_statuses(6, 8);
+        let (_, buffered) = m
+            .append_cascades(1, &irregular_bytes(&more_a))
+            .expect("append A");
+        assert!(!buffered);
+        wait_terminal(&m, 1);
+        // ... and one buffered while a worker owns the job.
+        {
+            let mut st = m.state.lock().expect("state lock");
+            st.jobs.get_mut(&1).expect("job").meta.state = JobState::Running;
+        }
+        let more_b = sample_statuses(4, 8);
+        let (_, buffered) = m
+            .append_cascades(1, &statuses_bytes(&more_b))
+            .expect("append B");
+        assert!(buffered);
+        m.run_one(1);
+        let done = wait_terminal(&m, 1);
+        assert_eq!(done.state, JobState::Done);
+        assert_eq!(done.revision, 3);
+        assert_eq!(done.processes, 40);
+
+        // The spliced input: one header with the combined count, then
+        // every row of the upload and both batches, in order.
+        let combined = stack(&[&first, &more_a, &more_b]);
+        let text = fs::read(m.job_dir(1).join("statuses.txt")).expect("statuses");
+        let comments: Vec<&[u8]> = text
+            .split(|&b| b == b'\n')
+            .filter(|line| line.starts_with(b"#"))
+            .collect();
+        assert_eq!(
+            comments,
+            [b"# diffnet status matrix: 40 processes x 8 nodes".as_slice()]
+        );
+        assert_eq!(
+            read_status_columns(&text).expect("spliced input parses"),
+            combined.columns()
+        );
+
+        // Byte-identical to a fresh job over the combined matrix.
         let fresh = m
             .submit(JobSpec::default(), &statuses_bytes(&combined))
             .expect("submit combined");
@@ -1595,7 +1694,7 @@ mod tests {
         assert_eq!(done.revision, 2);
         assert_eq!(done.processes, 38);
         assert!(pending_paths(&m.job_dir(1)).is_empty());
-        let combined = concat_statuses(&first, &more);
+        let combined = stack(&[&first, &more]);
         let fresh = m
             .submit(JobSpec::default(), &statuses_bytes(&combined))
             .expect("submit combined");

@@ -7,6 +7,7 @@
 //!   `sources:` line and a `times:` line (with `-` for never-infected), so
 //!   cascade-based baselines can be replayed from disk too.
 
+use crate::status::RowsToColumns;
 use crate::{DiffusionRecord, NodeColumns, ObservationSet, StatusMatrix, UNINFECTED};
 use diffnet_graph::NodeId;
 use std::fmt;
@@ -101,14 +102,18 @@ fn parse_header_counts(comment: &str, kind: &str) -> Option<(usize, usize)> {
     Some((beta, n))
 }
 
+/// Header comment kind of the status-matrix format.
+const STATUS_KIND: &str = "diffnet status matrix";
+
+/// Writes the `# diffnet status matrix: {β} processes x {n} nodes` header
+/// line that declares a status file's shape.
+pub fn write_status_header<W: Write>(mut w: W, processes: usize, nodes: usize) -> io::Result<()> {
+    writeln!(w, "# {STATUS_KIND}: {processes} processes x {nodes} nodes")
+}
+
 /// Writes a status matrix: one `0`/`1` row per process.
 pub fn write_status_matrix<W: Write>(m: &StatusMatrix, mut w: W) -> io::Result<()> {
-    writeln!(
-        w,
-        "# diffnet status matrix: {} processes x {} nodes",
-        m.num_processes(),
-        m.num_nodes()
-    )?;
+    write_status_header(&mut w, m.num_processes(), m.num_nodes())?;
     let mut line = String::with_capacity(2 * m.num_nodes());
     for l in 0..m.num_processes() {
         line.clear();
@@ -124,25 +129,30 @@ pub fn write_status_matrix<W: Write>(m: &StatusMatrix, mut w: W) -> io::Result<(
 }
 
 /// Reads a status matrix written by [`write_status_matrix`].
+///
+/// This is the straightforward row-major reader, kept as the reference
+/// that [`read_status_columns`] must agree with on every input.
 pub fn read_status_matrix<R: Read>(r: R) -> Result<StatusMatrix, ObservationIoError> {
     let mut rows: Vec<Vec<bool>> = Vec::new();
     let mut declared: Option<(usize, usize)> = None;
     let mut buf = BufReader::new(r);
-    let mut line = String::new();
+    let mut raw = Vec::new();
     let mut offset = 0usize;
     let mut lineno = 0usize;
     loop {
-        line.clear();
-        let read = buf.read_line(&mut line)?;
+        raw.clear();
+        let read = buf.read_until(b'\n', &mut raw)?;
         if read == 0 {
             break;
         }
         offset += read;
         lineno += 1;
-        let t = line.trim();
+        let t = std::str::from_utf8(&raw)
+            .map_err(|_| parse_err(lineno, "invalid UTF-8 in status matrix"))?
+            .trim();
         if t.is_empty() || t.starts_with('#') {
             if declared.is_none() {
-                declared = parse_header_counts(t, "diffnet status matrix");
+                declared = parse_header_counts(t, STATUS_KIND);
             }
             continue;
         }
@@ -151,17 +161,18 @@ pub fn read_status_matrix<R: Read>(r: R) -> Result<StatusMatrix, ObservationIoEr
             .map(|tok| match tok {
                 "0" => Ok(false),
                 "1" => Ok(true),
-                other => Err(parse_err(lineno, format!("expected 0/1, got {other:?}"))),
+                other => Err(bad_token(lineno, other)),
             })
             .collect();
         let row = row?;
-        let expected_width = declared.map(|(_, n)| n).or(rows.first().map(Vec::len));
-        if let Some(width) = expected_width {
+        // Every row must match the declared width and the first row's.
+        for width in declared
+            .map(|(_, n)| n)
+            .into_iter()
+            .chain(rows.first().map(Vec::len))
+        {
             if width != row.len() {
-                return Err(parse_err(
-                    lineno,
-                    format!("row has {} entries, expected {}", row.len(), width),
-                ));
+                return Err(bad_width(lineno, row.len(), width));
             }
         }
         rows.push(row);
@@ -178,6 +189,17 @@ pub fn read_status_matrix<R: Read>(r: R) -> Result<StatusMatrix, ObservationIoEr
     Ok(StatusMatrix::from_rows(&rows))
 }
 
+fn bad_token(line: usize, token: &str) -> ObservationIoError {
+    parse_err(line, format!("expected 0/1, got {token:?}"))
+}
+
+fn bad_width(line: usize, found: usize, expected: usize) -> ObservationIoError {
+    parse_err(
+        line,
+        format!("row has {found} entries, expected {expected}"),
+    )
+}
+
 /// Saves a status matrix to a file via an atomic temp-then-rename write.
 pub fn save_status_matrix<P: AsRef<Path>>(m: &StatusMatrix, path: P) -> io::Result<()> {
     diffnet_graph::io::save_atomic(path, |w| write_status_matrix(m, w))
@@ -186,6 +208,36 @@ pub fn save_status_matrix<P: AsRef<Path>>(m: &StatusMatrix, path: P) -> io::Resu
 /// Loads a status matrix from a file.
 pub fn load_status_matrix<P: AsRef<Path>>(path: P) -> Result<StatusMatrix, ObservationIoError> {
     read_status_matrix(fs::File::open(path)?)
+}
+
+/// Copies the process rows of the status file `src` to `w` byte for byte,
+/// dropping blank and `#` comment lines (the old header among them) and
+/// terminating an unterminated last row. Rows keep whatever separators
+/// and line endings they came with, so the copy parses to the same rows.
+/// `src` streams through a fixed-size buffer: memory is bounded by the
+/// longest line, not the file.
+///
+/// With [`write_status_header`] in front, this splices status files
+/// without parsing them: a fresh header declaring the combined shape wins
+/// over any header comment that survives in a row-looking line, because
+/// the first header in a file is the one that counts.
+pub fn copy_status_rows<R: Read, W: Write>(src: R, mut w: W) -> io::Result<()> {
+    let mut src = BufReader::with_capacity(64 * 1024, src);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        if src.read_until(b'\n', &mut line)? == 0 {
+            return Ok(());
+        }
+        match line.iter().find(|&&b| !is_status_space(b)) {
+            None | Some(b'#') => continue,
+            Some(_) => {}
+        }
+        w.write_all(&line)?;
+        if line.last() != Some(&b'\n') {
+            w.write_all(b"\n")?;
+        }
+    }
 }
 
 /// Iterates `bytes` line by line, calling `f(lineno, line)` with the
@@ -212,94 +264,208 @@ fn for_each_line<'a>(
     Ok(pos)
 }
 
-/// Parses a status-matrix file straight into its column-major bitset
-/// view, without ever materializing the row-major [`StatusMatrix`] or any
-/// per-row buffers.
-///
-/// Accepts the same format as [`read_status_matrix`] — optional
-/// `# diffnet status matrix: …` header, `0`/`1` rows, `#` comments — with
-/// the same typed errors (`Parse` for bad tokens / ragged rows,
-/// `Truncated` with a byte offset when the header declares more rows than
-/// the file holds). Two passes over the bytes: the first learns the shape
-/// (header when present, otherwise the first row's width and the row
-/// count), the second sets bits directly into the column bitsets, so peak
-/// memory is the `n·⌈β/64⌉` words of the result plus the input bytes —
-/// which [`load_status_columns`] keeps out of the heap via `mmap(2)`.
-/// The result is identical to `read_status_matrix(bytes)?.columns()`.
-pub fn read_status_columns(bytes: &[u8]) -> Result<NodeColumns, ObservationIoError> {
-    // Pass 1: shape. Mirrors read_status_matrix's header handling (the
-    // first matching comment anywhere in the file wins).
-    let mut declared: Option<(usize, usize)> = None;
-    let mut first_width: Option<usize> = None;
-    let mut rows = 0usize;
-    let offset = for_each_line(bytes, |lineno, raw| {
-        let line = std::str::from_utf8(raw)
-            .map_err(|_| parse_err(lineno, "invalid UTF-8 in status matrix"))?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') {
-            if declared.is_none() {
-                declared = parse_header_counts(t, "diffnet status matrix");
+/// The ASCII members of `char::is_whitespace` — the separator set of
+/// `str::trim`/`split_whitespace` restricted to one byte. Unlike
+/// `u8::is_ascii_whitespace` it includes `\x0B` (vertical tab).
+fn is_status_space(b: u8) -> bool {
+    matches!(b, b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' | b' ')
+}
+
+/// One status-file line as [`read_status_matrix`] sees it.
+enum StatusLine<'a> {
+    /// Blank or `#` comment, trimmed (a header candidate).
+    Comment(&'a str),
+    /// A trimmed, all-ASCII row: tokenized byte by byte.
+    Ascii(&'a [u8]),
+    /// A trimmed row holding non-ASCII text: tokenized by `char`, so
+    /// Unicode whitespace (U+00A0, U+2003, …) separates as it does in
+    /// the reference reader.
+    Text(&'a str),
+}
+
+impl<'a> StatusLine<'a> {
+    fn classify(lineno: usize, raw: &'a [u8]) -> Result<StatusLine<'a>, ObservationIoError> {
+        let t = if raw.is_ascii() {
+            let start = raw.iter().position(|&b| !is_status_space(b));
+            let Some(start) = start else {
+                return Ok(StatusLine::Comment(""));
+            };
+            let end = raw
+                .iter()
+                .rposition(|&b| !is_status_space(b))
+                .map_or(0, |k| k + 1);
+            let t = &raw[start..end];
+            if t[0] != b'#' {
+                return Ok(StatusLine::Ascii(t));
             }
+            std::str::from_utf8(t).expect("ASCII is UTF-8")
         } else {
-            if first_width.is_none() {
-                first_width = Some(t.split_whitespace().count());
+            std::str::from_utf8(raw)
+                .map_err(|_| parse_err(lineno, "invalid UTF-8 in status matrix"))?
+                .trim()
+        };
+        Ok(if t.is_empty() || t.starts_with('#') {
+            StatusLine::Comment(t)
+        } else {
+            StatusLine::Text(t)
+        })
+    }
+
+    /// Tokenizes a row line, calling `ones(i, bits)` for the infected
+    /// cells — bit `j` of `bits` is token `i + j`, at most four tokens per
+    /// call, never an all-zero `bits` — and returns the row's width. A
+    /// token other than `0`/`1` is a typed error.
+    fn row_ones(
+        &self,
+        lineno: usize,
+        mut ones: impl FnMut(usize, u64),
+    ) -> Result<usize, ObservationIoError> {
+        let mut i = 0usize;
+        match *self {
+            StatusLine::Comment(_) => {}
+            StatusLine::Ascii(t) => {
+                let mut k = 0usize;
+                while k < t.len() {
+                    // Fast path for the written form: eight bytes of
+                    // `d d d d ` (d ∈ {0, 1}) are four complete tokens,
+                    // whose infected flags are bits 0, 16, 32 and 48.
+                    if let Some(chunk) = t.get(k..k + 8) {
+                        let w = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+                        if w & 0xFFFE_FFFE_FFFE_FFFE == 0x2030_2030_2030_2030 {
+                            let bits = (w & 1) | (w >> 15 & 2) | (w >> 30 & 4) | (w >> 45 & 8);
+                            if bits != 0 {
+                                ones(i, bits);
+                            }
+                            i += 4;
+                            k += 8;
+                            continue;
+                        }
+                    }
+                    let b = t[k];
+                    if is_status_space(b) {
+                        k += 1;
+                        continue;
+                    }
+                    // A token starts here; a valid one is one character
+                    // followed by a separator (or the end of the row).
+                    if (b == b'0' || b == b'1') && t.get(k + 1).is_none_or(|&c| is_status_space(c))
+                    {
+                        if b == b'1' {
+                            ones(i, 1);
+                        }
+                        i += 1;
+                        k += 2;
+                        continue;
+                    }
+                    let end = t[k..]
+                        .iter()
+                        .position(|&c| is_status_space(c))
+                        .map_or(t.len(), |p| k + p);
+                    let tok = std::str::from_utf8(&t[k..end]).expect("ASCII is UTF-8");
+                    return Err(bad_token(lineno, tok));
+                }
             }
-            rows += 1;
+            StatusLine::Text(t) => {
+                for tok in t.split_whitespace() {
+                    match tok {
+                        "0" => {}
+                        "1" => ones(i, 1),
+                        other => return Err(bad_token(lineno, other)),
+                    }
+                    i += 1;
+                }
+            }
+        }
+        Ok(i)
+    }
+}
+
+/// ORs `bits` (bit `j` = node `i + j`, at most four) into a row bitset.
+/// Bits past the row's last word are dropped: such a row is too wide and
+/// is rejected once its width is known.
+fn set_row_bits(row: &mut [u64], i: usize, bits: u64) {
+    let (w, b) = (i / 64, i % 64);
+    if let Some(word) = row.get_mut(w) {
+        *word |= bits << b;
+    }
+    if b > 60 {
+        if let Some(word) = row.get_mut(w + 1) {
+            *word |= bits >> (64 - b);
+        }
+    }
+}
+
+/// Parses a status-matrix file straight into its column-major bitset
+/// view, without materializing the row-major [`StatusMatrix`].
+///
+/// Agrees with [`read_status_matrix`] on every input: the same result
+/// (`read_status_matrix(bytes)?.columns()`), or the same typed error at
+/// the same line — `Parse` for invalid UTF-8, bad tokens and ragged rows,
+/// `Truncated` with the input's byte length when the header declares more
+/// rows than the file holds. All-ASCII lines (every file this workspace
+/// writes) are tokenized byte by byte; other lines take the `char` path,
+/// so Unicode whitespace still separates tokens.
+///
+/// One pass over the bytes: rows are set 64 at a time into a row-major
+/// block that is bit-transposed into the columns, so peak memory is the
+/// `n·⌈β/64⌉` words of the result plus one block and the input bytes —
+/// which [`load_status_columns`] keeps out of the heap via `mmap(2)`.
+pub fn read_status_columns(bytes: &[u8]) -> Result<NodeColumns, ObservationIoError> {
+    // One pass, in read_status_matrix's order: the first header comment
+    // wins, and a row is checked against the header seen so far and
+    // against the first row. The columns are sized for an upper bound on
+    // the row count and shrink to the real count at the end.
+    let lines = bytes.iter().filter(|&&b| b == b'\n').count() + 1;
+    let mut declared: Option<(usize, usize)> = None;
+    let mut cols: Option<RowsToColumns> = None;
+    let offset = for_each_line(bytes, |lineno, raw| {
+        let line = StatusLine::classify(lineno, raw)?;
+        if let StatusLine::Comment(t) = line {
+            if declared.is_none() {
+                declared = parse_header_counts(t, STATUS_KIND);
+            }
+            return Ok(());
+        }
+        let cols = match &mut cols {
+            Some(cols) => cols,
+            None => {
+                // The first row fixes the width n. Every row but the last
+                // pushed takes at least 2n bytes (n one-byte tokens, n − 1
+                // separators, a newline), which bounds the allocation by
+                // the input size even when most lines are blank.
+                let width = line.row_ones(lineno, |_, _| {})?;
+                let max_rows = lines.min(bytes.len() / (2 * width) + 1);
+                cols.insert(RowsToColumns::new(max_rows, width))
+            }
+        };
+        let first_width = cols.num_nodes();
+        let row = cols.push_row();
+        let width = line.row_ones(lineno, |i, bits| set_row_bits(row, i, bits))?;
+        for expected in declared.map(|(_, n)| n).into_iter().chain([first_width]) {
+            if width != expected {
+                return Err(bad_width(lineno, width, expected));
+            }
         }
         Ok(())
     })?;
+    let cols = cols.map_or_else(|| RowsToColumns::new(0, 0).finish(), RowsToColumns::finish);
     if let Some((beta, _)) = declared {
-        if rows < beta {
+        if cols.num_processes() < beta {
             return Err(ObservationIoError::Truncated {
                 expected: beta,
-                found: rows,
+                found: cols.num_processes(),
                 offset,
             });
         }
     }
-    let n = declared.map(|(_, n)| n).or(first_width).unwrap_or(0);
-
-    // Pass 2: bits. β is the actual row count (as StatusMatrix::from_rows
-    // would make it), so extra rows beyond a declared header still fit.
-    let mut cols = NodeColumns::new_empty(rows, n);
-    let mut l = 0usize;
-    for_each_line(bytes, |lineno, raw| {
-        // Validity was proven in pass 1; bad UTF-8 cannot appear now.
-        let t = std::str::from_utf8(raw)
-            .map_err(|_| parse_err(lineno, "invalid UTF-8 in status matrix"))?
-            .trim();
-        if t.is_empty() || t.starts_with('#') {
-            return Ok(());
-        }
-        let mut i = 0usize;
-        for tok in t.split_whitespace() {
-            match tok {
-                "0" => {}
-                "1" => {
-                    if i < n {
-                        cols.set_bit(l, i);
-                    }
-                }
-                other => return Err(parse_err(lineno, format!("expected 0/1, got {other:?}"))),
-            }
-            i += 1;
-        }
-        if i != n {
-            return Err(parse_err(
-                lineno,
-                format!("row has {i} entries, expected {n}"),
-            ));
-        }
-        l += 1;
-        Ok(())
-    })?;
     Ok(cols)
 }
 
 /// Loads a status matrix from a file directly into its column-major
 /// bitset view, memory-mapping the file when possible (see
 /// [`crate::mmap::open_bytes`]) so peak heap usage is just the column
-/// bitsets — the entry point of the out-of-core reconstruction path.
+/// bitsets. Every status file that reaches the reconstruction pipeline
+/// (CLI `infer`, daemon jobs, appended batches) is loaded through here.
 pub fn load_status_columns<P: AsRef<Path>>(path: P) -> Result<NodeColumns, ObservationIoError> {
     let bytes = crate::mmap::open_bytes(path)?;
     read_status_columns(&bytes)
@@ -656,5 +822,206 @@ mod tests {
         assert_eq!(load_observations(&p2).expect("load").records, obs.records);
         std::fs::remove_file(&p1).ok();
         std::fs::remove_file(&p2).ok();
+    }
+
+    /// What an outcome of a status reader is, for comparing the two
+    /// readers: the columns, or the error's variant and payload.
+    fn outcome(r: Result<NodeColumns, ObservationIoError>) -> Result<NodeColumns, String> {
+        r.map_err(|e| match e {
+            ObservationIoError::Io(e) => format!("Io({:?})", e.kind()),
+            ObservationIoError::Parse { line, message } => format!("Parse({line}, {message})"),
+            ObservationIoError::Truncated {
+                expected,
+                found,
+                offset,
+            } => format!("Truncated({expected}, {found}, {offset})"),
+        })
+    }
+
+    /// The byte-level column reader must agree with the reference reader:
+    /// equal columns, or the same error variant on the same line.
+    fn readers_agree(bytes: &[u8]) -> Result<(), String> {
+        let columns = outcome(read_status_columns(bytes));
+        let reference = outcome(read_status_matrix(bytes).map(|m| m.columns()));
+        if columns == reference {
+            Ok(())
+        } else {
+            Err(format!(
+                "{:?}: columns {columns:?}, reference {reference:?}",
+                String::from_utf8_lossy(bytes)
+            ))
+        }
+    }
+
+    #[test]
+    fn column_reader_agrees_with_reference_on_irregular_inputs() {
+        let cases: &[&[u8]] = &[
+            b"# diffnet status matrix: 2 processes x 3 nodes\r\n0 1 0\r\n1 1 0\r\n",
+            b"0\t1\t0\n1 \t 0\t\t1\n",
+            b"0\x0B1\x0C0\n\x0B1 1 0\x0C\n",
+            "0\u{A0}1 0\n1\u{2003}0\u{2003}1\u{A0}\n".as_bytes(),
+            "\u{2003}# a comment behind Unicode space\n0 1\n".as_bytes(),
+            b"0 1 0\n# comment in the middle\n\n   \n1 0 0\n# another\n0 0 1\n",
+            b"0 1 0\n1 0 1",
+            b"# diffnet status matrix: 1 processes x 3 nodes\n0 1 0\n1 0 1\n1 1 1\n",
+            b"# diffnet status matrix: 5 processes x 3 nodes\n0 1 0\n1 0 1\n",
+            b"0 1 0\n1 0\n",
+            b"# diffnet status matrix: 2 processes x 4 nodes\n0 1 0 1\n1 0\n",
+            b"0 1 0\n1 2 0\n",
+            b"0 1 0\n1 01 0\n",
+            b"0 1 0\n1 \x01 0\n",
+            b"0 1 0\n1 \xff 0\n",
+            b"\xff\n0 1\n0 1 1\n",
+            b"0 1\n# diffnet status matrix: 1 processes x 3 nodes\n",
+            b"0 1\n# diffnet status matrix: 2 processes x 3 nodes\n1 1\n",
+            b"# diffnet status matrix: 0 processes x 5 nodes\n",
+            b"# diffnet status matrix: 3 processes x 2 nodes\n0 1\n0 2\n",
+            b"\r\n\r\n",
+            b"",
+            b"0\n1\n0\n1\n1",
+            b"0 1\n\n\n\n\n\n\n\n\n1 0\n",
+            b"0 1 1 0 1\n1\n1\n1\n1\n1\n1\n1\n1\n",
+        ];
+        for bytes in cases {
+            readers_agree(bytes).unwrap_or_else(|e| panic!("{e}"));
+        }
+        // The irregular-but-valid cases really parse (the test is not
+        // vacuously comparing two errors).
+        let crlf = read_status_columns(cases[0]).expect("CRLF parses");
+        assert_eq!((crlf.num_processes(), crlf.num_nodes()), (2, 3));
+        let unicode = read_status_columns(cases[3]).expect("Unicode spaces parse");
+        assert_eq!((unicode.num_processes(), unicode.num_nodes()), (2, 3));
+        let extra = read_status_columns(cases[7]).expect("extra rows parse");
+        assert_eq!(extra.num_processes(), 3);
+    }
+
+    #[test]
+    fn column_reader_agrees_across_block_shapes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Row counts and widths on both sides of the 64-bit word, so the
+        // row blocks, their transposes and the final shrink all vary.
+        let mut rng = StdRng::seed_from_u64(17);
+        for beta in [1usize, 63, 64, 65, 130, 200] {
+            for n in [1usize, 5, 63, 64, 65, 130] {
+                let mut m = StatusMatrix::new(beta, n);
+                for l in 0..beta {
+                    for i in 0..n as NodeId {
+                        if rng.gen::<bool>() {
+                            m.set(l, i);
+                        }
+                    }
+                }
+                let mut bytes = Vec::new();
+                write_status_matrix(&m, &mut bytes).expect("write");
+                assert_eq!(read_status_columns(&bytes).expect("parse"), m.columns());
+                // Tab separators and blank lines take the general path.
+                let tabbed: Vec<u8> = bytes
+                    .iter()
+                    .flat_map(|&b| match b {
+                        b' ' => b"\t".to_vec(),
+                        b'\n' => b"\n\n".to_vec(),
+                        other => vec![other],
+                    })
+                    .collect();
+                assert_eq!(read_status_columns(&tabbed).expect("parse"), m.columns());
+                readers_agree(&tabbed).unwrap_or_else(|e| panic!("{e}"));
+            }
+        }
+    }
+
+    /// Fragments a mutation may splice into a valid status file.
+    const FRAGMENTS: &[&str] = &[
+        " ",
+        "\t",
+        "\r\n",
+        "\n",
+        "\x0B",
+        "\x0C",
+        "\u{A0}",
+        "\u{2003}",
+        "#",
+        "# note\n",
+        "0",
+        "1",
+        "2",
+        "\u{1}",
+        "# diffnet status matrix: 3 processes x 4 nodes\n",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn column_reader_agrees_with_reference_under_mutation(
+            seed in 0u64..10_000,
+            edits in proptest::collection::vec((0usize..4096, 0usize..20, 0usize..4), 1..6),
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (beta, n) = (rng.gen_range(1..6usize), rng.gen_range(1..6usize));
+            let mut m = StatusMatrix::new(beta, n);
+            for l in 0..beta {
+                for i in 0..n as NodeId {
+                    if rng.gen::<bool>() {
+                        m.set(l, i);
+                    }
+                }
+            }
+            let mut bytes = Vec::new();
+            write_status_matrix(&m, &mut bytes).expect("write");
+            for (at, what, how) in edits {
+                let at = at % (bytes.len() + 1);
+                match how {
+                    // Insert a fragment (possibly splitting a multi-byte
+                    // character that an earlier edit put there).
+                    0 | 1 => {
+                        let frag = FRAGMENTS[what % FRAGMENTS.len()].as_bytes();
+                        bytes.splice(at..at, frag.iter().copied());
+                    }
+                    // Delete a byte, or overwrite it with a stray byte
+                    // that is never valid UTF-8 on its own.
+                    2 => {
+                        if at < bytes.len() {
+                            bytes.remove(at);
+                        }
+                    }
+                    _ => {
+                        if at < bytes.len() {
+                            bytes[at] = if what % 2 == 0 { 0xff } else { 0xa0 };
+                        }
+                    }
+                }
+            }
+            if let Err(disagreement) = readers_agree(&bytes) {
+                proptest::prop_assert!(false, "{disagreement}");
+            }
+        }
+    }
+
+    #[test]
+    fn copied_rows_splice_into_a_reparsable_file() {
+        // Irregular upload: CRLF, tabs, comments, a stale header, no
+        // trailing newline — then a second file's rows behind it.
+        let upload = b"# diffnet status matrix: 2 processes x 3 nodes\r\n0\t1 0\r\n\
+                       # mid-file comment\n  \n1 1 0";
+        let batch = b"# diffnet status matrix: 1 processes x 3 nodes\n0 0 1\n";
+        let mut spliced = Vec::new();
+        write_status_header(&mut spliced, 3, 3).expect("header");
+        copy_status_rows(&upload[..], &mut spliced).expect("copy upload");
+        copy_status_rows(&batch[..], &mut spliced).expect("copy batch");
+        assert_eq!(
+            spliced,
+            b"# diffnet status matrix: 3 processes x 3 nodes\n0\t1 0\r\n1 1 0\n0 0 1\n"
+        );
+        let cols = read_status_columns(&spliced).expect("spliced file parses");
+        let rows = [
+            [false, true, false],
+            [true, true, false],
+            [false, false, true],
+        ];
+        let expected = StatusMatrix::from_rows(&rows.map(|r| r.to_vec()));
+        assert_eq!(cols, expected.columns());
     }
 }

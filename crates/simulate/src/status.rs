@@ -218,11 +218,8 @@ pub struct NodeColumns {
 }
 
 impl NodeColumns {
-    /// An all-uninfected column view for `beta` processes over `n` nodes —
-    /// the allocation target of the streaming status parser
-    /// ([`crate::io::read_status_columns`]), which sets bits directly into
-    /// the column bitsets without ever materializing the row-major matrix.
-    pub(crate) fn new_empty(beta: usize, n: usize) -> Self {
+    /// An all-uninfected column view for `beta` processes over `n` nodes.
+    fn new_empty(beta: usize, n: usize) -> Self {
         let words_per_col = beta.div_ceil(WORD_BITS).max(1);
         NodeColumns {
             beta,
@@ -231,40 +228,37 @@ impl NodeColumns {
         }
     }
 
-    /// Marks node `i` infected in process `l` (streaming-parser hook).
-    #[inline]
-    pub(crate) fn set_bit(&mut self, l: usize, i: usize) {
-        debug_assert!(l < self.beta && i * self.words_per_col < self.cols.len());
-        self.cols[i * self.words_per_col + l / WORD_BITS] |= 1u64 << (l % WORD_BITS);
+    fn from_matrix(m: &StatusMatrix) -> Self {
+        let mut cols = NodeColumns::new_empty(m.beta, m.n);
+        let block_words = WORD_BITS * m.words_per_row;
+        for (lw, block) in m.rows.chunks(block_words).enumerate() {
+            cols.store_row_block(lw, block, m.words_per_row, m.n);
+        }
+        cols
     }
 
-    fn from_matrix(m: &StatusMatrix) -> Self {
-        let words_per_col = m.beta.div_ceil(WORD_BITS).max(1);
-        let mut cols = vec![0u64; m.n * words_per_col];
-        // Cache-blocked bit transpose: each 64×64 tile (one row-word column
-        // by one process-word row) is gathered into registers, transposed
-        // with the Hacker's Delight butterfly network, and scattered into
-        // the column bitsets — `O(n·β/64)` word swaps with linear streaming
-        // over the source rows, instead of `O(n·β)` strided bit probes.
+    /// Stores the row-major `block` — up to 64 rows of `words_per_row`
+    /// words each, processes `64·lw ..` — as process-word `lw` of every
+    /// column.
+    ///
+    /// Cache-blocked bit transpose: each 64×64 tile (one row-word column
+    /// by one process-word row) is gathered into registers, transposed
+    /// with the Hacker's Delight butterfly network, and scattered into
+    /// the column bitsets — `O(n·β/64)` word swaps with linear streaming
+    /// over the source rows, instead of `O(n·β)` strided bit probes.
+    fn store_row_block(&mut self, lw: usize, block: &[u64], words_per_row: usize, n: usize) {
+        let rows_here = block.len() / words_per_row;
         let mut tile = [0u64; WORD_BITS];
-        for iw in 0..m.words_per_row {
-            let cols_here = m.n.saturating_sub(iw * WORD_BITS).min(WORD_BITS);
-            for lw in 0..m.beta.div_ceil(WORD_BITS) {
-                let rows_here = (m.beta - lw * WORD_BITS).min(WORD_BITS);
-                for (r, t) in tile.iter_mut().take(rows_here).enumerate() {
-                    *t = m.rows[(lw * WORD_BITS + r) * m.words_per_row + iw];
-                }
-                tile[rows_here..].fill(0);
-                transpose64(&mut tile);
-                for (c, &w) in tile.iter().enumerate().take(cols_here) {
-                    cols[(iw * WORD_BITS + c) * words_per_col + lw] = w;
-                }
+        for iw in 0..words_per_row {
+            let cols_here = n.saturating_sub(iw * WORD_BITS).min(WORD_BITS);
+            for (r, t) in tile.iter_mut().take(rows_here).enumerate() {
+                *t = block[r * words_per_row + iw];
             }
-        }
-        NodeColumns {
-            beta: m.beta,
-            words_per_col,
-            cols,
+            tile[rows_here..].fill(0);
+            transpose64(&mut tile);
+            for (c, &w) in tile.iter().enumerate().take(cols_here) {
+                self.cols[(iw * WORD_BITS + c) * self.words_per_col + lw] = w;
+            }
         }
     }
 
@@ -520,6 +514,82 @@ impl NodeColumns {
         let n01 = ones_j - n11;
         let n00 = self.beta as u64 - n11 - n10 - n01;
         PairCounts { n11, n10, n01, n00 }
+    }
+}
+
+/// Builds a [`NodeColumns`] view one row at a time — the allocation
+/// target of the streaming status parser
+/// ([`crate::io::read_status_columns`]). Rows land in a 64-row row-major
+/// block that is bit-transposed into the columns whenever it fills, so
+/// building costs what [`StatusMatrix::columns`] does while holding one
+/// block of rows instead of the whole matrix.
+pub(crate) struct RowsToColumns {
+    cols: NodeColumns,
+    n: usize,
+    words_per_row: usize,
+    block: Vec<u64>,
+    rows: usize,
+}
+
+impl RowsToColumns {
+    /// Room for at most `max_rows` rows over `n` nodes.
+    pub(crate) fn new(max_rows: usize, n: usize) -> Self {
+        let words_per_row = n.div_ceil(WORD_BITS).max(1);
+        RowsToColumns {
+            cols: NodeColumns::new_empty(max_rows, n),
+            n,
+            words_per_row,
+            block: Vec::with_capacity(WORD_BITS * words_per_row),
+            rows: 0,
+        }
+    }
+
+    /// Starts the next row and returns its zeroed words: node `i` is bit
+    /// `i % 64` of word `i / 64`, the [`StatusMatrix`] row layout.
+    pub(crate) fn push_row(&mut self) -> &mut [u64] {
+        assert!(self.rows < self.cols.beta, "more rows than were reserved");
+        if self.block.len() == WORD_BITS * self.words_per_row {
+            self.flush();
+        }
+        let start = self.block.len();
+        self.block.resize(start + self.words_per_row, 0);
+        self.rows += 1;
+        &mut self.block[start..]
+    }
+
+    fn flush(&mut self) {
+        let lw = (self.rows - 1) / WORD_BITS;
+        self.cols
+            .store_row_block(lw, &self.block, self.words_per_row, self.n);
+        self.block.clear();
+    }
+
+    /// Number of nodes per row.
+    pub(crate) fn num_nodes(&self) -> usize {
+        self.n
+    }
+
+    /// The finished view over the rows pushed so far; fewer rows than
+    /// `max_rows` shrinks each column to the rows' words.
+    pub(crate) fn finish(mut self) -> NodeColumns {
+        if !self.block.is_empty() {
+            self.flush();
+        }
+        let mut cols = self.cols;
+        let words_per_col = self.rows.div_ceil(WORD_BITS).max(1);
+        if words_per_col != cols.words_per_col {
+            // Column i moves down to i·words_per_col; sources of later
+            // columns lie above every destination written before them.
+            for i in 0..self.n {
+                let src = i * cols.words_per_col;
+                cols.cols
+                    .copy_within(src..src + words_per_col, i * words_per_col);
+            }
+            cols.cols.truncate(self.n * words_per_col);
+            cols.words_per_col = words_per_col;
+        }
+        cols.beta = self.rows;
+        cols
     }
 }
 

@@ -373,9 +373,12 @@ impl Tends {
     /// while replay cost is independent of how many processes history
     /// already holds.
     ///
-    /// `combined` must contain exactly the base run's processes plus the
-    /// `appended` processes (row order is irrelevant: every statistic is a
-    /// function of the row multiset). `options.revision` must be the
+    /// Both inputs are column views, as
+    /// `diffnet_simulate::io::load_status_columns` or
+    /// [`StatusMatrix::columns`] produce them. `combined` must contain
+    /// exactly the base run's processes plus the `appended` processes (row
+    /// order is irrelevant: every statistic is a function of the row
+    /// multiset). `options.revision` must be the
     /// *bumped* revision (checkpoint revision + 1) and `options.checkpoint`
     /// must name the base run's checkpoint, which is replaced atomically by
     /// the post-append checkpoint on success. If the file already carries
@@ -396,8 +399,8 @@ impl Tends {
     /// statistics under the current config (a stale or foreign file).
     pub fn reconstruct_robust_append(
         &self,
-        combined: &StatusMatrix,
-        appended: &StatusMatrix,
+        combined: &NodeColumns,
+        appended: &NodeColumns,
         rec: &Recorder,
         options: &RobustOptions<'_>,
     ) -> Result<PartialReconstruction, CheckpointError> {
@@ -408,7 +411,10 @@ impl Tends {
         let path = options.checkpoint.clone().ok_or_else(|| {
             CheckpointError::Format("incremental append requires a checkpoint file".into())
         })?;
-        let ck = Checkpoint::load(&path)?;
+        let ck = {
+            let _p = rec.phase("checkpoint_load");
+            Checkpoint::load(&path)?
+        };
         if ck.revision == options.revision {
             // The previous attempt already folded this append into the
             // checkpoint before being interrupted: plain resume.
@@ -420,7 +426,7 @@ impl Tends {
                 cancel: options.cancel,
                 revision: options.revision,
             };
-            return self.reconstruct_robust(combined, rec, &opts);
+            return self.reconstruct_robust_from_columns(combined, rec, &opts);
         }
         if ck.revision + 1 != options.revision {
             return Err(CheckpointError::Format(format!(
@@ -455,11 +461,6 @@ impl Tends {
             )));
         }
 
-        let (combined_cols, appended_cols) = {
-            let _p = rec.phase("status_columns");
-            (combined.columns(), appended.columns())
-        };
-
         // The statistics' integrity was already established when
         // `Checkpoint::load` re-verified their content digest, so the
         // warm path spends no `O(n²)` pipeline work validating the past:
@@ -474,9 +475,9 @@ impl Tends {
         // post-append correlation matrix from the updated counts.
         let corr = {
             let _p = rec.phase("stats_append");
-            stats.append(&appended_cols, self.config.threads);
+            stats.append(appended, self.config.threads);
             if rec.is_enabled() {
-                rec.add("append_processes", appended_cols.num_processes() as u64);
+                rec.add("append_processes", appended.num_processes() as u64);
             }
             stats.correlation(self.config.correlation)
         };
@@ -518,8 +519,8 @@ impl Tends {
             let _p = rec.phase("parent_search");
             self.append_search(
                 &candidates,
-                &combined_cols,
-                &appended_cols,
+                combined,
+                appended,
                 &ck,
                 &stats,
                 tau,
@@ -1965,8 +1966,8 @@ mod tests {
             let rec = Recorder::new();
             let warm = tends
                 .reconstruct_robust_append(
-                    &combined,
-                    &appended,
+                    &combined.columns(),
+                    &appended.columns(),
                     &rec,
                     &RobustOptions {
                         checkpoint: Some(path.clone()),
@@ -2044,8 +2045,8 @@ mod tests {
         for (revision, combined_so_far, appended) in [(1, &base01, &app1), (2, &combined, &app2)] {
             let warm = tends
                 .reconstruct_robust_append(
-                    combined_so_far,
-                    appended,
+                    &combined_so_far.columns(),
+                    &appended.columns(),
                     Recorder::disabled(),
                     &RobustOptions {
                         checkpoint: Some(path.clone()),
@@ -2131,6 +2132,7 @@ mod tests {
             )
             .expect("base run");
         let pristine = std::fs::read_to_string(&path).expect("read checkpoint");
+        let (combined_cols, appended_cols) = (combined.columns(), appended.columns());
 
         let append_opts = |revision| RobustOptions {
             checkpoint: Some(path.clone()),
@@ -2144,7 +2146,12 @@ mod tests {
         assert_ne!(tampered, pristine, "edit must hit the header");
         std::fs::write(&path, &tampered).expect("write tampered");
         let err = tends
-            .reconstruct_robust_append(&combined, &appended, Recorder::disabled(), &append_opts(1))
+            .reconstruct_robust_append(
+                &combined_cols,
+                &appended_cols,
+                Recorder::disabled(),
+                &append_opts(1),
+            )
             .expect_err("wrong revision must be rejected");
         assert!(
             matches!(&err, CheckpointError::Format(m) if m.contains("revision")),
@@ -2163,7 +2170,12 @@ mod tests {
         assert_ne!(tampered, pristine, "edit must hit the statistics");
         std::fs::write(&path, &tampered).expect("write tampered");
         let err = tends
-            .reconstruct_robust_append(&combined, &appended, Recorder::disabled(), &append_opts(1))
+            .reconstruct_robust_append(
+                &combined_cols,
+                &appended_cols,
+                Recorder::disabled(),
+                &append_opts(1),
+            )
             .expect_err("impossible statistics must be rejected");
         assert!(
             matches!(&err, CheckpointError::Format(m) if m.contains("inconsistent")),
@@ -2181,7 +2193,12 @@ mod tests {
         assert_ne!(tampered, pristine, "edit must hit the statistics");
         std::fs::write(&path, &tampered).expect("write tampered");
         let err = tends
-            .reconstruct_robust_append(&combined, &appended, Recorder::disabled(), &append_opts(1))
+            .reconstruct_robust_append(
+                &combined_cols,
+                &appended_cols,
+                Recorder::disabled(),
+                &append_opts(1),
+            )
             .expect_err("tampered statistics must be rejected");
         assert!(
             matches!(err, CheckpointError::Mismatch { .. }),
@@ -2194,7 +2211,12 @@ mod tests {
         stripped.stats = None;
         stripped.save(&path).expect("save stripped");
         let err = tends
-            .reconstruct_robust_append(&combined, &appended, Recorder::disabled(), &append_opts(1))
+            .reconstruct_robust_append(
+                &combined_cols,
+                &appended_cols,
+                Recorder::disabled(),
+                &append_opts(1),
+            )
             .expect_err("stats-free checkpoint must be rejected");
         assert!(
             matches!(&err, CheckpointError::Format(m) if m.contains("sufficient statistics")),

@@ -214,8 +214,8 @@ proptest! {
             let rec = Recorder::new();
             let warm = tends
                 .reconstruct_robust_append(
-                    &statuses,
-                    &appended,
+                    &statuses.columns(),
+                    &appended.columns(),
                     &rec,
                     &RobustOptions {
                         checkpoint: Some(path.clone()),
