@@ -452,3 +452,75 @@ fn concurrent_jobs_and_cascade_append_stay_exact() {
 
     shut_down(proc, addr);
 }
+
+#[test]
+fn kill_between_append_splice_and_meta_save_applies_once() {
+    let statuses = make_inputs("splice_kill", 81);
+    let matrix = diffnet_simulate::io::load_status_matrix(&statuses).expect("matrix");
+    let rows: Vec<Vec<bool>> = (0..matrix.num_processes())
+        .map(|l| {
+            (0..matrix.num_nodes())
+                .map(|i| matrix.get(l, i as u32))
+                .collect()
+        })
+        .collect();
+    let half = rows.len() / 2;
+    let serialize = |rows: &[Vec<bool>]| {
+        let mut bytes = Vec::new();
+        diffnet_simulate::io::write_status_matrix(
+            &diffnet_simulate::StatusMatrix::from_rows(rows),
+            &mut bytes,
+        )
+        .expect("serialize");
+        bytes
+    };
+    let ref_out = tmp("splice_kill_ref.edges");
+    run_ok(&["infer", "--statuses", &statuses, "--out", &ref_out]);
+
+    let data_dir = tmp("splice_kill_data");
+    let _ = std::fs::remove_dir_all(&data_dir);
+    // The fault plan kills the server once the appended rows are spliced
+    // into `statuses.txt`, before `job.json` records them.
+    let (mut proc, addr) =
+        start_server(&data_dir, "splice_kill1", &[], Some("kill:append_splice:1"));
+    let client = Client::new(addr);
+    let (code, _) = client
+        .post_json("/v1/jobs", &serialize(&rows[..half]))
+        .expect("submit head");
+    assert_eq!(code, 201);
+    client
+        .wait_for_job(1, Duration::from_secs(60))
+        .expect("head job finishes");
+    // The server dies mid-request, so the append gets no response.
+    let _ = client.post_json("/v1/jobs/1/cascades", &serialize(&rows[half..]));
+    let died = proc.wait_exit();
+    assert!(!died.success(), "fault injection must abort the server");
+    drop(proc);
+
+    // Restart: the rescan finishes the interrupted apply and re-runs the
+    // job over the combined rows, without splicing the batch twice.
+    let (proc, addr) = start_server(&data_dir, "splice_kill2", &[], None);
+    let client = Client::new(addr);
+    let status = client
+        .wait_for_job(1, Duration::from_secs(60))
+        .expect("re-estimation finishes");
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
+    assert_eq!(status.get("revision").and_then(Json::as_f64), Some(2.0));
+    let processes = status
+        .get("processes")
+        .and_then(Json::as_f64)
+        .expect("processes") as usize;
+    assert_eq!(processes, rows.len());
+    let header =
+        diffnet_simulate::io::read_status_header(Path::new(&data_dir).join("job-1/statuses.txt"))
+            .expect("read header");
+    assert_eq!(header, Some((processes, matrix.num_nodes())));
+    let (code, served) = client.get("/v1/jobs/1/edges").expect("edges");
+    assert_eq!(code, 200);
+    assert_eq!(
+        std::fs::read(&ref_out).expect("reference edges"),
+        served,
+        "edges after a crash mid-append must equal one run over all rows"
+    );
+    shut_down(proc, addr);
+}

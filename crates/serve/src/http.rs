@@ -427,7 +427,6 @@ impl Response {
     /// server's idle timeout (`Keep-Alive: timeout=N`) so well-behaved
     /// clients drop connections before the reactor reaps them.
     pub fn serialize_into(&self, out: &mut Vec<u8>, keep_alive: bool, idle_timeout_secs: u64) {
-        use std::io::Write as _;
         let _ = write!(
             out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
@@ -449,15 +448,6 @@ impl Response {
         }
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
-    }
-
-    /// Serializes the response (with `Connection: close`) onto `w` — the
-    /// one-shot path used by tests and the connection-cap rejection.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let mut out = Vec::with_capacity(256 + self.body.len());
-        self.serialize_into(&mut out, false, 0);
-        w.write_all(&out)?;
-        w.flush()
     }
 }
 
@@ -677,7 +667,7 @@ mod tests {
     #[test]
     fn response_serializes_with_length_and_close() {
         let mut out = Vec::new();
-        Response::text(200, "ok").write_to(&mut out).expect("write");
+        Response::text(200, "ok").serialize_into(&mut out, false, 0);
         let text = String::from_utf8(out).expect("utf8");
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));
@@ -690,7 +680,7 @@ mod tests {
         let mut resp = Response::text(200, "ok");
         resp.header("X-Request-Id", "req-7");
         let mut out = Vec::new();
-        resp.write_to(&mut out).expect("write");
+        resp.serialize_into(&mut out, false, 0);
         let text = String::from_utf8(out).expect("utf8");
         let head_end = text.find("\r\n\r\n").expect("head terminator");
         assert!(text[..head_end].contains("X-Request-Id: req-7"), "{text}");

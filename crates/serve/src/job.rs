@@ -61,7 +61,7 @@ use diffnet_observe::{
 };
 use diffnet_simulate::io::{
     copy_status_rows, load_status_columns, read_observations, read_status_columns,
-    write_status_header,
+    read_status_header, write_status_header,
 };
 use diffnet_tends::{plan_shards, NodeError, RobustOptions, Tends, TendsConfig};
 
@@ -71,6 +71,10 @@ pub const ALGORITHMS: &[&str] = &["tends", "netrate", "multree", "lift", "netinf
 
 /// Fault-injection site hit after every `job.json` flush.
 pub const FAULT_JOB_FLUSH: &str = "job_flush";
+
+/// Fault-injection site hit when an append has been spliced into
+/// `statuses.txt` but `job.json` does not record it yet.
+pub const FAULT_APPEND_SPLICE: &str = "append_splice";
 
 const META_FORMAT: &str = "diffnet-job";
 const META_VERSION: u64 = 1;
@@ -238,6 +242,10 @@ pub struct JobMeta {
     pub failed_nodes: Vec<u64>,
     /// Human-readable failure, when `state` is `failed`.
     pub error: Option<String>,
+    /// Sequence number of the last `pending-append-N.txt` folded into the
+    /// input (0: none). A batch file numbered at or below it outlived the
+    /// apply that recorded it and is deleted, not applied again.
+    pub last_applied_append: u64,
 }
 
 impl JobMeta {
@@ -251,6 +259,7 @@ impl JobMeta {
             nodes,
             failed_nodes: Vec::new(),
             error: None,
+            last_applied_append: 0,
         }
     }
 
@@ -282,6 +291,9 @@ impl JobMeta {
         root.push("failed_nodes", self.failed_nodes.as_slice());
         if let Some(e) = &self.error {
             root.push("error", e.as_str());
+        }
+        if self.last_applied_append > 0 {
+            root.push("last_applied_append", self.last_applied_append);
         }
         root
     }
@@ -346,6 +358,10 @@ impl JobMeta {
             nodes: num(root, "nodes")? as usize,
             failed_nodes,
             error: root.get("error").and_then(Json::as_str).map(String::from),
+            last_applied_append: root
+                .get("last_applied_append")
+                .and_then(Json::as_f64)
+                .map_or(0, |f| f as u64),
         })
     }
 }
@@ -481,8 +497,9 @@ impl JobManager {
             workers: Mutex::new(Vec::new()),
             max_queued: AtomicUsize::new(usize::MAX),
         });
-        // Appends buffered by a previous process: terminal jobs fold them
-        // in now; queued/running jobs fold them in when they next finish.
+        // Appends buffered by a previous process (or spliced in by one that
+        // died before recording them): terminal jobs fold them in now;
+        // queued/running jobs fold them in when they next finish.
         let stranded: Vec<u64> = {
             let st = manager.state.lock().expect("state lock");
             st.jobs
@@ -662,7 +679,7 @@ impl JobManager {
         // Persist the batch before acknowledging: buffered appends must
         // survive a process restart just like every other transition.
         let dir = self.job_dir(id);
-        let seq = next_pending_seq(&dir);
+        let seq = next_pending_seq(&dir, entry.meta.last_applied_append);
         save_atomic(dir.join(pending_name(seq)), |w| w.write_all(body))
             .map_err(|e| JobError::new(500, format!("cannot store appended cascades: {e}")))?;
         self.rec
@@ -686,47 +703,91 @@ impl JobManager {
     /// `statuses.txt` is spliced as bytes — a fresh header, its rows, the
     /// batches' rows — so the cost of an append follows the batch size,
     /// not the depth of the history.
+    ///
+    /// Idempotent across a crash at any point, and across a failure that
+    /// leaves the daemon running. `job.json` is the commit point: the
+    /// batches are spliced into `append.txt` and `statuses.txt`, then
+    /// `job.json` records the new shape and the last batch's sequence
+    /// number, and only then are the batch files deleted. So a batch file
+    /// numbered at or below `last_applied_append` is a leftover and is
+    /// only deleted. A `statuses.txt` header declaring more processes
+    /// than the meta means an earlier apply stopped before its record.
+    /// Its batches are all still on disk, and since later batches get
+    /// later numbers they are the leading batches whose row counts add up
+    /// to the excess. They are not spliced again; the batches after them
+    /// are.
     fn apply_pending_locked(&self, st: &mut ManagerState, id: u64) -> Result<JobMeta, JobError> {
         let dir = self.job_dir(id);
-        let pending = pending_paths(&dir);
         let entry = st
             .jobs
             .get_mut(&id)
             .ok_or_else(|| JobError::new(404, format!("no job {id}")))?;
-        if pending.is_empty() {
-            return Ok(entry.meta.clone());
+        let mut pending = Vec::new();
+        for path in pending_paths(&dir) {
+            match pending_seq(&path) {
+                Some(seq) if seq <= entry.meta.last_applied_append => {
+                    let _ = fs::remove_file(path);
+                }
+                Some(seq) => pending.push((seq, path)),
+                None => {}
+            }
         }
-        let mut batch = 0usize;
-        for path in &pending {
+        let Some(&(last_seq, _)) = pending.last() else {
+            return Ok(entry.meta.clone());
+        };
+        let paths: Vec<PathBuf> = pending.into_iter().map(|(_, path)| path).collect();
+        let mut rows = Vec::with_capacity(paths.len());
+        for path in &paths {
             let cols = load_status_columns(path)
                 .map_err(|e| JobError::new(500, format!("cannot reload pending append: {e}")))?;
-            batch += cols.num_processes();
+            rows.push(cols.num_processes());
         }
+        let input = dir.join("statuses.txt");
+        let declared = read_status_header(&input)
+            .map_err(|e| JobError::new(500, format!("cannot read job input: {e}")))?
+            .map_or(entry.meta.processes, |(processes, _)| processes);
+        let spliced = spliced_batches(&rows, declared.saturating_sub(entry.meta.processes))
+            .ok_or_else(|| {
+                JobError::new(
+                    500,
+                    format!(
+                        "job {id}: statuses.txt declares {declared} processes, which no run \
+                         of pending batches accounts for"
+                    ),
+                )
+            })?;
+        let batch: usize = rows.iter().sum();
         let nodes = entry.meta.nodes;
         let processes = entry.meta.processes + batch;
         // `append.txt` is the warm path's delta input: exactly the rows
         // not yet folded into the checkpoint's sufficient statistics.
-        splice_status_files(&dir.join("append.txt"), batch, nodes, &pending)
+        splice_status_files(&dir.join("append.txt"), batch, nodes, &paths)
             .map_err(|e| JobError::new(500, format!("cannot store appended cascades: {e}")))?;
-        let input = dir.join("statuses.txt");
-        let sources: Vec<PathBuf> = std::iter::once(input.clone())
-            .chain(pending.iter().cloned())
-            .collect();
-        splice_status_files(&input, processes, nodes, &sources)
-            .map_err(|e| JobError::new(500, format!("cannot store combined input: {e}")))?;
+        if spliced < paths.len() {
+            let sources: Vec<PathBuf> = std::iter::once(input.clone())
+                .chain(paths[spliced..].iter().cloned())
+                .collect();
+            splice_status_files(&input, processes, nodes, &sources)
+                .map_err(|e| JobError::new(500, format!("cannot store combined input: {e}")))?;
+        }
+        self.fault
+            .hit(FAULT_APPEND_SPLICE)
+            .map_err(|e| JobError::new(500, format!("cannot persist job: {e}")))?;
+
+        let mut meta = entry.meta.clone();
+        meta.processes = processes;
+        meta.revision += 1;
+        meta.state = JobState::Queued;
+        meta.failed_nodes.clear();
+        meta.error = None;
+        meta.last_applied_append = last_seq;
+        self.save_meta(&meta)
+            .map_err(|e| JobError::new(500, format!("cannot persist job: {e}")))?;
+        entry.meta = meta.clone();
         for stale in ["edges.txt", "report.json"] {
             let _ = fs::remove_file(dir.join(stale));
         }
-
-        entry.meta.processes = processes;
-        entry.meta.revision += 1;
-        entry.meta.state = JobState::Queued;
-        entry.meta.failed_nodes.clear();
-        entry.meta.error = None;
-        let meta = entry.meta.clone();
-        self.save_meta(&meta)
-            .map_err(|e| JobError::new(500, format!("cannot persist job: {e}")))?;
-        for path in pending {
+        for path in paths {
             let _ = fs::remove_file(path);
         }
         st.queue.push_back(id);
@@ -1108,19 +1169,37 @@ fn pending_paths(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
-fn next_pending_seq(dir: &Path) -> u64 {
+fn pending_seq(path: &Path) -> Option<u64> {
+    path.file_name()?
+        .to_str()?
+        .strip_prefix("pending-append-")?
+        .strip_suffix(".txt")?
+        .parse()
+        .ok()
+}
+
+/// The number for a new batch: above every batch on disk and above the
+/// last one applied, so a new batch is never taken for a leftover.
+fn next_pending_seq(dir: &Path, last_applied: u64) -> u64 {
     pending_paths(dir)
         .iter()
-        .filter_map(|p| {
-            p.file_name()?
-                .to_str()?
-                .strip_prefix("pending-append-")?
-                .strip_suffix(".txt")?
-                .parse::<u64>()
-                .ok()
-        })
-        .max()
-        .map_or(1, |max| max + 1)
+        .filter_map(|p| pending_seq(p))
+        .fold(last_applied, u64::max)
+        + 1
+}
+
+/// How many leading batches, with these row counts, hold exactly
+/// `spliced_rows` rows; `None` when no prefix does. Every batch has at
+/// least one row, so the answer is unique.
+fn spliced_batches(batch_rows: &[usize], spliced_rows: usize) -> Option<usize> {
+    let mut sum = 0;
+    for (k, &rows) in batch_rows.iter().enumerate() {
+        if sum == spliced_rows {
+            return Some(k);
+        }
+        sum += rows;
+    }
+    (sum == spliced_rows).then_some(batch_rows.len())
 }
 
 /// Atomically writes `dest` as a status file: a fresh header declaring
@@ -1695,6 +1774,139 @@ mod tests {
         assert_eq!(done.processes, 38);
         assert!(pending_paths(&m.job_dir(1)).is_empty());
         let combined = stack(&[&first, &more]);
+        let fresh = m
+            .submit(JobSpec::default(), &statuses_bytes(&combined))
+            .expect("submit combined");
+        wait_terminal(&m, fresh.id);
+        assert_eq!(
+            m.read_output(1, "edges.txt").expect("edges"),
+            m.read_output(fresh.id, "edges.txt").expect("edges"),
+        );
+        m.shutdown_and_join();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_interrupted_after_the_splice_applies_once_on_restart() {
+        // The fault stops an apply after `statuses.txt` took the batch but
+        // before `job.json` recorded it. Then the daemon either restarts
+        // at once, or first takes a second append that applies, or one
+        // whose apply stops at the same point. The second rule arms the
+        // second hit: a firing rule ends the hit before later rules count.
+        for (second_append, second_fails) in [(false, false), (true, false), (true, true)] {
+            let dir = tmp_dir(&format!("splice-crash-{second_append}-{second_fails}"));
+            let first = sample_statuses(30, 8);
+            let more = sample_statuses(8, 8);
+            let extra = sample_statuses(5, 8);
+            let header = || read_status_header(dir.join("job-1/statuses.txt")).expect("header");
+            let mut fault = FaultPlan::new().io_error(FAULT_APPEND_SPLICE, 1);
+            if second_fails {
+                fault = fault.io_error(FAULT_APPEND_SPLICE, 1);
+            }
+            let mut batches = vec![&first, &more];
+            {
+                let (m, _) = manager(&dir);
+                m.submit(JobSpec::default(), &statuses_bytes(&first))
+                    .expect("submit");
+                wait_terminal(&m, 1);
+                m.shutdown_and_join();
+            }
+            {
+                // A fresh manager, so no worker is still finishing the
+                // first run when the appends arrive.
+                let m = JobManager::new(
+                    &dir,
+                    1,
+                    Arc::new(AtomicBool::new(false)),
+                    Arc::new(Recorder::new()),
+                    Arc::new(fault),
+                )
+                .expect("manager");
+                let err = m
+                    .append_cascades(1, &statuses_bytes(&more))
+                    .expect_err("injected fault");
+                assert_eq!(err.status, 500);
+                assert_eq!(header(), Some((38, 8)), "the batch is spliced in");
+                let (meta, _) = m.status(1).expect("job");
+                assert_eq!((meta.state, meta.processes), (JobState::Done, 30));
+                if second_append {
+                    batches.push(&extra);
+                    let applied = m.append_cascades(1, &statuses_bytes(&extra));
+                    if second_fails {
+                        assert_eq!(applied.expect_err("injected fault").status, 500);
+                        assert_eq!(header(), Some((43, 8)), "only the new batch is spliced");
+                    } else {
+                        let (meta, buffered) = applied.expect("append");
+                        assert!(!buffered);
+                        assert_eq!((meta.processes, meta.revision), (43, 2));
+                        wait_terminal(&m, 1);
+                    }
+                }
+                m.shutdown_and_join();
+            }
+
+            // Restart: the rescan finishes any interrupted apply without
+            // splicing a batch a second time.
+            let (m, _) = manager(&dir);
+            let done = wait_terminal(&m, 1);
+            let combined = stack(&batches);
+            let processes = combined.num_processes();
+            assert_eq!(done.state, JobState::Done);
+            assert_eq!(done.revision, 2);
+            assert_eq!(done.processes, processes);
+            assert_eq!(header(), Some((processes, 8)));
+            assert!(pending_paths(&m.job_dir(1)).is_empty());
+            let text = fs::read(m.job_dir(1).join("statuses.txt")).expect("statuses");
+            assert_eq!(
+                read_status_columns(&text).expect("input parses"),
+                combined.columns()
+            );
+            let fresh = m
+                .submit(JobSpec::default(), &statuses_bytes(&combined))
+                .expect("submit combined");
+            wait_terminal(&m, fresh.id);
+            assert_eq!(
+                m.read_output(1, "edges.txt").expect("edges"),
+                m.read_output(fresh.id, "edges.txt").expect("edges"),
+            );
+            m.shutdown_and_join();
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn batch_left_behind_by_a_recorded_apply_is_not_applied_again() {
+        // A process that dies after `job.json` records an apply but before
+        // the batch file is deleted leaves the file behind.
+        let dir = tmp_dir("leftover-batch");
+        let first = sample_statuses(30, 8);
+        let more = sample_statuses(8, 8);
+        let extra = sample_statuses(5, 8);
+        {
+            let (m, _) = manager(&dir);
+            m.submit(JobSpec::default(), &statuses_bytes(&first))
+                .expect("submit");
+            wait_terminal(&m, 1);
+            m.append_cascades(1, &statuses_bytes(&more))
+                .expect("append");
+            assert_eq!(wait_terminal(&m, 1).last_applied_append, 1);
+            m.shutdown_and_join();
+        }
+        let leftover = dir.join("job-1").join(pending_name(1));
+        fs::write(&leftover, statuses_bytes(&more)).expect("leftover batch");
+
+        let (m, _) = manager(&dir);
+        let done = wait_terminal(&m, 1);
+        assert_eq!((done.revision, done.processes), (2, 38));
+        assert!(!leftover.exists(), "the rescan deletes the leftover");
+        // The next batch is numbered past the applied one and applies.
+        let (meta, _) = m
+            .append_cascades(1, &statuses_bytes(&extra))
+            .expect("append");
+        assert_eq!((meta.revision, meta.processes), (3, 43));
+        assert_eq!(meta.last_applied_append, 2);
+        wait_terminal(&m, 1);
+        let combined = stack(&[&first, &more, &extra]);
         let fresh = m
             .submit(JobSpec::default(), &statuses_bytes(&combined))
             .expect("submit combined");

@@ -576,7 +576,10 @@ impl Reactor {
             self.shared.rec.add("http_rejected_capacity", 1);
             let mut s = stream;
             let _ = s.set_nonblocking(true);
-            let _ = Response::error(503, "connection capacity reached").write_to(&mut s);
+            let mut bytes = Vec::new();
+            Response::error(503, "connection capacity reached")
+                .serialize_into(&mut bytes, false, 0);
+            let _ = s.write_all(&bytes);
             return;
         }
         if stream.set_nonblocking(true).is_err() {

@@ -111,6 +111,28 @@ pub fn write_status_header<W: Write>(mut w: W, processes: usize, nodes: usize) -
     writeln!(w, "# {STATUS_KIND}: {processes} processes x {nodes} nodes")
 }
 
+/// The `(processes, nodes)` a status file declares on its first line, or
+/// `None` when that line is not a header (or is longer than 4 KiB, which
+/// no header this workspace writes is). Reads only that line.
+///
+/// A header on the first line is the one that counts, so a file that
+/// parses never holds fewer rows than this declares.
+pub fn read_status_header<P: AsRef<Path>>(path: P) -> io::Result<Option<(usize, usize)>> {
+    const MAX_LINE: u64 = 4096;
+    let mut line = Vec::new();
+    let read = BufReader::new(fs::File::open(path)?)
+        .take(MAX_LINE)
+        .read_until(b'\n', &mut line)?;
+    if read as u64 == MAX_LINE && line.last() != Some(&b'\n') {
+        return Ok(None);
+    }
+    Ok(std::str::from_utf8(&line)
+        .ok()
+        .map(str::trim)
+        .filter(|t| t.starts_with('#'))
+        .and_then(|t| parse_header_counts(t, STATUS_KIND)))
+}
+
 /// Writes a status matrix: one `0`/`1` row per process.
 pub fn write_status_matrix<W: Write>(m: &StatusMatrix, mut w: W) -> io::Result<()> {
     write_status_header(&mut w, m.num_processes(), m.num_nodes())?;
@@ -807,6 +829,47 @@ mod tests {
         let cols = load_status_columns(&path).expect("load streamed");
         assert_eq!(cols, obs.statuses.columns());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn status_header_is_read_from_the_first_line_only() {
+        let dir = std::env::temp_dir().join("diffnet_sim_io_header_test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("statuses.txt");
+        let long_comment = format!("# {}\n", "x".repeat(5000));
+        for (text, expect) in [
+            (
+                "# diffnet status matrix: 3 processes x 2 nodes\n0 1\n",
+                Some((3, 2)),
+            ),
+            (
+                "  # diffnet status matrix: 7 processes x 2 nodes\r\n",
+                Some((7, 2)),
+            ),
+            (
+                "# diffnet status matrix: 1 processes x 2 nodes",
+                Some((1, 2)),
+            ),
+            (
+                "0 1\n# diffnet status matrix: 1 processes x 2 nodes\n",
+                None,
+            ),
+            (
+                "# a comment\n# diffnet status matrix: 1 processes x 2 nodes\n",
+                None,
+            ),
+            ("# diffnet status matrix: 3 processes x 2 nodesX\n", None),
+            (long_comment.as_str(), None),
+            ("", None),
+        ] {
+            std::fs::write(&path, text).expect("write");
+            assert_eq!(read_status_header(&path).expect("read"), expect, "{text:?}");
+        }
+        std::fs::remove_file(&path).ok();
+        assert!(
+            read_status_header(&path).is_err(),
+            "a missing file is an error"
+        );
     }
 
     #[test]

@@ -484,20 +484,23 @@ impl Tends {
 
         // τ and candidate sets over the combined statistics, exactly as
         // the dense pipeline computes them.
-        let (kmeans, tau) = {
+        let (kmeans, tau, above) = {
             let _p = rec.phase("threshold");
-            let kmeans = pinned_two_means(&corr.upper_triangle());
+            let upper = corr.upper_triangle();
+            let kmeans = pinned_two_means(&upper);
             let tau = match self.config.threshold {
                 ThresholdMode::Auto => kmeans.tau,
                 ThresholdMode::Fixed(t) => t,
                 ThresholdMode::ScaledAuto(s) => kmeans.tau * s,
             };
-            (kmeans, tau)
+            let above = rec
+                .is_enabled()
+                .then(|| upper.iter().filter(|&&v| v > tau).count());
+            (kmeans, tau, above)
         };
-        if rec.is_enabled() {
+        if let Some(above) = above {
             rec.value("tau", tau);
             rec.value("tau_unscaled", kmeans.tau);
-            let above = corr.upper_triangle().iter().filter(|&&v| v > tau).count();
             rec.add("pairs_above_tau", above as u64);
         }
 
@@ -583,20 +586,23 @@ impl Tends {
         };
 
         // Line 5: threshold via pinned 2-means over non-negative values.
-        let (kmeans, tau) = {
+        let (kmeans, tau, above) = {
             let _p = rec.phase("threshold");
-            let kmeans = pinned_two_means(&corr.upper_triangle());
+            let upper = corr.upper_triangle();
+            let kmeans = pinned_two_means(&upper);
             let tau = match self.config.threshold {
                 ThresholdMode::Auto => kmeans.tau,
                 ThresholdMode::Fixed(t) => t,
                 ThresholdMode::ScaledAuto(s) => kmeans.tau * s,
             };
-            (kmeans, tau)
+            let above = rec
+                .is_enabled()
+                .then(|| upper.iter().filter(|&&v| v > tau).count());
+            (kmeans, tau, above)
         };
-        if rec.is_enabled() {
+        if let Some(above) = above {
             rec.value("tau", tau);
             rec.value("tau_unscaled", kmeans.tau);
-            let above = corr.upper_triangle().iter().filter(|&&v| v > tau).count();
             rec.add("pairs_above_tau", above as u64);
         }
 

@@ -46,7 +46,7 @@ impl Log2Table {
     }
 
     #[inline]
-    fn log2(&self, k: u64) -> f64 {
+    pub(crate) fn log2(&self, k: u64) -> f64 {
         self.values[k as usize]
     }
 }

@@ -16,9 +16,44 @@
 //!
 //! All logarithms are base 2, following the paper.
 
+use std::sync::OnceLock;
+
+use crate::imi::Log2Table;
+
 /// Counts `N_ijk` for one parent-status combination `j`: `[N_ij1, N_ij2]`
 /// with the paper's convention `s₁ = 0` (uninfected), `s₂ = 1` (infected).
 pub type ComboCounts = [u64; 2];
+
+/// Exclusive bound on the cell totals `N_ij` the scoring tables cover.
+///
+/// A cell total never exceeds β, so at paper scale (β = 150) every cell
+/// is a lookup; larger totals fall back to the direct expressions. 256
+/// keeps the triangular likelihood table at 257 KiB.
+const TABLE_BOUND: u64 = 256;
+
+/// Per-cell terms of the local score for every cell with `N_ij <
+/// TABLE_BOUND`, built once per process.
+///
+/// Each entry is produced by the same expression the fallback evaluates,
+/// so a lookup returns the same bits as computing the term directly, and
+/// the sums over cells (which keep their order) are bit-identical too.
+struct ScoreTables {
+    /// Row `t` (starting at `t(t+1)/2`) holds, at column `n1 ≤ t`,
+    /// `x_log2_ratio(n1, t) + x_log2_ratio(t − n1, t)`.
+    likelihood: Vec<f64>,
+    /// `log₂ k` for `k ≤ TABLE_BOUND`: the penalty term `log₂(N_ij + 1)`.
+    log2: Log2Table,
+}
+
+fn tables() -> &'static ScoreTables {
+    static TABLES: OnceLock<ScoreTables> = OnceLock::new();
+    TABLES.get_or_init(|| ScoreTables {
+        likelihood: (0..TABLE_BOUND)
+            .flat_map(|t| (0..=t).map(move |n1| cell_likelihood(n1, t - n1)))
+            .collect(),
+        log2: Log2Table::new(TABLE_BOUND),
+    })
+}
 
 /// `x · log₂(x / total)` with the standard convention `0 · log 0 = 0`.
 #[inline]
@@ -31,26 +66,53 @@ fn x_log2_ratio(x: u64, total: u64) -> f64 {
     }
 }
 
+/// One cell's likelihood term `Σ_k N_ijk log₂(N_ijk / N_ij)`.
+#[inline]
+fn cell_likelihood(n1: u64, n2: u64) -> f64 {
+    let nij = n1 + n2;
+    x_log2_ratio(n1, nij) + x_log2_ratio(n2, nij)
+}
+
+impl ScoreTables {
+    /// [`cell_likelihood`]`(n1, n2)`.
+    #[inline]
+    fn likelihood(&self, n1: u64, n2: u64) -> f64 {
+        let nij = n1 + n2;
+        if nij < TABLE_BOUND {
+            self.likelihood[(nij * (nij + 1) / 2 + n1) as usize]
+        } else {
+            cell_likelihood(n1, n2)
+        }
+    }
+
+    /// The cell's penalty term `log₂(N_ij + 1)`.
+    #[inline]
+    fn penalty(&self, n1: u64, n2: u64) -> f64 {
+        let nij = n1 + n2;
+        if nij < TABLE_BOUND {
+            self.log2.log2(nij + 1)
+        } else {
+            ((nij + 1) as f64).log2()
+        }
+    }
+}
+
 /// `log₂ L(v_i, F_i)` (Eq. 3): the maximized log-likelihood of the child's
 /// statuses given its parents' status combinations.
 ///
 /// Always `≤ 0`; equals 0 iff the child's status is a deterministic
 /// function of the parents' combination wherever instantiated.
 pub fn log_likelihood(counts: &[ComboCounts]) -> f64 {
-    counts
-        .iter()
-        .map(|&[n1, n2]| {
-            let nij = n1 + n2;
-            x_log2_ratio(n1, nij) + x_log2_ratio(n2, nij)
-        })
-        .sum()
+    let t = tables();
+    counts.iter().map(|&[n1, n2]| t.likelihood(n1, n2)).sum()
 }
 
 /// The statistical-error penalty `½ Σ_j log₂(N_ij + 1)` of Eq. (12).
 pub fn penalty(counts: &[ComboCounts]) -> f64 {
+    let t = tables();
     0.5 * counts
         .iter()
-        .map(|&[n1, n2]| ((n1 + n2 + 1) as f64).log2())
+        .map(|&[n1, n2]| t.penalty(n1, n2))
         .sum::<f64>()
 }
 
@@ -198,6 +260,92 @@ impl ScoreCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The direct formula the likelihood table replaces.
+    fn oracle_log_likelihood(counts: &[ComboCounts]) -> f64 {
+        counts
+            .iter()
+            .map(|&[n1, n2]| {
+                let nij = n1 + n2;
+                x_log2_ratio(n1, nij) + x_log2_ratio(n2, nij)
+            })
+            .sum()
+    }
+
+    /// The direct formula the penalty table replaces.
+    fn oracle_penalty(counts: &[ComboCounts]) -> f64 {
+        0.5 * counts
+            .iter()
+            .map(|&[n1, n2]| ((n1 + n2 + 1) as f64).log2())
+            .sum::<f64>()
+    }
+
+    fn oracle_local_score(counts: &[ComboCounts]) -> f64 {
+        oracle_log_likelihood(counts) - oracle_penalty(counts)
+    }
+
+    #[test]
+    fn tables_match_the_formulas_bit_for_bit_across_the_bound() {
+        for total in 0..=TABLE_BOUND + 2 {
+            for x in 0..=total {
+                let cell = [[x, total - x]];
+                assert_eq!(
+                    log_likelihood(&cell).to_bits(),
+                    oracle_log_likelihood(&cell).to_bits(),
+                    "likelihood of {cell:?}"
+                );
+                assert_eq!(
+                    penalty(&cell).to_bits(),
+                    oracle_penalty(&cell).to_bits(),
+                    "penalty of {cell:?}"
+                );
+                assert_eq!(
+                    local_score(&cell).to_bits(),
+                    oracle_local_score(&cell).to_bits(),
+                    "local score of {cell:?}"
+                );
+            }
+        }
+        assert_eq!(
+            local_score(&[]).to_bits(),
+            oracle_local_score(&[]).to_bits()
+        );
+    }
+
+    /// A count cell with a total of at most `max_total`: empty,
+    /// one-sided, or two-sided.
+    fn cell(max_total: u64) -> impl Strategy<Value = ComboCounts> {
+        let half = max_total / 2;
+        (0u8..4, 0..=half, 0..=half).prop_map(|(kind, a, b)| match kind {
+            0 => [0, 0],
+            1 => [a, 0],
+            2 => [0, b],
+            _ => [a, b],
+        })
+    }
+
+    /// A counts table of 1 to 2¹⁰ cells whose totals stay below
+    /// `2^bits`, for `bits` up to 20. Small scales keep every cell in
+    /// the tables; at large ones the big cells dominate the sums.
+    fn counts() -> impl Strategy<Value = Vec<ComboCounts>> {
+        (0u32..=20).prop_flat_map(|bits| proptest::collection::vec(cell(1 << bits), 1..=1 << 10))
+    }
+
+    proptest! {
+        #[test]
+        fn table_scores_match_the_formulas_bit_for_bit(counts in counts()) {
+            prop_assert_eq!(
+                log_likelihood(&counts).to_bits(),
+                oracle_log_likelihood(&counts).to_bits()
+            );
+            prop_assert_eq!(penalty(&counts).to_bits(), oracle_penalty(&counts).to_bits());
+            prop_assert_eq!(
+                local_score(&counts).to_bits(),
+                oracle_local_score(&counts).to_bits()
+            );
+        }
+    }
 
     #[test]
     fn log_likelihood_of_deterministic_child_is_zero() {
