@@ -472,8 +472,13 @@ fn main() {
     // One instrumented pair for the splice accounting and the exactness
     // check: the warm result must equal the fresh combined run bit for bit.
     let append_full = append_tends()
-        .reconstruct_observed(&append_combined, Recorder::disabled())
-        .expect("fresh combined run");
+        .reconstruct_robust(
+            &append_combined,
+            Recorder::disabled(),
+            &RobustOptions::default(),
+        )
+        .expect("fresh combined run")
+        .result;
     std::fs::write(&ck_append, &warm_state).expect("restore base checkpoint");
     let append_recorder = Recorder::new();
     let append_warm = append_tends()
@@ -606,8 +611,9 @@ fn main() {
         threads: 1,
         ..Default::default()
     })
-    .reconstruct_observed(&small, &recorder)
-    .expect("default search fits");
+    .reconstruct_robust(&small, &recorder, &RobustOptions::default())
+    .expect("default search fits")
+    .result;
     let run_report = RunReport::new("tends", recorder.snapshot(), 1);
 
     let mut json = Json::object();

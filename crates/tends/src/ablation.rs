@@ -2,7 +2,7 @@
 
 use crate::imi::CorrelationMatrix;
 use crate::kmeans::pinned_two_means;
-use crate::{TendsConfig, ThresholdMode};
+use crate::TendsConfig;
 use diffnet_graph::{DiGraph, GraphBuilder, NodeId};
 use diffnet_simulate::StatusMatrix;
 
@@ -19,11 +19,7 @@ pub fn correlation_threshold_baseline(statuses: &StatusMatrix, config: &TendsCon
     let cols = statuses.columns();
     let corr = CorrelationMatrix::compute_parallel(&cols, config.correlation, config.threads);
     let kmeans = pinned_two_means(&corr.upper_triangle());
-    let tau = match config.threshold {
-        ThresholdMode::Auto => kmeans.tau,
-        ThresholdMode::Fixed(t) => t,
-        ThresholdMode::ScaledAuto(s) => kmeans.tau * s,
-    };
+    let tau = config.threshold.apply(kmeans.tau);
 
     let mut b = GraphBuilder::new(n);
     for i in 0..n as NodeId {
@@ -39,7 +35,7 @@ pub fn correlation_threshold_baseline(statuses: &StatusMatrix, config: &TendsCon
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tends;
+    use crate::{Tends, ThresholdMode};
     use diffnet_metrics::EdgeSetComparison;
     use diffnet_simulate::{EdgeProbs, IcConfig, IndependentCascade};
     use rand::rngs::StdRng;

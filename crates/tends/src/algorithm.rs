@@ -19,6 +19,7 @@ use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Mutex};
+use std::time::{Duration, Instant};
 
 /// How the pruning threshold `τ` is chosen.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
@@ -32,6 +33,17 @@ pub enum ThresholdMode {
     /// Find `τ` automatically, then scale it by the given factor — the
     /// paper's Fig. 10–11 sweep varies the threshold from `0.4τ` to `2τ`.
     ScaledAuto(f64),
+}
+
+impl ThresholdMode {
+    /// The threshold this mode applies, given the pinned 2-means `τ`.
+    pub fn apply(self, kmeans_tau: f64) -> f64 {
+        match self {
+            ThresholdMode::Auto => kmeans_tau,
+            ThresholdMode::Fixed(t) => t,
+            ThresholdMode::ScaledAuto(s) => kmeans_tau * s,
+        }
+    }
 }
 
 /// How inferred edge directions are post-processed.
@@ -295,46 +307,33 @@ impl Tends {
     /// unreachable with default parameters, reachable with hostile ones
     /// (see [`crate::search::find_parents`]).
     pub fn reconstruct(&self, statuses: &StatusMatrix) -> Result<TendsResult, SearchError> {
-        self.reconstruct_observed(statuses, Recorder::disabled())
-    }
-
-    /// [`reconstruct`](Self::reconstruct) with instrumentation: each
-    /// pipeline phase is timed on `rec`, and the load-bearing internals
-    /// (pairs above `τ`, candidate-set sizes, Theorem-2 rejections,
-    /// combinations scored, workspace refinements, pool utilization) are
-    /// ingested at phase boundaries — the hot loops only bump plain
-    /// integers. Passing [`Recorder::disabled`] makes every recorder call
-    /// a branch on a constant, so `reconstruct` simply delegates here.
-    ///
-    /// The recorder is a parameter rather than a `TendsConfig` field
-    /// because the config is `Copy` (it is embedded in sweep/ablation
-    /// tables all over the workspace) and a collector handle is not.
-    pub fn reconstruct_observed(
-        &self,
-        statuses: &StatusMatrix,
-        rec: &Recorder,
-    ) -> Result<TendsResult, SearchError> {
         let partial = self
-            .reconstruct_robust(statuses, rec, &RobustOptions::default())
+            .reconstruct_robust(statuses, Recorder::disabled(), &RobustOptions::default())
             .expect("checkpointing disabled: checkpoint errors are impossible");
         match partial.errors.into_iter().next() {
             None => Ok(partial.result),
             Some((_, NodeError::Search(e))) => Err(e),
-            Some((_, NodeError::Io(e))) => {
-                unreachable!("no fault plan installed, got injected I/O error: {e}")
-            }
-            Some((_, NodeError::Cancelled)) => {
-                unreachable!("no cancellation flag installed, got a cancelled node")
-            }
+            Some((_, e)) => unreachable!("no fault plan or cancellation flag installed: {e}"),
         }
     }
 
-    /// [`reconstruct_observed`](Self::reconstruct_observed) with the full
-    /// robustness layer: optional periodic checkpointing of completed
-    /// per-node searches, resume from a prior checkpoint, fault
-    /// injection, and graceful degradation — per-node failures are
-    /// collected into the returned [`PartialReconstruction`] instead of
-    /// aborting the run.
+    /// [`reconstruct`](Self::reconstruct) with instrumentation and the
+    /// full robustness layer.
+    ///
+    /// Each pipeline phase is timed on `rec`, and the load-bearing
+    /// internals (pairs above `τ`, candidate-set sizes, Theorem-2
+    /// rejections, combinations scored, workspace refinements, pool
+    /// utilization) are ingested at phase boundaries — the hot loops only
+    /// bump plain integers. Passing [`Recorder::disabled`] makes every
+    /// recorder call a branch on a constant. The recorder is a parameter
+    /// rather than a `TendsConfig` field because the config is `Copy` (it
+    /// is embedded in sweep/ablation tables all over the workspace) and a
+    /// collector handle is not.
+    ///
+    /// Robustness: optional periodic checkpointing of completed per-node
+    /// searches, resume from a prior checkpoint, fault injection, and
+    /// graceful degradation — per-node failures are collected into the
+    /// returned [`PartialReconstruction`] instead of aborting the run.
     ///
     /// Resume is *bit-identical*: because each node's result is a pure
     /// function of its id (and scores/counters are checkpointed
@@ -380,20 +379,26 @@ impl Tends {
     /// order is irrelevant: every statistic is a function of the row
     /// multiset). `options.revision` must be the
     /// *bumped* revision (checkpoint revision + 1) and `options.checkpoint`
-    /// must name the base run's checkpoint, which is replaced atomically by
-    /// the post-append checkpoint on success. If the file already carries
-    /// the bumped revision (a crash after the append finished its
-    /// checkpoint but before the caller recorded completion), the call
-    /// degrades to a plain resume of the combined run.
+    /// must name the base run's checkpoint. The post-append checkpoint
+    /// replaces it through the same delta log every run writes: first the
+    /// new revision's header (one atomic write), then one delta line per
+    /// completed node. A crash before the header lands leaves the old
+    /// revision, and a retry redoes the append; a crash after it leaves
+    /// the new revision's header plus the delta lines written so far. If
+    /// the file already carries the bumped revision, the call degrades to
+    /// a plain resume of the combined run, which keeps those nodes and
+    /// searches the rest.
     ///
     /// Replayed nodes report zero score-cache activity (the replay is
     /// cacheless); every other search counter matches the fresh run.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Format`] when the checkpoint is missing, carries
-    /// no sufficient statistics (streamed checkpoints), disagrees with the
-    /// matrix shapes, or its revision cannot warm-start
+    /// [`CheckpointError::Format`] when the config is streamed
+    /// ([`memory_budget`](TendsConfig::memory_budget) or
+    /// [`shard`](TendsConfig::shard) set), or the checkpoint is missing,
+    /// carries no sufficient statistics (streamed checkpoints), disagrees
+    /// with the matrix shapes, or its revision cannot warm-start
     /// `options.revision`; [`CheckpointError::Mismatch`] when the
     /// persisted fingerprint is not reproducible from the checkpoint's own
     /// statistics under the current config (a stale or foreign file).
@@ -404,27 +409,27 @@ impl Tends {
         rec: &Recorder,
         options: &RobustOptions<'_>,
     ) -> Result<PartialReconstruction, CheckpointError> {
-        assert!(
-            self.config.memory_budget.is_none() && self.config.shard.is_none(),
-            "incremental append is a dense-path operation; callers reject streamed configs",
-        );
+        if self.config.memory_budget.is_some() || self.config.shard.is_some() {
+            return Err(CheckpointError::Format(
+                "incremental append needs the dense pipeline \
+                 (memory_budget and shard configs cannot warm-start appends)"
+                    .into(),
+            ));
+        }
         let path = options.checkpoint.clone().ok_or_else(|| {
             CheckpointError::Format("incremental append requires a checkpoint file".into())
         })?;
-        let ck = {
+        let mut ck = {
             let _p = rec.phase("checkpoint_load");
             Checkpoint::load(&path)?
         };
         if ck.revision == options.revision {
-            // The previous attempt already folded this append into the
-            // checkpoint before being interrupted: plain resume.
+            // The previous attempt already started this append's revision
+            // before being interrupted: plain resume.
             let opts = RobustOptions {
                 checkpoint: Some(path),
                 resume: true,
-                checkpoint_interval: options.checkpoint_interval,
-                fault: options.fault,
-                cancel: options.cancel,
-                revision: options.revision,
+                ..*options
             };
             return self.reconstruct_robust_from_columns(combined, rec, &opts);
         }
@@ -434,7 +439,7 @@ impl Tends {
                 ck.revision, options.revision
             )));
         }
-        let mut stats = ck.stats.clone().ok_or_else(|| {
+        let stats = ck.stats.take().ok_or_else(|| {
             CheckpointError::Format(
                 "checkpoint has no sufficient statistics \
                  (streamed checkpoints cannot warm-start appends)"
@@ -464,77 +469,17 @@ impl Tends {
         // The statistics' integrity was already established when
         // `Checkpoint::load` re-verified their content digest, so the
         // warm path spends no `O(n²)` pipeline work validating the past:
-        // per-node splicing below still compares every persisted
-        // candidate list against the freshly derived one, which is the
-        // check correctness actually rests on. A checkpoint from a
-        // different search configuration simply fails those comparisons
-        // node by node and degrades to a full re-search.
-
-        // Fold the appended processes into the sufficient statistics —
-        // work proportional to the new columns only — and derive the
-        // post-append correlation matrix from the updated counts.
-        let corr = {
-            let _p = rec.phase("stats_append");
-            stats.append(appended, self.config.threads);
-            if rec.is_enabled() {
-                rec.add("append_processes", appended.num_processes() as u64);
-            }
-            stats.correlation(self.config.correlation)
+        // the search driver still compares every persisted candidate list
+        // against the freshly derived one, which is the check correctness
+        // actually rests on. A checkpoint from a different search
+        // configuration simply fails those comparisons node by node and
+        // degrades to a full re-search.
+        let source = CandidateSource::Appended {
+            stats,
+            appended,
+            old: &ck,
         };
-
-        // τ and candidate sets over the combined statistics, exactly as
-        // the dense pipeline computes them.
-        let (kmeans, tau, above) = {
-            let _p = rec.phase("threshold");
-            let upper = corr.upper_triangle();
-            let kmeans = pinned_two_means(&upper);
-            let tau = match self.config.threshold {
-                ThresholdMode::Auto => kmeans.tau,
-                ThresholdMode::Fixed(t) => t,
-                ThresholdMode::ScaledAuto(s) => kmeans.tau * s,
-            };
-            let above = rec
-                .is_enabled()
-                .then(|| upper.iter().filter(|&&v| v > tau).count());
-            (kmeans, tau, above)
-        };
-        if let Some(above) = above {
-            rec.value("tau", tau);
-            rec.value("tau_unscaled", kmeans.tau);
-            rec.add("pairs_above_tau", above as u64);
-        }
-
-        let candidates: Vec<Vec<NodeId>> = {
-            let _p = rec.phase("candidate_pruning");
-            (0..n)
-                .map(|i| {
-                    candidate_parents(&corr, i as NodeId, tau, self.config.search.max_candidates)
-                })
-                .collect()
-        };
-        if rec.is_enabled() {
-            for cands in &candidates {
-                rec.histogram("candidate_set_size", cands.len());
-            }
-        }
-
-        let outcome = {
-            let _p = rec.phase("parent_search");
-            self.append_search(
-                &candidates,
-                combined,
-                appended,
-                &ck,
-                &stats,
-                tau,
-                rec,
-                _p.span_id(),
-                options,
-                &path,
-            )?
-        };
-
-        Ok(self.assemble_dense(n, tau, kmeans, outcome, rec))
+        self.run(combined, source, rec, options)
     }
 
     /// [`reconstruct_robust`](Self::reconstruct_robust) starting from the
@@ -545,274 +490,198 @@ impl Tends {
     ///
     /// Dispatches on the config: with
     /// [`memory_budget`](TendsConfig::memory_budget) or
-    /// [`shard`](TendsConfig::shard) set it runs the streamed
-    /// sparse-candidate pipeline (phases `tau_sample`, `streamed_fold`);
-    /// otherwise the dense matrix pipeline, unchanged.
+    /// [`shard`](TendsConfig::shard) set, candidates come from the
+    /// streamed sparse-candidate pipeline (phases `tau_sample`,
+    /// `streamed_fold`); otherwise from the dense correlation matrix.
     pub fn reconstruct_robust_from_columns(
         &self,
         cols: &NodeColumns,
         rec: &Recorder,
         options: &RobustOptions<'_>,
     ) -> Result<PartialReconstruction, CheckpointError> {
-        if self.config.memory_budget.is_some() || self.config.shard.is_some() {
-            return self.reconstruct_streamed(cols, rec, options);
-        }
         let n = cols.num_nodes();
-
-        // Lines 2–4: pairwise correlation values.
-        // With checkpointing enabled the same tiled pass also captures the
-        // pairwise sufficient statistics (β, per-node ones, upper-triangle
-        // n11) that make later cascade appends incremental; both variants
-        // produce bit-identical matrices.
-        let (corr, stats) = {
-            let _p = rec.phase("correlation_matrix");
-            if options.checkpoint.is_some() {
-                let (corr, stats) = CorrelationMatrix::compute_observed_with_stats(
-                    cols,
-                    self.config.correlation,
-                    self.config.threads,
-                    rec,
-                );
-                (corr, Some(stats))
-            } else {
-                let corr = CorrelationMatrix::compute_observed(
-                    cols,
-                    self.config.correlation,
-                    self.config.threads,
-                    rec,
-                );
-                (corr, None)
+        let source = if self.config.memory_budget.is_some() || self.config.shard.is_some() {
+            let shard = self.config.shard.unwrap_or_else(|| Shard::full(n));
+            assert!(
+                shard.start <= shard.end && shard.end as usize <= n,
+                "shard {}..{} out of range for n = {n}",
+                shard.start,
+                shard.end,
+            );
+            // MutualOnly needs the parent set of every node in the graph;
+            // a shard only computes its own range. Callers (CLI, daemon)
+            // reject the combination with a typed error before getting here.
+            assert!(
+                self.config.direction != DirectionPolicy::MutualOnly || shard.len() == n,
+                "MutualOnly direction requires an unsharded run",
+            );
+            CandidateSource::Sampled { shard }
+        } else {
+            CandidateSource::Columns {
+                capture_stats: options.checkpoint.is_some(),
             }
         };
-
-        // Line 5: threshold via pinned 2-means over non-negative values.
-        let (kmeans, tau, above) = {
-            let _p = rec.phase("threshold");
-            let upper = corr.upper_triangle();
-            let kmeans = pinned_two_means(&upper);
-            let tau = match self.config.threshold {
-                ThresholdMode::Auto => kmeans.tau,
-                ThresholdMode::Fixed(t) => t,
-                ThresholdMode::ScaledAuto(s) => kmeans.tau * s,
-            };
-            let above = rec
-                .is_enabled()
-                .then(|| upper.iter().filter(|&&v| v > tau).count());
-            (kmeans, tau, above)
-        };
-        if let Some(above) = above {
-            rec.value("tau", tau);
-            rec.value("tau_unscaled", kmeans.tau);
-            rec.add("pairs_above_tau", above as u64);
-        }
-
-        // Lines 10–12: per-node candidate pruning.
-        let candidates: Vec<Vec<NodeId>> = {
-            let _p = rec.phase("candidate_pruning");
-            (0..n)
-                .map(|i| {
-                    candidate_parents(&corr, i as NodeId, tau, self.config.search.max_candidates)
-                })
-                .collect()
-        };
-        if rec.is_enabled() {
-            for cands in &candidates {
-                rec.histogram("candidate_set_size", cands.len());
-            }
-        }
-
-        // Lines 6–20: per-node parent search (nodes are independent, so
-        // this parallelizes embarrassingly).
-        let outcome = {
-            let _p = rec.phase("parent_search");
-            self.search_all(
-                &candidates,
-                cols,
-                tau,
-                stats,
-                rec,
-                _p.span_id(),
-                options,
-                0,
-                n,
-            )?
-        };
-
-        Ok(self.assemble_dense(n, tau, kmeans, outcome, rec))
+        self.run(cols, source, rec, options)
     }
 
-    /// Line 21 plus bookkeeping, shared by the dense and the incremental
-    /// append paths: direction post-processing over a full (unsharded) set
-    /// of node results, then assembly into a [`PartialReconstruction`].
-    fn assemble_dense(
+    /// Algorithm 1 over `cols`: the candidate step (lines 2–5 and 10–12),
+    /// the per-node parent searches (lines 6–20), then edges (line 21).
+    fn run(
+        &self,
+        cols: &NodeColumns,
+        source: CandidateSource<'_>,
+        rec: &Recorder,
+        options: &RobustOptions<'_>,
+    ) -> Result<PartialReconstruction, CheckpointError> {
+        let replay = match source {
+            CandidateSource::Appended { appended, old, .. } => Some((old, appended)),
+            _ => None,
+        };
+        let (cands, stats) = self.candidates(cols, source, rec);
+        let outcome = self.search(cols, &cands, stats, replay, rec, options)?;
+        Ok(self.assemble(cols.num_nodes(), cands, outcome, rec))
+    }
+
+    /// The candidate step: `τ` and every node's candidate list, plus the
+    /// pairwise sufficient statistics when the source captured them, from
+    /// one of two sources. The *exact* source is a dense correlation matrix —
+    /// computed from the columns, or derived from checkpointed statistics
+    /// after an append fold — thresholded with the pinned 2-means over its
+    /// whole upper triangle. The *sampled* source takes `τ` from a
+    /// budget-sized systematic pair sample and the candidates from bounded
+    /// accumulators folded tile by tile; the dense `n × n` matrix never
+    /// exists (see [`crate::stream`] for why the result is invariant to
+    /// threads, SIMD tier, and shard count, and bit-identical to the exact
+    /// source whenever the τ sample is exhaustive).
+    fn candidates(
+        &self,
+        cols: &NodeColumns,
+        source: CandidateSource<'_>,
+        rec: &Recorder,
+    ) -> (Candidates, Option<PairStats>) {
+        let cfg = &self.config;
+        let (kmeans, tau, shard, lists, above, stats) = match source {
+            CandidateSource::Sampled { shard } => {
+                let kmeans = {
+                    let _p = rec.phase("tau_sample");
+                    let sample =
+                        stream::sample_tau(cols, cfg.correlation, cfg.memory_budget, cfg.threads);
+                    if rec.is_enabled() {
+                        rec.add("tau_sample_pairs", sample.sampled_pairs);
+                        rec.add("tau_sample_stride", sample.stride);
+                        rss_sample(rec, _p.span_id());
+                    }
+                    sample.kmeans
+                };
+                let tau = cfg.threshold.apply(kmeans.tau);
+                // Above-τ pairs stream straight into the bounded per-node
+                // accumulators; lists come out in candidate_parents order.
+                let _p = rec.phase("streamed_fold");
+                let fold = stream::fold_candidates(
+                    cols,
+                    cfg.correlation,
+                    tau,
+                    cfg.search.max_candidates,
+                    shard,
+                    cfg.threads,
+                );
+                if rec.is_enabled() {
+                    rec.worker_chunks("streamed_fold", &fold.chunks_per_worker);
+                    rec.add("candidate_evictions", fold.candidate_evictions);
+                    rec.add("correlation_pairs", fold.scanned_pairs);
+                    rec.add("correlation_tiles", fold.tiles);
+                    rss_sample(rec, _p.span_id());
+                }
+                // No sufficient statistics: the streamed path never holds
+                // the dense pair state an append would fold into, so its
+                // checkpoints resume but do not warm-start appends.
+                let above = fold.pairs_above_tau;
+                (kmeans, tau, shard, fold.candidates, above, None)
+            }
+            exact => {
+                let (corr, stats) = match exact {
+                    // With checkpointing enabled the same tiled pass also
+                    // captures the pairwise sufficient statistics that
+                    // make later cascade appends incremental.
+                    CandidateSource::Columns { capture_stats } => {
+                        let _p = rec.phase("correlation_matrix");
+                        CorrelationMatrix::compute_observed(
+                            cols,
+                            cfg.correlation,
+                            cfg.threads,
+                            capture_stats,
+                            rec,
+                        )
+                    }
+                    // Work proportional to the new columns only.
+                    CandidateSource::Appended {
+                        mut stats,
+                        appended,
+                        ..
+                    } => {
+                        let _p = rec.phase("stats_append");
+                        stats.append(appended, cfg.threads);
+                        rec.add("append_processes", appended.num_processes() as u64);
+                        (stats.correlation(cfg.correlation), Some(stats))
+                    }
+                    CandidateSource::Sampled { .. } => unreachable!("matched above"),
+                };
+                // Line 5: pinned 2-means over the whole upper triangle;
+                // pairs above τ are counted from the same values.
+                let (kmeans, tau, above) = {
+                    let _p = rec.phase("threshold");
+                    let upper = corr.upper_triangle();
+                    let kmeans = pinned_two_means(&upper);
+                    let tau = cfg.threshold.apply(kmeans.tau);
+                    let above = if rec.is_enabled() {
+                        upper.iter().filter(|&&v| v > tau).count() as u64
+                    } else {
+                        0
+                    };
+                    (kmeans, tau, above)
+                };
+                // Lines 10–12: per-node candidate pruning.
+                let _p = rec.phase("candidate_pruning");
+                let lists = (0..corr.num_nodes() as NodeId)
+                    .map(|i| candidate_parents(&corr, i, tau, cfg.search.max_candidates))
+                    .collect();
+                let shard = Shard::full(corr.num_nodes());
+                (kmeans, tau, shard, lists, above, stats)
+            }
+        };
+        if rec.is_enabled() {
+            rec.value("tau", tau);
+            rec.value("tau_unscaled", kmeans.tau);
+            rec.add("pairs_above_tau", above);
+            for list in &lists {
+                rec.histogram("candidate_set_size", list.len());
+            }
+        }
+        let cands = Candidates {
+            kmeans,
+            tau,
+            shard,
+            lists,
+        };
+        (cands, stats)
+    }
+
+    /// Line 21 plus bookkeeping: a directed edge from each inferred parent
+    /// to its child under the configured direction policy, then assembly
+    /// into a [`PartialReconstruction`]. `outcome.results` index like
+    /// `cands.lists`.
+    fn assemble(
         &self,
         n: usize,
-        tau: f64,
-        kmeans: PinnedKmeans,
+        cands: Candidates,
         outcome: SearchOutcome,
         rec: &Recorder,
     ) -> PartialReconstruction {
         let node_results = outcome.results;
-
-        // Line 21: a directed edge from each inferred parent to its child,
-        // then the configured direction post-processing.
         let _p = rec.phase("direction");
         let mut builder = GraphBuilder::new(n);
         let mut global_score = 0.0;
-        for (i, res) in node_results.iter().enumerate() {
-            for &p in &res.parents {
-                match self.config.direction {
-                    DirectionPolicy::AsIs => {
-                        builder.add_edge(p, i as NodeId);
-                    }
-                    DirectionPolicy::Symmetrize => {
-                        builder.add_reciprocal(p, i as NodeId);
-                    }
-                    DirectionPolicy::MutualOnly => {
-                        if node_results[p as usize].parents.contains(&(i as NodeId)) {
-                            builder.add_edge(p, i as NodeId);
-                        }
-                    }
-                }
-            }
-            global_score += res.score;
-        }
-        let graph = builder.build();
-        drop(_p);
-        if rec.is_enabled() {
-            rec.add("edges_emitted", graph.edge_count() as u64);
-        }
-
-        let failed_nodes: Vec<NodeId> = outcome.failures.iter().map(|&(i, _)| i).collect();
-        PartialReconstruction {
-            result: TendsResult {
-                graph,
-                tau,
-                kmeans,
-                node_results,
-                global_score,
-            },
-            failed_nodes,
-            errors: outcome.failures,
-            resumed_nodes: outcome.resumed_nodes,
-            checkpoint_flushes: outcome.flushes,
-            delta_records: outcome.delta_records,
-        }
-    }
-
-    /// The out-of-core pipeline: τ from a budget-sized systematic pair
-    /// sample, candidates from bounded sparse accumulators folded tile by
-    /// tile, parent searches restricted to the configured shard. The
-    /// dense `n × n` matrix never exists; see [`crate::stream`] for the
-    /// determinism argument (results are invariant to threads, SIMD tier,
-    /// and shard count, and bit-identical to the dense path whenever the
-    /// τ sample is exhaustive).
-    fn reconstruct_streamed(
-        &self,
-        cols: &NodeColumns,
-        rec: &Recorder,
-        options: &RobustOptions<'_>,
-    ) -> Result<PartialReconstruction, CheckpointError> {
-        let n = cols.num_nodes();
-        let shard = self.config.shard.unwrap_or_else(|| Shard::full(n));
-        assert!(
-            shard.start <= shard.end && shard.end as usize <= n,
-            "shard {}..{} out of range for n = {n}",
-            shard.start,
-            shard.end,
-        );
-        // MutualOnly needs the parent set of every node in the graph;
-        // a shard only computes its own range. Callers (CLI, daemon)
-        // reject the combination with a typed error before getting here.
-        assert!(
-            self.config.direction != DirectionPolicy::MutualOnly || shard.len() == n,
-            "MutualOnly direction requires an unsharded run",
-        );
-
-        // τ from the deterministic systematic pair sample.
-        let (kmeans, tau) = {
-            let _p = rec.phase("tau_sample");
-            let sample = stream::sample_tau(
-                cols,
-                self.config.correlation,
-                self.config.memory_budget,
-                self.config.threads,
-            );
-            if rec.is_enabled() {
-                rec.add("tau_sample_pairs", sample.sampled_pairs);
-                rec.add("tau_sample_stride", sample.stride);
-                let mut span = rec.span_with_parent("rss_sample", _p.span_id());
-                if let Some(rss) = diffnet_observe::current_rss_bytes() {
-                    span.attr("rss_bytes", rss);
-                }
-            }
-            let tau = match self.config.threshold {
-                ThresholdMode::Auto => sample.kmeans.tau,
-                ThresholdMode::Fixed(t) => t,
-                ThresholdMode::ScaledAuto(s) => sample.kmeans.tau * s,
-            };
-            (sample.kmeans, tau)
-        };
-        if rec.is_enabled() {
-            rec.value("tau", tau);
-            rec.value("tau_unscaled", kmeans.tau);
-        }
-
-        // Tile fold: above-τ pairs stream straight into the bounded
-        // per-node accumulators; candidate lists come out in
-        // candidate_parents order.
-        let fold = {
-            let _p = rec.phase("streamed_fold");
-            let fold = stream::fold_candidates(
-                cols,
-                self.config.correlation,
-                tau,
-                self.config.search.max_candidates,
-                shard,
-                self.config.threads,
-            );
-            if rec.is_enabled() {
-                rec.worker_chunks("streamed_fold", &fold.chunks_per_worker);
-                rec.add("pairs_above_tau", fold.pairs_above_tau);
-                rec.add("candidate_evictions", fold.candidate_evictions);
-                rec.add("correlation_pairs", fold.scanned_pairs);
-                rec.add("correlation_tiles", fold.tiles);
-                for cands in &fold.candidates {
-                    rec.histogram("candidate_set_size", cands.len());
-                }
-                let mut span = rec.span_with_parent("rss_sample", _p.span_id());
-                if let Some(rss) = diffnet_observe::current_rss_bytes() {
-                    span.attr("rss_bytes", rss);
-                }
-            }
-            fold
-        };
-        let candidates = fold.candidates;
-
-        // Parent searches for the shard's nodes only; node ids stay
-        // global in spans, fault sites, and checkpoint entries.
-        let outcome = {
-            let _p = rec.phase("parent_search");
-            self.search_all(
-                &candidates,
-                cols,
-                tau,
-                // No sufficient statistics: the streamed path never holds
-                // the dense pair state an append would fold into, so its
-                // checkpoints resume but do not warm-start appends.
-                None,
-                rec,
-                _p.span_id(),
-                options,
-                shard.start,
-                n,
-            )?
-        };
-        let node_results = outcome.results;
-
-        let _p = rec.phase("direction");
-        let mut builder = GraphBuilder::new(n);
-        let mut global_score = 0.0;
+        let shard = cands.shard;
         for (k, res) in node_results.iter().enumerate() {
             let child = shard.start + k as NodeId;
             for &p in &res.parents {
@@ -824,8 +693,8 @@ impl Tends {
                         builder.add_reciprocal(p, child);
                     }
                     DirectionPolicy::MutualOnly => {
-                        // Asserted above: the shard covers every node, so
-                        // shard-local indexing is global indexing.
+                        // MutualOnly runs are unsharded (asserted on entry),
+                        // so shard-local indexing is global indexing.
                         if node_results[(p - shard.start) as usize]
                             .parents
                             .contains(&child)
@@ -844,11 +713,11 @@ impl Tends {
         }
 
         let failed_nodes: Vec<NodeId> = outcome.failures.iter().map(|&(i, _)| i).collect();
-        Ok(PartialReconstruction {
+        PartialReconstruction {
             result: TendsResult {
                 graph,
-                tau,
-                kmeans,
+                tau: cands.tau,
+                kmeans: cands.kmeans,
                 node_results,
                 global_score,
             },
@@ -857,7 +726,7 @@ impl Tends {
             resumed_nodes: outcome.resumed_nodes,
             checkpoint_flushes: outcome.flushes,
             delta_records: outcome.delta_records,
-        })
+        }
     }
 
     /// Signature of the search-relevant configuration for checkpoint
@@ -883,7 +752,15 @@ impl Tends {
         sig
     }
 
-    /// Runs the per-node searches on a cost-aware worker pool.
+    /// The `parent_search` phase: runs the per-node searches of
+    /// `cands.shard` on a cost-aware worker pool, checkpointing each
+    /// completed node through the [`delta_writer`].
+    ///
+    /// Each node is planned as one of three kinds: *restored* from the
+    /// checkpoint being resumed, *replayed* from the pre-append checkpoint
+    /// of an append (see [`NodePlan::Replayed`]), or *searched*. An append
+    /// never resumes: its checkpoint file holds the revision it replays
+    /// from.
     ///
     /// Per-node search cost varies wildly: with `k = |P_i|` candidates a
     /// node enumerates `Θ(k²)` combinations (at the default
@@ -898,29 +775,26 @@ impl Tends {
     /// chunk claims are the one scheduler-dependent datum, and land in the
     /// runtime-only report section).
     ///
-    /// `candidates` may cover a node-range shard rather than all nodes:
-    /// `base` is the global id of the slice's first node (0 for dense
-    /// runs) and `global_n` the full node count — spans, fault sites, and
-    /// checkpoint entries always use global ids, while results index by
-    /// `id − base`.
-    #[allow(clippy::too_many_arguments)]
-    fn search_all(
+    /// Spans, fault sites, and checkpoint entries use global node ids,
+    /// while results index by `id − cands.shard.start`.
+    fn search(
         &self,
-        candidates: &[Vec<NodeId>],
-        cols: &diffnet_simulate::NodeColumns,
-        tau: f64,
+        cols: &NodeColumns,
+        cands: &Candidates,
         stats: Option<PairStats>,
+        replay: Option<(&Checkpoint, &NodeColumns)>,
         rec: &Recorder,
-        parent_span: Option<SpanId>,
         options: &RobustOptions<'_>,
-        base: NodeId,
-        global_n: usize,
     ) -> Result<SearchOutcome, CheckpointError> {
+        let phase = rec.phase("parent_search");
+        let parent_span = phase.span_id();
+        let candidates = &cands.lists;
         let n = candidates.len();
+        let base = cands.shard.start;
         let fp = checkpoint::fingerprint(
             cols.num_processes(),
-            global_n,
-            tau,
+            cols.num_nodes(),
+            cands.tau,
             &self.config_signature(),
             options.revision,
             candidates,
@@ -929,7 +803,7 @@ impl Tends {
         // Prior progress: a resumed node is returned from the checkpoint
         // instead of searched. A missing file is an empty checkpoint.
         let mut restored: BTreeMap<NodeId, CheckpointEntry> = BTreeMap::new();
-        if let (Some(path), true) = (&options.checkpoint, options.resume) {
+        if let (Some(path), true, None) = (&options.checkpoint, options.resume, replay) {
             if path.exists() {
                 let ck = Checkpoint::load(path)?;
                 if ck.fingerprint != fp {
@@ -956,7 +830,29 @@ impl Tends {
                 restored = ck.entries;
             }
         }
-        let resumed_nodes = restored.len();
+        let plans: Vec<NodePlan<'_>> = (0..n)
+            .map(|i| {
+                let id = base + i as NodeId;
+                if let Some(entry) = restored.get(&id) {
+                    return NodePlan::Restored(entry);
+                }
+                // Clean: the freshly computed candidate list is the one the
+                // checkpointed search ran over and its joint table was
+                // persisted, so the replay sees exactly the counts the
+                // combined columns would produce.
+                match replay.and_then(|(old, _)| old.entries.get(&id)) {
+                    Some(e) if e.table.is_some() && e.candidates == candidates[i] => {
+                        NodePlan::Replayed(e)
+                    }
+                    _ => NodePlan::Searched,
+                }
+            })
+            .collect();
+        let replayed = plans
+            .iter()
+            .filter(|p| matches!(p, NodePlan::Replayed(_)))
+            .count();
+        let resumed_nodes = restored.len() + replayed;
         let fault = options.fault;
         let interval = options.checkpoint_interval.max(1);
         let checkpoint_path = options.checkpoint.as_deref();
@@ -967,25 +863,22 @@ impl Tends {
         // writer thread performs the initial save as its first action and
         // then owns every fsync, so the search pool never blocks on
         // checkpoint I/O — not even for the header write.
-        let mut initial = None;
-        if checkpoint_path.is_some() {
-            initial = Some(Checkpoint {
-                fingerprint: fp,
-                revision: options.revision,
-                stats,
-                entries: restored.clone(),
-            });
-        }
+        let mut initial = checkpoint_path.map(|_| Checkpoint {
+            fingerprint: fp,
+            revision: options.revision,
+            stats,
+            entries: restored.clone(),
+        });
 
-        let costs: Vec<u64> = candidates
+        let costs: Vec<u64> = plans
             .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                if restored.contains_key(&(base + i as NodeId)) {
-                    1
-                } else {
-                    1 + (c.len() * c.len()) as u64
-                }
+            .zip(candidates)
+            .map(|(plan, c)| match plan {
+                NodePlan::Restored(_) => 1,
+                // A replay marginalizes a 2^k-cell table instead of
+                // re-counting β process columns.
+                NodePlan::Replayed(_) => 1 + c.len() as u64,
+                NodePlan::Searched => 1 + (c.len() * c.len()) as u64,
             })
             .collect();
 
@@ -1014,49 +907,76 @@ impl Tends {
                 SearchScratch::new,
                 |scratch, i| -> Result<(NodeSearchResult, WorkspaceStats), NodeError> {
                     let id = base + i as NodeId;
-                    if let Some(entry) = restored.get(&id) {
-                        return Ok((entry.clone().into_result(), entry.ws));
-                    }
-                    if let Some(flag) = options.cancel {
-                        if flag.load(std::sync::atomic::Ordering::Relaxed) {
-                            return Err(NodeError::Cancelled);
+                    let cands = &candidates[i];
+                    let (res, ws, table) = match plans[i] {
+                        NodePlan::Restored(entry) => {
+                            return Ok((entry.clone().into_result(), entry.ws));
                         }
-                    }
-                    fault
-                        .hit_indexed("node_search", u64::from(id))
-                        .map_err(NodeError::Io)?;
-                    // One span per freshly searched node, parented under the
-                    // parent_search phase span (restored nodes do no work and
-                    // get none). Ends when the guard drops — including on the
-                    // error path, where it records without cache attributes.
-                    let mut span = rec.span_with_parent("node_search", parent_span);
-                    span.attr("node", u64::from(id));
-                    span.attr("candidates", candidates[i].len() as u64);
-                    let before = scratch.ws.stats();
-                    let res =
-                        find_parents_with(scratch, cols, id, &candidates[i], &self.config.search)
-                            .map_err(NodeError::Search)?;
-                    let after = scratch.ws.stats();
-                    span.attr("score_cache_hits", res.cache_stats.hits);
-                    span.attr("score_cache_misses", res.cache_stats.misses);
-                    // The per-node workspace delta, not the pool total: it is
-                    // what the checkpoint stores, so a resumed run can report
-                    // the same summed counters as an uninterrupted one.
-                    let ws = WorkspaceStats {
-                        refinements: after.refinements - before.refinements,
-                        rebases: after.rebases - before.rebases,
+                        NodePlan::Replayed(entry) => {
+                            let cells = entry.table.clone().expect("replayed entries have one");
+                            let (_, appended) = replay.expect("replays come from an append");
+                            let mut sorted = entry.candidates.clone();
+                            sorted.sort_unstable();
+                            let mut table = JointTable::from_parts(id, sorted, cells)
+                                .expect("persisted table shape is validated on load");
+                            let delta = JointTable::from_cols(appended, id, cands)
+                                .expect("table-sized candidate sets tabulate");
+                            table.merge(&delta);
+                            let res =
+                                find_parents_reference(&table, id, cands, &self.config.search)
+                                    .map_err(NodeError::Search)?;
+                            // Workspace activity is carried over from the
+                            // original search: the replay never touches one.
+                            (res, entry.ws, Some(table.cells().to_vec()))
+                        }
+                        NodePlan::Searched => {
+                            if let Some(flag) = options.cancel {
+                                if flag.load(std::sync::atomic::Ordering::Relaxed) {
+                                    return Err(NodeError::Cancelled);
+                                }
+                            }
+                            fault
+                                .hit_indexed("node_search", u64::from(id))
+                                .map_err(NodeError::Io)?;
+                            // One span per freshly searched node, parented
+                            // under the parent_search phase span. Ends when
+                            // the guard drops — including on the error path,
+                            // where it records without cache attributes.
+                            let mut span = rec.span_with_parent("node_search", parent_span);
+                            span.attr("node", u64::from(id));
+                            span.attr("candidates", cands.len() as u64);
+                            let before = scratch.ws.stats();
+                            let res =
+                                find_parents_with(scratch, cols, id, cands, &self.config.search)
+                                    .map_err(NodeError::Search)?;
+                            let after = scratch.ws.stats();
+                            span.attr("score_cache_hits", res.cache_stats.hits);
+                            span.attr("score_cache_misses", res.cache_stats.misses);
+                            // The per-node workspace delta, not the pool
+                            // total: it is what the checkpoint stores, so a
+                            // resumed run can report the same summed
+                            // counters as an uninterrupted one.
+                            let ws = WorkspaceStats {
+                                refinements: after.refinements - before.refinements,
+                                rebases: after.rebases - before.rebases,
+                            };
+                            // The joint candidate table is the warm state
+                            // the next cascade append replays from; an
+                            // oversized candidate set just re-searches on
+                            // append.
+                            let table = if doorbell.is_some()
+                                && cands.len() <= checkpoint::MAX_TABLE_CANDIDATES
+                            {
+                                JointTable::from_cols(cols, id, cands)
+                                    .ok()
+                                    .map(|t| t.cells().to_vec())
+                            } else {
+                                None
+                            };
+                            (res, ws, table)
+                        }
                     };
                     if let Some(bell) = &doorbell {
-                        // The joint candidate table is the warm state the
-                        // next cascade append replays from; an oversized
-                        // candidate set just re-searches on append.
-                        let table = if candidates[i].len() <= checkpoint::MAX_TABLE_CANDIDATES {
-                            JointTable::from_cols(cols, id, &candidates[i])
-                                .ok()
-                                .map(|t| t.cells().to_vec())
-                        } else {
-                            None
-                        };
                         let entry = CheckpointEntry::from_result(&res, ws, table);
                         let backlog = {
                             let mut q = queue.lock().expect("delta queue lock");
@@ -1125,6 +1045,10 @@ impl Tends {
             rec.add("score_cache_misses", cache.misses);
             rec.add("workspace_refinements", refinements);
             rec.add("workspace_rebases", rebases);
+            if replay.is_some() {
+                rec.add("dirty_nodes", (n - replayed) as u64);
+                rec.add("nodes_reused", replayed as u64);
+            }
         }
         Ok(SearchOutcome {
             results: node_results,
@@ -1134,190 +1058,49 @@ impl Tends {
             delta_records,
         })
     }
+}
 
-    /// The append-path search stage: replays clean nodes from persisted
-    /// joint tables (merged with a delta table over the appended columns),
-    /// re-searches dirty nodes against the combined columns, and replaces
-    /// the pre-append checkpoint with the post-append one in a single
-    /// atomic rewrite — a crash anywhere before that write leaves the old
-    /// revision intact, so a restarted append redoes the same idempotent
-    /// fold.
-    #[allow(clippy::too_many_arguments)]
-    fn append_search(
-        &self,
-        candidates: &[Vec<NodeId>],
-        combined_cols: &NodeColumns,
-        appended_cols: &NodeColumns,
-        old: &Checkpoint,
-        stats: &PairStats,
-        tau: f64,
-        rec: &Recorder,
-        parent_span: Option<SpanId>,
-        options: &RobustOptions<'_>,
-        path: &Path,
-    ) -> Result<SearchOutcome, CheckpointError> {
-        let n = candidates.len();
-        let fp = checkpoint::fingerprint(
-            combined_cols.num_processes(),
-            n,
-            tau,
-            &self.config_signature(),
-            options.revision,
-            candidates,
-        );
+/// Where the candidate step takes `τ` and the candidate lists from.
+enum CandidateSource<'a> {
+    /// Exact: the dense correlation matrix over the columns, capturing
+    /// the pairwise sufficient statistics when the run checkpoints.
+    Columns { capture_stats: bool },
+    /// Exact: the matrix the checkpointed statistics determine once the
+    /// appended columns are folded in. The search then replays the clean
+    /// nodes of `old`, the pre-append checkpoint.
+    Appended {
+        stats: PairStats,
+        appended: &'a NodeColumns,
+        old: &'a Checkpoint,
+    },
+    /// Sampled: `τ` from a systematic pair sample, candidates from the
+    /// bounded streamed fold over the shard's nodes.
+    Sampled { shard: Shard },
+}
 
-        // A node is *clean* when its freshly computed candidate list is
-        // identical to the one the checkpointed search ran over and a
-        // joint table was persisted for it: the replayed search then sees
-        // exactly the counts the combined columns would produce.
-        // Everything else is dirty and re-searches from the columns.
-        let clean: Vec<bool> = (0..n)
-            .map(|i| {
-                old.entries
-                    .get(&(i as NodeId))
-                    .is_some_and(|e| e.table.is_some() && e.candidates == candidates[i])
-            })
-            .collect();
-        let fault = options.fault;
+/// Output of the candidate step.
+struct Candidates {
+    /// The unscaled threshold fit.
+    kmeans: PinnedKmeans,
+    /// The applied threshold.
+    tau: f64,
+    /// The nodes the lists cover.
+    shard: Shard,
+    /// Per-node candidate lists, indexed by `node − shard.start`.
+    lists: Vec<Vec<NodeId>>,
+}
 
-        // Replays marginalize a 2^k-cell table instead of re-counting β
-        // process columns, so they weigh far less than a dirty search.
-        let costs: Vec<u64> = candidates
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                if clean[i] {
-                    1 + c.len() as u64
-                } else {
-                    1 + (c.len() * c.len()) as u64
-                }
-            })
-            .collect();
-        type NodeOut = (NodeSearchResult, WorkspaceStats, Option<Vec<[u64; 2]>>);
-        let (results, pool) = parallel::run_weighted_stats(
-            &costs,
-            4,
-            self.config.threads,
-            SearchScratch::new,
-            |scratch, i| -> Result<NodeOut, NodeError> {
-                let id = i as NodeId;
-                if clean[i] {
-                    let entry = old.entries.get(&id).expect("clean implies entry");
-                    let cells = entry.table.clone().expect("clean implies table");
-                    let mut sorted = entry.candidates.clone();
-                    sorted.sort_unstable();
-                    let mut table = JointTable::from_parts(id, sorted, cells)
-                        .expect("persisted table shape is validated on load");
-                    let delta = JointTable::from_cols(appended_cols, id, &candidates[i])
-                        .expect("table-sized candidate sets tabulate");
-                    table.merge(&delta);
-                    let res =
-                        find_parents_reference(&table, id, &candidates[i], &self.config.search)
-                            .map_err(NodeError::Search)?;
-                    // Workspace activity is carried over from the original
-                    // search: the replay itself never touches a workspace.
-                    return Ok((res, entry.ws, Some(table.cells().to_vec())));
-                }
-                if let Some(flag) = options.cancel {
-                    if flag.load(std::sync::atomic::Ordering::Relaxed) {
-                        return Err(NodeError::Cancelled);
-                    }
-                }
-                fault
-                    .hit_indexed("node_search", u64::from(id))
-                    .map_err(NodeError::Io)?;
-                let mut span = rec.span_with_parent("node_search", parent_span);
-                span.attr("node", u64::from(id));
-                span.attr("candidates", candidates[i].len() as u64);
-                let before = scratch.ws.stats();
-                let res = find_parents_with(
-                    scratch,
-                    combined_cols,
-                    id,
-                    &candidates[i],
-                    &self.config.search,
-                )
-                .map_err(NodeError::Search)?;
-                let after = scratch.ws.stats();
-                span.attr("score_cache_hits", res.cache_stats.hits);
-                span.attr("score_cache_misses", res.cache_stats.misses);
-                let ws = WorkspaceStats {
-                    refinements: after.refinements - before.refinements,
-                    rebases: after.rebases - before.rebases,
-                };
-                let table = if candidates[i].len() <= checkpoint::MAX_TABLE_CANDIDATES {
-                    JointTable::from_cols(combined_cols, id, &candidates[i])
-                        .ok()
-                        .map(|t| t.cells().to_vec())
-                } else {
-                    None
-                };
-                Ok((res, ws, table))
-            },
-        );
-
-        let mut next = Checkpoint {
-            fingerprint: fp,
-            revision: options.revision,
-            stats: Some(stats.clone()),
-            entries: BTreeMap::new(),
-        };
-        let mut node_results = Vec::with_capacity(n);
-        let mut failures: Vec<(NodeId, NodeError)> = Vec::new();
-        let (mut refinements, mut rebases) = (0u64, 0u64);
-        for (i, r) in results.into_iter().enumerate() {
-            match r {
-                Ok((res, ws, table)) => {
-                    refinements += ws.refinements;
-                    rebases += ws.rebases;
-                    next.entries
-                        .insert(i as NodeId, CheckpointEntry::from_result(&res, ws, table));
-                    node_results.push(res);
-                }
-                Err(e) => {
-                    failures.push((i as NodeId, e));
-                    node_results.push(NodeSearchResult {
-                        parents: Vec::new(),
-                        score: 0.0,
-                        candidates: candidates[i].clone(),
-                        stats: SearchStats::default(),
-                        cache_stats: ScoreCacheStats::default(),
-                    });
-                }
-            }
-        }
-        // The one write of the append path. Failed (e.g. cancelled) nodes
-        // are simply absent, so a restart resumes the post-append revision
-        // and searches only the gaps.
-        next.save(path)?;
-
-        let reused = clean.iter().filter(|&&c| c).count();
-        if rec.is_enabled() {
-            rec.worker_chunks("parent_search", &pool.chunks_per_worker);
-            let mut total = SearchStats::default();
-            let mut cache = ScoreCacheStats::default();
-            for r in &node_results {
-                total.merge(&r.stats);
-                cache.merge(&r.cache_stats);
-            }
-            rec.add("combinations_scored", total.evaluations as u64);
-            rec.add("bound_rejections", total.bound_rejections as u64);
-            rec.add("greedy_rounds", total.greedy_rounds as u64);
-            rec.add("score_cache_hits", cache.hits);
-            rec.add("score_cache_misses", cache.misses);
-            rec.add("workspace_refinements", refinements);
-            rec.add("workspace_rebases", rebases);
-            rec.add("dirty_nodes", (n - reused) as u64);
-            rec.add("nodes_reused", reused as u64);
-        }
-        Ok(SearchOutcome {
-            results: node_results,
-            failures,
-            resumed_nodes: reused,
-            flushes: 1,
-            delta_records: 0,
-        })
-    }
+/// How the search driver obtains one node's result.
+enum NodePlan<'a> {
+    /// Taken from the checkpoint being resumed.
+    Restored(&'a CheckpointEntry),
+    /// An append-clean node: its persisted joint table plus a delta table
+    /// over the appended columns, replayed through
+    /// [`find_parents_reference`] — bit-identical to searching the
+    /// combined columns.
+    Replayed(&'a CheckpointEntry),
+    /// Searched from the columns.
+    Searched,
 }
 
 /// Outcome of the per-node search stage.
@@ -1326,13 +1109,22 @@ struct SearchOutcome {
     results: Vec<NodeSearchResult>,
     /// Per-node failures, ascending node order.
     failures: Vec<(NodeId, NodeError)>,
-    /// Nodes restored from the checkpoint (or, on the append path,
-    /// replayed from persisted joint tables).
+    /// Nodes restored from the checkpoint or, on the append path,
+    /// replayed from persisted joint tables.
     resumed_nodes: usize,
     /// Paced group-commit syncs of the delta log.
     flushes: u64,
     /// Delta records appended before the final compaction.
     delta_records: u64,
+}
+
+/// Records the process's current RSS as an `rss_sample` span under
+/// `parent` (the streamed path's memory checkpoints).
+fn rss_sample(rec: &Recorder, parent: Option<SpanId>) {
+    let mut span = rec.span_with_parent("rss_sample", parent);
+    if let Some(rss) = diffnet_observe::current_rss_bytes() {
+        span.attr("rss_bytes", rss);
+    }
 }
 
 /// The delta-writer loop: atomically writes the initial checkpoint (header
@@ -1377,19 +1169,23 @@ fn delta_writer(
     interval: usize,
     fault: &FaultPlan,
 ) -> Result<(u64, u64), CheckpointError> {
-    let mut file: Option<std::fs::File> = None;
-    let mut pending: Vec<String> = Vec::new();
-    let mut flushes = 0u64;
-    let mut delta_records = 0u64;
-    let mut unsynced = false;
-    let mut sync_cost = std::time::Duration::ZERO;
-    let mut last_sync_end = std::time::Instant::now();
     // The initial save runs here — on the writer thread, concurrently with
     // the first node searches — and must complete before any delta line is
     // appended; the single-threaded loop below guarantees that ordering. A
     // crash before it lands leaves no (or a stale) checkpoint, which the
     // next run detects by fingerprint and simply restarts.
-    let mut error: Option<CheckpointError> = ck.save(path).err();
+    let mut log = DeltaLog {
+        path,
+        fault,
+        file: None,
+        pending: Vec::new(),
+        flushes: 0,
+        delta_records: 0,
+        unsynced: false,
+        sync_cost: Duration::ZERO,
+        last_sync_end: Instant::now(),
+        error: ck.save(path).err(),
+    };
     let mut superseded = false;
     let mut open = true;
     while open {
@@ -1403,64 +1199,28 @@ fn delta_writer(
         while rx.try_recv().is_ok() {}
         let batch = std::mem::take(&mut *queue.lock().expect("delta queue lock"));
         for (id, entry) in batch {
-            if error.is_none() {
-                pending.push(Checkpoint::entry_line(id, &entry));
+            if log.error.is_none() {
+                log.pending.push(Checkpoint::entry_line(id, &entry));
             }
             superseded |= ck.entries.insert(id, entry).is_some();
         }
-        if error.is_none() && pending.len() >= interval {
-            write_batch(
-                &mut file,
-                path,
-                &mut pending,
-                &mut delta_records,
-                &mut unsynced,
-                &mut error,
-            );
+        if log.pending.len() >= interval {
+            log.write_batch();
             // Group commit: the first sync runs immediately (zero recorded
             // cost), later ones only once their pacing budget has elapsed.
-            if error.is_none() && unsynced && last_sync_end.elapsed() >= SYNC_PACING * sync_cost {
-                sync_delta(
-                    &mut file,
-                    &mut flushes,
-                    &mut unsynced,
-                    &mut sync_cost,
-                    &mut last_sync_end,
-                    fault,
-                    &mut error,
-                );
+            if log.last_sync_end.elapsed() >= SYNC_PACING * log.sync_cost {
+                log.sync();
             }
         }
     }
-    if error.is_none() && !pending.is_empty() {
-        write_batch(
-            &mut file,
-            path,
-            &mut pending,
-            &mut delta_records,
-            &mut unsynced,
-            &mut error,
-        );
+    log.write_batch();
+    log.sync();
+    if log.error.is_none() && log.delta_records > 0 && superseded {
+        log.error = ck.save(path).err();
     }
-    if error.is_none() && unsynced {
-        sync_delta(
-            &mut file,
-            &mut flushes,
-            &mut unsynced,
-            &mut sync_cost,
-            &mut last_sync_end,
-            fault,
-            &mut error,
-        );
-    }
-    if error.is_none() && delta_records > 0 && superseded {
-        if let Err(e) = ck.save(path) {
-            error = Some(e);
-        }
-    }
-    match error {
+    match log.error {
         Some(e) => Err(e),
-        None => Ok((flushes, delta_records)),
+        None => Ok((log.flushes, log.delta_records)),
     }
 }
 
@@ -1469,66 +1229,76 @@ fn delta_writer(
 /// the sync tax under ~1/[`SYNC_PACING`] of wall-clock on any disk.
 const SYNC_PACING: u32 = 10;
 
-/// Appends one batch of delta lines to the log (no sync — the bytes are
-/// process-crash durable in the page cache once written).
-fn write_batch(
-    file: &mut Option<std::fs::File>,
-    path: &Path,
-    pending: &mut Vec<String>,
-    delta_records: &mut u64,
-    unsynced: &mut bool,
-    error: &mut Option<CheckpointError>,
-) {
-    let io = (|| -> std::io::Result<()> {
-        if file.is_none() {
-            *file = Some(std::fs::OpenOptions::new().append(true).open(path)?);
-        }
-        let f = file.as_mut().expect("delta log handle");
-        let mut buf = String::with_capacity(pending.iter().map(|l| l.len() + 1).sum());
-        for line in pending.iter() {
-            buf.push_str(line);
-            buf.push('\n');
-        }
-        f.write_all(buf.as_bytes())
-    })();
-    match io {
-        Ok(()) => {
-            *delta_records += pending.len() as u64;
-            *unsynced = true;
-            pending.clear();
-        }
-        Err(e) => *error = Some(CheckpointError::Io(e)),
-    }
+/// The delta log's file and group-commit state. Once `error` is set every
+/// method is a no-op: the first failure is sticky.
+struct DeltaLog<'a> {
+    path: &'a Path,
+    fault: &'a FaultPlan,
+    file: Option<std::fs::File>,
+    /// Delta lines not yet written.
+    pending: Vec<String>,
+    flushes: u64,
+    delta_records: u64,
+    /// Lines were written since the last sync.
+    unsynced: bool,
+    sync_cost: Duration,
+    last_sync_end: Instant,
+    error: Option<CheckpointError>,
 }
 
-/// Syncs everything written since the last sync and records its cost for
-/// the pacing decision.
-fn sync_delta(
-    file: &mut Option<std::fs::File>,
-    flushes: &mut u64,
-    unsynced: &mut bool,
-    sync_cost: &mut std::time::Duration,
-    last_sync_end: &mut std::time::Instant,
-    fault: &FaultPlan,
-    error: &mut Option<CheckpointError>,
-) {
-    let Some(f) = file.as_mut() else { return };
-    let started = std::time::Instant::now();
-    match f.sync_data() {
-        Ok(()) => {
-            *sync_cost = started.elapsed();
-            *last_sync_end = std::time::Instant::now();
-            *flushes += 1;
-            *unsynced = false;
-            // The fault site sits *after* the group is durable: a kill
-            // rule here models a crash between delta syncs, leaving a
-            // loadable header + delta log on disk; an io rule exercises
-            // the fatal flush-failure path.
-            if let Err(e) = fault.hit("checkpoint_flush") {
-                *error = Some(CheckpointError::Io(e));
-            }
+impl DeltaLog<'_> {
+    /// Appends the pending lines to the log (no sync — the bytes are
+    /// process-crash durable in the page cache once written).
+    fn write_batch(&mut self) {
+        if self.error.is_some() || self.pending.is_empty() {
+            return;
         }
-        Err(e) => *error = Some(CheckpointError::Io(e)),
+        let io = (|| -> std::io::Result<()> {
+            if self.file.is_none() {
+                self.file = Some(std::fs::OpenOptions::new().append(true).open(self.path)?);
+            }
+            let f = self.file.as_mut().expect("delta log handle");
+            let mut buf = String::with_capacity(self.pending.iter().map(|l| l.len() + 1).sum());
+            for line in &self.pending {
+                buf.push_str(line);
+                buf.push('\n');
+            }
+            f.write_all(buf.as_bytes())
+        })();
+        match io {
+            Ok(()) => {
+                self.delta_records += self.pending.len() as u64;
+                self.unsynced = true;
+                self.pending.clear();
+            }
+            Err(e) => self.error = Some(CheckpointError::Io(e)),
+        }
+    }
+
+    /// Syncs everything written since the last sync and records its cost
+    /// for the pacing decision.
+    fn sync(&mut self) {
+        let Some(f) = self.file.as_mut() else { return };
+        if self.error.is_some() || !self.unsynced {
+            return;
+        }
+        let started = Instant::now();
+        match f.sync_data() {
+            Ok(()) => {
+                self.sync_cost = started.elapsed();
+                self.last_sync_end = Instant::now();
+                self.flushes += 1;
+                self.unsynced = false;
+                // The fault site sits *after* the group is durable: a kill
+                // rule here models a crash between delta syncs, leaving a
+                // loadable header + delta log on disk; an io rule exercises
+                // the fatal flush-failure path.
+                if let Err(e) = self.fault.hit("checkpoint_flush") {
+                    self.error = Some(CheckpointError::Io(e));
+                }
+            }
+            Err(e) => self.error = Some(CheckpointError::Io(e)),
+        }
     }
 }
 
@@ -1750,8 +1520,9 @@ mod tests {
         let plain = Tends::new().reconstruct(&statuses).expect("search fits");
         let rec = Recorder::new();
         let observed = Tends::new()
-            .reconstruct_observed(&statuses, &rec)
-            .expect("search fits");
+            .reconstruct_robust(&statuses, &rec, &RobustOptions::default())
+            .expect("search fits")
+            .result;
         assert_eq!(plain.graph, observed.graph);
         assert_eq!(
             plain.global_score.to_bits(),
@@ -1852,8 +1623,9 @@ mod tests {
             });
             let rec = Recorder::new();
             let full = tends
-                .reconstruct_observed(&statuses, &rec)
-                .expect("search fits");
+                .reconstruct_robust(&statuses, &rec, &RobustOptions::default())
+                .expect("search fits")
+                .result;
             let full_report = diffnet_observe::RunReport::new("tends", rec.snapshot(), threads);
 
             // Produce a complete checkpoint, then cut it down to the first
@@ -1956,8 +1728,9 @@ mod tests {
                 ..Default::default()
             });
             let fresh = tends
-                .reconstruct_observed(&combined, Recorder::disabled())
-                .expect("search fits");
+                .reconstruct_robust(&combined, Recorder::disabled(), &RobustOptions::default())
+                .expect("search fits")
+                .result;
 
             let path = temp_checkpoint(&format!("append_{threads}.json"));
             std::fs::remove_file(&path).ok();
@@ -2062,8 +1835,13 @@ mod tests {
                 )
                 .expect("incremental append");
             let fresh = tends
-                .reconstruct_observed(combined_so_far, Recorder::disabled())
-                .expect("fresh combined run");
+                .reconstruct_robust(
+                    combined_so_far,
+                    Recorder::disabled(),
+                    &RobustOptions::default(),
+                )
+                .expect("fresh combined run")
+                .result;
             assert_eq!(
                 warm.result.graph, fresh.graph,
                 "graph at revision {revision}"
@@ -2075,6 +1853,151 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn interrupted_append_resumes_to_the_fresh_combined_result() {
+        use std::sync::atomic::AtomicBool;
+        let truth = DiGraph::from_edges(10, &{
+            let mut e = Vec::new();
+            for i in 0..9u32 {
+                e.push((i, i + 1));
+                e.push((i + 1, i));
+            }
+            e
+        });
+        let combined = observe(&truth, 0.5, 0.2, 260, 79);
+        let (base, appended) = split_statuses(&combined, 220);
+        let (combined_cols, appended_cols) = (combined.columns(), appended.columns());
+
+        for threads in [1usize, 4] {
+            let tends = Tends::with_config(TendsConfig {
+                threads,
+                ..Default::default()
+            });
+            let path = temp_checkpoint(&format!("append_interrupted_{threads}.json"));
+            let checkpointed = |statuses: &StatusMatrix| {
+                std::fs::remove_file(&path).ok();
+                let opts = RobustOptions {
+                    checkpoint: Some(path.clone()),
+                    ..Default::default()
+                };
+                tends
+                    .reconstruct_robust(statuses, Recorder::disabled(), &opts)
+                    .expect("checkpointed run")
+            };
+            let fresh = checkpointed(&combined).result;
+            checkpointed(&base);
+            let base_ck = std::fs::read(&path).expect("base checkpoint");
+
+            // A dirty node: its candidate list changed with the append, or
+            // it has no persisted table to replay from.
+            let entries = Checkpoint::load(&path).expect("base checkpoint").entries;
+            let dirty = (0..10u32)
+                .find(|i| {
+                    let e = &entries[i];
+                    e.table.is_none() || e.candidates != fresh.node_results[*i as usize].candidates
+                })
+                .expect("the append leaves some node dirty");
+
+            let cancel = AtomicBool::new(true);
+            let node_fault = FaultPlan::new().io_error_at("node_search", u64::from(dirty), 1);
+            let flush_fault = FaultPlan::new().io_error("checkpoint_flush", 1);
+            let interruptions = [
+                ("cancel", FaultPlan::none(), Some(&cancel)),
+                ("node_search", &node_fault, None),
+                ("checkpoint_flush", &flush_fault, None),
+            ];
+            for (what, fault, cancel) in interruptions {
+                std::fs::write(&path, &base_ck).expect("restore base checkpoint");
+                let interrupted = tends.reconstruct_robust_append(
+                    &combined_cols,
+                    &appended_cols,
+                    Recorder::disabled(),
+                    &RobustOptions {
+                        checkpoint: Some(path.clone()),
+                        revision: 1,
+                        fault,
+                        cancel,
+                        ..Default::default()
+                    },
+                );
+                match interrupted {
+                    Ok(partial) if what != "checkpoint_flush" => assert!(
+                        partial.failed_nodes.contains(&dirty),
+                        "{what} (t={threads}): dirty node {dirty} must fail"
+                    ),
+                    Err(CheckpointError::Io(_)) if what == "checkpoint_flush" => {}
+                    other => panic!("{what} (t={threads}): unexpected {other:?}"),
+                }
+                let left = Checkpoint::load(&path).expect("interrupted append's checkpoint");
+                assert_eq!(
+                    left.revision, 1,
+                    "{what} (t={threads}): new revision header"
+                );
+
+                let retried = tends
+                    .reconstruct_robust_append(
+                        &combined_cols,
+                        &appended_cols,
+                        Recorder::disabled(),
+                        &RobustOptions {
+                            checkpoint: Some(path.clone()),
+                            revision: 1,
+                            ..Default::default()
+                        },
+                    )
+                    .expect("retried append");
+                assert!(retried.is_complete(), "{what} (t={threads})");
+                assert_eq!(retried.result.graph, fresh.graph, "{what} (t={threads})");
+                assert_eq!(
+                    retried.result.tau.to_bits(),
+                    fresh.tau.to_bits(),
+                    "{what} τ bits (t={threads})"
+                );
+                assert_eq!(
+                    retried.result.global_score.to_bits(),
+                    fresh.global_score.to_bits(),
+                    "{what} score bits (t={threads})"
+                );
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn streamed_configs_refuse_appends_with_a_typed_error() {
+        let truth = DiGraph::from_edges(8, &[(0, 1), (1, 0), (2, 3), (3, 2)]);
+        let combined = observe(&truth, 0.5, 0.2, 180, 89);
+        let (_, appended) = split_statuses(&combined, 150);
+        let streamed = [
+            TendsConfig {
+                memory_budget: Some(64 << 20),
+                ..Default::default()
+            },
+            TendsConfig {
+                shard: Some(Shard { start: 0, end: 4 }),
+                ..Default::default()
+            },
+        ];
+        for cfg in streamed {
+            let err = Tends::with_config(cfg)
+                .reconstruct_robust_append(
+                    &combined.columns(),
+                    &appended.columns(),
+                    Recorder::disabled(),
+                    &RobustOptions {
+                        checkpoint: Some(temp_checkpoint("streamed_append.json")),
+                        revision: 1,
+                        ..Default::default()
+                    },
+                )
+                .expect_err("streamed configs cannot append");
+            assert!(
+                matches!(&err, CheckpointError::Format(m) if m.contains("memory_budget and shard")),
+                "expected a Format error naming the cause, got {err:?}"
+            );
+        }
     }
 
     #[test]

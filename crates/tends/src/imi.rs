@@ -13,6 +13,7 @@
 //! cell of the MI sum. Concordant cells reward, discordant cells penalize.
 
 use diffnet_simulate::{NodeColumns, PairCounts};
+use std::ops::Range;
 
 /// One cell of the mutual-information sum:
 /// `p_ab · log₂(p_ab / (p_a · p_b))`, with `0 log 0 = 0`.
@@ -151,6 +152,70 @@ pub enum CorrelationMeasure {
     Mi,
 }
 
+impl CorrelationMeasure {
+    /// This measure's value of a pair's MI cells.
+    #[inline]
+    pub fn value(self, cells: &MiCells) -> f64 {
+        match self {
+            CorrelationMeasure::Imi => cells.imi(),
+            CorrelationMeasure::Mi => cells.mi(),
+        }
+    }
+}
+
+/// One block of the upper-triangle tile schedule: the pairs `(i, j)`,
+/// `i < j`, with `i` in `rows` and `j` in `cols`.
+pub(crate) struct Tile {
+    pub(crate) rows: Range<usize>,
+    pub(crate) cols: Range<usize>,
+    /// Exact pair count (diagonal blocks are triangular): the block's
+    /// scheduling weight.
+    pub(crate) pairs: u64,
+}
+
+impl Tile {
+    /// The block's pairs in the order
+    /// [`NodeColumns::pair_counts_block`] emits them: row-major over `i`,
+    /// then `j > i` within the column range.
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.rows
+            .clone()
+            .flat_map(move |i| (self.cols.start.max(i + 1)..self.cols.end).map(move |j| (i, j)))
+    }
+}
+
+/// The upper-triangle tile schedule every pair-kernel pass shares: `n`
+/// nodes cut into `tile`-wide blocks ([`NodeColumns::pair_tile_size`],
+/// lane-aligned and chosen so a block's columns stay L1-resident), in
+/// row-major block order, keeping the blocks with at least one pair that
+/// `keep` accepts.
+pub(crate) fn tile_schedule(
+    n: usize,
+    tile: usize,
+    keep: impl Fn(&Range<usize>, &Range<usize>) -> bool,
+) -> Vec<Tile> {
+    let num_tiles = n.div_ceil(tile);
+    let mut tiles = Vec::new();
+    for bi in 0..num_tiles {
+        let rows = bi * tile..((bi + 1) * tile).min(n);
+        for bj in bi..num_tiles {
+            let cols = bj * tile..((bj + 1) * tile).min(n);
+            let pairs: u64 = rows
+                .clone()
+                .map(|i| cols.end.saturating_sub(cols.start.max(i + 1)) as u64)
+                .sum();
+            if pairs > 0 && keep(&rows, &cols) {
+                tiles.push(Tile {
+                    rows: rows.clone(),
+                    cols,
+                    pairs,
+                });
+            }
+        }
+    }
+    tiles
+}
+
 /// Symmetric matrix of pairwise correlation values over all node pairs.
 ///
 /// The diagonal is unused and fixed at 0.
@@ -169,11 +234,10 @@ impl CorrelationMatrix {
         Self::compute_parallel(cols, measure, 1)
     }
 
-    /// Parallel variant of [`compute`](Self::compute): rows of the upper
-    /// triangle are claimed by `threads` workers (0 = all cores) in small
-    /// chunks, since row `i` costs `n − i − 1` cells and static splitting
-    /// would leave late workers idle. Each cell is a pure function of its
-    /// pair, so the result is bit-identical for every thread count.
+    /// Parallel variant of [`compute`](Self::compute): tiles of the upper
+    /// triangle are claimed by `threads` workers (0 = all cores). Each
+    /// cell is a pure function of its pair, so the result is
+    /// bit-identical for every thread count.
     pub fn compute_parallel(
         cols: &NodeColumns,
         measure: CorrelationMeasure,
@@ -183,179 +247,95 @@ impl CorrelationMatrix {
             cols,
             measure,
             threads,
+            false,
             diffnet_observe::Recorder::disabled(),
         )
+        .0
     }
 
     /// [`compute_parallel`](Self::compute_parallel) that also reports pool
-    /// utilization: per-worker chunk claims land in the recorder under the
-    /// `correlation_matrix` region. The matrix itself is bit-identical to
-    /// the unobserved variant at every thread count.
+    /// utilization — per-worker chunk claims land in the recorder under
+    /// the `correlation_matrix` region — and, with `capture_stats`, the
+    /// pairwise *sufficient statistics* ([`PairStats`]: `β`, per-column
+    /// ones counts, upper-triangle `n11`) the values were derived from, in
+    /// the same kernel pass. The matrix is bit-identical either way and at
+    /// every thread count. The statistics are what incremental
+    /// re-estimation persists; `n11` costs `4·n²` bytes, so only
+    /// checkpointed runs capture it.
     ///
-    /// The pair loop is the cache-blocked
-    /// [`NodeColumns::pair_counts_block`] kernel: the upper triangle is cut
-    /// into T×T tiles (T = [`NodeColumns::pair_tile_size`], lane-aligned
-    /// and chosen so a tile pair's columns stay L1-resident), `n11` is one
-    /// SIMD AND+popcount stream per pair with the other three cells derived
-    /// from the per-column ones counts — computed once up front and shared
-    /// by every tile — and constant columns short-circuit the word walk
-    /// entirely. Tiles are scheduled cost-aware — each tile's claim weight
-    /// is its exact pair count — so the dense diagonal tiles don't
-    /// serialize the pool. Per-tile results are *positional* (`Vec<f64>` in
-    /// the kernel's deterministic row-major emission order, a third of the
-    /// memory of `(i, j, value)` triples) and land in per-tile slots,
-    /// keeping the matrix bit-identical at every thread count.
+    /// The pair loop is the cache-blocked [`NodeColumns::pair_counts_block`]
+    /// kernel over the crate's one tile schedule (`tile_schedule`): `n11`
+    /// is one SIMD AND+popcount stream per pair with the other three cells
+    /// derived from the per-column ones counts — computed once up front and
+    /// shared by every tile — and constant columns short-circuit the word
+    /// walk entirely. Each tile's claim weight is its exact pair count, so
+    /// the dense diagonal tiles don't serialize the pool. Per-tile results
+    /// are *positional* (values in the kernel's deterministic emission
+    /// order, a third of the memory of `(i, j, value)` triples) and land in
+    /// per-tile slots, keeping the matrix bit-identical at every thread
+    /// count.
     pub fn compute_observed(
         cols: &NodeColumns,
         measure: CorrelationMeasure,
         threads: usize,
+        capture_stats: bool,
         rec: &diffnet_observe::Recorder,
-    ) -> Self {
+    ) -> (Self, Option<PairStats>) {
         let n = cols.num_nodes();
+        let pairs = n * n.saturating_sub(1) / 2;
         let ones = cols.ones_counts();
-        let tile = cols.pair_tile_size();
-        let num_tiles = n.div_ceil(tile);
-        let mut blocks: Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> = Vec::new();
-        let mut costs: Vec<u64> = Vec::new();
-        for bi in 0..num_tiles {
-            let rows = bi * tile..((bi + 1) * tile).min(n);
-            for bj in bi..num_tiles {
-                let jcols = bj * tile..((bj + 1) * tile).min(n);
-                // Exact pair count of the block (diagonal blocks are
-                // triangular) — the block's scheduling weight.
-                let pairs: u64 = rows
-                    .clone()
-                    .map(|i| jcols.end.saturating_sub(jcols.start.max(i + 1)) as u64)
-                    .sum();
-                if pairs > 0 {
-                    blocks.push((rows.clone(), jcols));
-                    costs.push(pairs);
-                }
-            }
-        }
+        let tiles = tile_schedule(n, cols.pair_tile_size(), |_, _| true);
+        let costs: Vec<u64> = tiles.iter().map(|t| t.pairs).collect();
         let lut = Log2Table::new(cols.num_processes() as u64);
-        let (tiles, pool) = crate::parallel::run_weighted_stats(
+        let (outputs, pool) = crate::parallel::run_weighted_stats(
             &costs,
             4,
             threads,
             || (),
             |_, b| {
-                let (rows, jcols) = &blocks[b];
-                let mut out: Vec<f64> = Vec::with_capacity(costs[b] as usize);
-                cols.pair_counts_block(rows.clone(), jcols.clone(), &ones, &mut |_, _, pc| {
-                    let cells = MiCells::from_counts_with(&pc, &lut);
-                    out.push(match measure {
-                        CorrelationMeasure::Imi => cells.imi(),
-                        CorrelationMeasure::Mi => cells.mi(),
-                    });
-                });
-                out
+                let tile = &tiles[b];
+                let mut vals: Vec<f64> = Vec::with_capacity(tile.pairs as usize);
+                let mut n11s: Vec<u64> = Vec::new();
+                if capture_stats {
+                    n11s.reserve_exact(tile.pairs as usize);
+                }
+                cols.pair_counts_block(
+                    tile.rows.clone(),
+                    tile.cols.clone(),
+                    &ones,
+                    &mut |_, _, pc| {
+                        vals.push(measure.value(&MiCells::from_counts_with(&pc, &lut)));
+                        if capture_stats {
+                            n11s.push(pc.n11);
+                        }
+                    },
+                );
+                (vals, n11s)
             },
         );
         if rec.is_enabled() {
             rec.worker_chunks("correlation_matrix", &pool.chunks_per_worker);
-            rec.add("correlation_pairs", (n * n.saturating_sub(1) / 2) as u64);
-            rec.add("correlation_tiles", blocks.len() as u64);
+            rec.add("correlation_pairs", pairs as u64);
+            rec.add("correlation_tiles", tiles.len() as u64);
         }
         let mut values = vec![0.0; n * n];
-        for (b, block) in tiles.into_iter().enumerate() {
-            // Re-derive each value's pair by walking the block exactly the
-            // way `pair_counts_block` emits: row-major over `i`, then
-            // `j > i` within the column tile.
-            let (rows, jcols) = &blocks[b];
-            let mut vals = block.into_iter();
-            for i in rows.clone() {
-                for j in jcols.start.max(i + 1)..jcols.end {
-                    let v = vals.next().expect("one value per block pair");
-                    values[i * n + j] = v;
-                    values[j * n + i] = v;
-                }
+        let mut n11 = vec![0u64; if capture_stats { pairs } else { 0 }];
+        for (tile, (vals, n11s)) in tiles.iter().zip(outputs) {
+            debug_assert_eq!(vals.len() as u64, tile.pairs, "one value per block pair");
+            for ((i, j), v) in tile.pairs().zip(vals) {
+                values[i * n + j] = v;
+                values[j * n + i] = v;
             }
-            debug_assert!(vals.next().is_none(), "block emitted extra pairs");
-        }
-        CorrelationMatrix { n, values }
-    }
-
-    /// [`compute_observed`](Self::compute_observed) that also captures the
-    /// pairwise *sufficient statistics* (`β`, per-column ones counts, and
-    /// the upper-triangle `n11` counts) the values were derived from, in
-    /// the same tiled kernel pass — no second column scan. The statistics
-    /// are what incremental re-estimation persists: appended processes
-    /// only ever *add* to these integer counts, so a warm restart can
-    /// rebuild the exact combined-matrix correlation values without
-    /// touching the historical columns (see [`PairStats`]).
-    pub fn compute_observed_with_stats(
-        cols: &NodeColumns,
-        measure: CorrelationMeasure,
-        threads: usize,
-        rec: &diffnet_observe::Recorder,
-    ) -> (Self, PairStats) {
-        let n = cols.num_nodes();
-        let ones = cols.ones_counts();
-        let tile = cols.pair_tile_size();
-        let num_tiles = n.div_ceil(tile);
-        let mut blocks: Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> = Vec::new();
-        let mut costs: Vec<u64> = Vec::new();
-        for bi in 0..num_tiles {
-            let rows = bi * tile..((bi + 1) * tile).min(n);
-            for bj in bi..num_tiles {
-                let jcols = bj * tile..((bj + 1) * tile).min(n);
-                let pairs: u64 = rows
-                    .clone()
-                    .map(|i| jcols.end.saturating_sub(jcols.start.max(i + 1)) as u64)
-                    .sum();
-                if pairs > 0 {
-                    blocks.push((rows.clone(), jcols));
-                    costs.push(pairs);
-                }
+            for ((i, j), c) in tile.pairs().zip(n11s) {
+                n11[tri_index(n, i, j)] = c;
             }
         }
-        let lut = Log2Table::new(cols.num_processes() as u64);
-        let (tiles, pool) = crate::parallel::run_weighted_stats(
-            &costs,
-            4,
-            threads,
-            || (),
-            |_, b| {
-                let (rows, jcols) = &blocks[b];
-                let mut out: Vec<(f64, u64)> = Vec::with_capacity(costs[b] as usize);
-                cols.pair_counts_block(rows.clone(), jcols.clone(), &ones, &mut |_, _, pc| {
-                    let cells = MiCells::from_counts_with(&pc, &lut);
-                    let v = match measure {
-                        CorrelationMeasure::Imi => cells.imi(),
-                        CorrelationMeasure::Mi => cells.mi(),
-                    };
-                    out.push((v, pc.n11));
-                });
-                out
-            },
-        );
-        if rec.is_enabled() {
-            rec.worker_chunks("correlation_matrix", &pool.chunks_per_worker);
-            rec.add("correlation_pairs", (n * n.saturating_sub(1) / 2) as u64);
-            rec.add("correlation_tiles", blocks.len() as u64);
-        }
-        let mut values = vec![0.0; n * n];
-        let mut n11 = vec![0u64; n * n.saturating_sub(1) / 2];
-        for (b, block) in tiles.into_iter().enumerate() {
-            let (rows, jcols) = &blocks[b];
-            let mut vals = block.into_iter();
-            for i in rows.clone() {
-                for j in jcols.start.max(i + 1)..jcols.end {
-                    let (v, c) = vals.next().expect("one value per block pair");
-                    values[i * n + j] = v;
-                    values[j * n + i] = v;
-                    n11[tri_index(n, i, j)] = c;
-                }
-            }
-            debug_assert!(vals.next().is_none(), "block emitted extra pairs");
-        }
-        let stats = PairStats {
+        let stats = capture_stats.then(|| PairStats {
             n,
             beta: cols.num_processes() as u64,
             ones,
             n11,
-        };
+        });
         (CorrelationMatrix { n, values }, stats)
     }
 
@@ -364,16 +344,20 @@ impl CorrelationMatrix {
     /// oracle for the tiled kernel (results must stay bit-identical) and
     /// as the baseline the benchmarks compare against.
     pub fn compute_reference(cols: &NodeColumns, measure: CorrelationMeasure) -> Self {
-        let n = cols.num_nodes();
         let lut = Log2Table::new(cols.num_processes() as u64);
+        Self::from_pairs(cols.num_nodes(), |i, j| {
+            let pc = cols.pair_counts(i as u32, j as u32);
+            measure.value(&MiCells::from_counts_with(&pc, &lut))
+        })
+    }
+
+    /// The matrix with `value(i, j)` at every pair `i < j`, evaluated
+    /// once per pair in row-major order.
+    fn from_pairs(n: usize, mut value: impl FnMut(usize, usize) -> f64) -> Self {
         let mut values = vec![0.0; n * n];
         for i in 0..n {
             for j in (i + 1)..n {
-                let cells = MiCells::from_counts_with(&cols.pair_counts(i as u32, j as u32), &lut);
-                let v = match measure {
-                    CorrelationMeasure::Imi => cells.imi(),
-                    CorrelationMeasure::Mi => cells.mi(),
-                };
+                let v = value(i, j);
                 values[i * n + j] = v;
                 values[j * n + i] = v;
             }
@@ -472,15 +456,12 @@ impl PairStats {
 
     /// Computes the statistics directly (test/oracle convenience; the
     /// production path captures them alongside the correlation matrix via
-    /// [`CorrelationMatrix::compute_observed_with_stats`]).
+    /// [`CorrelationMatrix::compute_observed`]).
     pub fn compute(cols: &NodeColumns, threads: usize) -> PairStats {
-        CorrelationMatrix::compute_observed_with_stats(
-            cols,
-            CorrelationMeasure::Imi,
-            threads,
-            diffnet_observe::Recorder::disabled(),
-        )
-        .1
+        let disabled = diffnet_observe::Recorder::disabled();
+        CorrelationMatrix::compute_observed(cols, CorrelationMeasure::Imi, threads, true, disabled)
+            .1
+            .expect("statistics were requested")
     }
 
     /// Number of nodes.
@@ -560,46 +541,30 @@ impl PairStats {
             "appended cascades must cover the same nodes"
         );
         let ones = appended.ones_counts();
-        let tile = appended.pair_tile_size();
-        let num_tiles = self.n.div_ceil(tile);
-        let mut blocks: Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> = Vec::new();
-        let mut costs: Vec<u64> = Vec::new();
-        for bi in 0..num_tiles {
-            let rows = bi * tile..((bi + 1) * tile).min(self.n);
-            for bj in bi..num_tiles {
-                let jcols = bj * tile..((bj + 1) * tile).min(self.n);
-                let pairs: u64 = rows
-                    .clone()
-                    .map(|i| jcols.end.saturating_sub(jcols.start.max(i + 1)) as u64)
-                    .sum();
-                if pairs > 0 {
-                    blocks.push((rows.clone(), jcols));
-                    costs.push(pairs);
-                }
-            }
-        }
-        let (tiles, _) = crate::parallel::run_weighted_stats(
+        let tiles = tile_schedule(self.n, appended.pair_tile_size(), |_, _| true);
+        let costs: Vec<u64> = tiles.iter().map(|t| t.pairs).collect();
+        let (outputs, _) = crate::parallel::run_weighted_stats(
             &costs,
             4,
             threads,
             || (),
             |_, b| {
-                let (rows, jcols) = &blocks[b];
-                let mut out: Vec<u64> = Vec::with_capacity(costs[b] as usize);
-                appended.pair_counts_block(rows.clone(), jcols.clone(), &ones, &mut |_, _, pc| {
-                    out.push(pc.n11);
-                });
+                let tile = &tiles[b];
+                let mut out: Vec<u64> = Vec::with_capacity(tile.pairs as usize);
+                appended.pair_counts_block(
+                    tile.rows.clone(),
+                    tile.cols.clone(),
+                    &ones,
+                    &mut |_, _, pc| {
+                        out.push(pc.n11);
+                    },
+                );
                 out
             },
         );
-        for (b, block) in tiles.into_iter().enumerate() {
-            let (rows, jcols) = &blocks[b];
-            let mut vals = block.into_iter();
-            for i in rows.clone() {
-                for j in jcols.start.max(i + 1)..jcols.end {
-                    let c = vals.next().expect("one count per block pair");
-                    self.n11[tri_index(self.n, i, j)] += c;
-                }
+        for (tile, counts) in tiles.iter().zip(outputs) {
+            for ((i, j), c) in tile.pairs().zip(counts) {
+                self.n11[tri_index(self.n, i, j)] += c;
             }
         }
         for (o, &a) in self.ones.iter_mut().zip(ones.iter()) {
@@ -614,21 +579,10 @@ impl PairStats {
     /// of the same integer counts. Pure float work per pair, so it runs
     /// single-threaded without a kernel pass.
     pub fn correlation(&self, measure: CorrelationMeasure) -> CorrelationMatrix {
-        let n = self.n;
         let lut = Log2Table::new(self.beta);
-        let mut values = vec![0.0; n * n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let cells = MiCells::from_counts_with(&self.pair_counts(i, j), &lut);
-                let v = match measure {
-                    CorrelationMeasure::Imi => cells.imi(),
-                    CorrelationMeasure::Mi => cells.mi(),
-                };
-                values[i * n + j] = v;
-                values[j * n + i] = v;
-            }
-        }
-        CorrelationMatrix { n, values }
+        CorrelationMatrix::from_pairs(self.n, |i, j| {
+            measure.value(&MiCells::from_counts_with(&self.pair_counts(i, j), &lut))
+        })
     }
 }
 
@@ -841,12 +795,14 @@ mod tests {
         let cols = StatusMatrix::from_rows(&random_rows(0xA5A5, 130, 24)).columns();
         for measure in [CorrelationMeasure::Imi, CorrelationMeasure::Mi] {
             let plain = CorrelationMatrix::compute_parallel(&cols, measure, 3);
-            let (with_stats, stats) = CorrelationMatrix::compute_observed_with_stats(
+            let (with_stats, stats) = CorrelationMatrix::compute_observed(
                 &cols,
                 measure,
                 3,
+                true,
                 diffnet_observe::Recorder::disabled(),
             );
+            let stats = stats.expect("statistics were requested");
             for i in 0..24u32 {
                 for j in 0..24u32 {
                     assert_eq!(plain.get(i, j).to_bits(), with_stats.get(i, j).to_bits());

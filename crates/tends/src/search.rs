@@ -22,9 +22,9 @@
 
 use crate::imi::CorrelationMatrix;
 use crate::score::{self, CachedScore, ScoreCache, ScoreCacheStats};
+use crate::stream;
 use diffnet_graph::NodeId;
 use diffnet_simulate::{ComboSizeError, CountsWorkspace, NodeColumns, MAX_TABULATED_PARENTS};
-use std::cmp::Ordering;
 use std::fmt;
 
 /// The counting surface the reference search drivers consume: everything a
@@ -382,31 +382,16 @@ pub fn candidate_parents(
     tau: f64,
     max_candidates: usize,
 ) -> Vec<NodeId> {
-    // Descending correlation, ascending node id as the tiebreak — a total
-    // order (total_cmp, so a NaN smuggled into the matrix cannot panic the
-    // comparator), so the top-`max_candidates` set is unique and partial
-    // selection returns exactly what a full sort + truncate would.
-    fn rank(a: &(f64, NodeId), b: &(f64, NodeId)) -> Ordering {
-        b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
-    }
     let n = corr.num_nodes() as u32;
-    let mut cands: Vec<(f64, NodeId)> = (0..n)
+    let cands: Vec<(f64, NodeId)> = (0..n)
         .filter(|&j| j != child)
         .map(|j| (corr.get(child, j), j))
         .filter(|&(v, _)| v > tau)
         .collect();
-    // Select the top `max_candidates` in O(n), then sort only those —
-    // instead of sorting all survivors just to discard most of them.
-    if cands.len() > max_candidates {
-        if max_candidates == 0 {
-            cands.clear();
-        } else {
-            cands.select_nth_unstable_by(max_candidates, rank);
-            cands.truncate(max_candidates);
-        }
-    }
-    cands.sort_unstable_by(rank);
-    cands.into_iter().map(|(_, j)| j).collect()
+    // Select the top `max_candidates` in O(n) under the streamed fold's
+    // total order (descending correlation, ascending id), then sort only
+    // those — instead of sorting all survivors just to discard most.
+    stream::top_ids(cands, max_candidates)
 }
 
 /// The subset bitmask of `nodes` over the candidate list: bit `t` set iff
@@ -720,14 +705,15 @@ pub fn find_parents_with(
 /// The pre-workspace implementation of [`find_parents`], counting every
 /// evaluation from scratch through a [`CountSource`] and no score cache.
 ///
-/// Kept as the equivalence oracle for the incremental path (results must
-/// stay bit-identical) and as the baseline the benchmarks compare against.
-/// Generic over the count source so the same driver that oracles the
-/// workspace path also *replays* a persisted [`JointTable`] during
-/// incremental re-estimation: `parents`, `score`, and all [`SearchStats`]
-/// counters are pure functions of the counts, so a table that marginalizes
-/// to the columns' integers reproduces the search bit-for-bit
-/// (`cache_stats` stay zero on this cacheless path).
+/// This is the production replay engine of incremental re-estimation: a
+/// cascade append runs every clean node's persisted [`JointTable`] (plus
+/// the appended delta) through it instead of re-searching the columns.
+/// `parents`, `score`, and all [`SearchStats`] counters are pure functions
+/// of the counts, so a table that marginalizes to the columns' integers
+/// reproduces the search bit-for-bit (`cache_stats` stay zero on this
+/// cacheless path). Over [`NodeColumns`] it also serves as the
+/// equivalence oracle for the workspace path and as the baseline the
+/// benchmarks compare against.
 pub fn find_parents_reference<C: CountSource + ?Sized>(
     cols: &C,
     child: NodeId,

@@ -31,14 +31,16 @@
 //!    logical reconstruction merge by edge union — each child node's
 //!    parents are computed by exactly one shard.
 //!
-//! The tile schedule is byte-for-byte the one
-//! [`crate::CorrelationMatrix::compute_observed`] uses (same
+//! The tile fold builds its blocks with the one upper-triangle tile
+//! schedule (`imi::tile_schedule`) that
+//! [`crate::CorrelationMatrix::compute_observed`] and
+//! [`crate::PairStats::append`] also use — same
 //! [`NodeColumns::pair_tile_size`] tiles, same exact-pair-count claim
-//! weights, same emission order), so the streamed path inherits the dense
+//! weights, same emission order — so the streamed path inherits the dense
 //! path's SIMD kernel and its bit-identity guarantees; the dense path
 //! stays available as the equivalence oracle.
 
-use crate::imi::{CorrelationMeasure, Log2Table, MiCells};
+use crate::imi::{tile_schedule, CorrelationMeasure, Log2Table, MiCells};
 use crate::kmeans::{pinned_two_means, PinnedKmeans};
 use crate::parallel;
 use diffnet_graph::NodeId;
@@ -81,11 +83,6 @@ impl Shard {
         self.start <= i && i < self.end
     }
 
-    /// The shard as an index range.
-    pub fn as_range(&self) -> Range<usize> {
-        self.start as usize..self.end as usize
-    }
-
     fn touches(&self, r: &Range<usize>) -> bool {
         r.start < self.end as usize && r.end > self.start as usize
     }
@@ -111,11 +108,19 @@ pub fn plan_shards(n: usize, count: usize) -> Vec<Shard> {
         .collect()
 }
 
-/// Same candidate order as `candidate_parents`: value descending, node id
-/// ascending on ties. A total order (via `total_cmp`), which is what
-/// makes bounded top-k selection exact and merge-order-independent.
+/// The candidate order of the fold and of `candidate_parents`: value
+/// descending, node id ascending on ties. A total order (via `total_cmp`,
+/// so a NaN smuggled into a matrix cannot panic the comparator), which is
+/// what makes bounded top-k selection exact and merge-order-independent.
 fn rank(a: &(f64, NodeId), b: &(f64, NodeId)) -> Ordering {
     b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+}
+
+/// The ids of the top `max` entries of `list`, in [`rank`] order.
+pub(crate) fn top_ids(mut list: Vec<(f64, NodeId)>, max: usize) -> Vec<NodeId> {
+    prune(&mut list, max);
+    list.sort_unstable_by(rank);
+    list.into_iter().map(|(_, id)| id).collect()
 }
 
 /// Keeps the top `max` entries of `list` under [`rank`].
@@ -202,17 +207,16 @@ impl SparseCandidates {
     /// `node − shard.start`), sorted exactly like `candidate_parents`,
     /// plus the total number of above-τ candidates evicted by the top-k
     /// bound — the count that must be surfaced, not silently dropped.
-    pub fn finish(mut self) -> (Vec<Vec<NodeId>>, u64) {
+    pub fn finish(self) -> (Vec<Vec<NodeId>>, u64) {
         let mut evictions = 0u64;
         let lists = self
             .entries
-            .iter_mut()
-            .zip(&self.above_tau_seen)
-            .map(|(list, &seen)| {
-                prune(list, self.max_candidates);
-                list.sort_unstable_by(rank);
-                evictions += seen - list.len() as u64;
-                list.iter().map(|&(_, id)| id).collect()
+            .into_iter()
+            .zip(self.above_tau_seen)
+            .map(|(list, seen)| {
+                let ids = top_ids(list, self.max_candidates);
+                evictions += seen - ids.len() as u64;
+                ids
             })
             .collect();
         (lists, evictions)
@@ -274,21 +278,6 @@ fn pair_at(rank: u64, n: u64) -> (NodeId, NodeId) {
     (i as NodeId, j as NodeId)
 }
 
-#[inline]
-fn pair_value(
-    cols: &NodeColumns,
-    i: NodeId,
-    j: NodeId,
-    measure: CorrelationMeasure,
-    lut: &Log2Table,
-) -> f64 {
-    let cells = MiCells::from_counts_with(&cols.pair_counts(i, j), lut);
-    match measure {
-        CorrelationMeasure::Imi => cells.imi(),
-        CorrelationMeasure::Mi => cells.mi(),
-    }
-}
-
 /// Estimates τ from a deterministic systematic sample of the pair
 /// population: every `stride`-th pair of the canonical rank order, scored
 /// with the per-pair oracle kernel and fed to the same
@@ -308,16 +297,9 @@ pub fn sample_tau(
 ) -> TauSample {
     let n = cols.num_nodes() as u64;
     let total = n * n.saturating_sub(1) / 2;
-    if total == 0 {
-        return TauSample {
-            kmeans: pinned_two_means(&[]),
-            sampled_pairs: 0,
-            stride: 1,
-            total_pairs: 0,
-        };
-    }
     let cap = tau_sample_cap(total, memory_budget);
-    let stride = total.div_ceil(cap);
+    // At least 1, so an input without pairs samples nothing.
+    let stride = total.div_ceil(cap).max(1);
     let count = total.div_ceil(stride);
     let lut = Log2Table::new(cols.num_processes() as u64);
     let values = parallel::run_indexed(
@@ -327,7 +309,7 @@ pub fn sample_tau(
         || (),
         |(), s| {
             let (i, j) = pair_at(s as u64 * stride, n);
-            pair_value(cols, i, j, measure, &lut)
+            measure.value(&MiCells::from_counts_with(&cols.pair_counts(i, j), &lut))
         },
     );
     TauSample {
@@ -361,7 +343,7 @@ pub struct FoldOutcome {
 /// and folds every above-τ pair straight into bounded per-node candidate
 /// lists for `shard` — the dense matrix never exists.
 ///
-/// Uses exactly the tile schedule of
+/// Uses the tile schedule of
 /// [`crate::CorrelationMatrix::compute_observed`] (same tile size, same
 /// exact-pair-count claim weights), restricted to blocks whose row or
 /// column range touches the shard; every pair is scored by the same
@@ -382,27 +364,13 @@ pub fn fold_candidates(
     let n = cols.num_nodes();
     debug_assert!(shard.end as usize <= n && shard.start <= shard.end);
     let ones = cols.ones_counts();
-    let tile = cols.pair_tile_size();
-    let num_tiles = n.div_ceil(tile);
-    let mut blocks: Vec<(Range<usize>, Range<usize>)> = Vec::new();
-    let mut costs: Vec<u64> = Vec::new();
-    for bi in 0..num_tiles {
-        let rows = bi * tile..((bi + 1) * tile).min(n);
-        for bj in bi..num_tiles {
-            let jcols = bj * tile..((bj + 1) * tile).min(n);
-            let pairs: u64 = rows
-                .clone()
-                .map(|i| jcols.end.saturating_sub(jcols.start.max(i + 1)) as u64)
-                .sum();
-            // A pair (i, j) lands in the block whose rows contain i and
-            // whose jcols contain j, so scanning every block that touches
-            // the shard on either axis covers all the shard's pairs.
-            if pairs > 0 && (shard.touches(&rows) || shard.touches(&jcols)) {
-                blocks.push((rows.clone(), jcols));
-                costs.push(pairs);
-            }
-        }
-    }
+    // A pair (i, j) lands in the block whose rows contain i and whose
+    // columns contain j, so scanning every block that touches the shard
+    // on either axis covers all the shard's pairs.
+    let tiles = tile_schedule(n, cols.pair_tile_size(), |rows, jcols| {
+        shard.touches(rows) || shard.touches(jcols)
+    });
+    let costs: Vec<u64> = tiles.iter().map(|t| t.pairs).collect();
     let scanned_pairs: u64 = costs.iter().sum();
     let lut = Log2Table::new(cols.num_processes() as u64);
     let (above_counts, pool) = parallel::run_weighted_stats(
@@ -411,28 +379,29 @@ pub fn fold_candidates(
         threads,
         || SparseCandidates::new(shard, max_candidates),
         |acc, b| {
-            let (rows, jcols) = &blocks[b];
+            let tile = &tiles[b];
             let mut above = 0u64;
-            cols.pair_counts_block(rows.clone(), jcols.clone(), &ones, &mut |i, j, pc| {
-                let cells = MiCells::from_counts_with(&pc, &lut);
-                let v = match measure {
-                    CorrelationMeasure::Imi => cells.imi(),
-                    CorrelationMeasure::Mi => cells.mi(),
-                };
-                if v > tau {
-                    let in_i = shard.contains(i);
-                    let in_j = shard.contains(j);
-                    if in_i || in_j {
-                        above += 1;
+            cols.pair_counts_block(
+                tile.rows.clone(),
+                tile.cols.clone(),
+                &ones,
+                &mut |i, j, pc| {
+                    let v = measure.value(&MiCells::from_counts_with(&pc, &lut));
+                    if v > tau {
+                        let in_i = shard.contains(i);
+                        let in_j = shard.contains(j);
+                        if in_i || in_j {
+                            above += 1;
+                        }
+                        if in_i {
+                            acc.insert(i, v, j);
+                        }
+                        if in_j {
+                            acc.insert(j, v, i);
+                        }
                     }
-                    if in_i {
-                        acc.insert(i, v, j);
-                    }
-                    if in_j {
-                        acc.insert(j, v, i);
-                    }
-                }
-            });
+                },
+            );
             above
         },
     );
@@ -448,7 +417,7 @@ pub fn fold_candidates(
         candidates,
         pairs_above_tau: above_counts.iter().sum(),
         candidate_evictions,
-        tiles: blocks.len() as u64,
+        tiles: tiles.len() as u64,
         scanned_pairs,
         chunks_per_worker: pool.chunks_per_worker,
     }

@@ -82,7 +82,7 @@ proptest! {
         for threads in [1usize, 4] {
             let tends = Tends::with_config(TendsConfig { threads, ..Default::default() });
             let rec = Recorder::new();
-            let full = tends.reconstruct_observed(&statuses, &rec).expect("search fits");
+            let full = tends.reconstruct_robust(&statuses, &rec, &RobustOptions::default()).expect("search fits").result;
             let full_report = RunReport::new("tends", rec.snapshot(), threads);
 
             let path = temp_path(&format!("prefix_b{beta}_k{k}_s{seed}_t{threads}"));
@@ -195,8 +195,9 @@ proptest! {
         for threads in [1usize, 4] {
             let tends = Tends::with_config(TendsConfig { threads, ..Default::default() });
             let fresh = tends
-                .reconstruct_observed(&statuses, Recorder::disabled())
-                .expect("fresh combined run");
+                .reconstruct_robust(&statuses, Recorder::disabled(), &RobustOptions::default())
+                .expect("fresh combined run")
+                .result;
 
             let path = temp_path(&format!("append_b{beta}_p{split_pct}_s{seed}_t{threads}"));
             std::fs::remove_file(&path).ok();

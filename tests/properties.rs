@@ -139,8 +139,9 @@ proptest! {
             let rec = Recorder::new();
             let cfg = TendsConfig { threads, ..Default::default() };
             let result = Tends::with_config(cfg)
-                .reconstruct_observed(&m, &rec)
-                .expect("default search fits");
+                .reconstruct_robust(&m, &rec, &diffnet::tends::RobustOptions::default())
+                .expect("default search fits")
+                .result;
             (result, RunReport::new("tends", rec.snapshot(), threads))
         };
         let (res_1, rep_1) = report_at(1);
