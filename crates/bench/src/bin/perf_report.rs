@@ -26,7 +26,7 @@
 //! * incremental append: a deep archived base history (β=153600) plus a
 //!   +10% cascade batch, re-estimated warm from the checkpoint's
 //!   sufficient statistics vs a full checkpointed re-run of the combined
-//!   matrix, with the dirty/reused node split from the run counters;
+//!   matrix;
 //! * the serving layer over loopback: `/v1/healthz` round-trips per
 //!   second and the end-to-end submit→done latency of an HTTP-submitted
 //!   job (upload, queue, reconstruction, output writes, status poll),
@@ -402,7 +402,7 @@ fn main() {
 
     // Incremental re-estimation: +10% appended cascades, warm-started
     // from the checkpoint's persisted sufficient statistics (count fold
-    // over the new columns + dirty-node search only) vs the old append
+    // over the new columns, then every node's search) vs the old append
     // behavior — dropping the checkpoint and re-running the combined
     // matrix from scratch with checkpointing back on. The workload models
     // what the warm path exists for: a deep archived history (β large
@@ -469,8 +469,8 @@ fn main() {
             )
             .expect("incremental append run")
     });
-    // One instrumented pair for the splice accounting and the exactness
-    // check: the warm result must equal the fresh combined run bit for bit.
+    // The exactness check: the warm result must equal the fresh combined
+    // run bit for bit.
     let append_full = append_tends()
         .reconstruct_robust(
             &append_combined,
@@ -480,12 +480,11 @@ fn main() {
         .expect("fresh combined run")
         .result;
     std::fs::write(&ck_append, &warm_state).expect("restore base checkpoint");
-    let append_recorder = Recorder::new();
     let append_warm = append_tends()
         .reconstruct_robust_append(
             &append_combined.columns(),
             &appended.columns(),
-            &append_recorder,
+            Recorder::disabled(),
             &warm_options,
         )
         .expect("incremental append run");
@@ -493,9 +492,6 @@ fn main() {
         append_warm.result.graph, append_full.graph,
         "incremental append must reproduce the fresh combined run"
     );
-    let append_counters = append_recorder.snapshot().counters;
-    let append_dirty = append_counters.get("dirty_nodes").copied().unwrap_or(0);
-    let append_reused = append_counters.get("nodes_reused").copied().unwrap_or(0);
     std::fs::remove_file(&ck_append).ok();
 
     // The serving layer over loopback: request throughput on the cheapest
@@ -697,8 +693,6 @@ fn main() {
     append_row.push("full_rerun_s", full_rerun_s);
     append_row.push("incremental_s", incremental_s);
     append_row.push("speedup", full_rerun_s / incremental_s);
-    append_row.push("dirty_nodes", append_dirty);
-    append_row.push("nodes_reused", append_reused);
     json.push("incremental_append", append_row);
 
     let mut serve = Json::object();

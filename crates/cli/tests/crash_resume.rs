@@ -208,3 +208,46 @@ fn corrupt_checkpoint_is_a_clean_error() {
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert!(stderr.contains("checkpoint"), "stderr: {stderr}");
 }
+
+#[test]
+fn edited_checkpoint_entry_is_a_clean_error() {
+    // Node lines carry no digest; an out-of-range parent edited into one
+    // must exit with the error code and name the node, not panic.
+    let statuses = make_inputs("edited");
+    let out = tmp("edited_out.edges");
+    let ck = tmp("edited_ck.json");
+    std::fs::remove_file(&ck).ok();
+    let args = [
+        "infer",
+        "--statuses",
+        &statuses,
+        "--out",
+        &out,
+        "--checkpoint",
+        &ck,
+    ];
+    run_ok(&args);
+    let text = std::fs::read_to_string(&ck).expect("checkpoint");
+    let edited: Vec<String> = text
+        .lines()
+        .map(
+            |line| match line.strip_prefix("{\"node\":0,\"parents\":[") {
+                Some(rest) => {
+                    let tail = &rest[rest.find(']').expect("parents list ends")..];
+                    format!("{{\"node\":0,\"parents\":[5000{tail}")
+                }
+                None => line.to_string(),
+            },
+        )
+        .collect();
+    assert_ne!(edited.join("\n"), text.trim_end(), "edit must hit node 0");
+    std::fs::write(&ck, edited.join("\n") + "\n").expect("write edited");
+    let run = Command::new(bin())
+        .args(args)
+        .arg("--resume")
+        .output()
+        .expect("spawn diffnet");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("node 0"), "stderr: {stderr}");
+}

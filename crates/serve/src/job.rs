@@ -993,11 +993,11 @@ impl JobManager {
             let append_input = dir.join("append.txt");
             if append_input.exists() && checkpoint.exists() {
                 // Warm path: fold only the appended rows into the
-                // checkpointed sufficient statistics and re-search only
-                // the dirty nodes. Byte-identical to a fresh run over
-                // the combined matrix, so a failure to warm-start
-                // (foreign, stale, or corrupt checkpoint) just drops the
-                // checkpoint and falls back to the full re-run.
+                // checkpointed sufficient statistics, then search every
+                // node over the combined columns. Byte-identical to a
+                // fresh run over the combined matrix, so a failure to
+                // warm-start (foreign, stale, or corrupt checkpoint) just
+                // drops the checkpoint and falls back to the full re-run.
                 match load_status_columns(&append_input) {
                     Ok(appended) => {
                         match tends.reconstruct_robust_append(&cols, &appended, rec, &options) {
@@ -1596,8 +1596,8 @@ mod tests {
         assert_eq!(meta.processes, 40);
         let done = wait_terminal(&m, 1);
         assert_eq!(done.state, JobState::Done);
-        // The warm re-run consumed the appended rows and spliced the
-        // clean nodes from the kept checkpoint.
+        // The warm re-run consumed the appended rows and folded them into
+        // the kept checkpoint's statistics.
         assert!(!m.job_dir(1).join("append.txt").exists());
         assert!(m.job_dir(1).join("checkpoint.json").exists());
 
@@ -1613,11 +1613,10 @@ mod tests {
             m.read_output(fresh.id, "edges.txt").expect("edges"),
         );
 
-        // The warm run's report carries the splice accounting.
+        // The warm run's report shows the statistics fold ran.
         let report = m.read_output(1, "report.json").expect("report");
         let text = std::str::from_utf8(&report).expect("utf8");
-        assert!(text.contains("\"nodes_reused\""), "{text}");
-        assert!(text.contains("\"dirty_nodes\""), "{text}");
+        assert!(text.contains("\"append_processes\""), "{text}");
 
         // Wrong node count is a typed 422.
         let narrow = sample_statuses(4, 5);

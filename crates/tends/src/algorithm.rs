@@ -7,8 +7,8 @@ use crate::kmeans::{pinned_two_means, PinnedKmeans};
 use crate::parallel;
 use crate::score::ScoreCacheStats;
 use crate::search::{
-    candidate_parents, find_parents_reference, find_parents_with, JointTable, NodeSearchResult,
-    SearchError, SearchParams, SearchScratch, SearchStats,
+    candidate_parents, find_parents_with, NodeSearchResult, SearchError, SearchParams,
+    SearchScratch, SearchStats,
 };
 use crate::stream::{self, Shard};
 use diffnet_graph::{DiGraph, GraphBuilder, NodeId};
@@ -170,9 +170,8 @@ pub struct PartialReconstruction {
     pub failed_nodes: Vec<NodeId>,
     /// The failures, parallel to `failed_nodes`.
     pub errors: Vec<(NodeId, NodeError)>,
-    /// Nodes restored from a checkpoint instead of searched. On the
-    /// incremental append path this counts nodes whose parent sets were
-    /// replayed from persisted joint tables rather than re-searched.
+    /// Nodes restored from a checkpoint instead of searched (0 on an
+    /// incremental append, which searches every node).
     pub resumed_nodes: usize,
     /// Checkpoint writes performed during the run (delta batches plus the
     /// final compaction).
@@ -360,17 +359,14 @@ impl Tends {
     }
 
     /// Incremental re-estimation after a cascade append: folds the
-    /// appended processes into the checkpointed sufficient statistics,
-    /// recomputes τ and every candidate set, and re-runs the parent search
-    /// only for *dirty* nodes — those whose ranked candidate list changed
-    /// or whose joint table was not persisted. Clean nodes are *replayed*:
-    /// the persisted joint contingency table plus a delta table counted
-    /// from the appended columns alone reproduce the combined-matrix
-    /// search bit-for-bit (see [`JointTable`]), so edges, scores, and τ
-    /// are byte-identical to [`reconstruct_robust`](Self::reconstruct_robust)
-    /// over the combined matrix at every thread count and SIMD tier —
-    /// while replay cost is independent of how many processes history
-    /// already holds.
+    /// appended processes into the checkpointed sufficient statistics —
+    /// work proportional to the new columns only — which yields the exact
+    /// combined correlation matrix, τ and candidate lists, then runs the
+    /// ordinary parent search for every node over the combined columns.
+    /// Each node's search depends only on the columns and its candidate
+    /// list, so edges, scores, τ and every search counter equal those of
+    /// [`reconstruct_robust`](Self::reconstruct_robust) over the combined
+    /// matrix at every thread count and SIMD tier, by construction.
     ///
     /// Both inputs are column views, as
     /// `diffnet_simulate::io::load_status_columns` or
@@ -388,9 +384,6 @@ impl Tends {
     /// the file already carries the bumped revision, the call degrades to
     /// a plain resume of the combined run, which keeps those nodes and
     /// searches the rest.
-    ///
-    /// Replayed nodes report zero score-cache activity (the replay is
-    /// cacheless); every other search counter matches the fresh run.
     ///
     /// # Errors
     ///
@@ -467,19 +460,17 @@ impl Tends {
         }
 
         // The statistics' integrity was already established when
-        // `Checkpoint::load` re-verified their content digest, so the
-        // warm path spends no `O(n²)` pipeline work validating the past:
-        // the search driver still compares every persisted candidate list
-        // against the freshly derived one, which is the check correctness
-        // actually rests on. A checkpoint from a different search
-        // configuration simply fails those comparisons node by node and
-        // degrades to a full re-search.
-        let source = CandidateSource::Appended {
-            stats,
-            appended,
-            old: &ck,
+        // `Checkpoint::load` re-verified their content digest. The old
+        // revision's node entries are not needed: every node is searched
+        // over the combined columns, and the new revision's header replaces
+        // the file.
+        let source = CandidateSource::Appended { stats, appended };
+        let opts = RobustOptions {
+            checkpoint: Some(path),
+            resume: false,
+            ..*options
         };
-        self.run(combined, source, rec, options)
+        self.run(combined, source, rec, &opts)
     }
 
     /// [`reconstruct_robust`](Self::reconstruct_robust) starting from the
@@ -533,12 +524,8 @@ impl Tends {
         rec: &Recorder,
         options: &RobustOptions<'_>,
     ) -> Result<PartialReconstruction, CheckpointError> {
-        let replay = match source {
-            CandidateSource::Appended { appended, old, .. } => Some((old, appended)),
-            _ => None,
-        };
         let (cands, stats) = self.candidates(cols, source, rec);
-        let outcome = self.search(cols, &cands, stats, replay, rec, options)?;
+        let outcome = self.search(cols, &cands, stats, rec, options)?;
         Ok(self.assemble(cols.num_nodes(), cands, outcome, rec))
     }
 
@@ -617,7 +604,6 @@ impl Tends {
                     CandidateSource::Appended {
                         mut stats,
                         appended,
-                        ..
                     } => {
                         let _p = rec.phase("stats_append");
                         stats.append(appended, cfg.threads);
@@ -756,11 +742,11 @@ impl Tends {
     /// `cands.shard` on a cost-aware worker pool, checkpointing each
     /// completed node through the [`delta_writer`].
     ///
-    /// Each node is planned as one of three kinds: *restored* from the
-    /// checkpoint being resumed, *replayed* from the pre-append checkpoint
-    /// of an append (see [`NodePlan::Replayed`]), or *searched*. An append
-    /// never resumes: its checkpoint file holds the revision it replays
-    /// from.
+    /// A node is *restored* if and only if the checkpoint being resumed
+    /// holds it, and *searched* otherwise. A restored entry must have been
+    /// searched over the node's freshly computed candidate list and its
+    /// parents must lie among those candidates; anything else is a
+    /// [`CheckpointError::Format`] naming the node.
     ///
     /// Per-node search cost varies wildly: with `k = |P_i|` candidates a
     /// node enumerates `Θ(k²)` combinations (at the default
@@ -782,7 +768,6 @@ impl Tends {
         cols: &NodeColumns,
         cands: &Candidates,
         stats: Option<PairStats>,
-        replay: Option<(&Checkpoint, &NodeColumns)>,
         rec: &Recorder,
         options: &RobustOptions<'_>,
     ) -> Result<SearchOutcome, CheckpointError> {
@@ -803,7 +788,7 @@ impl Tends {
         // Prior progress: a resumed node is returned from the checkpoint
         // instead of searched. A missing file is an empty checkpoint.
         let mut restored: BTreeMap<NodeId, CheckpointEntry> = BTreeMap::new();
-        if let (Some(path), true, None) = (&options.checkpoint, options.resume, replay) {
+        if let (Some(path), true) = (&options.checkpoint, options.resume) {
             if path.exists() {
                 let ck = Checkpoint::load(path)?;
                 if ck.fingerprint != fp {
@@ -827,32 +812,25 @@ impl Tends {
                         )
                     }));
                 }
+                // Entry lines carry no digest, so an edited entry is caught
+                // here rather than as an out-of-range edge later.
+                for (&id, e) in &ck.entries {
+                    if e.candidates != candidates[(id - base) as usize] {
+                        return Err(CheckpointError::Format(format!(
+                            "node {id}: checkpointed candidates {:?} differ from this run's",
+                            e.candidates
+                        )));
+                    }
+                    if let Some(p) = e.parents.iter().find(|p| !e.candidates.contains(p)) {
+                        return Err(CheckpointError::Format(format!(
+                            "node {id}: checkpointed parent {p} is not among its candidates"
+                        )));
+                    }
+                }
                 restored = ck.entries;
             }
         }
-        let plans: Vec<NodePlan<'_>> = (0..n)
-            .map(|i| {
-                let id = base + i as NodeId;
-                if let Some(entry) = restored.get(&id) {
-                    return NodePlan::Restored(entry);
-                }
-                // Clean: the freshly computed candidate list is the one the
-                // checkpointed search ran over and its joint table was
-                // persisted, so the replay sees exactly the counts the
-                // combined columns would produce.
-                match replay.and_then(|(old, _)| old.entries.get(&id)) {
-                    Some(e) if e.table.is_some() && e.candidates == candidates[i] => {
-                        NodePlan::Replayed(e)
-                    }
-                    _ => NodePlan::Searched,
-                }
-            })
-            .collect();
-        let replayed = plans
-            .iter()
-            .filter(|p| matches!(p, NodePlan::Replayed(_)))
-            .count();
-        let resumed_nodes = restored.len() + replayed;
+        let resumed_nodes = restored.len();
         let fault = options.fault;
         let interval = options.checkpoint_interval.max(1);
         let checkpoint_path = options.checkpoint.as_deref();
@@ -870,15 +848,15 @@ impl Tends {
             entries: restored.clone(),
         });
 
-        let costs: Vec<u64> = plans
+        let costs: Vec<u64> = candidates
             .iter()
-            .zip(candidates)
-            .map(|(plan, c)| match plan {
-                NodePlan::Restored(_) => 1,
-                // A replay marginalizes a 2^k-cell table instead of
-                // re-counting β process columns.
-                NodePlan::Replayed(_) => 1 + c.len() as u64,
-                NodePlan::Searched => 1 + (c.len() * c.len()) as u64,
+            .enumerate()
+            .map(|(i, c)| {
+                if restored.contains_key(&(base + i as NodeId)) {
+                    1
+                } else {
+                    1 + (c.len() * c.len()) as u64
+                }
             })
             .collect();
 
@@ -908,76 +886,40 @@ impl Tends {
                 |scratch, i| -> Result<(NodeSearchResult, WorkspaceStats), NodeError> {
                     let id = base + i as NodeId;
                     let cands = &candidates[i];
-                    let (res, ws, table) = match plans[i] {
-                        NodePlan::Restored(entry) => {
-                            return Ok((entry.clone().into_result(), entry.ws));
+                    if let Some(entry) = restored.get(&id) {
+                        return Ok((entry.clone().into_result(), entry.ws));
+                    }
+                    if let Some(flag) = options.cancel {
+                        if flag.load(std::sync::atomic::Ordering::Relaxed) {
+                            return Err(NodeError::Cancelled);
                         }
-                        NodePlan::Replayed(entry) => {
-                            let cells = entry.table.clone().expect("replayed entries have one");
-                            let (_, appended) = replay.expect("replays come from an append");
-                            let mut sorted = entry.candidates.clone();
-                            sorted.sort_unstable();
-                            let mut table = JointTable::from_parts(id, sorted, cells)
-                                .expect("persisted table shape is validated on load");
-                            let delta = JointTable::from_cols(appended, id, cands)
-                                .expect("table-sized candidate sets tabulate");
-                            table.merge(&delta);
-                            let res =
-                                find_parents_reference(&table, id, cands, &self.config.search)
-                                    .map_err(NodeError::Search)?;
-                            // Workspace activity is carried over from the
-                            // original search: the replay never touches one.
-                            (res, entry.ws, Some(table.cells().to_vec()))
-                        }
-                        NodePlan::Searched => {
-                            if let Some(flag) = options.cancel {
-                                if flag.load(std::sync::atomic::Ordering::Relaxed) {
-                                    return Err(NodeError::Cancelled);
-                                }
-                            }
-                            fault
-                                .hit_indexed("node_search", u64::from(id))
-                                .map_err(NodeError::Io)?;
-                            // One span per freshly searched node, parented
-                            // under the parent_search phase span. Ends when
-                            // the guard drops — including on the error path,
-                            // where it records without cache attributes.
-                            let mut span = rec.span_with_parent("node_search", parent_span);
-                            span.attr("node", u64::from(id));
-                            span.attr("candidates", cands.len() as u64);
-                            let before = scratch.ws.stats();
-                            let res =
-                                find_parents_with(scratch, cols, id, cands, &self.config.search)
-                                    .map_err(NodeError::Search)?;
-                            let after = scratch.ws.stats();
-                            span.attr("score_cache_hits", res.cache_stats.hits);
-                            span.attr("score_cache_misses", res.cache_stats.misses);
-                            // The per-node workspace delta, not the pool
-                            // total: it is what the checkpoint stores, so a
-                            // resumed run can report the same summed
-                            // counters as an uninterrupted one.
-                            let ws = WorkspaceStats {
-                                refinements: after.refinements - before.refinements,
-                                rebases: after.rebases - before.rebases,
-                            };
-                            // The joint candidate table is the warm state
-                            // the next cascade append replays from; an
-                            // oversized candidate set just re-searches on
-                            // append.
-                            let table = if doorbell.is_some()
-                                && cands.len() <= checkpoint::MAX_TABLE_CANDIDATES
-                            {
-                                JointTable::from_cols(cols, id, cands)
-                                    .ok()
-                                    .map(|t| t.cells().to_vec())
-                            } else {
-                                None
-                            };
-                            (res, ws, table)
-                        }
+                    }
+                    fault
+                        .hit_indexed("node_search", u64::from(id))
+                        .map_err(NodeError::Io)?;
+                    // One span per freshly searched node, parented under the
+                    // parent_search phase span. Ends when the guard drops —
+                    // including on the error path, where it records without
+                    // cache attributes.
+                    let mut span = rec.span_with_parent("node_search", parent_span);
+                    span.attr("node", u64::from(id));
+                    span.attr("candidates", cands.len() as u64);
+                    let before = scratch.ws.stats();
+                    let res = find_parents_with(scratch, cols, id, cands, &self.config.search)
+                        .map_err(NodeError::Search)?;
+                    let after = scratch.ws.stats();
+                    span.attr("score_cache_hits", res.cache_stats.hits);
+                    span.attr("score_cache_misses", res.cache_stats.misses);
+                    drop(span);
+                    // The per-node workspace delta, not the pool total: it is
+                    // what the checkpoint stores, so a resumed run can report
+                    // the same summed counters as an uninterrupted one.
+                    let ws = WorkspaceStats {
+                        refinements: after.refinements - before.refinements,
+                        rebases: after.rebases - before.rebases,
                     };
                     if let Some(bell) = &doorbell {
-                        let entry = CheckpointEntry::from_result(&res, ws, table);
+                        let entry = CheckpointEntry::from_result(&res, ws);
                         let backlog = {
                             let mut q = queue.lock().expect("delta queue lock");
                             q.push((id, entry));
@@ -1045,10 +987,6 @@ impl Tends {
             rec.add("score_cache_misses", cache.misses);
             rec.add("workspace_refinements", refinements);
             rec.add("workspace_rebases", rebases);
-            if replay.is_some() {
-                rec.add("dirty_nodes", (n - replayed) as u64);
-                rec.add("nodes_reused", replayed as u64);
-            }
         }
         Ok(SearchOutcome {
             results: node_results,
@@ -1066,12 +1004,10 @@ enum CandidateSource<'a> {
     /// the pairwise sufficient statistics when the run checkpoints.
     Columns { capture_stats: bool },
     /// Exact: the matrix the checkpointed statistics determine once the
-    /// appended columns are folded in. The search then replays the clean
-    /// nodes of `old`, the pre-append checkpoint.
+    /// appended columns are folded in.
     Appended {
         stats: PairStats,
         appended: &'a NodeColumns,
-        old: &'a Checkpoint,
     },
     /// Sampled: `τ` from a systematic pair sample, candidates from the
     /// bounded streamed fold over the shard's nodes.
@@ -1090,27 +1026,13 @@ struct Candidates {
     lists: Vec<Vec<NodeId>>,
 }
 
-/// How the search driver obtains one node's result.
-enum NodePlan<'a> {
-    /// Taken from the checkpoint being resumed.
-    Restored(&'a CheckpointEntry),
-    /// An append-clean node: its persisted joint table plus a delta table
-    /// over the appended columns, replayed through
-    /// [`find_parents_reference`] — bit-identical to searching the
-    /// combined columns.
-    Replayed(&'a CheckpointEntry),
-    /// Searched from the columns.
-    Searched,
-}
-
 /// Outcome of the per-node search stage.
 struct SearchOutcome {
     /// One entry per node (placeholders for failed nodes).
     results: Vec<NodeSearchResult>,
     /// Per-node failures, ascending node order.
     failures: Vec<(NodeId, NodeError)>,
-    /// Nodes restored from the checkpoint or, on the append path,
-    /// replayed from persisted joint tables.
+    /// Nodes restored from the checkpoint being resumed.
     resumed_nodes: usize,
     /// Paced group-commit syncs of the delta log.
     flushes: u64,
@@ -1727,10 +1649,18 @@ mod tests {
                 threads,
                 ..Default::default()
             });
+            let fresh_path = temp_checkpoint(&format!("append_fresh_{threads}.json"));
+            std::fs::remove_file(&fresh_path).ok();
+            let fresh_rec = Recorder::new();
+            let fresh_opts = RobustOptions {
+                checkpoint: Some(fresh_path.clone()),
+                ..Default::default()
+            };
             let fresh = tends
-                .reconstruct_robust(&combined, Recorder::disabled(), &RobustOptions::default())
+                .reconstruct_robust(&combined, &fresh_rec, &fresh_opts)
                 .expect("search fits")
                 .result;
+            std::fs::remove_file(&fresh_path).ok();
 
             let path = temp_checkpoint(&format!("append_{threads}.json"));
             std::fs::remove_file(&path).ok();
@@ -1772,20 +1702,30 @@ mod tests {
                 assert_eq!(w.parents, f.parents, "parents of node {i}");
                 assert_eq!(w.score.to_bits(), f.score.to_bits(), "score of node {i}");
                 assert_eq!(w.candidates, f.candidates, "candidates of node {i}");
-                // The replay walks the identical search trajectory, so even
+                // Every node is searched over the combined columns, so even
                 // the effort counters match the fresh combined search.
                 assert_eq!(w.stats, f.stats, "search stats of node {i}");
+                assert_eq!(w.cache_stats, f.cache_stats, "cache stats of node {i}");
             }
+            assert_eq!(warm.resumed_nodes, 0, "an append restores no node");
 
-            let snap = rec.snapshot();
-            let reused = snap.counters["nodes_reused"];
-            let dirty = snap.counters["dirty_nodes"];
-            assert_eq!(reused + dirty, 10, "every node is reused or dirty");
-            assert_eq!(warm.resumed_nodes as u64, reused);
-            assert!(
-                reused > 0,
-                "a 15% append should leave some nodes replayable"
-            );
+            let (snap, fresh_snap) = (rec.snapshot(), fresh_rec.snapshot());
+            for counter in [
+                "combinations_scored",
+                "bound_rejections",
+                "greedy_rounds",
+                "score_cache_hits",
+                "score_cache_misses",
+                "workspace_refinements",
+                "workspace_rebases",
+                "pairs_above_tau",
+            ] {
+                assert_eq!(
+                    snap.counters[counter], fresh_snap.counters[counter],
+                    "{counter} (t={threads})"
+                );
+            }
+            assert_eq!(snap.counters["append_processes"], 40);
 
             // The checkpoint advanced to the post-append revision with the
             // combined statistics, ready for the next append.
@@ -1794,7 +1734,6 @@ mod tests {
             let stats = ck.stats.expect("stats persisted");
             assert_eq!(stats.num_processes(), 260);
             assert_eq!(ck.entries.len(), 10);
-            assert!(ck.entries.values().all(|e| e.table.is_some()));
             std::fs::remove_file(&path).ok();
         }
     }
@@ -1890,18 +1829,10 @@ mod tests {
             checkpointed(&base);
             let base_ck = std::fs::read(&path).expect("base checkpoint");
 
-            // A dirty node: its candidate list changed with the append, or
-            // it has no persisted table to replay from.
-            let entries = Checkpoint::load(&path).expect("base checkpoint").entries;
-            let dirty = (0..10u32)
-                .find(|i| {
-                    let e = &entries[i];
-                    e.table.is_none() || e.candidates != fresh.node_results[*i as usize].candidates
-                })
-                .expect("the append leaves some node dirty");
-
+            // An append searches every node, so any node can be faulted.
+            let faulted = 3u32;
             let cancel = AtomicBool::new(true);
-            let node_fault = FaultPlan::new().io_error_at("node_search", u64::from(dirty), 1);
+            let node_fault = FaultPlan::new().io_error_at("node_search", u64::from(faulted), 1);
             let flush_fault = FaultPlan::new().io_error("checkpoint_flush", 1);
             let interruptions = [
                 ("cancel", FaultPlan::none(), Some(&cancel)),
@@ -1924,8 +1855,8 @@ mod tests {
                 );
                 match interrupted {
                     Ok(partial) if what != "checkpoint_flush" => assert!(
-                        partial.failed_nodes.contains(&dirty),
-                        "{what} (t={threads}): dirty node {dirty} must fail"
+                        partial.failed_nodes.contains(&faulted),
+                        "{what} (t={threads}): node {faulted} must fail"
                     ),
                     Err(CheckpointError::Io(_)) if what == "checkpoint_flush" => {}
                     other => panic!("{what} (t={threads}): unexpected {other:?}"),
@@ -2290,6 +2221,124 @@ mod tests {
             .expect_err("corrupt file");
         assert!(matches!(err, CheckpointError::Parse(_)), "{err}");
         assert!(err.to_string().contains("byte"), "offset in {err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn edited_checkpoint_entries_are_typed_errors_on_resume() {
+        // Entry lines carry no digest: a hand-edited entry must surface as
+        // a typed error naming the node, not as a panic in graph assembly.
+        let truth = DiGraph::from_edges(10, &[(0, 1), (1, 0), (2, 3), (3, 2), (5, 6), (6, 5)]);
+        let statuses = observe(&truth, 0.5, 0.2, 200, 119);
+        let path = temp_checkpoint("edited_entry.json");
+        std::fs::remove_file(&path).ok();
+        let opts = RobustOptions {
+            checkpoint: Some(path.clone()),
+            resume: true,
+            ..Default::default()
+        };
+        Tends::new()
+            .reconstruct_robust(&statuses, Recorder::disabled(), &opts)
+            .expect("base run");
+        let pristine = Checkpoint::load(&path).expect("base checkpoint");
+        let cands = pristine.entries[&0].candidates.clone();
+        let outsider = (1..10u32)
+            .find(|j| !cands.contains(j))
+            .expect("at most 8 of 9 nodes are candidates");
+        for what in [
+            "parent out of range",
+            "parent not a candidate",
+            "edited candidates",
+        ] {
+            let mut ck = pristine.clone();
+            let entry = ck.entries.get_mut(&0).expect("node 0 checkpointed");
+            match what {
+                "parent out of range" => entry.parents = vec![5000],
+                "parent not a candidate" => entry.parents = vec![outsider],
+                _ => entry.candidates.push(outsider),
+            }
+            ck.save(&path).expect("save edited");
+            let err = Tends::new()
+                .reconstruct_robust(&statuses, Recorder::disabled(), &opts)
+                .expect_err(what);
+            assert!(
+                matches!(&err, CheckpointError::Format(m) if m.starts_with("node 0:")),
+                "{what}: expected a Format error naming node 0, got {err:?}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn checkpoints_with_legacy_joint_tables_resume_and_append() {
+        // Older builds stored a joint contingency table in every entry
+        // line, between the candidates and the counters. Such files must
+        // keep resuming and warm-starting appends.
+        let truth = DiGraph::from_edges(10, &{
+            let mut e = Vec::new();
+            for i in 0..9u32 {
+                e.push((i, i + 1));
+                e.push((i + 1, i));
+            }
+            e
+        });
+        let combined = observe(&truth, 0.5, 0.2, 260, 79);
+        let (base, appended) = split_statuses(&combined, 220);
+        let tends = Tends::new();
+        let path = temp_checkpoint("legacy_tables.json");
+        std::fs::remove_file(&path).ok();
+        let base_run = tends
+            .reconstruct_robust(
+                &base,
+                Recorder::disabled(),
+                &RobustOptions {
+                    checkpoint: Some(path.clone()),
+                    ..Default::default()
+                },
+            )
+            .expect("base run")
+            .result;
+        let legacy = std::fs::read_to_string(&path)
+            .expect("base checkpoint")
+            .replace(",\"evaluations\"", ",\"table\":\"7 1 0 3\",\"evaluations\"");
+        assert_eq!(legacy.matches("\"table\"").count(), 10);
+        std::fs::write(&path, &legacy).expect("write legacy checkpoint");
+        assert_eq!(Checkpoint::load(&path).expect("loads").entries.len(), 10);
+
+        let resumed = tends
+            .reconstruct_robust(
+                &base,
+                Recorder::disabled(),
+                &RobustOptions {
+                    checkpoint: Some(path.clone()),
+                    resume: true,
+                    ..Default::default()
+                },
+            )
+            .expect("resume from legacy checkpoint");
+        assert_eq!(resumed.resumed_nodes, 10, "every node restored");
+        assert_eq!(resumed.result.graph, base_run.graph);
+
+        std::fs::write(&path, &legacy).expect("write legacy checkpoint");
+        let warm = tends
+            .reconstruct_robust_append(
+                &combined.columns(),
+                &appended.columns(),
+                Recorder::disabled(),
+                &RobustOptions {
+                    checkpoint: Some(path.clone()),
+                    revision: 1,
+                    ..Default::default()
+                },
+            )
+            .expect("append from legacy checkpoint");
+        let fresh = tends.reconstruct(&combined).expect("fresh combined run");
+        assert_eq!(warm.result.graph, fresh.graph);
+        assert_eq!(warm.result.tau.to_bits(), fresh.tau.to_bits());
+        assert_eq!(
+            warm.result.global_score.to_bits(),
+            fresh.global_score.to_bits()
+        );
         std::fs::remove_file(&path).ok();
     }
 

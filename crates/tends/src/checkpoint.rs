@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! {"format":"diffnet-checkpoint","version":3,"fingerprint":"9f86…","revision":1,"stats":{…}}
-//! {"node":0,"parents":[3],"score_bits":"c011…","candidates":[3,7],"table":"12 3 0 55",…}
+//! {"node":0,"parents":[3],"score_bits":"c011…","candidates":[3,7],"evaluations":4,…}
 //! {"node":2,…}
 //! ```
 //!
@@ -19,7 +19,7 @@
 //! decimal strings — plus their FNV-1a `digest`, re-verified on every
 //! load so edited statistics surface as a typed
 //! [`CheckpointError::Mismatch`] instead of silently shifting the MI
-//! pipeline an append replays from). Every further line is one completed
+//! pipeline an append folds into). Every further line is one completed
 //! node.
 //!
 //! The log shape is what makes checkpointing cheap: the header is written
@@ -42,12 +42,13 @@
 //!   refinements, …) are stored alongside the parents, so summed
 //!   run-report counters include the work the *original* run did.
 //!
-//! For incremental re-estimation each entry also carries the node's ranked
-//! candidate list and (size permitting) its full joint contingency
-//! `table` over the id-sorted candidates. Joint tables are additive over
-//! processes, so an append run folds in the new columns' table and replays
-//! the search arithmetic from exact combined integers — byte-identical to
-//! a fresh combined run — without touching historical columns.
+//! Each entry also carries the node's ranked candidate list, which the
+//! search driver compares against the freshly computed one before it
+//! restores the entry. An append needs no per-node state: it folds the
+//! appended columns into the header's statistics and searches every node
+//! over the combined columns, which is a fresh combined run by
+//! construction. Entry lines written by older builds may still carry a
+//! `"table"` field; it is ignored on load.
 //!
 //! The `fingerprint` hashes everything the stored results depend on —
 //! matrix dimensions, τ, the search configuration, the statistics
@@ -71,11 +72,6 @@ use std::path::Path;
 pub const FORMAT: &str = "diffnet-checkpoint";
 /// Current schema version.
 pub const VERSION: u64 = 3;
-
-/// Largest candidate-set size whose joint table is persisted. A table has
-/// `2^(c+1)` `u64` cells, so 10 candidates cap an entry at 16 KiB — past
-/// that the node is simply re-searched on append instead of replayed.
-pub const MAX_TABLE_CANDIDATES: usize = 10;
 
 /// Errors from checkpoint load/save.
 #[derive(Debug)]
@@ -140,14 +136,9 @@ pub struct CheckpointEntry {
     pub parents: Vec<NodeId>,
     /// Local score of the selection (restored bit-exactly).
     pub score: f64,
-    /// The ranked candidate list the search ran over. An append run
-    /// replays this entry only if its freshly computed list is identical.
+    /// The ranked candidate list the search ran over. A resumed run
+    /// restores this entry only if its freshly computed list is identical.
     pub candidates: Vec<NodeId>,
-    /// Joint contingency table of the child over the *id-sorted*
-    /// candidates (`2^c` combinations × `[uninfected, infected]`), when
-    /// the candidate set is within [`MAX_TABLE_CANDIDATES`]. The additive
-    /// warm state incremental re-estimation marginalizes from.
-    pub table: Option<Vec<[u64; 2]>>,
     /// Search-effort counters of the original search.
     pub stats: SearchStats,
     /// Score-cache counters of the original search.
@@ -157,18 +148,13 @@ pub struct CheckpointEntry {
 }
 
 impl CheckpointEntry {
-    /// Builds an entry from a finished node search, the workspace activity
-    /// it performed, and the node's joint candidate table (if captured).
-    pub fn from_result(
-        res: &NodeSearchResult,
-        ws: WorkspaceStats,
-        table: Option<Vec<[u64; 2]>>,
-    ) -> CheckpointEntry {
+    /// Builds an entry from a finished node search and the workspace
+    /// activity it performed.
+    pub fn from_result(res: &NodeSearchResult, ws: WorkspaceStats) -> CheckpointEntry {
         CheckpointEntry {
             parents: res.parents.clone(),
             score: res.score,
             candidates: res.candidates.clone(),
-            table,
             stats: res.stats,
             cache_stats: res.cache_stats,
             ws,
@@ -254,14 +240,12 @@ impl Checkpoint {
         out
     }
 
-    /// One node's entry line (scores as IEEE-754 bit strings, tables as
-    /// space-separated decimal counts). Always a single line of JSON —
-    /// the unit the async delta writer appends. Hand-emitted like
-    /// [`header_line`](Self::header_line), and pinned byte-for-byte to
-    /// the generic JSON form by a test.
+    /// One node's entry line (scores as IEEE-754 bit strings). Always a
+    /// single line of JSON — the unit the async delta writer appends.
+    /// Hand-emitted like [`header_line`](Self::header_line), and pinned
+    /// byte-for-byte to the generic JSON form by a test.
     pub fn entry_line(id: NodeId, e: &CheckpointEntry) -> String {
-        let table_cells = e.table.as_ref().map_or(0, |t| 2 * t.len());
-        let mut out = String::with_capacity(256 + 8 * table_cells);
+        let mut out = String::with_capacity(256);
         out.push_str("{\"node\":");
         push_u64(&mut out, u64::from(id));
         out.push_str(",\"parents\":[");
@@ -270,20 +254,7 @@ impl Checkpoint {
         push_hex16(&mut out, e.score.to_bits());
         out.push_str("\",\"candidates\":[");
         push_ids(&mut out, &e.candidates);
-        out.push(']');
-        if let Some(table) = &e.table {
-            out.push_str(",\"table\":\"");
-            for (i, cell) in table.iter().enumerate() {
-                if i > 0 {
-                    out.push(' ');
-                }
-                push_u64(&mut out, cell[0]);
-                out.push(' ');
-                push_u64(&mut out, cell[1]);
-            }
-            out.push('"');
-        }
-        out.push_str(",\"evaluations\":");
+        out.push_str("],\"evaluations\":");
         push_u64(&mut out, e.stats.evaluations as u64);
         out.push_str(",\"bound_rejections\":");
         push_u64(&mut out, e.stats.bound_rejections as u64);
@@ -567,7 +538,7 @@ fn parse_header(root: &Json) -> Result<Checkpoint, CheckpointError> {
                 PairStats::from_parts(beta, parse_u64s(ones, "ones")?, parse_u64s(n11, "n11")?)
                     .map_err(CheckpointError::Format)?;
             // Consistent-but-different counts would silently shift the MI
-            // pipeline an append replays from, so the digest written by
+            // pipeline an append folds into, so the digest written by
             // the producing run is re-verified on every load.
             if stats.digest() != digest {
                 return Err(CheckpointError::Mismatch {
@@ -622,32 +593,12 @@ fn parse_entry(value: &Json) -> Result<(NodeId, CheckpointEntry), CheckpointErro
         .ok_or_else(|| {
             CheckpointError::Format(format!("node {id}: missing or bad \"score_bits\""))
         })?;
-    let table = match value.get("table") {
-        None => None,
-        Some(t) => {
-            let flat = parse_u64s(
-                t.as_str()
-                    .ok_or_else(|| CheckpointError::Format(format!("node {id}: bad \"table\"")))?,
-                "table",
-            )?;
-            let want = 2 * (1usize << candidates.len());
-            if flat.len() != want {
-                return Err(CheckpointError::Format(format!(
-                    "node {id}: table has {} counts, {} candidates need {want}",
-                    flat.len(),
-                    candidates.len()
-                )));
-            }
-            Some(flat.chunks_exact(2).map(|c| [c[0], c[1]]).collect())
-        }
-    };
     Ok((
         id,
         CheckpointEntry {
             parents,
             score,
             candidates,
-            table,
             stats: SearchStats {
                 evaluations: entry_u64(value, "evaluations")? as usize,
                 bound_rejections: entry_u64(value, "bound_rejections")? as usize,
@@ -717,7 +668,6 @@ mod tests {
                 parents: vec![2, 5],
                 score: -12.625,
                 candidates: vec![5, 2],
-                table: Some(vec![[3, 1], [0, 2], [1, 1], [0, 2]]),
                 stats: SearchStats {
                     evaluations: 10,
                     bound_rejections: 3,
@@ -737,7 +687,6 @@ mod tests {
                 // A score whose decimal rendering would round.
                 score: f64::from_bits(0xbfe5_5555_5555_5555),
                 candidates: vec![],
-                table: None,
                 stats: SearchStats::default(),
                 cache_stats: ScoreCacheStats::default(),
                 ws: WorkspaceStats::default(),
@@ -754,10 +703,6 @@ mod tests {
         let b0 = back.entries[&7].score.to_bits();
         assert_eq!(b0, 0xbfe5_5555_5555_5555, "score must restore bit-exactly");
         assert_eq!(back.revision, 3);
-        assert_eq!(
-            back.entries[&0].table.as_deref(),
-            Some(&[[3, 1], [0, 2], [1, 1], [0, 2]][..])
-        );
     }
 
     #[test]
@@ -843,11 +788,6 @@ mod tests {
         let text = sample().to_text().replace("\"revision\":3,", "");
         let err = Checkpoint::from_text(&text, false).expect_err("missing revision");
         assert!(err.to_string().contains("revision"), "{err}");
-
-        // A table whose size disagrees with the candidate count is typed.
-        let text = sample().to_text().replace("3 1 0 2 1 1 0 2", "3 1");
-        let err = Checkpoint::from_text(&text, false).expect_err("short table");
-        assert!(err.to_string().contains("table"), "{err}");
     }
 
     #[test]
@@ -906,13 +846,6 @@ mod tests {
                         .collect(),
                 ),
             );
-            if let Some(table) = &e.table {
-                let flat: Vec<String> = table
-                    .iter()
-                    .flat_map(|c| [c[0].to_string(), c[1].to_string()])
-                    .collect();
-                entry.push("table", flat.join(" "));
-            }
             entry.push("evaluations", e.stats.evaluations);
             entry.push("bound_rejections", e.stats.bound_rejections);
             entry.push("greedy_rounds", e.stats.greedy_rounds);

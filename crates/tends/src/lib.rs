@@ -68,7 +68,5 @@ pub use estimate::{
 pub use imi::{CorrelationMatrix, CorrelationMeasure, PairStats};
 pub use kmeans::{pinned_two_means, PinnedKmeans};
 pub use score::ScoreCacheStats;
-pub use search::{
-    CountSource, GreedyStrategy, JointTable, SearchError, SearchParams, SearchScratch, SearchStats,
-};
+pub use search::{GreedyStrategy, SearchError, SearchParams, SearchScratch, SearchStats};
 pub use stream::{plan_shards, Shard, SparseCandidates};

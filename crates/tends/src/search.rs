@@ -24,196 +24,8 @@ use crate::imi::CorrelationMatrix;
 use crate::score::{self, CachedScore, ScoreCache, ScoreCacheStats};
 use crate::stream;
 use diffnet_graph::NodeId;
-use diffnet_simulate::{ComboSizeError, CountsWorkspace, NodeColumns, MAX_TABULATED_PARENTS};
+use diffnet_simulate::{ComboSizeError, CountsWorkspace, NodeColumns};
 use std::fmt;
-
-/// The counting surface the reference search drivers consume: everything a
-/// per-node search needs is `β`, the child's ones count, and `N_ijk`
-/// combination tables. [`NodeColumns`] implements it by word-parallel
-/// bitset counting; [`JointTable`] implements it by *marginalizing* a
-/// persisted joint contingency table — same integers, no column data —
-/// which is what lets an append run replay unchanged nodes byte-identically
-/// without re-reading history.
-pub trait CountSource {
-    /// Number of processes `β`.
-    fn num_processes(&self) -> usize;
-    /// Number of processes where `child` is infected.
-    fn ones(&self, child: NodeId) -> u64;
-    /// Counts `N_ijk` for `child` over the ordered `parents`
-    /// (see [`NodeColumns::combo_counts`] for the layout contract).
-    fn combo_counts(
-        &self,
-        child: NodeId,
-        parents: &[NodeId],
-    ) -> Result<Vec<[u64; 2]>, ComboSizeError>;
-}
-
-impl CountSource for NodeColumns {
-    fn num_processes(&self) -> usize {
-        NodeColumns::num_processes(self)
-    }
-
-    fn ones(&self, child: NodeId) -> u64 {
-        NodeColumns::ones(self, child)
-    }
-
-    fn combo_counts(
-        &self,
-        child: NodeId,
-        parents: &[NodeId],
-    ) -> Result<Vec<[u64; 2]>, ComboSizeError> {
-        NodeColumns::combo_counts(self, child, parents)
-    }
-}
-
-/// A child's full joint contingency table over its (id-sorted) candidate
-/// set: entry `J` counts the processes where the candidates' statuses form
-/// combination `J` (candidate `t`'s status is bit `t`) split by the
-/// child's status `[uninfected, infected]`.
-///
-/// Two properties make it the warm state of incremental re-estimation:
-///
-/// * **Any subset's counts marginalize out exactly.** For `W ⊆`
-///   candidates, summing cells over the dropped bits yields the same
-///   integers [`NodeColumns::combo_counts`] would count from the columns,
-///   so every score evaluated from the table is the bit-identical float.
-/// * **Tables add over processes.** Row-disjoint process sets contribute
-///   independent counts, so `table(base ∪ appended) = table(base) +
-///   table(appended)` cell-wise — an append folds in a table built from
-///   the new columns alone.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JointTable {
-    child: NodeId,
-    candidates: Vec<NodeId>,
-    cells: Vec<[u64; 2]>,
-}
-
-impl JointTable {
-    /// Builds the table from status columns. `candidates` may be in any
-    /// order (the ranked list is fine); the table is keyed on the sorted
-    /// copy.
-    ///
-    /// # Errors
-    ///
-    /// [`ComboSizeError`] if the candidate set is too large to tabulate.
-    pub fn from_cols(
-        cols: &NodeColumns,
-        child: NodeId,
-        candidates: &[NodeId],
-    ) -> Result<JointTable, ComboSizeError> {
-        let mut sorted = candidates.to_vec();
-        sorted.sort_unstable();
-        let cells = NodeColumns::combo_counts(cols, child, &sorted)?;
-        Ok(JointTable {
-            child,
-            candidates: sorted,
-            cells,
-        })
-    }
-
-    /// Rebuilds a table from persisted parts. `candidates` must be sorted
-    /// and `cells.len()` must be `2^|candidates|`.
-    pub fn from_parts(
-        child: NodeId,
-        candidates: Vec<NodeId>,
-        cells: Vec<[u64; 2]>,
-    ) -> Result<JointTable, String> {
-        if !candidates.windows(2).all(|w| w[0] < w[1]) {
-            return Err(format!("node {child}: table candidates are not sorted"));
-        }
-        if cells.len() != 1usize << candidates.len() {
-            return Err(format!(
-                "node {child}: table has {} cells, {} candidates need {}",
-                cells.len(),
-                candidates.len(),
-                1usize << candidates.len()
-            ));
-        }
-        Ok(JointTable {
-            child,
-            candidates,
-            cells,
-        })
-    }
-
-    /// The child this table counts.
-    pub fn child(&self) -> NodeId {
-        self.child
-    }
-
-    /// The id-sorted candidate set the table is keyed on.
-    pub fn candidates(&self) -> &[NodeId] {
-        &self.candidates
-    }
-
-    /// The raw cells (combination-major, `[uninfected, infected]`).
-    pub fn cells(&self) -> &[[u64; 2]] {
-        &self.cells
-    }
-
-    /// Folds another table over the same child and candidate set into this
-    /// one — the append step. Integer addition, exact at any order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tables disagree on child or candidate set.
-    pub fn merge(&mut self, other: &JointTable) {
-        assert_eq!(self.child, other.child, "tables count different children");
-        assert_eq!(
-            self.candidates, other.candidates,
-            "tables cover different candidate sets"
-        );
-        for (c, o) in self.cells.iter_mut().zip(other.cells.iter()) {
-            c[0] += o[0];
-            c[1] += o[1];
-        }
-    }
-}
-
-impl CountSource for JointTable {
-    fn num_processes(&self) -> usize {
-        self.cells.iter().map(|c| (c[0] + c[1]) as usize).sum()
-    }
-
-    fn ones(&self, child: NodeId) -> u64 {
-        debug_assert_eq!(child, self.child, "table serves a single child");
-        self.cells.iter().map(|c| c[1]).sum()
-    }
-
-    fn combo_counts(
-        &self,
-        child: NodeId,
-        parents: &[NodeId],
-    ) -> Result<Vec<[u64; 2]>, ComboSizeError> {
-        debug_assert_eq!(child, self.child, "table serves a single child");
-        if parents.len() > MAX_TABULATED_PARENTS {
-            return Err(ComboSizeError {
-                parents: parents.len(),
-            });
-        }
-        // Positions of the queried parents among the table's candidates.
-        // Search subsets are always drawn from the candidate list, which
-        // replay callers verify is unchanged before consulting the table.
-        let pos: Vec<usize> = parents
-            .iter()
-            .map(|p| {
-                self.candidates
-                    .binary_search(p)
-                    .expect("replayed subsets are drawn from the candidate set")
-            })
-            .collect();
-        let mut out = vec![[0u64; 2]; 1usize << parents.len()];
-        for (j, cell) in self.cells.iter().enumerate() {
-            let mut k = 0usize;
-            for (t, &p) in pos.iter().enumerate() {
-                k |= ((j >> p) & 1) << t;
-            }
-            out[k][0] += cell[0];
-            out[k][1] += cell[1];
-        }
-        Ok(out)
-    }
-}
 
 /// How the greedy expansion of a node's parent set accepts combinations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -703,19 +515,15 @@ pub fn find_parents_with(
 }
 
 /// The pre-workspace implementation of [`find_parents`], counting every
-/// evaluation from scratch through a [`CountSource`] and no score cache.
+/// evaluation from scratch through [`NodeColumns::combo_counts`] with no
+/// score cache.
 ///
-/// This is the production replay engine of incremental re-estimation: a
-/// cascade append runs every clean node's persisted [`JointTable`] (plus
-/// the appended delta) through it instead of re-searching the columns.
-/// `parents`, `score`, and all [`SearchStats`] counters are pure functions
-/// of the counts, so a table that marginalizes to the columns' integers
-/// reproduces the search bit-for-bit (`cache_stats` stay zero on this
-/// cacheless path). Over [`NodeColumns`] it also serves as the
-/// equivalence oracle for the workspace path and as the baseline the
-/// benchmarks compare against.
-pub fn find_parents_reference<C: CountSource + ?Sized>(
-    cols: &C,
+/// It is the equivalence oracle for the workspace path (`parents`,
+/// `score`, and all [`SearchStats`] counters must match bit-for-bit;
+/// `cache_stats` stay zero on this cacheless path) and the baseline the
+/// benchmarks compare against — nothing more.
+pub fn find_parents_reference(
+    cols: &NodeColumns,
     child: NodeId,
     candidates: &[NodeId],
     params: &SearchParams,
@@ -771,8 +579,8 @@ pub fn find_parents_reference<C: CountSource + ?Sized>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn enumerate_rec_reference<C: CountSource + ?Sized>(
-    cols: &C,
+fn enumerate_rec_reference(
+    cols: &NodeColumns,
     child: NodeId,
     candidates: &[NodeId],
     start: usize,
@@ -986,8 +794,8 @@ fn greedy_best_improvement(
 
 /// The reference counterpart of [`greedy_best_improvement`], recounting
 /// every union from scratch.
-fn greedy_best_improvement_reference<C: CountSource + ?Sized>(
-    cols: &C,
+fn greedy_best_improvement_reference(
+    cols: &NodeColumns,
     child: NodeId,
     mut combos: Vec<Combo>,
     empty_score: f64,
@@ -1086,8 +894,8 @@ fn greedy_score_ordered(
 }
 
 /// The reference counterpart of [`greedy_score_ordered`].
-fn greedy_score_ordered_reference<C: CountSource + ?Sized>(
-    cols: &C,
+fn greedy_score_ordered_reference(
+    cols: &NodeColumns,
     child: NodeId,
     combos_sorted: &[Combo],
     empty_score: f64,
@@ -1172,8 +980,8 @@ fn exhaustive_search(
 }
 
 /// The reference counterpart of [`exhaustive_search`].
-fn exhaustive_search_reference<C: CountSource + ?Sized>(
-    cols: &C,
+fn exhaustive_search_reference(
+    cols: &NodeColumns,
     child: NodeId,
     candidates: &[NodeId],
     empty_score: f64,
@@ -1583,85 +1391,6 @@ mod tests {
         assert_eq!(union(&[1, 3], &[2, 3]), vec![1, 2, 3]);
         assert_eq!(union(&[], &[5]), vec![5]);
         assert_eq!(union(&[4], &[]), vec![4]);
-    }
-
-    #[test]
-    fn joint_table_marginalizes_to_direct_counts() {
-        let m = or_gate_matrix();
-        let cols = m.columns();
-        let table = JointTable::from_cols(&cols, 2, &[3, 0, 1]).expect("fits");
-        assert_eq!(table.candidates(), &[0, 1, 3], "keyed on the sorted set");
-        assert_eq!(CountSource::num_processes(&table), 160);
-        assert_eq!(CountSource::ones(&table, 2), cols.ones(2));
-        // Every subset of the candidate set marginalizes to the integers
-        // the column kernel counts, including the empty set.
-        let subsets: &[&[NodeId]] = &[&[], &[0], &[1], &[3], &[0, 1], &[0, 3], &[1, 3], &[0, 1, 3]];
-        for &s in subsets {
-            assert_eq!(
-                CountSource::combo_counts(&table, 2, s).unwrap(),
-                cols.combo_counts(2, s).unwrap(),
-                "subset {s:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn merged_joint_tables_replay_the_combined_search_bit_identically() {
-        // Split the OR-gate processes into base and appended halves; the
-        // merged per-half tables must drive the reference search to the
-        // same result as the workspace search over the combined columns.
-        let m = or_gate_matrix();
-        let all: Vec<Vec<bool>> = (0..160)
-            .map(|l| (0..4).map(|v| m.get(l, v)).collect())
-            .collect();
-        let base = StatusMatrix::from_rows(&all[..111]);
-        let appended = StatusMatrix::from_rows(&all[111..]);
-        let (base_cols, app_cols, cols) = (base.columns(), appended.columns(), m.columns());
-
-        // A deliberately non-sorted ranked candidate list: replay must
-        // respect ranked order for greedy tie-breaking.
-        let ranked: Vec<NodeId> = vec![1, 0, 3];
-        let mut table = JointTable::from_cols(&base_cols, 2, &ranked).expect("fits");
-        table.merge(&JointTable::from_cols(&app_cols, 2, &ranked).expect("fits"));
-        assert_eq!(
-            table,
-            JointTable::from_cols(&cols, 2, &ranked).expect("fits")
-        );
-
-        for strategy in [
-            GreedyStrategy::BestImprovement,
-            GreedyStrategy::ScoreOrdered,
-            GreedyStrategy::Exhaustive,
-        ] {
-            let params = SearchParams {
-                strategy,
-                ..SearchParams::default()
-            };
-            let mut scratch = SearchScratch::new();
-            let ws = find_parents_with(&mut scratch, &cols, 2, &ranked, &params).unwrap();
-            let replay = find_parents_reference(&table, 2, &ranked, &params).unwrap();
-            assert_eq!(replay.parents, ws.parents, "{strategy:?}");
-            assert_eq!(
-                replay.score.to_bits(),
-                ws.score.to_bits(),
-                "{strategy:?} score must be bit-identical"
-            );
-            assert_eq!(replay.stats, ws.stats, "{strategy:?}");
-            assert_eq!(replay.candidates, ws.candidates);
-        }
-    }
-
-    #[test]
-    fn joint_table_from_parts_validates_shape() {
-        assert!(JointTable::from_parts(2, vec![0, 1], vec![[1, 0]; 4]).is_ok());
-        assert!(
-            JointTable::from_parts(2, vec![1, 0], vec![[1, 0]; 4]).is_err(),
-            "unsorted candidates"
-        );
-        assert!(
-            JointTable::from_parts(2, vec![0, 1], vec![[1, 0]; 3]).is_err(),
-            "wrong cell count"
-        );
     }
 
     #[test]
