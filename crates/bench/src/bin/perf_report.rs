@@ -366,39 +366,57 @@ fn main() {
     });
 
     // Checkpoint overhead: the same robust reconstruction with per-node
-    // progress persisted atomically at the default interval vs without.
-    eprintln!("perf_report: checkpoint overhead (n={n_small})");
+    // progress persisted at the default interval vs without, at n=300 and
+    // at the paper's scale (n=1000, β=150), where the statistics section
+    // is ~0.5 MB.
     let ck_path = std::env::temp_dir().join("diffnet_perf_checkpoint.json");
-    // Both sides of this ratio finish in ~10ms, so the 3-rep cap used for
-    // the expensive rows leaves the median dominated by scheduler noise;
-    // more reps cost nothing here and keep overhead_ratio stable.
-    let ck_reps = reps.max(9);
-    let plain_s = median_secs(ck_reps, || {
-        Tends::with_config(TendsConfig {
-            threads: 1,
-            ..Default::default()
-        })
-        .reconstruct_robust(&small, Recorder::disabled(), &RobustOptions::default())
-        .expect("robust run")
-    });
     let ck_interval = RobustOptions::default().checkpoint_interval;
-    let checkpointed_s = median_secs(ck_reps, || {
-        std::fs::remove_file(&ck_path).ok();
+    let ck_tends = || {
         Tends::with_config(TendsConfig {
             threads: 1,
             ..Default::default()
         })
-        .reconstruct_robust(
-            &small,
-            Recorder::disabled(),
-            &RobustOptions {
-                checkpoint: Some(ck_path.clone()),
-                ..Default::default()
-            },
-        )
-        .expect("checkpointed run")
-    });
-    std::fs::remove_file(&ck_path).ok();
+    };
+    let ck_rows: Vec<Json> = [(n_small, &small), (n_large, &large)]
+        .into_iter()
+        .map(|(n, statuses)| {
+            eprintln!("perf_report: checkpoint overhead (n={n})");
+            // The n=300 sides finish in ~10ms, so the 3-rep cap used for
+            // the expensive rows leaves the median dominated by scheduler
+            // noise; more reps cost little here and keep overhead_ratio
+            // stable.
+            let ck_reps = reps.max(9);
+            let plain_s = median_secs(ck_reps, || {
+                ck_tends()
+                    .reconstruct_robust(statuses, Recorder::disabled(), &RobustOptions::default())
+                    .expect("robust run")
+            });
+            let checkpointed_s = median_secs(ck_reps, || {
+                std::fs::remove_file(&ck_path).ok();
+                ck_tends()
+                    .reconstruct_robust(
+                        statuses,
+                        Recorder::disabled(),
+                        &RobustOptions {
+                            checkpoint: Some(ck_path.clone()),
+                            ..Default::default()
+                        },
+                    )
+                    .expect("checkpointed run")
+            });
+            let bytes = std::fs::metadata(&ck_path).map_or(0, |m| m.len());
+            std::fs::remove_file(&ck_path).ok();
+            let mut row = Json::object();
+            row.push("n", n as u64);
+            row.push("beta", beta as u64);
+            row.push("interval_nodes", ck_interval as u64);
+            row.push("checkpoint_bytes", bytes);
+            row.push("plain_s", plain_s);
+            row.push("checkpointed_s", checkpointed_s);
+            row.push("overhead_ratio", checkpointed_s / plain_s);
+            row
+        })
+        .collect();
 
     // Incremental re-estimation: +10% appended cascades, warm-started
     // from the checkpoint's persisted sufficient statistics (count fold
@@ -678,18 +696,13 @@ fn main() {
     greedy.push("score_cache_misses", cache_totals.misses);
     json.push("greedy_search", greedy);
 
-    let mut ck = Json::object();
-    ck.push("n", n_small as u64);
-    ck.push("interval_nodes", ck_interval as u64);
-    ck.push("plain_s", plain_s);
-    ck.push("checkpointed_s", checkpointed_s);
-    ck.push("overhead_ratio", checkpointed_s / plain_s);
-    json.push("checkpoint_overhead", ck);
+    json.push("checkpoint_overhead", Json::Arr(ck_rows));
 
     let mut append_row = Json::object();
     append_row.push("n", n_large as u64);
     append_row.push("base_processes", append_base_beta as u64);
     append_row.push("appended_processes", append_beta as u64);
+    append_row.push("checkpoint_bytes", warm_state.len() as u64);
     append_row.push("full_rerun_s", full_rerun_s);
     append_row.push("incremental_s", incremental_s);
     append_row.push("speedup", full_rerun_s / incremental_s);

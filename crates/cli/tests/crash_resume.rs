@@ -227,21 +227,21 @@ fn edited_checkpoint_entry_is_a_clean_error() {
         &ck,
     ];
     run_ok(&args);
-    let text = std::fs::read_to_string(&ck).expect("checkpoint");
-    let edited: Vec<String> = text
-        .lines()
-        .map(
-            |line| match line.strip_prefix("{\"node\":0,\"parents\":[") {
-                Some(rest) => {
-                    let tail = &rest[rest.find(']').expect("parents list ends")..];
-                    format!("{{\"node\":0,\"parents\":[5000{tail}")
-                }
-                None => line.to_string(),
-            },
-        )
-        .collect();
-    assert_ne!(edited.join("\n"), text.trim_end(), "edit must hit node 0");
-    std::fs::write(&ck, edited.join("\n") + "\n").expect("write edited");
+    // The statistics section before the entries is binary: edit bytes.
+    let bytes = std::fs::read(&ck).expect("checkpoint");
+    let needle = b"{\"node\":0,\"parents\":[";
+    let start = bytes
+        .windows(needle.len())
+        .position(|w| w == needle)
+        .expect("node 0 is checkpointed")
+        + needle.len();
+    let end = start
+        + bytes[start..]
+            .iter()
+            .position(|&b| b == b']')
+            .expect("parents list ends");
+    let edited = [&bytes[..start], b"5000", &bytes[end..]].concat();
+    std::fs::write(&ck, edited).expect("write edited");
     let run = Command::new(bin())
         .args(args)
         .arg("--resume")
@@ -250,4 +250,63 @@ fn edited_checkpoint_entry_is_a_clean_error() {
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert_eq!(run.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("node 0"), "stderr: {stderr}");
+}
+
+#[test]
+fn invalid_utf8_is_a_torn_tail_only_in_the_last_line() {
+    // A crash can tear only the last delta line, whatever bytes it left;
+    // the header and earlier entries are intact or the file is corrupt.
+    let statuses = make_inputs("utf8");
+    let reference = tmp("utf8_ref.edges");
+    let out = tmp("utf8_out.edges");
+    let ck = tmp("utf8_ck.json");
+    std::fs::remove_file(&ck).ok();
+    run_ok(&["infer", "--statuses", &statuses, "--out", &reference]);
+    let args = [
+        "infer",
+        "--statuses",
+        &statuses,
+        "--out",
+        &out,
+        "--checkpoint",
+        &ck,
+    ];
+    run_ok(&args);
+    let pristine = std::fs::read(&ck).expect("checkpoint");
+    let line_starts: Vec<usize> = pristine[..pristine.len() - 1]
+        .iter()
+        .enumerate()
+        .filter(|&(_, &b)| b == b'\n')
+        .map(|(i, _)| i + 1)
+        .collect();
+    let last = *line_starts.last().expect("entry lines");
+    let middle = line_starts[line_starts.len() - 3];
+    for (what, at, resumes) in [
+        ("last line", last, true),
+        ("middle entry", middle, false),
+        ("header", 5, false),
+    ] {
+        let mut bytes = pristine.clone();
+        bytes[at + 3] = 0xff;
+        std::fs::write(&ck, &bytes).expect("write damaged");
+        std::fs::remove_file(&out).ok();
+        let run = Command::new(bin())
+            .args(args)
+            .arg("--resume")
+            .output()
+            .expect("spawn diffnet");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        if resumes {
+            assert!(run.status.success(), "{what}: {stderr}");
+            assert_eq!(
+                std::fs::read(&out).expect("resumed edges"),
+                std::fs::read(&reference).expect("reference edges"),
+                "{what}: resumed edges differ"
+            );
+        } else {
+            assert_eq!(run.status.code(), Some(2), "{what}: {stderr}");
+            assert!(stderr.contains("checkpoint"), "{what}: {stderr}");
+            assert!(!stderr.contains("I/O error"), "{what}: {stderr}");
+        }
+    }
 }

@@ -412,9 +412,12 @@ impl Tends {
         let path = options.checkpoint.clone().ok_or_else(|| {
             CheckpointError::Format("incremental append requires a checkpoint file".into())
         })?;
+        // Header and statistics only: the old revision's node entries are
+        // never read, because every node is searched over the combined
+        // columns.
         let mut ck = {
             let _p = rec.phase("checkpoint_load");
-            Checkpoint::load(&path)?
+            Checkpoint::load_header(&path)?
         };
         if ck.revision == options.revision {
             // The previous attempt already started this append's revision
@@ -460,10 +463,8 @@ impl Tends {
         }
 
         // The statistics' integrity was already established when
-        // `Checkpoint::load` re-verified their content digest. The old
-        // revision's node entries are not needed: every node is searched
-        // over the combined columns, and the new revision's header replaces
-        // the file.
+        // `Checkpoint::load_header` re-verified their content digest. The
+        // new revision's header replaces the file.
         let source = CandidateSource::Appended { stats, appended };
         let opts = RobustOptions {
             checkpoint: Some(path),
@@ -790,12 +791,23 @@ impl Tends {
         let mut restored: BTreeMap<NodeId, CheckpointEntry> = BTreeMap::new();
         if let (Some(path), true) = (&options.checkpoint, options.resume) {
             if path.exists() {
-                let ck = Checkpoint::load(path)?;
+                let ck = {
+                    let _span = rec.span_with_parent("checkpoint_load", parent_span);
+                    Checkpoint::load(path)?
+                };
                 if ck.fingerprint != fp {
                     return Err(CheckpointError::Mismatch {
                         expected: format!("{fp:016x}"),
                         found: format!("{:016x}", ck.fingerprint),
                     });
+                }
+                // The fingerprint covers this run's revision; a header whose
+                // own revision disagrees was edited.
+                if ck.revision != options.revision {
+                    return Err(CheckpointError::Format(format!(
+                        "checkpoint revision {} does not match this run's revision {}",
+                        ck.revision, options.revision
+                    )));
                 }
                 let stray = ck
                     .entries
@@ -876,7 +888,8 @@ impl Tends {
             let writer = initial.take().map(|ck| {
                 let path = checkpoint_path.expect("checkpoint path");
                 let queue = &queue;
-                scope.spawn(move || delta_writer(rx, queue, ck, path, interval, fault))
+                let log = DeltaLog::new(path, fault, rec, parent_span);
+                scope.spawn(move || delta_writer(rx, queue, ck, log, interval))
             });
             let (results, pool) = parallel::run_weighted_stats(
                 &costs,
@@ -1087,27 +1100,15 @@ fn delta_writer(
     rx: mpsc::Receiver<()>,
     queue: &Mutex<Vec<(NodeId, CheckpointEntry)>>,
     mut ck: Checkpoint,
-    path: &Path,
+    mut log: DeltaLog<'_>,
     interval: usize,
-    fault: &FaultPlan,
 ) -> Result<(u64, u64), CheckpointError> {
     // The initial save runs here — on the writer thread, concurrently with
     // the first node searches — and must complete before any delta line is
     // appended; the single-threaded loop below guarantees that ordering. A
     // crash before it lands leaves no (or a stale) checkpoint, which the
     // next run detects by fingerprint and simply restarts.
-    let mut log = DeltaLog {
-        path,
-        fault,
-        file: None,
-        pending: Vec::new(),
-        flushes: 0,
-        delta_records: 0,
-        unsynced: false,
-        sync_cost: Duration::ZERO,
-        last_sync_end: Instant::now(),
-        error: ck.save(path).err(),
-    };
+    log.save(&ck);
     let mut superseded = false;
     let mut open = true;
     while open {
@@ -1137,8 +1138,8 @@ fn delta_writer(
     }
     log.write_batch();
     log.sync();
-    if log.error.is_none() && log.delta_records > 0 && superseded {
-        log.error = ck.save(path).err();
+    if log.delta_records > 0 && superseded {
+        log.save(&ck);
     }
     match log.error {
         Some(e) => Err(e),
@@ -1156,6 +1157,9 @@ const SYNC_PACING: u32 = 10;
 struct DeltaLog<'a> {
     path: &'a Path,
     fault: &'a FaultPlan,
+    /// Where the `checkpoint_write` spans of full saves are recorded.
+    rec: &'a Recorder,
+    span: Option<SpanId>,
     file: Option<std::fs::File>,
     /// Delta lines not yet written.
     pending: Vec<String>,
@@ -1168,7 +1172,42 @@ struct DeltaLog<'a> {
     error: Option<CheckpointError>,
 }
 
-impl DeltaLog<'_> {
+impl<'a> DeltaLog<'a> {
+    fn new(
+        path: &'a Path,
+        fault: &'a FaultPlan,
+        rec: &'a Recorder,
+        span: Option<SpanId>,
+    ) -> DeltaLog<'a> {
+        DeltaLog {
+            path,
+            fault,
+            rec,
+            span,
+            file: None,
+            pending: Vec::new(),
+            flushes: 0,
+            delta_records: 0,
+            unsynced: false,
+            sync_cost: Duration::ZERO,
+            last_sync_end: Instant::now(),
+            error: None,
+        }
+    }
+
+    /// Atomically rewrites the whole log as `ck`, under a
+    /// `checkpoint_write` span that records the bytes written.
+    fn save(&mut self, ck: &Checkpoint) {
+        if self.error.is_some() {
+            return;
+        }
+        let mut span = self.rec.span_with_parent("checkpoint_write", self.span);
+        match ck.save(self.path) {
+            Ok(bytes) => span.attr("bytes", bytes as u64),
+            Err(e) => self.error = Some(e),
+        }
+    }
+
     /// Appends the pending lines to the log (no sync — the bytes are
     /// process-crash durable in the page cache once written).
     fn write_batch(&mut self) {
@@ -1227,6 +1266,7 @@ impl DeltaLog<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::tests::{replace_once, v3_bytes};
     use diffnet_simulate::{EdgeProbs, IcConfig, IndependentCascade};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1991,7 +2031,7 @@ mod tests {
                 },
             )
             .expect("base run");
-        let pristine = std::fs::read_to_string(&path).expect("read checkpoint");
+        let pristine = std::fs::read(&path).expect("read checkpoint");
         let (combined_cols, appended_cols) = (combined.columns(), appended.columns());
 
         let append_opts = |revision| RobustOptions {
@@ -1999,44 +2039,42 @@ mod tests {
             revision,
             ..Default::default()
         };
+        let append_err = |bytes: &[u8], what: &str| {
+            std::fs::write(&path, bytes).expect("write tampered");
+            tends
+                .reconstruct_robust_append(
+                    &combined_cols,
+                    &appended_cols,
+                    Recorder::disabled(),
+                    &append_opts(1),
+                )
+                .expect_err(what)
+        };
 
         // A wrong revision (double-applied batch, skipped batch) cannot
         // warm-start.
-        let tampered = pristine.replacen("\"revision\":0", "\"revision\":5", 1);
-        assert_ne!(tampered, pristine, "edit must hit the header");
-        std::fs::write(&path, &tampered).expect("write tampered");
-        let err = tends
-            .reconstruct_robust_append(
-                &combined_cols,
-                &appended_cols,
-                Recorder::disabled(),
-                &append_opts(1),
-            )
-            .expect_err("wrong revision must be rejected");
+        let tampered = replace_once(&pristine, "\"revision\":0", "\"revision\":5");
+        let err = append_err(&tampered, "wrong revision must be rejected");
         assert!(
             matches!(&err, CheckpointError::Format(m) if m.contains("revision")),
             "expected a revision Format error, got {err:?}"
         );
 
+        // The statistics section starts after the header line; β = 150
+        // stores every count in one byte.
+        let ck = Checkpoint::from_bytes(&pristine, false).expect("parse pristine");
+        let stats = ck.stats.as_ref().expect("stats present");
+        let section_at = ck.header().0.len() + 1;
+        let ones = stats.ones().to_vec();
+        assert_eq!(stats.num_processes(), 150);
+
         // Statistics edited into *impossible* counts (ones[0] = β with
         // unchanged pair counts) fail the consistency validation on load —
         // a typed error, not an underflow panic in the MI derivation.
-        let ck = Checkpoint::from_text(&pristine, false).expect("parse pristine");
-        let stats = ck.stats.as_ref().expect("stats present");
-        let ones = stats.ones().to_vec();
-        let needle = format!("\"ones\":\"{} ", ones[0]);
-        let swap = format!("\"ones\":\"{} ", stats.num_processes());
-        let tampered = pristine.replacen(&needle, &swap, 1);
+        let mut tampered = pristine.clone();
+        tampered[section_at] = 150;
         assert_ne!(tampered, pristine, "edit must hit the statistics");
-        std::fs::write(&path, &tampered).expect("write tampered");
-        let err = tends
-            .reconstruct_robust_append(
-                &combined_cols,
-                &appended_cols,
-                Recorder::disabled(),
-                &append_opts(1),
-            )
-            .expect_err("impossible statistics must be rejected");
+        let err = append_err(&tampered, "impossible statistics must be rejected");
         assert!(
             matches!(&err, CheckpointError::Format(m) if m.contains("inconsistent")),
             "expected a Format error about inconsistency, got {err:?}"
@@ -2046,20 +2084,10 @@ mod tests {
         // longer match the content digest the base run recorded: typed
         // mismatch, not silently spliced wrong parents. Pair (0,1)'s n11
         // is pushed to its maximum consistent value.
-        let n11 = stats.n11().to_vec();
-        let needle = format!("\"n11\":\"{} ", n11[0]);
-        let swap = format!("\"n11\":\"{} ", ones[0].min(ones[1]));
-        let tampered = pristine.replacen(&needle, &swap, 1);
+        let mut tampered = pristine.clone();
+        tampered[section_at + ones.len()] = ones[0].min(ones[1]) as u8;
         assert_ne!(tampered, pristine, "edit must hit the statistics");
-        std::fs::write(&path, &tampered).expect("write tampered");
-        let err = tends
-            .reconstruct_robust_append(
-                &combined_cols,
-                &appended_cols,
-                Recorder::disabled(),
-                &append_opts(1),
-            )
-            .expect_err("tampered statistics must be rejected");
+        let err = append_err(&tampered, "tampered statistics must be rejected");
         assert!(
             matches!(err, CheckpointError::Mismatch { .. }),
             "expected Mismatch, got {err:?}"
@@ -2067,7 +2095,7 @@ mod tests {
 
         // A checkpoint without statistics (streamed producer) cannot
         // warm-start an append either.
-        let mut stripped = Checkpoint::from_text(&pristine, false).expect("parse pristine");
+        let mut stripped = ck.clone();
         stripped.stats = None;
         stripped.save(&path).expect("save stripped");
         let err = tends
@@ -2298,10 +2326,15 @@ mod tests {
             )
             .expect("base run")
             .result;
-        let legacy = std::fs::read_to_string(&path)
-            .expect("base checkpoint")
-            .replace(",\"evaluations\"", ",\"table\":\"7 1 0 3\",\"evaluations\"");
-        assert_eq!(legacy.matches("\"table\"").count(), 10);
+        let mut legacy = std::fs::read(&path).expect("base checkpoint");
+        for _ in 0..10 {
+            legacy = replace_once(
+                &legacy,
+                "],\"evaluations\"",
+                "],\"table\":\"7 1 0 3\",\"evaluations\"",
+            );
+        }
+        assert_eq!(legacy.windows(7).filter(|w| w == b"\"table\"").count(), 10);
         std::fs::write(&path, &legacy).expect("write legacy checkpoint");
         assert_eq!(Checkpoint::load(&path).expect("loads").entries.len(), 10);
 
@@ -2339,6 +2372,86 @@ mod tests {
             warm.result.global_score.to_bits(),
             fresh.global_score.to_bits()
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn version_3_checkpoints_resume_and_warm_append() {
+        // Data directories written before version 4 hold v3 checkpoints:
+        // decimal statistics in the header. They must keep resuming and
+        // warm-starting appends, and be replaced by v4 files as they go.
+        let truth = DiGraph::from_edges(10, &{
+            let mut e = Vec::new();
+            for i in 0..9u32 {
+                e.push((i, i + 1));
+                e.push((i + 1, i));
+            }
+            e
+        });
+        let combined = observe(&truth, 0.5, 0.2, 260, 83);
+        let (base, appended) = split_statuses(&combined, 220);
+        let tends = Tends::new();
+        let path = temp_checkpoint("version_3.json");
+        std::fs::remove_file(&path).ok();
+        let base_run = tends
+            .reconstruct_robust(
+                &base,
+                Recorder::disabled(),
+                &RobustOptions {
+                    checkpoint: Some(path.clone()),
+                    ..Default::default()
+                },
+            )
+            .expect("base run")
+            .result;
+        let ck = Checkpoint::load(&path).expect("base checkpoint");
+        let v3 = v3_bytes(&ck);
+        std::fs::write(&path, &v3).expect("write v3 checkpoint");
+        assert_eq!(Checkpoint::load(&path).expect("v3 loads"), ck);
+        let v4_header = b"{\"format\":\"diffnet-checkpoint\",\"version\":4,";
+
+        let resumed = tends
+            .reconstruct_robust(
+                &base,
+                Recorder::disabled(),
+                &RobustOptions {
+                    checkpoint: Some(path.clone()),
+                    resume: true,
+                    ..Default::default()
+                },
+            )
+            .expect("resume from a v3 checkpoint");
+        assert_eq!(resumed.resumed_nodes, 10, "every node restored");
+        assert_eq!(resumed.result.graph, base_run.graph);
+        assert_eq!(
+            resumed.result.global_score.to_bits(),
+            base_run.global_score.to_bits()
+        );
+        assert!(std::fs::read(&path).unwrap().starts_with(v4_header));
+        assert_eq!(Checkpoint::load(&path).expect("v4 loads"), ck);
+
+        std::fs::write(&path, &v3).expect("write v3 checkpoint");
+        let warm = tends
+            .reconstruct_robust_append(
+                &combined.columns(),
+                &appended.columns(),
+                Recorder::disabled(),
+                &RobustOptions {
+                    checkpoint: Some(path.clone()),
+                    revision: 1,
+                    ..Default::default()
+                },
+            )
+            .expect("append from a v3 checkpoint");
+        let fresh = tends.reconstruct(&combined).expect("fresh combined run");
+        assert_eq!(warm.result.graph, fresh.graph);
+        assert_eq!(warm.result.tau.to_bits(), fresh.tau.to_bits());
+        assert_eq!(
+            warm.result.global_score.to_bits(),
+            fresh.global_score.to_bits()
+        );
+        assert!(std::fs::read(&path).unwrap().starts_with(v4_header));
+        assert_eq!(Checkpoint::load(&path).expect("v4 loads").revision, 1);
         std::fs::remove_file(&path).ok();
     }
 

@@ -484,32 +484,6 @@ impl PairStats {
         &self.n11
     }
 
-    /// Content digest (FNV-1a over `β`, `n`, ones, and `n11`): a cheap
-    /// integrity check over the full sufficient statistics. Any edited
-    /// count changes the digest, which is how a checkpoint detects
-    /// tampered statistics in `O(n²)` integer mixing instead of
-    /// re-deriving the correlation pipeline they imply.
-    pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(self.beta);
-        eat(self.n as u64);
-        for &v in &self.ones {
-            eat(v);
-        }
-        for &v in &self.n11 {
-            eat(v);
-        }
-        h
-    }
-
     /// The full joint counts of pair `(i, j)`, reconstructed exactly as the
     /// tiled kernel derives them.
     #[inline]
