@@ -7,9 +7,10 @@ use diffnet_baselines::{Lift, MulTree, NetRate, NetRateConfig};
 use diffnet_datasets::lfr_suite;
 use diffnet_graph::DiGraph;
 use diffnet_simulate::{CountsWorkspace, EdgeProbs, IcConfig, IndependentCascade, ObservationSet};
-use diffnet_tends::search::{candidate_parents, find_parents_reference, find_parents_with};
+use diffnet_tends::search::{find_parents_reference, find_parents_with};
 use diffnet_tends::{
-    pinned_two_means, CorrelationMatrix, CorrelationMeasure, SearchParams, SearchScratch, Tends,
+    pinned_two_means, BucketIndex, CorrelationMatrix, CorrelationMeasure, SearchParams,
+    SearchScratch, Tends,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -98,11 +99,10 @@ fn bench_greedy_search(c: &mut Criterion) {
     let (_, obs) = workload(2);
     let cols = obs.statuses.columns();
     let corr = CorrelationMatrix::compute(&cols, CorrelationMeasure::Imi);
-    let tau = pinned_two_means(&corr.upper_triangle()).tau;
+    let mut index = BucketIndex::new(corr.upper());
+    let tau = index.pinned_two_means().tau;
     let params = SearchParams::default();
-    let candidates: Vec<Vec<u32>> = (0..200u32)
-        .map(|i| candidate_parents(&corr, i, tau, params.max_candidates))
-        .collect();
+    let (candidates, _) = index.candidate_lists(cols.num_nodes(), tau, params.max_candidates);
     let mut group = c.benchmark_group("greedy_n200");
     group.sample_size(10);
     group.bench_function("find_parents_reference", |b| {
@@ -140,9 +140,8 @@ fn bench_imi_and_kmeans(c: &mut Criterion) {
         b.iter(|| black_box(CorrelationMatrix::compute(&cols, CorrelationMeasure::Imi)))
     });
     let corr = CorrelationMatrix::compute(&cols, CorrelationMeasure::Imi);
-    let values = corr.upper_triangle();
     c.bench_function("kmeans/pinned_two_means_n200", |b| {
-        b.iter(|| black_box(pinned_two_means(&values)))
+        b.iter(|| black_box(pinned_two_means(corr.upper())))
     });
 }
 

@@ -12,6 +12,10 @@
 //!   `inference_shape` row keeps the β=150 shape the pipeline sees.
 //!   Detected CPU features are recorded in the header;
 //! * the IMI correlation matrix, single-threaded vs 8 workers;
+//! * the τ threshold: a sort-based pinned 2-means (filter, sort every
+//!   kept value, suffix sums) vs the bucketed index the pipeline uses, on
+//!   the n=1000, β=150 upper triangle and on a 2¹⁹-value streamed τ
+//!   sample, with a check that both give the same τ bits;
 //! * one full TENDS reconstruction, 1 vs 8 threads;
 //! * the `N_ijk` counting kernel: the recursive bitset kernel vs the
 //!   incremental [`CountsWorkspace`] refinement;
@@ -46,8 +50,8 @@ use diffnet_observe::{DurationHistogram, Json, Recorder, RunReport};
 use diffnet_simulate::{CountsWorkspace, Kernels, NodeColumns, SimdMode, StatusMatrix};
 use diffnet_tends::search::{find_parents_reference, SearchParams};
 use diffnet_tends::{
-    CorrelationMatrix, CorrelationMeasure, RobustOptions, ScoreCacheStats, SearchScratch, Tends,
-    TendsConfig,
+    BucketIndex, CorrelationMatrix, CorrelationMeasure, PinnedKmeans, RobustOptions,
+    ScoreCacheStats, SearchScratch, Tends, TendsConfig,
 };
 
 /// Median wall-clock seconds of `reps` runs of `f`.
@@ -215,6 +219,100 @@ fn forced_sweep(cols: &NodeColumns, k: &Kernels) -> u64 {
     acc
 }
 
+/// The pinned 2-means by its definition: keep the finite values `≥ 0`,
+/// sort all of them, and take suffix sums right to left — the baseline
+/// the bucketed index replaces.
+fn sort_based_two_means(values: &[f64]) -> PinnedKmeans {
+    let mut vals: Vec<f64> = values
+        .iter()
+        .copied()
+        .filter(|&v| v.is_finite() && v >= 0.0)
+        .collect();
+    vals.sort_unstable_by(f64::total_cmp);
+    let positive_max = vals.last().copied().unwrap_or(0.0);
+    if positive_max <= 0.0 {
+        return PinnedKmeans {
+            tau: 0.0,
+            free_centroid: 0.0,
+            pinned_count: vals.len(),
+            free_count: 0,
+            iterations: 0,
+        };
+    }
+    let mut suffix = vec![0.0f64; vals.len() + 1];
+    for i in (0..vals.len()).rev() {
+        suffix[i] = vals[i] + suffix[i + 1];
+    }
+    let (mut c, mut boundary, mut iterations) = (positive_max, 0usize, 0usize);
+    for it in 1..=100 {
+        iterations = it;
+        let half = c / 2.0;
+        let next = vals.partition_point(|&v| v <= half);
+        let next_c = if next < vals.len() {
+            suffix[next] / (vals.len() - next) as f64
+        } else {
+            positive_max
+        };
+        let converged = next == boundary && (next_c - c).abs() < 1e-12;
+        boundary = next;
+        c = next_c;
+        if converged && it > 1 {
+            break;
+        }
+    }
+    PinnedKmeans {
+        tau: if boundary == 0 {
+            0.0
+        } else {
+            vals[boundary - 1]
+        },
+        free_centroid: c,
+        pinned_count: boundary,
+        free_count: vals.len() - boundary,
+        iterations,
+    }
+}
+
+/// IMI values of `count` pairs of `cols`' upper triangle, every
+/// `stride`-th in rank order: the shape of the streamed path's τ sample.
+fn systematic_sample(cols: &NodeColumns, count: usize) -> Vec<f64> {
+    let n = cols.num_nodes();
+    let stride = (n * (n - 1) / 2 / count).max(1);
+    let mut values = Vec::with_capacity(count);
+    let mut rank = 0usize;
+    for i in 0..n as u32 {
+        for j in (i + 1)..n as u32 {
+            if rank.is_multiple_of(stride) && values.len() < count {
+                values.push(diffnet_tends::imi::imi(&cols.pair_counts(i, j)));
+            }
+            rank += 1;
+        }
+    }
+    values
+}
+
+/// One `threshold` row: the sort-based 2-means vs `index_two_means` on
+/// the same values, and whether their τ bits agree.
+fn threshold_row(
+    input: &str,
+    values: &[f64],
+    reps: usize,
+    index_two_means: impl Fn(&[f64]) -> PinnedKmeans,
+) -> Json {
+    let tau_bits_equal =
+        sort_based_two_means(values).tau.to_bits() == index_two_means(values).tau.to_bits();
+    let sort_s = median_secs(reps, || sort_based_two_means(values));
+    let index_s = median_secs(reps, || index_two_means(values));
+    let mut row = Json::object();
+    row.push("input", input);
+    row.push("values", values.len() as u64);
+    row.push("sort_s", sort_s);
+    row.push("index_s", index_s);
+    row.push("speedup", sort_s / index_s);
+    row.push("tau_bits_equal", tau_bits_equal);
+    row
+}
+
 /// A thread-scaling row: on a single-CPU box the multi-thread timing is
 /// noise, so the row carries a status instead of a fake "speedup".
 fn scaling_row(n: usize, t1: f64, t8: Option<f64>) -> Json {
@@ -297,6 +395,34 @@ fn main() {
         })
     });
 
+    // The τ threshold at the large size (the pipeline's threshold phase:
+    // a ranked index, then the 2-means) and on a streamed-size τ sample
+    // (the rank-free `pinned_two_means` that `sample_tau` calls), each
+    // against the sort-based 2-means.
+    let sample_len = if quick { 1 << 16 } else { 1 << 19 };
+    eprintln!("perf_report: threshold (n={n_large} triangle, {sample_len}-value sample)");
+    let large_corr = CorrelationMatrix::compute(&large_cols, CorrelationMeasure::Imi);
+    // n=5000 under a 64 MiB budget: the scale-stream shape, whose τ sample
+    // cap is 2¹⁹ pairs.
+    let sample_cols = status_workload(if quick { 400 } else { 5000 }, beta, 15).columns();
+    let sample = systematic_sample(&sample_cols, sample_len);
+    assert_eq!(sample.len(), sample_len, "the sample must fill its cap");
+    let mut triangle_row = threshold_row("triangle", large_corr.upper(), reps, |v| {
+        BucketIndex::new(v).pinned_two_means()
+    });
+    triangle_row.push("n", n_large as u64);
+    triangle_row.push("beta", beta as u64);
+    let threshold_rows = vec![
+        triangle_row,
+        threshold_row(
+            "streamed_sample",
+            &sample,
+            reps,
+            diffnet_tends::pinned_two_means,
+        ),
+    ];
+    drop(large_corr);
+
     // Full reconstruction at the small size, 1 vs 8 threads.
     eprintln!("perf_report: reconstruction (n={n_small})");
     let rec_1 = median_secs(reps.min(3), || {
@@ -330,11 +456,10 @@ fn main() {
     // candidates.
     eprintln!("perf_report: greedy search (n={n_small})");
     let corr = CorrelationMatrix::compute(&small_cols, CorrelationMeasure::Imi);
-    let tau = diffnet_tends::pinned_two_means(&corr.upper_triangle()).tau;
+    let mut index = BucketIndex::new(corr.upper());
+    let tau = index.pinned_two_means().tau;
     let params = SearchParams::default();
-    let candidates: Vec<Vec<u32>> = (0..n_small as u32)
-        .map(|i| diffnet_tends::search::candidate_parents(&corr, i, tau, params.max_candidates))
-        .collect();
+    let (candidates, _) = index.candidate_lists(n_small, tau, params.max_candidates);
     let greedy_ref = median_secs(reps.min(3), || {
         let mut acc = 0usize;
         for (i, cands) in candidates.iter().enumerate() {
@@ -583,9 +708,9 @@ fn main() {
 
     // Streamed IMI at out-of-core scale: τ from the deterministic pair
     // sample, then the tiled fold into bounded sparse candidate
-    // accumulators — the dense n×n matrix is never allocated, which is
-    // what makes this n feasible at all (dense f64 storage for n=100,000
-    // would be ~80 GB). Peak RSS is profiled so the row demonstrates the
+    // accumulators — the dense correlation triangle is never allocated,
+    // which is what makes this n feasible at all (its f64 storage for
+    // n=100,000 would be ~40 GB). Peak RSS is profiled so the row demonstrates the
     // memory bound, not just the throughput.
     let (n_stream, beta_stream) = if quick { (10_000, 64) } else { (100_000, 64) };
     let stream_budget: u64 = 512 << 20;
@@ -672,6 +797,7 @@ fn main() {
     json.push("pair_kernel", pair);
 
     json.push("imi_matrix", scaling_row(n_large, imi_1, imi_8));
+    json.push("threshold", Json::Arr(threshold_rows));
     json.push("reconstruction", scaling_row(n_small, rec_1, rec_8));
 
     let rows: Vec<Json> = kernels

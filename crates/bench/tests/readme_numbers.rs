@@ -95,6 +95,22 @@ fn readme_performance_table_matches_bench_micro_json() {
             ],
         ),
         (
+            "threshold τ, n = 1000 triangle",
+            [
+                "threshold.0.sort_s",
+                "threshold.0.index_s",
+                "threshold.0.speedup",
+            ],
+        ),
+        (
+            "threshold τ, streamed sample",
+            [
+                "threshold.1.sort_s",
+                "threshold.1.index_s",
+                "threshold.1.speedup",
+            ],
+        ),
+        (
             "`N_ijk` counting kernel",
             [
                 "counting_kernel.1.recursive_s",

@@ -397,7 +397,14 @@ fn infer(args: &ParsedArgs) -> Result<CommandOutput, ArgError> {
             let threshold = match args.optional("threshold-scale") {
                 Some(raw) => ThresholdMode::ScaledAuto(
                     raw.parse()
-                        .map_err(|_| ArgError::new("invalid value for --threshold-scale"))?,
+                        .ok()
+                        .filter(|s: &f64| s.is_finite() && *s >= 0.0)
+                        .ok_or_else(|| {
+                            ArgError::new(format!(
+                                "invalid value for --threshold-scale: {raw:?} \
+                                 (expected a finite number >= 0)"
+                            ))
+                        })?,
                 ),
                 None => ThresholdMode::Auto,
             };
@@ -1377,6 +1384,50 @@ mod tests {
         let out = run_tokens(&["stats", "--graph", &truth]).expect("stats");
         assert!(out.contains("nodes 30"));
         assert!(out.contains("edges 90"));
+    }
+
+    #[test]
+    fn threshold_scale_must_be_a_finite_non_negative_number() {
+        let truth = tmp("scale.edges");
+        let statuses = tmp("scale_statuses.txt");
+        run_tokens(&[
+            "generate", "--model", "er", "--n", "20", "--m", "40", "--out", &truth,
+        ])
+        .expect("generate");
+        run_tokens(&[
+            "simulate", "--graph", &truth, "--beta", "30", "--out", &statuses,
+        ])
+        .expect("simulate");
+        for bad in [
+            "nan", "NaN", "inf", "-inf", "infinity", "-1", "-0.5", "1e400", "x",
+        ] {
+            let err = run_tokens(&[
+                "infer",
+                "--statuses",
+                &statuses,
+                "--threshold-scale",
+                bad,
+                "--out",
+                &tmp("scale_bad.edges"),
+            ])
+            .expect_err(bad);
+            assert!(
+                err.to_string().contains("--threshold-scale"),
+                "{bad}: {err}"
+            );
+        }
+        for good in ["0", "-0", "0.4", "2"] {
+            run_tokens(&[
+                "infer",
+                "--statuses",
+                &statuses,
+                "--threshold-scale",
+                good,
+                "--out",
+                &tmp("scale_good.edges"),
+            ])
+            .unwrap_or_else(|e| panic!("{good}: {e}"));
+        }
     }
 
     #[test]

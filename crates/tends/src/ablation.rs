@@ -18,15 +18,14 @@ pub fn correlation_threshold_baseline(statuses: &StatusMatrix, config: &TendsCon
     let n = statuses.num_nodes();
     let cols = statuses.columns();
     let corr = CorrelationMatrix::compute_parallel(&cols, config.correlation, config.threads);
-    let kmeans = pinned_two_means(&corr.upper_triangle());
+    let kmeans = pinned_two_means(corr.upper());
     let tau = config.threshold.apply(kmeans.tau);
 
     let mut b = GraphBuilder::new(n);
-    for i in 0..n as NodeId {
-        for j in (i + 1)..n as NodeId {
-            if corr.get(i, j) > tau {
-                b.add_reciprocal(i, j);
-            }
+    let pairs = (0..n as NodeId).flat_map(|i| ((i + 1)..n as NodeId).map(move |j| (i, j)));
+    for ((i, j), &v) in pairs.zip(corr.upper()) {
+        if v > tau {
+            b.add_reciprocal(i, j);
         }
     }
     b.build()

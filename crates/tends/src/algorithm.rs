@@ -3,12 +3,11 @@
 
 use crate::checkpoint::{self, Checkpoint, CheckpointEntry, CheckpointError};
 use crate::imi::{CorrelationMatrix, CorrelationMeasure, PairStats};
-use crate::kmeans::{pinned_two_means, PinnedKmeans};
+use crate::kmeans::{BucketIndex, PinnedKmeans};
 use crate::parallel;
 use crate::score::ScoreCacheStats;
 use crate::search::{
-    candidate_parents, find_parents_with, NodeSearchResult, SearchError, SearchParams,
-    SearchScratch, SearchStats,
+    find_parents_with, NodeSearchResult, SearchError, SearchParams, SearchScratch, SearchStats,
 };
 use crate::stream::{self, Shard};
 use diffnet_graph::{DiGraph, GraphBuilder, NodeId};
@@ -22,6 +21,11 @@ use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How the pruning threshold `τ` is chosen.
+///
+/// A pair is a candidate iff its correlation is strictly above `τ` (IEEE
+/// `>`). The library accepts any `f64` and applies it literally: a NaN `τ`
+/// admits no pair, and a negative one admits anti-correlated pairs. The
+/// CLI accepts only a finite scale `≥ 0` for `--threshold-scale`.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum ThresholdMode {
     /// Find `τ` with the pinned 2-means over the pairwise correlation
@@ -32,6 +36,8 @@ pub enum ThresholdMode {
     Fixed(f64),
     /// Find `τ` automatically, then scale it by the given factor — the
     /// paper's Fig. 10–11 sweep varies the threshold from `0.4τ` to `2τ`.
+    /// Meaningful scales are finite and `≥ 0` (the 2-means `τ` is `≥ 0`,
+    /// so these keep `τ ≥ 0`); `0` admits every positive correlation.
     ScaledAuto(f64),
 }
 
@@ -532,15 +538,16 @@ impl Tends {
 
     /// The candidate step: `τ` and every node's candidate list, plus the
     /// pairwise sufficient statistics when the source captured them, from
-    /// one of two sources. The *exact* source is a dense correlation matrix —
-    /// computed from the columns, or derived from checkpointed statistics
-    /// after an append fold — thresholded with the pinned 2-means over its
-    /// whole upper triangle. The *sampled* source takes `τ` from a
+    /// one of two sources. The *exact* source is the correlation matrix's
+    /// upper triangle — computed from the columns, or derived from
+    /// checkpointed statistics after an append fold — with `τ` from the
+    /// pinned 2-means over all of it and the candidate lists from a walk of
+    /// the same [`BucketIndex`]. The *sampled* source takes `τ` from a
     /// budget-sized systematic pair sample and the candidates from bounded
-    /// accumulators folded tile by tile; the dense `n × n` matrix never
-    /// exists (see [`crate::stream`] for why the result is invariant to
-    /// threads, SIMD tier, and shard count, and bit-identical to the exact
-    /// source whenever the τ sample is exhaustive).
+    /// accumulators folded tile by tile; the triangle never exists (see
+    /// [`crate::stream`] for why the result is invariant to threads, SIMD
+    /// tier, and shard count, and bit-identical to the exact source
+    /// whenever the τ sample is exhaustive).
     fn candidates(
         &self,
         cols: &NodeColumns,
@@ -563,7 +570,7 @@ impl Tends {
                 };
                 let tau = cfg.threshold.apply(kmeans.tau);
                 // Above-τ pairs stream straight into the bounded per-node
-                // accumulators; lists come out in candidate_parents order.
+                // accumulators; lists come out in the dense lists' order.
                 let _p = rec.phase("streamed_fold");
                 let fold = stream::fold_candidates(
                     cols,
@@ -613,27 +620,22 @@ impl Tends {
                     }
                     CandidateSource::Sampled { .. } => unreachable!("matched above"),
                 };
-                // Line 5: pinned 2-means over the whole upper triangle;
-                // pairs above τ are counted from the same values.
-                let (kmeans, tau, above) = {
+                // Line 5: pinned 2-means over the whole upper triangle,
+                // through one bucketed index that sorts only the buckets
+                // the clustering reaches.
+                let (kmeans, tau, mut index) = {
                     let _p = rec.phase("threshold");
-                    let upper = corr.upper_triangle();
-                    let kmeans = pinned_two_means(&upper);
+                    let mut index = BucketIndex::new(corr.upper());
+                    let kmeans = index.pinned_two_means();
                     let tau = cfg.threshold.apply(kmeans.tau);
-                    let above = if rec.is_enabled() {
-                        upper.iter().filter(|&&v| v > tau).count() as u64
-                    } else {
-                        0
-                    };
-                    (kmeans, tau, above)
+                    (kmeans, tau, index)
                 };
-                // Lines 10–12: per-node candidate pruning.
+                // Lines 10–12: every node's candidates, from a walk of the
+                // same index over the pairs above τ.
                 let _p = rec.phase("candidate_pruning");
-                let lists = (0..corr.num_nodes() as NodeId)
-                    .map(|i| candidate_parents(&corr, i, tau, cfg.search.max_candidates))
-                    .collect();
-                let shard = Shard::full(corr.num_nodes());
-                (kmeans, tau, shard, lists, above, stats)
+                let n = corr.num_nodes();
+                let (lists, above) = index.candidate_lists(n, tau, cfg.search.max_candidates);
+                (kmeans, tau, Shard::full(n), lists, above, stats)
             }
         };
         if rec.is_enabled() {

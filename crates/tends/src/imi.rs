@@ -11,6 +11,13 @@
 //!
 //! where `mi(a,b) = P̂(X_i=a, X_j=b) · log₂ (P̂(a,b) / (P̂(a)·P̂(b)))` is one
 //! cell of the MI sum. Concordant cells reward, discordant cells penalize.
+//!
+//! [`CorrelationMatrix`] keeps only the strictly upper triangle, row-major
+//! in rank order `(0,1), (0,2), …, (1,2), …` — the layout the pairwise
+//! statistics' `n11` counts use — so a build writes each value once, front
+//! to back, with no mirrored copy: `4·n²` bytes instead of `8·n²`. The
+//! candidate step reads that slice in place
+//! ([`CorrelationMatrix::upper`] feeds [`crate::BucketIndex`]).
 
 use diffnet_simulate::{NodeColumns, PairCounts};
 use std::ops::Range;
@@ -218,11 +225,13 @@ pub(crate) fn tile_schedule(
 
 /// Symmetric matrix of pairwise correlation values over all node pairs.
 ///
-/// The diagonal is unused and fixed at 0.
+/// Stores only the strictly upper triangle in rank order (see the module
+/// docs). [`get`](Self::get) looks a pair up in either orientation; the
+/// diagonal reads 0.
 #[derive(Clone, Debug)]
 pub struct CorrelationMatrix {
     n: usize,
-    values: Vec<f64>,
+    upper: Vec<f64>,
 }
 
 impl CorrelationMatrix {
@@ -318,25 +327,40 @@ impl CorrelationMatrix {
             rec.add("correlation_pairs", pairs as u64);
             rec.add("correlation_tiles", tiles.len() as u64);
         }
-        let mut values = vec![0.0; n * n];
-        let mut n11 = vec![0u64; if capture_stats { pairs } else { 0 }];
-        for (tile, (vals, n11s)) in tiles.iter().zip(outputs) {
-            debug_assert_eq!(vals.len() as u64, tile.pairs, "one value per block pair");
-            for ((i, j), v) in tile.pairs().zip(vals) {
-                values[i * n + j] = v;
-                values[j * n + i] = v;
-            }
-            for ((i, j), c) in tile.pairs().zip(n11s) {
-                n11[tri_index(n, i, j)] = c;
+        // The schedule is row-block major, so one row block's tiles are
+        // adjacent: each triangle row is the concatenation of its segments
+        // in those tiles, and the triangle fills front to back. A block's
+        // outputs are freed as soon as its rows are written.
+        let mut upper = Vec::with_capacity(pairs);
+        let mut n11 = Vec::with_capacity(if capture_stats { pairs } else { 0 });
+        let mut outputs = outputs.into_iter();
+        let mut rest = &tiles[..];
+        while let Some(first) = rest.first() {
+            let len = rest.iter().take_while(|t| t.rows == first.rows).count();
+            let (block, tail) = rest.split_at(len);
+            rest = tail;
+            let outs: Vec<(Vec<f64>, Vec<u64>)> = outputs.by_ref().take(len).collect();
+            let mut offsets = vec![0usize; len];
+            for i in first.rows.clone() {
+                for ((tile, (vals, n11s)), off) in block.iter().zip(&outs).zip(&mut offsets) {
+                    debug_assert_eq!(vals.len() as u64, tile.pairs, "one value per block pair");
+                    let seg = tile.cols.end.saturating_sub(tile.cols.start.max(i + 1));
+                    upper.extend_from_slice(&vals[*off..*off + seg]);
+                    if capture_stats {
+                        n11.extend_from_slice(&n11s[*off..*off + seg]);
+                    }
+                    *off += seg;
+                }
             }
         }
+        debug_assert_eq!(upper.len(), pairs);
         let stats = capture_stats.then(|| PairStats {
             n,
             beta: cols.num_processes() as u64,
             ones,
             n11,
         });
-        (CorrelationMatrix { n, values }, stats)
+        (CorrelationMatrix { n, upper }, stats)
     }
 
     /// The pre-tiling implementation: one [`NodeColumns::pair_counts`]
@@ -354,15 +378,20 @@ impl CorrelationMatrix {
     /// The matrix with `value(i, j)` at every pair `i < j`, evaluated
     /// once per pair in row-major order.
     fn from_pairs(n: usize, mut value: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut values = vec![0.0; n * n];
+        let mut upper = Vec::with_capacity(n * n.saturating_sub(1) / 2);
         for i in 0..n {
             for j in (i + 1)..n {
-                let v = value(i, j);
-                values[i * n + j] = v;
-                values[j * n + i] = v;
+                upper.push(value(i, j));
             }
         }
-        CorrelationMatrix { n, values }
+        CorrelationMatrix { n, upper }
+    }
+
+    /// A matrix over `n` nodes from its upper triangle in rank order.
+    #[cfg(test)]
+    pub(crate) fn from_upper(n: usize, upper: Vec<f64>) -> Self {
+        assert_eq!(upper.len(), n * n.saturating_sub(1) / 2);
+        CorrelationMatrix { n, upper }
     }
 
     /// Number of nodes.
@@ -370,22 +399,22 @@ impl CorrelationMatrix {
         self.n
     }
 
-    /// The value for pair `(i, j)`; 0 on the diagonal.
+    /// The value for pair `(i, j)` in either orientation; 0 on the
+    /// diagonal.
     #[inline]
     pub fn get(&self, i: u32, j: u32) -> f64 {
-        self.values[i as usize * self.n + j as usize]
+        let (a, b) = if i < j { (i, j) } else { (j, i) };
+        if a == b {
+            0.0
+        } else {
+            self.upper[tri_index(self.n, a as usize, b as usize)]
+        }
     }
 
-    /// All strictly-upper-triangle values (each unordered pair once), the
-    /// input to threshold selection.
-    pub fn upper_triangle(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.n * (self.n.saturating_sub(1)) / 2);
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                out.push(self.values[i * self.n + j]);
-            }
-        }
-        out
+    /// All strictly-upper-triangle values (each unordered pair once), in
+    /// row-major rank order: the input to threshold selection.
+    pub fn upper(&self) -> &[f64] {
+        &self.upper
     }
 }
 
@@ -644,7 +673,8 @@ mod tests {
                 assert_eq!(cm.get(i, j), cm.get(j, i));
             }
         }
-        assert_eq!(cm.upper_triangle().len(), 3);
+        assert_eq!(cm.upper().len(), 3);
+        assert_eq!(cm.upper(), &[cm.get(0, 1), cm.get(0, 2), cm.get(1, 2)]);
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! of re-refining the workspace partition. Cached reuse is bit-identical
 //! to recounting, which the reference-oracle test pins down.
 
+#[cfg(test)]
 use crate::imi::CorrelationMatrix;
 use crate::score::{self, CachedScore, ScoreCache, ScoreCacheStats};
-use crate::stream;
 use diffnet_graph::NodeId;
 use diffnet_simulate::{ComboSizeError, CountsWorkspace, NodeColumns};
 use std::fmt;
@@ -187,8 +187,11 @@ pub struct NodeSearchResult {
 
 /// Candidate parents of `child`: all nodes whose correlation with `child`
 /// strictly exceeds `tau`, in descending correlation order, truncated to
-/// `max_candidates` (Algorithm 1 lines 10–12).
-pub fn candidate_parents(
+/// `max_candidates` (Algorithm 1 lines 10–12) — one row scan per node. The
+/// equivalence oracle for [`crate::BucketIndex::candidate_lists`], which
+/// the pipeline uses instead.
+#[cfg(test)]
+pub(crate) fn candidate_parents(
     corr: &CorrelationMatrix,
     child: NodeId,
     tau: f64,
@@ -203,7 +206,7 @@ pub fn candidate_parents(
     // Select the top `max_candidates` in O(n) under the streamed fold's
     // total order (descending correlation, ascending id), then sort only
     // those — instead of sorting all survivors just to discard most.
-    stream::top_ids(cands, max_candidates)
+    crate::stream::top_ids(cands, max_candidates)
 }
 
 /// The subset bitmask of `nodes` over the candidate list: bit `t` set iff

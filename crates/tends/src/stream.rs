@@ -1,10 +1,10 @@
 //! Out-of-core streamed IMI: bounded sparse candidate accumulation and
 //! node-range sharding, without the dense `n × n` correlation matrix.
 //!
-//! The dense pipeline materializes [`crate::CorrelationMatrix`] — `8·n²`
-//! bytes, 80 GB at `n = 100,000` — even though everything downstream of
-//! the τ threshold only ever consumes per-node candidate *sets* of at
-//! most `max_candidates` entries. This module replaces the matrix with
+//! The dense pipeline materializes [`crate::CorrelationMatrix`] — the
+//! upper triangle, `4·n²` bytes, 40 GB at `n = 100,000` — even though
+//! everything downstream of the τ threshold only ever consumes per-node
+//! candidate *sets* of at most `max_candidates` entries. This module replaces the matrix with
 //! three memory-bounded pieces:
 //!
 //! 1. **τ from a deterministic systematic pair sample** ([`sample_tau`]):
@@ -18,8 +18,9 @@
 //!    bit-for-bit.
 //! 2. **A bounded sparse accumulator** ([`SparseCandidates`]): tile
 //!    outputs fold straight into per-node top-`k` lists of above-τ
-//!    partners, ordered exactly like `candidate_parents` (value
-//!    descending, node id ascending tie-break). Top-k selection is a
+//!    partners, ordered exactly like the dense candidate lists of
+//!    [`crate::BucketIndex::candidate_lists`] (value descending, node id
+//!    ascending tie-break). Top-k selection is a
 //!    semilattice — `topk(topk(A) ∪ topk(B)) = topk(A ∪ B)` — so
 //!    per-worker partial accumulators merge to the same result regardless
 //!    of how tiles were scheduled, keeping candidates thread- and
@@ -108,7 +109,7 @@ pub fn plan_shards(n: usize, count: usize) -> Vec<Shard> {
         .collect()
 }
 
-/// The candidate order of the fold and of `candidate_parents`: value
+/// The candidate order of the fold and of the dense candidate lists: value
 /// descending, node id ascending on ties. A total order (via `total_cmp`,
 /// so a NaN smuggled into a matrix cannot panic the comparator), which is
 /// what makes bounded top-k selection exact and merge-order-independent.
@@ -204,7 +205,7 @@ impl SparseCandidates {
     }
 
     /// Finalizes into per-node candidate id lists (indexed by
-    /// `node − shard.start`), sorted exactly like `candidate_parents`,
+    /// `node − shard.start`), sorted exactly like the dense lists,
     /// plus the total number of above-τ candidates evicted by the top-k
     /// bound — the count that must be surfaced, not silently dropped.
     pub fn finish(self) -> (Vec<Vec<NodeId>>, u64) {
@@ -246,10 +247,20 @@ pub struct TauSample {
 pub fn tau_sample_cap(total_pairs: u64, memory_budget: Option<u64>) -> u64 {
     const MIN_CAP: u64 = 1 << 16;
     const MAX_CAP: u64 = 1 << 21;
-    // ~128 budget bytes per sampled pair: 8 for the f64 plus headroom for
-    // the sort the 2-means performs.
+    // ~128 budget bytes per sampled pair: the sample and the 2-means over
+    // it take at most ~24 (see `tau_sample_bytes`), which leaves most of
+    // the budget to the columns and the candidate accumulators.
     let cap = (memory_budget.unwrap_or(u64::MAX) / 128).clamp(MIN_CAP, MAX_CAP);
     cap.min(total_pairs).max(1)
+}
+
+/// Peak heap bytes of the τ sample step at the cap [`tau_sample_cap`]
+/// picks: the sampled values (8 bytes each) plus what [`pinned_two_means`]
+/// allocates over them: an 8-byte index key and an 8-byte suffix-sum slot
+/// per value, and the bucket bounds.
+pub fn tau_sample_bytes(total_pairs: u64, memory_budget: Option<u64>) -> u64 {
+    let cap = tau_sample_cap(total_pairs, memory_budget);
+    8 * cap + crate::kmeans::two_means_heap_bytes(cap as usize)
 }
 
 /// Rank of pair `(i, j)`, `i < j`, in row-major upper-triangle order:
@@ -284,10 +295,10 @@ fn pair_at(rank: u64, n: u64) -> (NodeId, NodeId) {
 /// [`pinned_two_means`] as the dense path.
 ///
 /// Positional sampling (not reservoir) keeps the sampled multiset a pure
-/// function of `(n, budget)`: the 2-means sorts internally, so the same
-/// multiset yields the same τ bits at every thread count, SIMD tier, and
-/// shard. When the cap covers all pairs (`stride == 1`, any small n) the
-/// sample IS the dense upper triangle and τ matches the dense path
+/// function of `(n, budget)`: the 2-means orders the values itself, so
+/// the same multiset yields the same τ bits at every thread count, SIMD
+/// tier, and shard. When the cap covers all pairs (`stride == 1`, any
+/// small n) the sample IS the dense upper triangle and τ matches the dense path
 /// bit-for-bit.
 pub fn sample_tau(
     cols: &NodeColumns,
@@ -324,7 +335,7 @@ pub fn sample_tau(
 #[derive(Clone, Debug)]
 pub struct FoldOutcome {
     /// Per-node candidate parent lists, indexed by `node − shard.start`,
-    /// in `candidate_parents` order.
+    /// in the dense lists' order (value descending, id ascending).
     pub candidates: Vec<Vec<NodeId>>,
     /// Pairs above τ with at least one endpoint in the shard (equals the
     /// dense path's global count when the shard is `0..n`).
@@ -430,11 +441,11 @@ pub fn fold_candidates(
 /// Sum of the resident pieces: the column bitsets
 /// (`n · ⌈β/64⌉ · 8`), the per-worker sparse accumulators
 /// (`threads · shard_len · (2·max_candidates + 16) · 16` bytes of
-/// `(f64, NodeId)` entries plus one counter per node), the τ sample
-/// buffer (`cap · 8`, doubled for the 2-means sort copy), and per-worker
-/// tile scratch. Deliberately a loose over-estimate — sized so staying
-/// under it keeps actual peak RSS under the budget with room for the
-/// allocator.
+/// `(f64, NodeId)` entries plus one counter per node), the τ sample and
+/// its 2-means ([`tau_sample_bytes`]: `24 · cap` plus the bucket bounds),
+/// and per-worker tile scratch. Deliberately a loose over-estimate — sized
+/// so staying under it keeps actual peak RSS under the budget with room
+/// for the allocator.
 pub fn estimate_streamed_bytes(
     n: usize,
     beta: usize,
@@ -448,7 +459,7 @@ pub fn estimate_streamed_bytes(
     let per_node = (2 * max_candidates + 16) as u64 * 16 + 8 + 24;
     let accumulators = workers * shard_len as u64 * per_node;
     let total_pairs = (n as u64) * (n as u64).saturating_sub(1) / 2;
-    let sample = 2 * 8 * tau_sample_cap(total_pairs.max(1), memory_budget);
+    let sample = tau_sample_bytes(total_pairs.max(1), memory_budget);
     let scratch = workers * 64 * 1024;
     columns + accumulators + sample + scratch
 }
