@@ -6,7 +6,9 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use diffnet_baselines::{Lift, MulTree, NetRate, NetRateConfig};
 use diffnet_datasets::lfr_suite;
 use diffnet_graph::DiGraph;
-use diffnet_simulate::{CountsWorkspace, EdgeProbs, IcConfig, IndependentCascade, ObservationSet};
+use diffnet_simulate::{
+    CountsWorkspace, EdgeProbs, ExtensionBatch, IcConfig, IndependentCascade, ObservationSet,
+};
 use diffnet_tends::search::{find_parents_reference, find_parents_with};
 use diffnet_tends::{
     pinned_two_means, BucketIndex, CorrelationMatrix, CorrelationMeasure, SearchParams,
@@ -82,11 +84,18 @@ fn bench_counting_kernels(c: &mut Criterion) {
         let (base, extra) = parents.split_at(f.saturating_sub(1));
         let mut ws = CountsWorkspace::new();
         ws.set_base(&cols, base).expect("small base");
+        let mut batch = ExtensionBatch::new();
+        batch.push(extra.iter().copied());
         group.bench_with_input(
             BenchmarkId::new("combo_counts_workspace", f),
-            &extra.to_vec(),
-            |b, extra| {
-                b.iter(|| black_box(ws.refined_counts(&cols, 0, extra).expect("small combo")[0]))
+            &batch,
+            |b, batch| {
+                b.iter(|| {
+                    let mut first = [0u64; 2];
+                    ws.extension_counts(&cols, 0, batch, |_, counts| first = counts[0])
+                        .expect("small combo");
+                    black_box(first)
+                })
             },
         );
     }

@@ -18,10 +18,12 @@
 //!   sample, with a check that both give the same τ bits;
 //! * one full TENDS reconstruction, 1 vs 8 threads;
 //! * the `N_ijk` counting kernel: the recursive bitset kernel vs the
-//!   incremental [`CountsWorkspace`] refinement;
-//! * the full greedy parent search: cached workspace path vs the
-//!   from-scratch reference path, both single-threaded, with the score
-//!   cache's hit/miss counts;
+//!   incremental [`CountsWorkspace`] scoring one extension of a cached
+//!   base;
+//! * the full greedy parent search, at both sizes: cached workspace path
+//!   vs the from-scratch reference path, both single-threaded, with the
+//!   score cache's hit/miss counts and whether every node's parents, score
+//!   bits and search counters agree (`results_equal`);
 //! * one instrumented reconstruction (`tends_run_report`): per-phase wall
 //!   times and the full observability counter set for the small workload;
 //! * checkpoint overhead: the robust reconstruction with per-node
@@ -47,8 +49,12 @@ use diffnet_bench::harness::{observe, Setting};
 use diffnet_datasets::LfrSpec;
 use diffnet_metrics::timed;
 use diffnet_observe::{DurationHistogram, Json, Recorder, RunReport};
-use diffnet_simulate::{CountsWorkspace, Kernels, NodeColumns, SimdMode, StatusMatrix};
-use diffnet_tends::search::{find_parents_reference, SearchParams};
+use diffnet_simulate::{
+    CountsWorkspace, ExtensionBatch, Kernels, NodeColumns, SimdMode, StatusMatrix,
+};
+use diffnet_tends::search::{
+    find_parents_reference, find_parents_with, NodeSearchResult, SearchParams,
+};
 use diffnet_tends::{
     BucketIndex, CorrelationMatrix, CorrelationMeasure, PinnedKmeans, RobustOptions,
     ScoreCacheStats, SearchScratch, Tends, TendsConfig,
@@ -152,10 +158,13 @@ fn kernel_row(n: usize, cols: &NodeColumns, reps: usize) -> KernelRow {
     });
     let mut ws = CountsWorkspace::new();
     ws.set_base(cols, &base).expect("small base");
+    let mut batch = ExtensionBatch::new();
+    batch.push(extra.iter().copied());
     let workspace_s = median_secs(reps, || {
         let mut acc = 0u64;
         for &child in &children {
-            acc += ws.refined_counts(cols, child, &extra).expect("small combo")[0][0];
+            ws.extension_counts(cols, child, &batch, |_, counts| acc += counts[0][0])
+                .expect("small combo");
         }
         acc
     });
@@ -164,6 +173,56 @@ fn kernel_row(n: usize, cols: &NodeColumns, reps: usize) -> KernelRow {
         recursive_s,
         workspace_s,
     }
+}
+
+/// Times the full greedy parent search over every node of `cols` with its
+/// IMI candidates — the from-scratch reference and the workspace path
+/// with the score cache, single-threaded — and checks that both give the
+/// same parents, score bits and search counters for every node.
+fn greedy_row(n: usize, cols: &NodeColumns, reps: usize) -> Json {
+    eprintln!("perf_report: greedy search (n={n})");
+    let corr = CorrelationMatrix::compute(cols, CorrelationMeasure::Imi);
+    let mut index = BucketIndex::new(corr.upper());
+    let tau = index.pinned_two_means().tau;
+    let params = SearchParams::default();
+    let (candidates, _) = index.candidate_lists(n, tau, params.max_candidates);
+    let search_all = |search: &mut dyn FnMut(u32, &[u32]) -> NodeSearchResult| {
+        candidates
+            .iter()
+            .enumerate()
+            .map(|(i, cands)| search(i as u32, cands))
+            .collect::<Vec<_>>()
+    };
+    let reference = || {
+        search_all(&mut |i, cands| {
+            find_parents_reference(cols, i, cands, &params).expect("default search fits")
+        })
+    };
+    let workspace = || {
+        let mut scratch = SearchScratch::new();
+        search_all(&mut |i, cands| {
+            find_parents_with(&mut scratch, cols, i, cands, &params).expect("default search fits")
+        })
+    };
+    let reference_s = median_secs(reps.min(3), reference);
+    let workspace_s = median_secs(reps.min(3), workspace);
+    let (old, new) = (reference(), workspace());
+    let results_equal = old.iter().zip(&new).all(|(a, b)| {
+        a.parents == b.parents && a.score.to_bits() == b.score.to_bits() && a.stats == b.stats
+    });
+    let mut cache = ScoreCacheStats::default();
+    for res in &new {
+        cache.merge(&res.cache_stats);
+    }
+    let mut row = Json::object();
+    row.push("n", n as u64);
+    row.push("reference_s", reference_s);
+    row.push("cached_workspace_s", workspace_s);
+    row.push("speedup", reference_s / workspace_s);
+    row.push("score_cache_hits", cache.hits);
+    row.push("score_cache_misses", cache.misses);
+    row.push("results_equal", results_equal);
+    row
 }
 
 /// Sum of `n11` over the whole pair triangle through the per-pair walk.
@@ -452,43 +511,12 @@ fn main() {
     ];
 
     // Full greedy parent search (cached workspace vs reference),
-    // single-threaded, over every node of the small workload with its IMI
-    // candidates.
-    eprintln!("perf_report: greedy search (n={n_small})");
-    let corr = CorrelationMatrix::compute(&small_cols, CorrelationMeasure::Imi);
-    let mut index = BucketIndex::new(corr.upper());
-    let tau = index.pinned_two_means().tau;
-    let params = SearchParams::default();
-    let (candidates, _) = index.candidate_lists(n_small, tau, params.max_candidates);
-    let greedy_ref = median_secs(reps.min(3), || {
-        let mut acc = 0usize;
-        for (i, cands) in candidates.iter().enumerate() {
-            acc += find_parents_reference(&small_cols, i as u32, cands, &params)
-                .expect("default search fits")
-                .stats
-                .evaluations;
-        }
-        acc
-    });
-    let mut cache_totals = ScoreCacheStats::default();
-    let greedy_ws = median_secs(reps.min(3), || {
-        let mut scratch = SearchScratch::new();
-        let mut acc = 0usize;
-        cache_totals = ScoreCacheStats::default();
-        for (i, cands) in candidates.iter().enumerate() {
-            let res = diffnet_tends::search::find_parents_with(
-                &mut scratch,
-                &small_cols,
-                i as u32,
-                cands,
-                &params,
-            )
-            .expect("default search fits");
-            cache_totals.merge(&res.cache_stats);
-            acc += res.stats.evaluations;
-        }
-        acc
-    });
+    // single-threaded, over every node with its IMI candidates, at both
+    // sizes — the larger one is the paper's shape.
+    let greedy_rows = [
+        greedy_row(n_small, &small_cols, reps),
+        greedy_row(n_large, &large_cols, reps),
+    ];
 
     // Checkpoint overhead: the same robust reconstruction with per-node
     // progress persisted at the default interval vs without, at n=300 and
@@ -813,14 +841,7 @@ fn main() {
         .collect();
     json.push("counting_kernel", rows);
 
-    let mut greedy = Json::object();
-    greedy.push("n", n_small as u64);
-    greedy.push("reference_s", greedy_ref);
-    greedy.push("cached_workspace_s", greedy_ws);
-    greedy.push("speedup", greedy_ref / greedy_ws);
-    greedy.push("score_cache_hits", cache_totals.hits);
-    greedy.push("score_cache_misses", cache_totals.misses);
-    json.push("greedy_search", greedy);
+    json.push("greedy_search", Json::Arr(greedy_rows.into()));
 
     json.push("checkpoint_overhead", Json::Arr(ck_rows));
 

@@ -121,9 +121,17 @@ fn readme_performance_table_matches_bench_micro_json() {
         (
             "greedy search, n = 300",
             [
-                "greedy_search.reference_s",
-                "greedy_search.cached_workspace_s",
-                "greedy_search.speedup",
+                "greedy_search.0.reference_s",
+                "greedy_search.0.cached_workspace_s",
+                "greedy_search.0.speedup",
+            ],
+        ),
+        (
+            "greedy search, n = 1000",
+            [
+                "greedy_search.1.reference_s",
+                "greedy_search.1.cached_workspace_s",
+                "greedy_search.1.speedup",
             ],
         ),
     ];
@@ -156,8 +164,8 @@ fn readme_performance_table_matches_bench_micro_json() {
         .split_once("the score cache serves ")
         .map(|(_, rest)| rest.to_string())
         .expect("README quotes the score cache's hits and misses");
-    let hits = lookup(&bench, "greedy_search.score_cache_hits");
-    let misses = lookup(&bench, "greedy_search.score_cache_misses");
+    let hits = lookup(&bench, "greedy_search.0.score_cache_hits");
+    let misses = lookup(&bench, "greedy_search.0.score_cache_misses");
     for (suffix, actual) in [
         (" hits", hits),
         (" misses", misses),

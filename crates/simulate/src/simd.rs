@@ -3,8 +3,9 @@
 //! Every hot loop over bit-packed statuses reduces to a handful of
 //! word-stream primitives: AND+popcount over column pairs
 //! ([`NodeColumns::pair_counts_block`](crate::NodeColumns::pair_counts_block)),
-//! fused mask/child popcounts (the `N_ijk` tabulation), and the mask split
-//! performed by the incremental counts workspace. This module implements
+//! fused mask/child popcounts (the `N_ijk` tabulation), the same fused
+//! popcounts over every cell of a parent partition at once, and the mask
+//! split performed by the incremental counts workspace. This module implements
 //! those primitives in three tiers behind one-time runtime feature
 //! detection:
 //!
@@ -128,14 +129,15 @@ pub struct Kernels {
     dispatch: &'static str,
     and_popcount: fn(&[u64], &[u64]) -> u64,
     and_self_popcount: fn(&[u64], &[u64]) -> (u64, u64),
-    and3_popcount: And3Fn,
+    and3_popcount_rows: And3RowsFn,
     popcount: fn(&[u64]) -> u64,
     refine_masks: fn(&mut [u64], &mut [u64], &[u64]),
 }
 
-/// Signature of the fused three-operand kernel:
-/// `(popcount(m & w), popcount(m & w & c))`.
-type And3Fn = fn(&[u64], &[u64], &[u64]) -> (u64, u64);
+/// Signature of the row-wise fused kernel: `out[r] = [popcount(m_r & x),
+/// popcount(m_r & x & c)]` for each `words`-word row `m_r` of the first
+/// argument.
+type And3RowsFn = fn(&[u64], usize, &[u64], &[u64], &mut [[u64; 2]]);
 
 impl Kernels {
     /// Builds the kernel table for `mode` without touching the
@@ -206,12 +208,32 @@ impl Kernels {
         (self.and_self_popcount)(mask, child)
     }
 
-    /// `(popcount(m & w), popcount(m & w & c))` in one pass — the batched
-    /// single-extension scoring primitive: how much of mask `m` lands in
-    /// parent column `w`, and how much of that is also in child `c`.
+    /// `out[r] = [popcount(m_r & x), popcount(m_r & x & c)]` for each
+    /// `r < out.len()`, where `m_r = masks[r·words .. (r+1)·words]`: how
+    /// much of each mask lands in `x`, and how much of that is also in
+    /// `c`. The extension-scoring primitive: one call splits every cell of
+    /// a parent partition along one column (or column intersection) `x`,
+    /// so the dispatch cost is paid once per partition rather than once
+    /// per cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `masks` holds fewer than `out.len()` rows of `words`
+    /// words, or if `words` is 0 while `out` is not empty.
     #[inline]
-    pub fn and3_popcount(&self, m: &[u64], w: &[u64], c: &[u64]) -> (u64, u64) {
-        (self.and3_popcount)(m, w, c)
+    pub fn and3_popcount_rows(
+        &self,
+        masks: &[u64],
+        words: usize,
+        x: &[u64],
+        c: &[u64],
+        out: &mut [[u64; 2]],
+    ) {
+        assert!(
+            out.is_empty() || (words > 0 && masks.len() >= out.len() * words),
+            "mask arena holds fewer rows than requested"
+        );
+        (self.and3_popcount_rows)(masks, words, x, c, out)
     }
 
     /// `popcount(a)`.
@@ -305,7 +327,7 @@ const SCALAR: Kernels = Kernels {
     dispatch: "scalar",
     and_popcount: scalar_and_popcount,
     and_self_popcount: scalar_and_self_popcount,
-    and3_popcount: scalar_and3_popcount,
+    and3_popcount_rows: scalar_and3_popcount_rows,
     popcount: scalar_popcount,
     refine_masks: scalar_refine_masks,
 };
@@ -442,6 +464,61 @@ fn scalar_and3_popcount(m: &[u64], w: &[u64], c: &[u64]) -> (u64, u64) {
     )
 }
 
+fn scalar_and3_popcount_rows(
+    masks: &[u64],
+    words: usize,
+    x: &[u64],
+    c: &[u64],
+    out: &mut [[u64; 2]],
+) {
+    if !and3_popcount_narrow_rows(masks, words, x, c, out) {
+        for (m, o) in masks.chunks_exact(words.max(1)).zip(out) {
+            let (mx, mxc) = scalar_and3_popcount(m, x, c);
+            *o = [mx, mxc];
+        }
+    }
+}
+
+/// The row kernel for rows of one to four words (`β ≤ 256`, the paper's
+/// scale), where the generic kernels' loop setup outweighs the popcounts:
+/// one fully unrolled loop per width. Returns `false`, doing nothing, for
+/// wider rows. Inlined into each tier, so `count_ones` compiles to that
+/// tier's popcount.
+#[inline(always)]
+fn and3_popcount_narrow_rows(
+    masks: &[u64],
+    words: usize,
+    x: &[u64],
+    c: &[u64],
+    out: &mut [[u64; 2]],
+) -> bool {
+    #[inline(always)]
+    fn rows<const W: usize>(masks: &[u64], x: &[u64], c: &[u64], out: &mut [[u64; 2]]) {
+        let x: &[u64; W] = x[..W].try_into().expect("W-word operand");
+        let c: &[u64; W] = c[..W].try_into().expect("W-word operand");
+        for (m, o) in masks.chunks_exact(W).zip(out) {
+            let (mut mx, mut mxc) = (0u64, 0u64);
+            for i in 0..W {
+                let v = m[i] & x[i];
+                mx += u64::from(v.count_ones());
+                mxc += u64::from((v & c[i]).count_ones());
+            }
+            *o = [mx, mxc];
+        }
+    }
+    if x.len() < words || c.len() < words {
+        return false;
+    }
+    match words {
+        1 => rows::<1>(masks, x, c, out),
+        2 => rows::<2>(masks, x, c, out),
+        3 => rows::<3>(masks, x, c, out),
+        4 => rows::<4>(masks, x, c, out),
+        _ => return false,
+    }
+    true
+}
+
 fn scalar_refine_masks(lo: &mut [u64], hi: &mut [u64], p: &[u64]) {
     let n = lo.len().min(hi.len()).min(p.len());
     for k in 0..n {
@@ -464,7 +541,7 @@ mod x86 {
         dispatch: "popcnt",
         and_popcount: popcnt_and_popcount_safe,
         and_self_popcount: popcnt_and_self_popcount_safe,
-        and3_popcount: popcnt_and3_popcount_safe,
+        and3_popcount_rows: popcnt_and3_popcount_rows_safe,
         popcount: popcnt_popcount_safe,
         // Mask refinement is pure AND/ANDN — no popcount to accelerate.
         refine_masks: super::scalar_refine_masks,
@@ -474,7 +551,7 @@ mod x86 {
         dispatch: "avx2",
         and_popcount: avx2_and_popcount_safe,
         and_self_popcount: avx2_and_self_popcount_safe,
-        and3_popcount: avx2_and3_popcount_safe,
+        and3_popcount_rows: avx2_and3_popcount_rows_safe,
         popcount: avx2_popcount_safe,
         refine_masks: avx2_refine_masks_safe,
     };
@@ -497,9 +574,15 @@ mod x86 {
         unsafe { popcnt_and_self_popcount(mask, child) }
     }
 
-    fn popcnt_and3_popcount_safe(m: &[u64], w: &[u64], c: &[u64]) -> (u64, u64) {
+    fn popcnt_and3_popcount_rows_safe(
+        masks: &[u64],
+        words: usize,
+        x: &[u64],
+        c: &[u64],
+        out: &mut [[u64; 2]],
+    ) {
         // SAFETY: only installed after runtime POPCNT detection.
-        unsafe { popcnt_and3_popcount(m, w, c) }
+        unsafe { popcnt_and3_popcount_rows(masks, words, x, c, out) }
     }
 
     fn popcnt_popcount_safe(a: &[u64]) -> u64 {
@@ -517,9 +600,15 @@ mod x86 {
         unsafe { avx2_and_self_popcount(mask, child) }
     }
 
-    fn avx2_and3_popcount_safe(m: &[u64], w: &[u64], c: &[u64]) -> (u64, u64) {
+    fn avx2_and3_popcount_rows_safe(
+        masks: &[u64],
+        words: usize,
+        x: &[u64],
+        c: &[u64],
+        out: &mut [[u64; 2]],
+    ) {
         // SAFETY: only installed after runtime AVX2+POPCNT detection.
-        unsafe { avx2_and3_popcount(m, w, c) }
+        unsafe { avx2_and3_popcount_rows(masks, words, x, c, out) }
     }
 
     fn avx2_popcount_safe(a: &[u64]) -> u64 {
@@ -598,6 +687,23 @@ mod x86 {
             mwc0 += (x & c[i]).count_ones() as u64;
         }
         (mw0 + mw1, mwc0 + mwc1)
+    }
+
+    #[target_feature(enable = "popcnt")]
+    fn popcnt_and3_popcount_rows(
+        masks: &[u64],
+        words: usize,
+        x: &[u64],
+        c: &[u64],
+        out: &mut [[u64; 2]],
+    ) {
+        if super::and3_popcount_narrow_rows(masks, words, x, c, out) {
+            return;
+        }
+        for (m, o) in masks.chunks_exact(words.max(1)).zip(out) {
+            let (mx, mxc) = popcnt_and3_popcount(m, x, c);
+            *o = [mx, mxc];
+        }
     }
 
     #[target_feature(enable = "popcnt")]
@@ -718,6 +824,25 @@ mod x86 {
             i += 1;
         }
         (mw_total, mwc_total)
+    }
+
+    #[target_feature(enable = "avx2", enable = "popcnt")]
+    fn avx2_and3_popcount_rows(
+        masks: &[u64],
+        words: usize,
+        x: &[u64],
+        c: &[u64],
+        out: &mut [[u64; 2]],
+    ) {
+        // Rows of at most one 256-bit lane group gain nothing from the
+        // vector loop's accumulator round trip.
+        if super::and3_popcount_narrow_rows(masks, words, x, c, out) {
+            return;
+        }
+        for (m, o) in masks.chunks_exact(words.max(1)).zip(out) {
+            let (mx, mxc) = avx2_and3_popcount(m, x, c);
+            *o = [mx, mxc];
+        }
     }
 
     #[target_feature(enable = "avx2", enable = "popcnt")]
@@ -852,11 +977,12 @@ mod tests {
 
     #[test]
     fn all_tiers_match_naive_and3_popcount() {
-        for &len in LENS {
+        // One row as long as each non-empty unroll-boundary length.
+        for &len in LENS.iter().filter(|&&len| len > 0) {
             let m = words(0xAAAA_1111, len);
             let w = words(0xBBBB_2222, len);
             let c = words(0xCCCC_3333, len);
-            let expect = (
+            let expect = [
                 m.iter()
                     .zip(&w)
                     .map(|(x, y)| (x & y).count_ones() as u64)
@@ -866,16 +992,47 @@ mod tests {
                     .zip(&c)
                     .map(|((x, y), z)| (x & y & z).count_ones() as u64)
                     .sum::<u64>(),
-            );
+            ];
             for k in tiers() {
-                assert_eq!(
-                    k.and3_popcount(&m, &w, &c),
-                    expect,
-                    "{} len {len}",
-                    k.dispatch()
-                );
+                let mut out = [[0u64; 2]];
+                k.and3_popcount_rows(&m, len, &w, &c, &mut out);
+                assert_eq!(out[0], expect, "{} len {len}", k.dispatch());
             }
         }
+    }
+
+    #[test]
+    fn all_tiers_match_naive_and3_popcount_rows() {
+        // Row widths straddle the 4-word AVX2 lane group and the 16-word
+        // Harley–Seal block; row counts include none and one.
+        for width in [1usize, 2, 3, 4, 5, 8, 17, 18] {
+            for rows in [0usize, 1, 3, 7] {
+                let masks = words(0x5151_A0A0, rows * width);
+                let x = words(0x6262_B1B1, width);
+                let c = words(0x7373_C2C2, width);
+                let expect: Vec<[u64; 2]> = masks
+                    .chunks_exact(width)
+                    .map(|m| {
+                        let mx: Vec<u64> = m.iter().zip(&x).map(|(a, b)| a & b).collect();
+                        let mxc: Vec<u64> = mx.iter().zip(&c).map(|(a, b)| a & b).collect();
+                        [naive_popcount(&mx), naive_popcount(&mxc)]
+                    })
+                    .collect();
+                for k in tiers() {
+                    let mut out = vec![[u64::MAX; 2]; rows];
+                    k.and3_popcount_rows(&masks, width, &x, &c, &mut out);
+                    assert_eq!(out, expect, "{} width {width} rows {rows}", k.dispatch());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer rows")]
+    fn and3_popcount_rows_rejects_a_short_arena() {
+        let mut out = [[0u64; 2]; 2];
+        Kernels::for_mode(SimdMode::Scalar)
+            .and3_popcount_rows(&[0; 3], 2, &[0; 2], &[0; 2], &mut out);
     }
 
     #[test]

@@ -7,8 +7,12 @@
 //!   column-major transpose ([`NodeColumns`]) where each count is a few
 //!   `popcount`s, and
 //! * parent-combination counts `N_ijk` (for the scoring criterion) —
-//!   served by [`StatusMatrix::combo_counts`], a row scan that assembles
-//!   each process's combination index bit by bit.
+//!   served in the search by [`CountsWorkspace`], which caches one parent
+//!   set's partition of the processes and scores a whole batch of
+//!   extensions of it in one pass ([`ExtensionBatch`]), with
+//!   [`NodeColumns::combo_counts`] (recursive bitset splitting) and
+//!   [`StatusMatrix::combo_counts`] (a row scan that assembles each
+//!   process's combination index bit by bit) as the oracles it must match.
 
 use diffnet_graph::NodeId;
 use std::fmt;
@@ -612,49 +616,142 @@ fn transpose64(a: &mut [u64; WORD_BITS]) {
     }
 }
 
+/// A batch of parent-set extensions `W`, scored together against one
+/// cached base by [`CountsWorkspace::extension_counts`].
+///
+/// Stored as one flat run of node ids per extension, each run sorted on
+/// insertion; [`clear`](Self::clear) keeps the buffers, so a caller that
+/// builds one batch per greedy round allocates nothing in steady state.
+#[derive(Clone, Debug, Default)]
+pub struct ExtensionBatch {
+    nodes: Vec<NodeId>,
+    ends: Vec<usize>,
+}
+
+impl ExtensionBatch {
+    /// An empty batch.
+    pub fn new() -> Self {
+        ExtensionBatch::default()
+    }
+
+    /// Removes every extension, retaining capacity.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.ends.clear();
+    }
+
+    /// Appends one extension (its nodes in any order) and returns its
+    /// index in the batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node repeats within the extension.
+    pub fn push(&mut self, nodes: impl IntoIterator<Item = NodeId>) -> usize {
+        let start = self.nodes.len();
+        self.nodes.extend(nodes);
+        let ext = &mut self.nodes[start..];
+        ext.sort_unstable();
+        assert!(
+            ext.windows(2).all(|w| w[0] < w[1]),
+            "extension set must be duplicate-free"
+        );
+        self.ends.push(self.nodes.len());
+        self.ends.len() - 1
+    }
+
+    /// Number of extensions.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the batch holds no extension.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Extension `t`, sorted.
+    pub fn get(&self, t: usize) -> &[NodeId] {
+        let start = if t == 0 { 0 } else { self.ends[t - 1] };
+        &self.nodes[start..self.ends[t]]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[NodeId]> {
+        (0..self.len()).map(|t| self.get(t))
+    }
+}
+
 /// Reusable scratch state for incremental `N_ijk` counting.
 ///
 /// The greedy parent search evaluates `g(v_i, F ∪ W)` for one fixed base set
-/// `F` and many small extensions `W` per round. The recursive kernel
-/// ([`NodeColumns::combo_counts`]) rebuilds the whole partition tree — and
-/// allocates two mask vectors per tree node — on every call. This workspace
-/// instead *instantiates* `F`'s partition once per round ([`set_base`]) as a
-/// flat arena of `2^|F|` process-bitset masks, and each evaluation
-/// ([`refined_counts`]) only refines that cached partition along `W`'s
-/// nodes. All buffers are retained across calls, so steady-state evaluation
-/// performs no allocations.
+/// `F` and many small extensions `W` per round. The workspace instantiates
+/// `F`'s partition once per round ([`set_base`]): the process masks of the
+/// combinations of `F`'s statuses that occur at all (at most `min(2^|F|,
+/// β)` of them). [`extension_counts`] then scores a whole batch of
+/// extensions in one pass over that partition, without copying or
+/// refining it per extension:
+///
+/// * each cell's `(total, infected)` counts are computed once per batch;
+/// * each distinct member node `a` of the batch splits every cell once —
+///   `(|m ∧ a|, |m ∧ a ∧ child|)` — and every extension containing `a`
+///   shares that split;
+/// * an extension of `k ≥ 2` nodes adds one split per member subset of two
+///   or more nodes (one for a pair: `m ∧ a ∧ b`), and its `2^k` cells per
+///   base cell follow by inclusion–exclusion (for a pair: `10 = m∧a − 11`,
+///   `01 = m∧b − 11`, `00 = m − m∧a − m∧b + 11`).
+///
+/// Every split over the partition is one call of the dispatched
+/// [`and3_popcount_rows`](crate::simd::Kernels::and3_popcount_rows)
+/// kernel. All buffers are retained across calls, so steady-state
+/// evaluation performs no allocations.
 ///
 /// Counts are **bit-identical** to `cols.combo_counts(child, &union)` where
 /// `union` is the sorted merge of the base and extension sets: entry `j` of
-/// the result indexes parent combinations by the sorted-union bit order
+/// each table indexes parent combinations by the sorted-union bit order
 /// (parent `t` of the union contributes bit `t`), exactly like the other
 /// two kernels. Identical table order means downstream floating-point score
 /// sums visit terms in the same order and reproduce the same bits.
 ///
 /// [`set_base`]: CountsWorkspace::set_base
-/// [`refined_counts`]: CountsWorkspace::refined_counts
+/// [`extension_counts`]: CountsWorkspace::extension_counts
 #[derive(Clone, Debug, Default)]
 pub struct CountsWorkspace {
     /// The cached base parent set `F` (sorted, deduplicated).
     base_parents: Vec<NodeId>,
-    /// `2^|F|` masks of `words` words each; entry `j` holds the processes
-    /// whose `F`-statuses form combination `j` (base-order bits).
-    base: Vec<u64>,
-    /// Refinement arena: `2^(|F|+|W|)` masks during an evaluation.
-    scratch: Vec<u64>,
-    /// Output table, in sorted-union combination order.
-    counts: Vec<[u64; 2]>,
-    /// Per-base-entry `[infected, total]` counts shared across a batched
-    /// single-extension pass
-    /// ([`refined_counts_single_batch`](Self::refined_counts_single_batch)).
-    batch_counts: Vec<[u64; 2]>,
-    /// Bit position in the sorted union for each source bit (base bits
-    /// first, then extension bits).
-    bit_pos: Vec<u32>,
     /// Words per process-bitset column; fixed by the `NodeColumns` that the
     /// base was instantiated from.
     words: usize,
-    /// Cumulative [`refined_counts`](Self::refined_counts) calls.
+    /// All-ones mask over the `β` valid process bits.
+    root: Vec<u64>,
+    /// Base-order combination index of each non-empty cell of `F`'s
+    /// partition.
+    cells: Vec<u32>,
+    /// Those cells' process masks, `words` words each, in `cells` order.
+    masks: Vec<u64>,
+    /// [`set_base`](Self::set_base)'s next-level buffers, swapped with
+    /// `cells`/`masks` after each parent.
+    next_cells: Vec<u32>,
+    next_masks: Vec<u64>,
+    /// Distinct member nodes of the batch being scored, sorted.
+    members: Vec<NodeId>,
+    /// Shared `[|m ∧ x|, |m ∧ x ∧ child|]` rows, one entry per cell: row 0
+    /// splits by the root mask (the cells' own counts), row `1 + i` by
+    /// `members[i]`.
+    rows: Vec<[u64; 2]>,
+    /// One extension's `2^|W|` rows, one per member subset, turned into its
+    /// cells' counts in place.
+    work: Vec<[u64; 2]>,
+    /// Column intersection of each member subset of one extension.
+    ands: Vec<u64>,
+    /// Sorted-union index of each cell's base bits, for one extension.
+    cell_index: Vec<usize>,
+    /// Sorted-union index of each member subset's bits, for one extension.
+    subset_index: Vec<usize>,
+    /// Output table, in sorted-union combination order.
+    counts: Vec<[u64; 2]>,
+    /// A pinned kernel tier ([`with_kernels`](Self::with_kernels)); the
+    /// process-wide table otherwise.
+    kernels: Option<crate::simd::Kernels>,
+    /// Cumulative tables emitted by [`extension_counts`](Self::extension_counts).
     refine_calls: u64,
     /// Cumulative [`set_base`](Self::set_base) calls (full recounts).
     rebase_calls: u64,
@@ -665,7 +762,8 @@ pub struct CountsWorkspace {
 /// whole point of the incremental engine, so runs report both.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkspaceStats {
-    /// [`CountsWorkspace::refined_counts`] calls (incremental refinements).
+    /// Tables emitted by [`CountsWorkspace::extension_counts`] (one per
+    /// extension scored against the cached base).
     pub refinements: u64,
     /// [`CountsWorkspace::set_base`] calls (full partition recounts).
     pub rebases: u64,
@@ -677,8 +775,23 @@ impl CountsWorkspace {
         CountsWorkspace::default()
     }
 
+    /// An empty workspace whose extension counting runs on `kernels`
+    /// instead of the process-wide [`kernels`](crate::simd::kernels)
+    /// table — for comparing tiers within one process. Every tier yields
+    /// the same tables.
+    pub fn with_kernels(kernels: crate::simd::Kernels) -> Self {
+        CountsWorkspace {
+            kernels: Some(kernels),
+            ..CountsWorkspace::default()
+        }
+    }
+
     /// Instantiates the partition of `parents` (the round's base set `F`)
     /// over `cols`, replacing any previous base.
+    ///
+    /// The root mask is split along each parent in turn and cells left
+    /// with no process are dropped, as [`NodeColumns::combo_counts`]
+    /// prunes empty branches.
     ///
     /// `parents` must be sorted and duplicate-free — the invariant the
     /// greedy search maintains for its accepted parent set.
@@ -703,13 +816,42 @@ impl CountsWorkspace {
         );
         check_combo_size(parents.len())?;
         self.rebase_calls += 1;
-        self.words = cols.words_per_col;
+        let words = cols.words_per_col;
+        self.words = words;
         self.base_parents.clear();
         self.base_parents.extend_from_slice(parents);
-        self.base.resize((1usize << parents.len()) * self.words, 0);
-        cols.root_mask_into(&mut self.base[..self.words]);
+        self.root.resize(words, 0);
+        cols.root_mask_into(&mut self.root);
+        self.cells.clear();
+        self.masks.clear();
+        if self.root.iter().any(|&w| w != 0) {
+            self.cells.push(0);
+            self.masks.extend_from_slice(&self.root);
+        }
         for (t, &p) in parents.iter().enumerate() {
-            Self::refine_level(&mut self.base, cols.col(p), 1usize << t, self.words);
+            let pcol = &cols.col(p)[..words];
+            self.next_cells.clear();
+            self.next_masks.resize(2 * self.masks.len(), 0);
+            let mut kept = 0usize;
+            for (&e, m) in self.cells.iter().zip(self.masks.chunks_exact(words)) {
+                for (bit, flip) in [(0, u64::MAX), (1u32 << t, 0)] {
+                    // The half of `m` where the parent's status is `bit`:
+                    // `m ∧ ¬p` for 0, `m ∧ p` for 1.
+                    let out = &mut self.next_masks[kept * words..(kept + 1) * words];
+                    let mut any = 0u64;
+                    for ((o, &w), &c) in out.iter_mut().zip(m).zip(pcol) {
+                        *o = w & (c ^ flip);
+                        any |= *o;
+                    }
+                    if any != 0 {
+                        self.next_cells.push(e | bit);
+                        kept += 1;
+                    }
+                }
+            }
+            self.next_masks.truncate(kept * words);
+            std::mem::swap(&mut self.cells, &mut self.next_cells);
+            std::mem::swap(&mut self.masks, &mut self.next_masks);
         }
         Ok(())
     }
@@ -727,193 +869,146 @@ impl CountsWorkspace {
         }
     }
 
-    /// Splits each of the first `len` masks in `arena` along parent column
-    /// `pcol`: the zero-half stays at entry `e`, the one-half lands at
-    /// `len + e`. Each word is read before either half is written, so the
-    /// doubling is safely in place.
-    fn refine_level(arena: &mut [u64], pcol: &[u64], len: usize, words: usize) {
-        debug_assert!(arena.len() >= 2 * len * words);
-        let k = crate::simd::kernels();
-        let (lo, hi) = arena.split_at_mut(len * words);
-        for e in 0..len {
-            let src = &mut lo[e * words..(e + 1) * words];
-            let dst = &mut hi[e * words..(e + 1) * words];
-            k.refine_masks(src, dst, pcol);
-        }
-    }
-
-    /// Counts `N_ijk` for `child` under the parent set `F ∪ extra`,
-    /// refining the cached base partition along `extra`'s nodes only.
+    /// Counts `N_ijk` for `child` under `F ∪ W` for every extension `W` of
+    /// `batch`, in one pass over the cached base partition (see the type
+    /// docs for the scheme).
     ///
-    /// `extra` must be sorted, duplicate-free and disjoint from the base
-    /// set. The returned table is indexed by sorted-union combination
-    /// order and is bit-identical to
-    /// `cols.combo_counts(child, &sorted_union)`.
+    /// Each extension must be disjoint from the base set; it may be empty
+    /// (the table of `F` itself). `sink` receives `(t, counts)` for each
+    /// extension index `t` in batch order; the table is indexed by
+    /// sorted-union combination order and is bit-identical to
+    /// `cols.combo_counts(child, &sorted_union)`. Each extension counts
+    /// once toward [`refinements`](WorkspaceStats::refinements).
     ///
     /// # Errors
     ///
-    /// Returns [`ComboSizeError`] if the union exceeds
-    /// [`MAX_TABULATED_PARENTS`] nodes.
+    /// Returns [`ComboSizeError`] — before scoring anything or counting any
+    /// refinement — for the first extension whose union with the base
+    /// exceeds [`MAX_TABULATED_PARENTS`] nodes.
     ///
     /// # Panics
     ///
-    /// Panics if `extra` violates the ordering/disjointness contract or if
-    /// `cols` has a different process count than the base was instantiated
-    /// from.
-    pub fn refined_counts(
+    /// Panics if an extension overlaps the base set or if `cols` has a
+    /// different process count than the base was instantiated from.
+    pub fn extension_counts(
         &mut self,
         cols: &NodeColumns,
         child: NodeId,
-        extra: &[NodeId],
-    ) -> Result<&[[u64; 2]], ComboSizeError> {
-        assert_eq!(
-            self.words, cols.words_per_col,
-            "workspace base was instantiated from a different matrix shape"
-        );
-        assert!(
-            extra.windows(2).all(|w| w[0] < w[1]),
-            "extension set must be sorted and duplicate-free"
-        );
-        assert!(
-            extra
-                .iter()
-                .all(|p| self.base_parents.binary_search(p).is_err()),
-            "extension set must be disjoint from the base parent set"
-        );
-        let f = self.base_parents.len();
-        let w = extra.len();
-        check_combo_size(f + w)?;
-        self.refine_calls += 1;
-
-        // Refine the cached base partition along the extension nodes.
-        self.scratch.resize((1usize << (f + w)) * self.words, 0);
-        self.scratch[..self.base.len()].copy_from_slice(&self.base);
-        for (t, &p) in extra.iter().enumerate() {
-            Self::refine_level(
-                &mut self.scratch,
-                cols.col(p),
-                1usize << (f + t),
-                self.words,
-            );
-        }
-
-        // Map each source bit (base order, then extension order) to its
-        // position in the sorted union. Both inputs are sorted and
-        // disjoint, so a linear merge assigns positions.
-        self.bit_pos.resize(f + w, 0);
-        let (mut bi, mut wi) = (0usize, 0usize);
-        for pos in 0..f + w {
-            let take_base = wi >= w || (bi < f && self.base_parents[bi] < extra[wi]);
-            if take_base {
-                self.bit_pos[bi] = pos as u32;
-                bi += 1;
-            } else {
-                self.bit_pos[f + wi] = pos as u32;
-                wi += 1;
-            }
-        }
-
-        // Tabulate. Entry `e` of the arena (extension bits above base bits)
-        // scatters to union index `j`; the map is a bit permutation, so
-        // every `j` is written exactly once.
-        self.counts.resize(1usize << (f + w), [0, 0]);
-        let k = crate::simd::kernels();
-        let ccol = cols.col(child);
-        for e in 0..1usize << (f + w) {
-            let mask = &self.scratch[e * self.words..(e + 1) * self.words];
-            let (infected, total) = k.and_self_popcount(mask, ccol);
-            let mut j = 0usize;
-            for (t, &pos) in self.bit_pos.iter().enumerate() {
-                j |= ((e >> t) & 1) << pos;
-            }
-            self.counts[j] = [total - infected, infected];
-        }
-        Ok(&self.counts)
-    }
-
-    /// Counts `N_ijk` for `child` under every single-node extension
-    /// `F ∪ {extras[t]}` in one streaming pass over the cached base
-    /// partition, without materializing any refined arena.
-    ///
-    /// For each base-partition entry the kernel computes the entry's
-    /// `(infected, total)` once, then for every candidate one fused
-    /// AND³+popcount pass yields the candidate-infected half; the
-    /// candidate-uninfected half follows by subtraction. The zero-copy
-    /// pass replaces `extras.len()` arena copy+refine+tabulate cycles, so
-    /// the base masks are read once per candidate *group* instead of once
-    /// per candidate evaluation step — and the per-extension tables are
-    /// bit-identical to [`refined_counts`](Self::refined_counts) with the
-    /// same single-node extension (each counts once toward the
-    /// [`refinements`](WorkspaceStats::refinements) stat, preserving the
-    /// sequential accounting).
-    ///
-    /// `sink` receives `(t, counts)` for each extension index `t` in
-    /// order; the table is indexed by sorted-union combination order,
-    /// exactly like `refined_counts(cols, child, &[extras[t]])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same contract as `refined_counts`: each extra
-    /// must be absent from the base set, `cols` must match the shape the
-    /// base was instantiated from, and the unions `F ∪ {p}` must fit
-    /// [`MAX_TABULATED_PARENTS`] (the greedy search caps parent sets far
-    /// below the limit, so unlike the fallible kernels this is a
-    /// programmer contract, not reachable from hostile input).
-    pub fn refined_counts_single_batch(
-        &mut self,
-        cols: &NodeColumns,
-        child: NodeId,
-        extras: &[NodeId],
+        batch: &ExtensionBatch,
         mut sink: impl FnMut(usize, &[[u64; 2]]),
-    ) {
-        if extras.is_empty() {
-            return;
-        }
+    ) -> Result<(), ComboSizeError> {
         assert_eq!(
             self.words, cols.words_per_col,
             "workspace base was instantiated from a different matrix shape"
         );
-        assert!(
-            extras
-                .iter()
-                .all(|p| self.base_parents.binary_search(p).is_err()),
-            "extension nodes must be disjoint from the base parent set"
-        );
         let f = self.base_parents.len();
-        assert!(
-            f < MAX_TABULATED_PARENTS,
-            "single-node extensions of a {f}-parent base exceed the combination table limit"
-        );
-        self.refine_calls += extras.len() as u64;
-
-        let k = crate::simd::kernels();
-        let ccol = cols.col(child);
-        // Shared per-entry counts of the unrefined base partition.
-        self.batch_counts.resize(1usize << f, [0, 0]);
-        for e in 0..1usize << f {
-            let mask = &self.base[e * self.words..(e + 1) * self.words];
-            let (infected, total) = k.and_self_popcount(mask, ccol);
-            self.batch_counts[e] = [infected, total];
+        for ext in batch.iter() {
+            assert!(
+                ext.iter()
+                    .all(|p| self.base_parents.binary_search(p).is_err()),
+                "extension set must be disjoint from the base parent set"
+            );
+            check_combo_size(f + ext.len())?;
         }
-        self.counts.resize(1usize << (f + 1), [0, 0]);
-        for (t, &p) in extras.iter().enumerate() {
-            // The new parent's bit position in the sorted union F ∪ {p}.
-            let pos = self.base_parents.partition_point(|&b| b < p);
-            let pcol = cols.col(p);
-            for e in 0..1usize << f {
-                let mask = &self.base[e * self.words..(e + 1) * self.words];
-                let [i_e, t_e] = self.batch_counts[e];
-                let (mw, mwc) = k.and3_popcount(mask, pcol, ccol);
-                // Splice the new parent's bit into the base combination
-                // index: bits below `pos` keep their place, bits at or
-                // above shift up by one.
-                let j0 = (e & ((1usize << pos) - 1)) | ((e >> pos) << (pos + 1));
-                let j1 = j0 | (1usize << pos);
-                self.counts[j1] = [mw - mwc, mwc];
-                self.counts[j0] = [(t_e - i_e) - (mw - mwc), i_e - mwc];
+        self.refine_calls += batch.len() as u64;
+
+        let k = self.kernels.unwrap_or(*crate::simd::kernels());
+        let words = self.words;
+        let ccol = cols.col(child);
+        let live = self.cells.len();
+        self.members.clear();
+        self.members.extend_from_slice(&batch.nodes);
+        self.members.sort_unstable();
+        self.members.dedup();
+        let shared = (1 + self.members.len()) * live;
+        self.rows.resize(shared, [0, 0]);
+        let (cell_row, member_rows) = self.rows.split_at_mut(live);
+        k.and3_popcount_rows(&self.masks, words, &self.root, ccol, cell_row);
+        for (&a, row) in self
+            .members
+            .iter()
+            .zip(member_rows.chunks_exact_mut(live.max(1)))
+        {
+            k.and3_popcount_rows(&self.masks, words, cols.col(a), ccol, row);
+        }
+
+        for (t, ext) in batch.iter().enumerate() {
+            let subsets = 1usize << ext.len();
+            // Row S of `work`: [|m ∧ ⋀S|, |m ∧ ⋀S ∧ child|] for each cell,
+            // copied from the shared rows for S = ∅ and single members.
+            self.work.resize(subsets * live, [0, 0]);
+            self.ands.resize(subsets * words, 0);
+            for (s, row) in self.work.chunks_exact_mut(live.max(1)).enumerate() {
+                if s == 0 {
+                    row.copy_from_slice(&self.rows[..live]);
+                } else if s.is_power_of_two() {
+                    let member = ext[s.trailing_zeros() as usize];
+                    let i = self
+                        .members
+                        .binary_search(&member)
+                        .expect("batch members were collected");
+                    row.copy_from_slice(&self.rows[(1 + i) * live..(2 + i) * live]);
+                } else {
+                    // ⋀S = ⋀(S minus its lowest member) ∧ that member.
+                    let low = s & s.wrapping_neg();
+                    let rest = s ^ low;
+                    let (done, todo) = self.ands.split_at_mut(s * words);
+                    let prev: &[u64] = if rest.is_power_of_two() {
+                        cols.col(ext[rest.trailing_zeros() as usize])
+                    } else {
+                        &done[rest * words..(rest + 1) * words]
+                    };
+                    let col = cols.col(ext[low.trailing_zeros() as usize]);
+                    let and = &mut todo[..words];
+                    for ((o, &p), &c) in and.iter_mut().zip(prev).zip(col) {
+                        *o = p & c;
+                    }
+                    k.and3_popcount_rows(&self.masks, words, and, ccol, row);
+                }
+            }
+            // Superset Möbius inversion: row T becomes the counts of the
+            // processes whose members in T are infected and whose other
+            // members are not. Every partial sum counts processes, so no
+            // subtraction underflows.
+            for b in 0..ext.len() {
+                let bit = 1usize << b;
+                for s in (0..subsets).filter(|s| s & bit == 0) {
+                    let (lo, hi) = self.work.split_at_mut((s | bit) * live);
+                    for (x, y) in lo[s * live..(s + 1) * live].iter_mut().zip(&hi[..live]) {
+                        x[0] -= y[0];
+                        x[1] -= y[1];
+                    }
+                }
+            }
+
+            // Sorted-union index of each cell's base bits and of each
+            // subset's member bits: member `i` lands after every base
+            // parent below it and after the `i` members before it.
+            self.cell_index.clear();
+            self.cell_index
+                .extend(self.cells.iter().map(|&e| e as usize));
+            self.subset_index.resize(subsets, 0);
+            for (i, &p) in ext.iter().enumerate() {
+                let pos = i + self.base_parents.partition_point(|&b| b < p);
+                for s in 1usize << i..2usize << i {
+                    self.subset_index[s] = self.subset_index[s - (1 << i)] | 1 << pos;
+                }
+                // Open a zero bit at `pos` in every cell's base index.
+                let low = (1usize << pos) - 1;
+                for j in &mut self.cell_index {
+                    *j = (*j & low) | (*j & !low) << 1;
+                }
+            }
+            self.counts.clear();
+            self.counts.resize(1usize << (f + ext.len()), [0, 0]);
+            for (row, &js) in self.work.chunks_exact(live.max(1)).zip(&self.subset_index) {
+                for (&jc, &[total, infected]) in self.cell_index.iter().zip(row) {
+                    self.counts[jc | js] = [total - infected, infected];
+                }
             }
             sink(t, &self.counts);
         }
+        Ok(())
     }
 }
 
@@ -1107,6 +1202,21 @@ mod tests {
         m
     }
 
+    /// [`CountsWorkspace::extension_counts`] on a batch of one, as an
+    /// owned table.
+    fn one_table(
+        ws: &mut CountsWorkspace,
+        cols: &NodeColumns,
+        child: NodeId,
+        extra: &[NodeId],
+    ) -> Result<Vec<[u64; 2]>, ComboSizeError> {
+        let mut batch = ExtensionBatch::new();
+        batch.push(extra.iter().copied());
+        let mut table = Vec::new();
+        ws.extension_counts(cols, child, &batch, |_, counts| table = counts.to_vec())?;
+        Ok(table)
+    }
+
     #[test]
     fn workspace_counts_match_recursive_kernel() {
         // β = 100 crosses the word boundary; exercise base/extension splits
@@ -1129,10 +1239,7 @@ mod tests {
             ws.set_base(&cols, base).expect("small base");
             let mut union: Vec<NodeId> = base.iter().chain(extra).copied().collect();
             union.sort_unstable();
-            let got = ws
-                .refined_counts(&cols, 11, extra)
-                .expect("small union")
-                .to_vec();
+            let got = one_table(&mut ws, &cols, 11, extra).expect("small union");
             assert_eq!(
                 got,
                 cols.combo_counts(11, &union).expect("small"),
@@ -1159,10 +1266,7 @@ mod tests {
                 let mut union: Vec<NodeId> = base.iter().chain(&extra).copied().collect();
                 union.sort_unstable();
                 for child in [5u32, 8] {
-                    let got = ws
-                        .refined_counts(&cols, child, &extra)
-                        .expect("small union")
-                        .to_vec();
+                    let got = one_table(&mut ws, &cols, child, &extra).expect("small union");
                     assert_eq!(
                         got,
                         cols.combo_counts(child, &union).expect("small"),
@@ -1174,41 +1278,70 @@ mod tests {
     }
 
     #[test]
-    fn batched_single_extensions_match_refined_counts() {
-        // The batched pass must reproduce `refined_counts` bit-for-bit for
-        // every candidate, with bases that interleave the candidates both
-        // ways, and charge one refinement per candidate.
+    fn batched_extensions_match_per_extension_tables() {
+        // One batch mixing extension sizes 0–3, repeats and shared members
+        // must reproduce the recursive kernel's table for every extension,
+        // with bases that interleave the extensions both ways and bases
+        // with empty cells, and charge one refinement per extension.
         let m = random_matrix(100, 12, 0x1357_9BDF_2468_ACE0);
         let cols = m.columns();
         let mut ws = CountsWorkspace::new();
-        let mut oracle = CountsWorkspace::new();
-        let cases: &[(&[NodeId], &[NodeId])] = &[
-            (&[], &[0]),
-            (&[], &[4, 7, 11]),
-            (&[5], &[0, 6, 9]),
-            (&[2, 8], &[0, 3, 5, 10, 11]),
-            (&[0, 1, 2], &[3, 7, 9]),
-            (&[4, 6, 10], &[0, 5, 11]),
+        let cases: &[(&[NodeId], &[&[NodeId]])] = &[
+            (&[], &[&[0]]),
+            (&[], &[&[4], &[7, 4], &[], &[11, 4, 7], &[4]]),
+            (&[5], &[&[0], &[6, 9], &[9], &[0, 6, 9], &[6, 9]]),
+            (&[2, 8], &[&[0, 3], &[5], &[10, 11], &[3, 0], &[0, 5, 11]]),
+            (&[0, 1, 2, 3, 4, 5], &[&[6], &[7, 9], &[6, 7, 11]]),
+            (&[4, 6, 10], &[&[0, 5, 11], &[11], &[0]]),
         ];
+        let mut batch = ExtensionBatch::new();
         for &(base, extras) in cases {
             ws.set_base(&cols, base).expect("small base");
-            oracle.set_base(&cols, base).expect("small base");
+            batch.clear();
+            for ext in extras {
+                batch.push(ext.iter().copied());
+            }
             let before = ws.stats().refinements;
             let mut seen = 0usize;
-            ws.refined_counts_single_batch(&cols, 11, extras, |t, counts| {
-                let expect = oracle
-                    .refined_counts(&cols, 11, &[extras[t]])
-                    .expect("small union");
-                assert_eq!(counts, expect, "base {base:?} extra {}", extras[t]);
+            ws.extension_counts(&cols, 11, &batch, |t, counts| {
+                let mut union: Vec<NodeId> = base.iter().chain(extras[t]).copied().collect();
+                union.sort_unstable();
+                let expect = cols.combo_counts(11, &union).expect("small union");
+                assert_eq!(counts, expect, "base {base:?} extension {:?}", extras[t]);
+                assert_eq!(t, seen, "tables arrive in batch order");
                 seen += 1;
-            });
+            })
+            .expect("small unions");
             assert_eq!(seen, extras.len());
             assert_eq!(ws.stats().refinements, before + extras.len() as u64);
         }
         // Empty batches do nothing and charge nothing.
+        batch.clear();
         let before = ws.stats().refinements;
-        ws.refined_counts_single_batch(&cols, 11, &[], |_, _| panic!("no extras"));
+        ws.extension_counts(&cols, 11, &batch, |_, _| panic!("no extensions"))
+            .expect("empty batch");
         assert_eq!(ws.stats().refinements, before);
+    }
+
+    #[test]
+    fn extension_batch_sorts_each_extension() {
+        let mut batch = ExtensionBatch::new();
+        assert!(batch.is_empty());
+        assert_eq!(batch.push([9, 2, 5]), 0);
+        assert_eq!(batch.push([]), 1);
+        assert_eq!(batch.push([3]), 2);
+        assert_eq!(batch.len(), 3);
+        assert_eq!(batch.get(0), &[2, 5, 9]);
+        assert!(batch.get(1).is_empty());
+        assert_eq!(batch.get(2), &[3]);
+        batch.clear();
+        assert!(batch.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate-free")]
+    fn extension_batch_rejects_repeated_nodes() {
+        ExtensionBatch::new().push([4, 1, 4]);
     }
 
     #[test]
@@ -1218,7 +1351,10 @@ mod tests {
         let cols = m.columns();
         let mut ws = CountsWorkspace::new();
         ws.set_base(&cols, &[1]).expect("small base");
-        ws.refined_counts_single_batch(&cols, 2, &[0, 1], |_, _| {});
+        let mut batch = ExtensionBatch::new();
+        batch.push([0]);
+        batch.push([1]);
+        let _ = ws.extension_counts(&cols, 2, &batch, |_, _| {});
     }
 
     #[test]
@@ -1228,8 +1364,8 @@ mod tests {
         let mut ws = CountsWorkspace::new();
         ws.set_base(&cols, &[1]).expect("small base");
         assert_eq!(
-            ws.refined_counts(&cols, 0, &[2]).expect("small union"),
-            &[[0, 0]; 4]
+            one_table(&mut ws, &cols, 0, &[2]).expect("small union"),
+            vec![[0, 0]; 4]
         );
     }
 
@@ -1240,10 +1376,10 @@ mod tests {
         let mut ws = CountsWorkspace::new();
         assert_eq!(ws.stats(), WorkspaceStats::default());
         ws.set_base(&cols, &[]).expect("empty base");
-        ws.refined_counts(&cols, 2, &[0]).expect("small");
-        ws.refined_counts(&cols, 2, &[1]).expect("small");
+        one_table(&mut ws, &cols, 2, &[0]).expect("small");
+        one_table(&mut ws, &cols, 2, &[1]).expect("small");
         ws.set_base(&cols, &[0]).expect("small base");
-        ws.refined_counts(&cols, 2, &[1]).expect("small");
+        one_table(&mut ws, &cols, 2, &[1]).expect("small");
         let stats = ws.stats();
         assert_eq!(stats.rebases, 2);
         assert_eq!(stats.refinements, 3);
@@ -1256,7 +1392,7 @@ mod tests {
         let cols = m.columns();
         let mut ws = CountsWorkspace::new();
         ws.set_base(&cols, &[1]).expect("small base");
-        let _ = ws.refined_counts(&cols, 2, &[1]);
+        let _ = one_table(&mut ws, &cols, 2, &[1]);
     }
 
     #[test]
@@ -1289,12 +1425,17 @@ mod tests {
         let mut ws = CountsWorkspace::new();
         assert_eq!(ws.set_base(&cols, &parents).unwrap_err(), err);
         // A base/extension split whose union crosses the limit errors too,
-        // without counting the failed call as a refinement.
+        // before scoring any extension of the batch and without counting
+        // the failed call as a refinement.
         ws.set_base(&cols, &parents[..20]).expect("20 fits");
         let rebases_before = ws.stats();
+        let mut batch = ExtensionBatch::new();
+        batch.push([20]);
+        batch.push(parents[20..].iter().copied());
+        batch.push(parents[21..].iter().copied());
         assert_eq!(
-            ws.refined_counts(&cols, 29, &parents[20..]).unwrap_err(),
-            err
+            ws.extension_counts(&cols, 29, &batch, |_, _| panic!("nothing is scored")),
+            Err(err)
         );
         assert_eq!(ws.stats().refinements, rebases_before.refinements);
     }

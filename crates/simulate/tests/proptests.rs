@@ -2,8 +2,8 @@
 
 use diffnet_graph::NodeId;
 use diffnet_simulate::{
-    io, DiffusionRecord, EdgeProbs, IcConfig, IndependentCascade, Kernels, LinearThreshold,
-    ObservationSet, SimdMode, StatusMatrix, UNINFECTED,
+    io, CountsWorkspace, DiffusionRecord, EdgeProbs, ExtensionBatch, IcConfig, IndependentCascade,
+    Kernels, LinearThreshold, ObservationSet, SimdMode, StatusMatrix, UNINFECTED,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -177,7 +177,24 @@ proptest! {
             prop_assert_eq!(k.popcount(&a), naive_pc(&a));
             prop_assert_eq!(k.and_popcount(&a, &b), naive_pc(&and));
             prop_assert_eq!(k.and_self_popcount(&a, &b), (naive_pc(&and), naive_pc(&a)));
-            prop_assert_eq!(k.and3_popcount(&a, &b, &c), (naive_pc(&and), naive_pc(&and3)));
+            if !a.is_empty() {
+                let mut one = [[0u64; 2]];
+                k.and3_popcount_rows(&a, a.len(), &b, &c, &mut one);
+                prop_assert_eq!(one[0], [naive_pc(&and), naive_pc(&and3)]);
+            }
+            // The row kernel over `a` read as rows of `w` words.
+            for w in [1usize, 3, 4, 18] {
+                let rows = a.len() / w;
+                let mut out = vec![[0u64; 2]; rows];
+                k.and3_popcount_rows(&a, w, &b[..w.min(b.len())], &c[..w.min(c.len())], &mut out);
+                for (r, o) in out.iter().enumerate() {
+                    let m = &a[r * w..(r + 1) * w];
+                    let x = &b[..w];
+                    let mx: Vec<u64> = m.iter().zip(x).map(|(p, q)| p & q).collect();
+                    let mxc: Vec<u64> = mx.iter().zip(&c[..w]).map(|(p, q)| p & q).collect();
+                    prop_assert_eq!(*o, [naive_pc(&mx), naive_pc(&mxc)], "row {}", r);
+                }
+            }
             let mut lo = a.clone();
             let mut hi = vec![0u64; a.len()];
             k.refine_masks(&mut lo, &mut hi, &b);
@@ -221,8 +238,9 @@ proptest! {
         }
     }
 
-    // The word-parallel combination tables (recursive, incremental, and
-    // batched single-extension) all match the row-major scalar oracle.
+    // The word-parallel combination tables (recursive, and the workspace's
+    // batched extensions: the whole extension set and each of its nodes
+    // alone) all match the row-major scalar oracle.
     #[test]
     fn combo_tables_match_row_oracle(m in simd_matrix(), seed in 0u64..1000) {
         let n = m.num_nodes();
@@ -247,23 +265,100 @@ proptest! {
 
         let mut ws = diffnet_simulate::CountsWorkspace::new();
         ws.set_base(&cols, &base).expect("within limit");
-        prop_assert_eq!(
-            ws.refined_counts(&cols, child, &extras).expect("within limit"),
-            oracle.as_slice()
-        );
-
-        // Batched single extensions against per-extension oracles.
-        let mut singles = Vec::new();
-        ws.refined_counts_single_batch(&cols, child, &extras, |t, counts| {
-            singles.push((t, counts.to_vec()));
-        });
-        prop_assert_eq!(singles.len(), extras.len());
-        for (t, counts) in singles {
+        let mut batch = ExtensionBatch::new();
+        batch.push(extras.iter().copied());
+        for &p in &extras {
+            batch.push([p]);
+        }
+        let mut tables = Vec::new();
+        ws.extension_counts(&cols, child, &batch, |t, counts| {
+            tables.push((t, counts.to_vec()));
+        })
+        .expect("within limit");
+        prop_assert_eq!(tables.len(), 1 + extras.len());
+        for (t, counts) in tables {
             let mut one = base.clone();
-            one.push(extras[t]);
+            one.extend_from_slice(batch.get(t));
             one.sort_unstable();
             let want = m.combo_counts(child, &one).expect("within limit");
-            prop_assert_eq!(counts, want, "extension {}", extras[t]);
+            prop_assert_eq!(counts, want, "extension {:?}", batch.get(t));
+        }
+    }
+
+    // The batched extension kernel emits, for every extension of a batch
+    // that mixes sizes 1–3 and repeats some of them, against bases of 0–6
+    // parents, exactly the recursive kernel's table over the sorted union
+    // — under every SIMD tier the host has (unavailable ones degrade to
+    // an available one), at β around the word and lane edges and at the
+    // paper's and the archive's β.
+    #[test]
+    fn extension_counts_match_combo_counts(
+        (beta, n, bits) in (
+            (0usize..7).prop_map(|i| [0usize, 1, 63, 64, 65, 150, 1100][i]),
+            10usize..14,
+        )
+            .prop_flat_map(|(beta, n)| {
+                use proptest::strategy::Just;
+                (Just(beta), Just(n), proptest::collection::vec(any::<bool>(), beta * n))
+            }),
+        seed in any::<u64>(),
+    ) {
+        use rand::Rng;
+        let mut m = StatusMatrix::new(beta, n);
+        for (cell, &infected) in bits.iter().enumerate() {
+            if infected {
+                m.set(cell / n, (cell % n) as NodeId);
+            }
+        }
+        let cols = m.columns();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let child = rng.gen_range(0..n) as NodeId;
+        let mut others: Vec<NodeId> = (0..n as NodeId).filter(|&v| v != child).collect();
+        for i in (1..others.len()).rev() {
+            others.swap(i, rng.gen_range(0..=i));
+        }
+        let f = rng.gen_range(0..=6usize);
+        let mut base = others[..f].to_vec();
+        base.sort_unstable();
+        let pool = &others[f..];
+        let mut extensions: Vec<Vec<NodeId>> = Vec::new();
+        for _ in 0..rng.gen_range(1..=8usize) {
+            if !extensions.is_empty() && rng.gen_bool(0.25) {
+                let again = extensions[rng.gen_range(0..extensions.len())].clone();
+                extensions.push(again);
+            } else {
+                let k = rng.gen_range(1..=3usize);
+                // Distinct picks by a partial shuffle; |pool| ≥ 3 ≥ k.
+                let mut ext = pool.to_vec();
+                for j in 0..k {
+                    let r = rng.gen_range(j..ext.len());
+                    ext.swap(j, r);
+                }
+                ext.truncate(k);
+                extensions.push(ext);
+            }
+        }
+        let mut batch = ExtensionBatch::new();
+        for ext in &extensions {
+            batch.push(ext.iter().copied());
+        }
+        for mode in [SimdMode::Scalar, SimdMode::Popcnt, SimdMode::Avx2, SimdMode::Auto] {
+            let mut ws = CountsWorkspace::with_kernels(Kernels::for_mode(mode));
+            ws.set_base(&cols, &base).expect("small base");
+            let mut seen = 0usize;
+            let mut mismatch = None;
+            ws.extension_counts(&cols, child, &batch, |t, counts| {
+                let mut union: Vec<NodeId> = base.iter().chain(&extensions[t]).copied().collect();
+                union.sort_unstable();
+                if counts != cols.combo_counts(child, &union).expect("small union").as_slice() {
+                    mismatch.get_or_insert(t);
+                }
+                seen += 1;
+            })
+            .expect("small unions");
+            prop_assert_eq!(mismatch, None, "{:?} base {:?} batch {:?}", mode, &base, &extensions);
+            prop_assert_eq!(seen, extensions.len());
+            prop_assert_eq!(ws.stats().refinements, extensions.len() as u64);
         }
     }
 

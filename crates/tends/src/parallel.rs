@@ -10,9 +10,10 @@
 //! counter ([`WorkQueue`]) until the range is drained.
 //!
 //! Determinism: [`run_indexed`] requires the work function to be a pure
-//! function of its index (plus shared read-only captures). Results are
-//! written into a slot per index, so the output is identical regardless of
-//! thread count or claim interleaving — the property the
+//! function of its index (plus shared read-only captures). Each claimed
+//! chunk's results are kept together and the chunks are concatenated in
+//! index order, so the output is identical regardless of thread count or
+//! claim interleaving — the property the
 //! `parallel_search_matches_sequential` and correlation determinism tests
 //! pin down.
 
@@ -125,7 +126,35 @@ where
         return (results, stats);
     }
     let queue = WorkQueue::new(total, chunk);
-    let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
+    run_claimed(total, threads, init, || queue.claim(), work)
+}
+
+/// Runs `threads` workers, each with its own `init()` state, that claim
+/// index ranges from `claim` until it returns `None` and compute
+/// `work(state, i)` for every index claimed; returns the results in index
+/// order with the pool's [`PoolStats`]. `claim` must hand out every index
+/// of `0..total` exactly once.
+///
+/// Each claimed chunk's results are staged as one exactly-sized `Vec<T>`.
+/// After the join the chunks are moved, in index order, into the output,
+/// and each is freed as soon as it is moved. The heap peak is about twice
+/// the results, where per-index `Option<T>` slots beside worker-local
+/// `(index, value)` pairs cost about four times for an `f64` result.
+fn run_claimed<T, S, I, C, W>(
+    total: usize,
+    threads: usize,
+    init: I,
+    claim: C,
+    work: W,
+) -> (Vec<T>, PoolStats<S>)
+where
+    T: Send,
+    S: Send,
+    I: Fn() -> S + Sync,
+    C: Fn() -> Option<Range<usize>> + Sync,
+    W: Fn(&mut S, usize) -> T + Sync,
+{
+    let mut parts: Vec<(usize, Vec<T>)> = Vec::new();
     let mut chunks_per_worker = Vec::with_capacity(threads);
     let mut states = Vec::with_capacity(threads);
     std::thread::scope(|scope| {
@@ -134,30 +163,30 @@ where
                 scope.spawn(|| {
                     let mut state = init();
                     let mut local = Vec::new();
-                    let mut chunks = 0u64;
-                    while let Some(range) = queue.claim() {
-                        chunks += 1;
-                        for i in range {
-                            local.push((i, work(&mut state, i)));
-                        }
+                    while let Some(range) = claim() {
+                        let start = range.start;
+                        let mut values = Vec::with_capacity(range.len());
+                        values.extend(range.map(|i| work(&mut state, i)));
+                        local.push((start, values));
                     }
-                    (local, chunks, state)
+                    (local, state)
                 })
             })
             .collect();
         for worker in workers {
-            let (local, chunks, state) = worker.join().expect("worker panicked");
-            for (i, value) in local {
-                slots[i] = Some(value);
-            }
-            chunks_per_worker.push(chunks);
+            let (local, state) = worker.join().expect("worker panicked");
+            chunks_per_worker.push(local.len() as u64);
+            parts.extend(local);
             states.push(state);
         }
     });
-    let results = slots
-        .into_iter()
-        .map(|v| v.expect("every index claimed once"))
-        .collect();
+    parts.sort_unstable_by_key(|&(start, _)| start);
+    let mut results = Vec::with_capacity(total);
+    for (start, values) in parts {
+        debug_assert_eq!(start, results.len(), "claimed chunks tile the range");
+        results.extend(values);
+    }
+    assert_eq!(results.len(), total, "every index claimed once");
     let stats = PoolStats {
         threads,
         chunks_per_worker,
@@ -236,8 +265,9 @@ where
 ///
 /// Chunk boundaries are `cost_chunks(costs, threads × chunks_per_thread)`;
 /// several chunks per thread keep the work-stealing slack that absorbs cost
-/// *estimate* errors. Results land in per-index slots, so the output is
-/// bit-identical at every thread count, exactly like [`run_indexed_stats`].
+/// *estimate* errors. Chunks are concatenated in index order, so the output
+/// is bit-identical at every thread count, exactly like
+/// [`run_indexed_stats`].
 pub fn run_weighted_stats<T, S, I, W>(
     costs: &[u64],
     chunks_per_thread: usize,
@@ -265,47 +295,8 @@ where
         return (results, stats);
     }
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
-    let mut chunks_per_worker = Vec::with_capacity(threads);
-    let mut states = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    let mut local = Vec::new();
-                    let mut claimed = 0u64;
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(range) = chunks.get(c) else { break };
-                        claimed += 1;
-                        for i in range.clone() {
-                            local.push((i, work(&mut state, i)));
-                        }
-                    }
-                    (local, claimed, state)
-                })
-            })
-            .collect();
-        for worker in workers {
-            let (local, claimed, state) = worker.join().expect("worker panicked");
-            for (i, value) in local {
-                slots[i] = Some(value);
-            }
-            chunks_per_worker.push(claimed);
-            states.push(state);
-        }
-    });
-    let results = slots
-        .into_iter()
-        .map(|v| v.expect("every index claimed once"))
-        .collect();
-    let stats = PoolStats {
-        threads,
-        chunks_per_worker,
-        states,
-    };
-    (results, stats)
+    let claim = || chunks.get(next.fetch_add(1, Ordering::Relaxed)).cloned();
+    run_claimed(total, threads, init, claim, work)
 }
 
 #[cfg(test)]

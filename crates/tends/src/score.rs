@@ -16,6 +16,8 @@
 //!
 //! All logarithms are base 2, following the paper.
 
+use std::collections::hash_map::{self, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 use crate::imi::Log2Table;
@@ -126,6 +128,26 @@ pub fn phi(counts: &[ComboCounts]) -> usize {
     counts.iter().filter(|&&[n1, n2]| n1 + n2 == 0).count()
 }
 
+/// [`local_score`] and [`phi`] of one table in a single pass over it,
+/// bit-identical to calling both.
+///
+/// The likelihood and penalty sums add the same terms in the same cell
+/// order as [`log_likelihood`] and [`penalty`] do. Empty cells are summed
+/// too (they add `+0.0`), so the loop has no data-dependent branch.
+pub fn evaluate(counts: &[ComboCounts]) -> CachedScore {
+    let t = tables();
+    let (mut likelihood, mut penalty, mut phi) = (0.0f64, 0.0f64, 0usize);
+    for &[n1, n2] in counts {
+        phi += usize::from(n1 + n2 == 0);
+        likelihood += t.likelihood(n1, n2);
+        penalty += t.penalty(n1, n2);
+    }
+    CachedScore {
+        score: likelihood - 0.5 * penalty,
+        phi,
+    }
+}
+
 /// `δ_i = 2N₁log₂(β/N₁) + 2N₂log₂(β/N₂) + log₂(β+1)` (Theorem 2, Eq. 17),
 /// where `N₁`/`N₂` count the processes in which `v_i` is uninfected /
 /// infected (`N₁ + N₂ = β`). Terms with `N = 0` vanish (`0·log(β/0) := 0`,
@@ -217,10 +239,61 @@ pub struct CachedScore {
 /// parent order, same summation order) a fresh evaluation would build, so
 /// reuse is bit-identical. The cache is per-child: callers must
 /// [`reset`](Self::reset) it between nodes.
+///
+/// A batched round [`probe`](Self::probe)s every subset before scoring
+/// any: the first probe of a new key counts the miss and reserves the key
+/// for the batch slot that will score it, and later probes of that key
+/// count hits on the same slot — the hit/miss split of scoring the round's
+/// subsets one at a time. [`fill`](Self::fill) stores the slot's score
+/// once the batch has run.
 #[derive(Clone, Debug, Default)]
 pub struct ScoreCache {
-    map: std::collections::HashMap<u64, CachedScore>,
+    map: HashMap<u64, Entry, BuildHasherDefault<MaskHasher>>,
     stats: ScoreCacheStats,
+}
+
+/// Hashes a subset bitmask key with one multiply: the keys are small,
+/// trusted integers, so the default DoS-resistant hasher only costs time
+/// on every probe.
+#[derive(Clone, Copy, Debug, Default)]
+struct MaskHasher(u64);
+
+impl Hasher for MaskHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        // Fibonacci hashing: the multiply carries every key bit into the
+        // high bits, and the rotate brings them down to the bucket bits.
+        self.0 = (self.0 ^ key)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(26);
+    }
+}
+
+/// A cache entry: a score, or the batch slot that will produce it.
+#[derive(Clone, Copy, Debug)]
+enum Entry {
+    Scored(CachedScore),
+    Queued(usize),
+}
+
+/// What [`ScoreCache::probe`] found for a key.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Probe {
+    /// Scored before (a hit).
+    Scored(CachedScore),
+    /// Reserved by an earlier probe for this batch slot (a hit).
+    Queued(usize),
+    /// New: the key is now reserved for the slot probed with (a miss).
+    Missed,
 }
 
 impl ScoreCache {
@@ -236,19 +309,28 @@ impl ScoreCache {
         self.stats = ScoreCacheStats::default();
     }
 
-    /// Looks up a subset's memoized evaluation, counting a hit on success.
-    pub fn get(&mut self, key: u64) -> Option<CachedScore> {
-        let found = self.map.get(&key).copied();
-        if found.is_some() {
-            self.stats.hits += 1;
+    /// Looks up a subset, counting a hit if it is scored or queued; a new
+    /// key counts a miss and is queued for batch slot `slot`.
+    pub fn probe(&mut self, key: u64, slot: usize) -> Probe {
+        match self.map.entry(key) {
+            hash_map::Entry::Occupied(e) => {
+                self.stats.hits += 1;
+                match *e.get() {
+                    Entry::Scored(value) => Probe::Scored(value),
+                    Entry::Queued(t) => Probe::Queued(t),
+                }
+            }
+            hash_map::Entry::Vacant(e) => {
+                self.stats.misses += 1;
+                e.insert(Entry::Queued(slot));
+                Probe::Missed
+            }
         }
-        found
     }
 
-    /// Memoizes a freshly computed evaluation, counting a miss.
-    pub fn insert(&mut self, key: u64, value: CachedScore) {
-        self.stats.misses += 1;
-        self.map.insert(key, value);
+    /// Stores the score of a key [`probe`](Self::probe) queued.
+    pub fn fill(&mut self, key: u64, value: CachedScore) {
+        self.map.insert(key, Entry::Scored(value));
     }
 
     /// Hit/miss counters since the last [`reset`](Self::reset).
@@ -334,6 +416,13 @@ mod tests {
 
     proptest! {
         #[test]
+        fn one_pass_evaluation_matches_score_and_phi(counts in counts()) {
+            let got = evaluate(&counts);
+            prop_assert_eq!(got.score.to_bits(), local_score(&counts).to_bits());
+            prop_assert_eq!(got.phi, phi(&counts));
+        }
+
+        #[test]
         fn table_scores_match_the_formulas_bit_for_bit(counts in counts()) {
             prop_assert_eq!(
                 log_likelihood(&counts).to_bits(),
@@ -345,6 +434,33 @@ mod tests {
                 oracle_local_score(&counts).to_bits()
             );
         }
+    }
+
+    #[test]
+    fn one_pass_evaluation_of_empty_and_all_empty_tables() {
+        for counts in [vec![], vec![[0, 0]], vec![[0, 0]; 4]] {
+            let got = evaluate(&counts);
+            assert_eq!(got.score.to_bits(), local_score(&counts).to_bits());
+            assert_eq!(got.phi, phi(&counts));
+        }
+    }
+
+    #[test]
+    fn cache_probes_count_one_miss_per_key() {
+        let mut cache = ScoreCache::new();
+        let value = CachedScore {
+            score: -3.5,
+            phi: 1,
+        };
+        assert_eq!(cache.probe(7, 0), Probe::Missed);
+        assert_eq!(cache.probe(7, 1), Probe::Queued(0));
+        assert_eq!(cache.probe(9, 1), Probe::Missed);
+        cache.fill(7, value);
+        assert_eq!(cache.probe(7, 2), Probe::Scored(value));
+        assert_eq!(cache.stats(), ScoreCacheStats { hits: 2, misses: 2 });
+        cache.reset();
+        assert_eq!(cache.stats(), ScoreCacheStats::default());
+        assert_eq!(cache.probe(7, 0), Probe::Missed);
     }
 
     #[test]

@@ -17,14 +17,23 @@
 //! candidate-subset bitmask, so greedy rounds (and the exhaustive
 //! strategy) that re-probe a subset already scored — round one re-scores
 //! every enumerated combination verbatim — reuse the score and `φ` instead
-//! of re-refining the workspace partition. Cached reuse is bit-identical
-//! to recounting, which the reference-oracle test pins down.
+//! of recounting. Cached reuse is bit-identical to recounting, which the
+//! reference-oracle test pins down.
+//!
+//! Combinations are classified as bitmasks over the candidate list,
+//! computed once when they are enumerated: a round's extension of `F` by
+//! `W` is `W & !F`, its size a popcount, and `W ⊆ F` is an empty
+//! extension. Every novel extension of a round, whatever its size, is
+//! queued into one [`ExtensionBatch`] that
+//! [`CountsWorkspace::extension_counts`] scores in a single pass over the
+//! round's base partition; enumeration (base `∅`) goes through the same
+//! batches.
 
 #[cfg(test)]
 use crate::imi::CorrelationMatrix;
-use crate::score::{self, CachedScore, ScoreCache, ScoreCacheStats};
+use crate::score::{self, CachedScore, Probe, ScoreCache, ScoreCacheStats};
 use diffnet_graph::NodeId;
-use diffnet_simulate::{ComboSizeError, CountsWorkspace, NodeColumns};
+use diffnet_simulate::{ComboSizeError, CountsWorkspace, ExtensionBatch, NodeColumns};
 use std::fmt;
 
 /// How the greedy expansion of a node's parent set accepts combinations.
@@ -152,13 +161,17 @@ impl SearchStats {
 
 /// Per-worker scratch state for the parent search: the incremental
 /// counting workspace plus the cross-round score cache. One instance
-/// serves many nodes in sequence, retaining both structures' buffers.
+/// serves many nodes in sequence, retaining every buffer.
 #[derive(Clone, Debug, Default)]
 pub struct SearchScratch {
     /// Incremental `N_ijk` counting engine.
     pub ws: CountsWorkspace,
     /// Cross-round `g(v_i, F ∪ W)` memo (reset per child).
     pub cache: ScoreCache,
+    /// One batch of evaluations against the workspace's base.
+    round: Round,
+    /// Bitmask of every enumerated combination, [`mask_words`] words each.
+    masks: Vec<u64>,
 }
 
 impl SearchScratch {
@@ -209,48 +222,201 @@ pub(crate) fn candidate_parents(
     crate::stream::top_ids(cands, max_candidates)
 }
 
-/// The subset bitmask of `nodes` over the candidate list: bit `t` set iff
-/// `candidates[t] ∈ nodes`. Callers must ensure `nodes ⊆ candidates` and
-/// `candidates.len() ≤ 64` (the cache is disabled otherwise).
-fn subset_mask(nodes: &[NodeId], candidates: &[NodeId]) -> u64 {
-    let mut mask = 0u64;
-    for &v in nodes {
-        let pos = candidates
-            .iter()
-            .position(|&c| c == v)
-            .expect("scored subsets are drawn from the candidate list");
-        mask |= 1u64 << pos;
-    }
-    mask
+/// Words per candidate-subset bitmask: bit `t % 64` of word `t / 64`
+/// stands for `candidates[t]`. One word whenever the list fits 64
+/// candidates — the only case in which the score cache is on, keyed on
+/// that word.
+fn mask_words(candidates: &[NodeId]) -> usize {
+    candidates.len().div_ceil(64).max(1)
 }
 
-/// Scores one subset through the cache: a hit reuses the memoized
-/// `(score, φ)` pair; a miss refines the workspace partition along
-/// `extra` (the subset minus the workspace's current base) and memoizes
-/// the result. `key` is `None` when caching is disabled (more than 64
-/// candidates). Bit-identical to always recounting.
-fn eval_cached(
-    cache: &mut ScoreCache,
-    ws: &mut CountsWorkspace,
-    cols: &NodeColumns,
+/// The candidates `mask & !exclude` selects, in candidate order.
+fn members<'a>(
+    mask: &'a [u64],
+    exclude: &'a [u64],
+    candidates: &'a [NodeId],
+) -> impl Iterator<Item = NodeId> + 'a {
+    mask.iter()
+        .zip(exclude)
+        .enumerate()
+        .flat_map(move |(w, (&m, &x))| {
+            let mut bits = m & !x;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    candidates[64 * w + b]
+                })
+            })
+        })
+}
+
+/// Size of `mask & !exclude`.
+fn count_outside(mask: &[u64], exclude: &[u64]) -> usize {
+    mask.iter()
+        .zip(exclude)
+        .map(|(&m, &x)| (m & !x).count_ones() as usize)
+        .sum()
+}
+
+/// The sorted node set a bitmask selects.
+fn mask_nodes(mask: &[u64], candidates: &[NodeId]) -> Vec<NodeId> {
+    let none = vec![0; mask.len()];
+    let mut nodes: Vec<NodeId> = members(mask, &none, candidates).collect();
+    nodes.sort_unstable();
+    nodes
+}
+
+/// What one child's search scores against.
+struct Ctx<'a> {
+    cols: &'a NodeColumns,
     child: NodeId,
-    extra: &[NodeId],
-    key: Option<u64>,
-) -> Result<CachedScore, ComboSizeError> {
-    if let Some(k) = key {
-        if let Some(cached) = cache.get(k) {
-            return Ok(cached);
+    candidates: &'a [NodeId],
+    /// [`mask_words`] of `candidates`.
+    words: usize,
+    /// Whether subsets are memoized (at most 64 candidates).
+    cache_on: bool,
+    /// Theorem-2 slack `δ_i`.
+    delta: f64,
+    /// The empty subset's bitmask.
+    empty: Vec<u64>,
+}
+
+impl<'a> Ctx<'a> {
+    fn new(cols: &'a NodeColumns, child: NodeId, candidates: &'a [NodeId], delta: f64) -> Self {
+        let words = mask_words(candidates);
+        Ctx {
+            cols,
+            child,
+            candidates,
+            words,
+            cache_on: candidates.len() <= 64,
+            delta,
+            empty: vec![0; words],
         }
     }
-    let counts = ws.refined_counts(cols, child, extra)?;
-    let value = CachedScore {
-        score: score::local_score(counts),
-        phi: score::phi(counts),
-    };
-    if let Some(k) = key {
-        cache.insert(k, value);
+
+    /// The cache key of the subset `base | mask`, if caching is on.
+    fn key(&self, base: &[u64], mask: &[u64]) -> Option<u64> {
+        self.cache_on.then(|| base[0] | mask[0])
     }
-    Ok(value)
+}
+
+/// How one subset's evaluation is obtained within a [`Round`].
+#[derive(Clone, Copy, Debug)]
+enum RoundEval {
+    /// Scored in an earlier batch: a cache hit.
+    Cached(CachedScore),
+    /// Entry `t` of this round's batch: queued by this subset (a miss), or
+    /// by an earlier subset with the same key (a hit).
+    Batched(usize),
+}
+
+/// One batch of subset evaluations against the workspace's current base:
+/// each subset is classified first, then every queued extension is scored
+/// by one [`CountsWorkspace::extension_counts`] pass, then the subsets are
+/// resolved in classification order. Hit/miss totals, workspace
+/// refinements and every evaluation equal scoring the subsets one at a
+/// time in that order.
+#[derive(Clone, Debug, Default)]
+struct Round {
+    /// Extensions queued for the kernel.
+    batch: ExtensionBatch,
+    /// Cache key of each queued extension (`None` with the cache off).
+    keys: Vec<Option<u64>>,
+    /// Evaluation of each queued extension, filled by [`Round::flush`].
+    scores: Vec<CachedScore>,
+    /// Each classified subset: caller tag, parent-set size, evaluation.
+    pending: Vec<(usize, usize, RoundEval)>,
+}
+
+impl Round {
+    fn clear(&mut self) {
+        self.batch.clear();
+        self.keys.clear();
+        self.scores.clear();
+        self.pending.clear();
+    }
+
+    /// Classifies the subset with cache key `key` whose extension of the
+    /// base is `ext`: a cached score, or a batch entry — queuing `ext`
+    /// unless an earlier subset of the round already queued the same key.
+    /// With the cache off every subset is queued, as each would be
+    /// recounted one at a time.
+    fn classify(
+        &mut self,
+        cache: &mut ScoreCache,
+        key: Option<u64>,
+        ext: impl IntoIterator<Item = NodeId>,
+    ) -> RoundEval {
+        let slot = self.batch.len();
+        if let Some(k) = key {
+            match cache.probe(k, slot) {
+                Probe::Scored(value) => return RoundEval::Cached(value),
+                Probe::Queued(t) => return RoundEval::Batched(t),
+                Probe::Missed => {}
+            }
+        }
+        self.batch.push(ext);
+        self.keys.push(key);
+        RoundEval::Batched(slot)
+    }
+
+    /// Scores every queued extension in one pass over the workspace's base
+    /// partition and memoizes the keyed ones.
+    fn flush(
+        &mut self,
+        ws: &mut CountsWorkspace,
+        cache: &mut ScoreCache,
+        ctx: &Ctx,
+    ) -> Result<(), ComboSizeError> {
+        if self.batch.is_empty() {
+            return Ok(());
+        }
+        let (keys, scores) = (&self.keys, &mut self.scores);
+        ws.extension_counts(ctx.cols, ctx.child, &self.batch, |t, counts| {
+            let value = score::evaluate(counts);
+            if let Some(k) = keys[t] {
+                cache.fill(k, value);
+            }
+            scores.push(value);
+        })
+    }
+
+    fn resolve(&self, eval: RoundEval) -> CachedScore {
+        match eval {
+            RoundEval::Cached(value) => value,
+            RoundEval::Batched(t) => self.scores[t],
+        }
+    }
+}
+
+/// Scores one subset — `base | mask`, where `base` is the workspace's
+/// base set — on its own: a batch of at most one extension.
+fn eval_one(
+    ws: &mut CountsWorkspace,
+    cache: &mut ScoreCache,
+    round: &mut Round,
+    ctx: &Ctx,
+    base: &[u64],
+    mask: &[u64],
+) -> Result<CachedScore, ComboSizeError> {
+    round.clear();
+    let eval = round.classify(
+        cache,
+        ctx.key(base, mask),
+        members(mask, base, ctx.candidates),
+    );
+    round.flush(ws, cache, ctx)?;
+    Ok(round.resolve(eval))
+}
+
+/// An admitted combination: where its bitmask starts in
+/// [`SearchScratch::masks`], and its standalone score.
+#[derive(Clone, Copy, Debug)]
+struct Scored {
+    at: usize,
+    score: f64,
 }
 
 /// Enumerates and scores every combination `W ⊆ candidates` with
@@ -271,108 +437,108 @@ pub fn enumerate_combos(
     stats: &mut SearchStats,
 ) -> Result<Vec<Combo>, ComboSizeError> {
     let mut scratch = SearchScratch::new();
-    enumerate_combos_with(
-        &mut scratch,
-        cols,
-        child,
-        candidates,
-        max_combo_size,
-        delta,
-        stats,
-    )
+    let ctx = Ctx::new(cols, child, candidates, delta);
+    let combos = enumerate(&mut scratch, &ctx, max_combo_size, stats)?;
+    Ok(combos
+        .iter()
+        .map(|c| Combo {
+            nodes: mask_nodes(&scratch.masks[c.at..c.at + ctx.words], candidates),
+            score: c.score,
+        })
+        .collect())
 }
 
-/// [`enumerate_combos`] on caller-provided scratch state: every
-/// combination is scored through the incremental counting kernel (reusing
-/// the workspace's buffers across evaluations) and memoized in the score
-/// cache for the greedy rounds that follow.
-pub fn enumerate_combos_with(
+/// Extensions queued per enumeration batch: bounds the batch's memory
+/// when `max_combo_size` admits very many combinations.
+const ENUMERATION_BATCH: usize = 256;
+
+/// [`enumerate_combos`] on caller-provided scratch state, in depth-first
+/// order: every combination's bitmask is appended to `scratch.masks`, and
+/// the combinations are scored against the empty base in batches of
+/// [`ENUMERATION_BATCH`] and memoized for the greedy rounds that follow.
+fn enumerate(
     scratch: &mut SearchScratch,
-    cols: &NodeColumns,
-    child: NodeId,
-    candidates: &[NodeId],
+    ctx: &Ctx,
     max_combo_size: usize,
-    delta: f64,
     stats: &mut SearchStats,
-) -> Result<Vec<Combo>, ComboSizeError> {
-    scratch.ws.set_base(cols, &[])?;
-    let cache_on = candidates.len() <= 64;
+) -> Result<Vec<Scored>, ComboSizeError> {
+    scratch.ws.set_base(ctx.cols, &[])?;
+    scratch.masks.clear();
+    scratch.round.clear();
     let mut combos = Vec::new();
-    let mut stack: Vec<NodeId> = Vec::new();
-    let mut sorted: Vec<NodeId> = Vec::new();
+    let mut mask = vec![0u64; ctx.words];
     enumerate_rec(
         scratch,
-        cols,
-        child,
-        candidates,
-        cache_on,
+        ctx,
         0,
+        1,
         max_combo_size.max(1),
-        delta,
-        &mut stack,
-        &mut sorted,
+        &mut mask,
         &mut combos,
         stats,
     )?;
+    resolve_enumerated(scratch, ctx, &mut combos, stats)?;
     Ok(combos)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn enumerate_rec(
     scratch: &mut SearchScratch,
-    cols: &NodeColumns,
-    child: NodeId,
-    candidates: &[NodeId],
-    cache_on: bool,
+    ctx: &Ctx,
     start: usize,
+    size: usize,
     max_size: usize,
-    delta: f64,
-    stack: &mut Vec<NodeId>,
-    sorted: &mut Vec<NodeId>,
-    out: &mut Vec<Combo>,
+    mask: &mut [u64],
+    out: &mut Vec<Scored>,
     stats: &mut SearchStats,
 ) -> Result<(), ComboSizeError> {
-    for idx in start..candidates.len() {
-        stack.push(candidates[idx]);
-        sorted.clear();
-        sorted.extend_from_slice(stack);
-        sorted.sort_unstable();
-        let key = cache_on.then(|| subset_mask(sorted, candidates));
-        let eval = eval_cached(
-            &mut scratch.cache,
-            &mut scratch.ws,
-            cols,
-            child,
-            sorted,
-            key,
-        )?;
+    for idx in start..ctx.candidates.len() {
+        mask[idx / 64] |= 1 << (idx % 64);
+        let at = scratch.masks.len();
+        scratch.masks.extend_from_slice(mask);
+        let SearchScratch { cache, round, .. } = &mut *scratch;
+        let eval = round.classify(
+            cache,
+            ctx.key(&ctx.empty, mask),
+            members(mask, &ctx.empty, ctx.candidates),
+        );
+        round.pending.push((at, size, eval));
+        if round.batch.len() >= ENUMERATION_BATCH {
+            resolve_enumerated(scratch, ctx, out, stats)?;
+        }
+        if size < max_size {
+            enumerate_rec(scratch, ctx, idx + 1, size + 1, max_size, mask, out, stats)?;
+        }
+        mask[idx / 64] &= !(1 << (idx % 64));
+    }
+    Ok(())
+}
+
+/// Scores the queued enumeration batch and admits, in enumeration order,
+/// each combination within the Theorem-2 bound.
+fn resolve_enumerated(
+    scratch: &mut SearchScratch,
+    ctx: &Ctx,
+    out: &mut Vec<Scored>,
+    stats: &mut SearchStats,
+) -> Result<(), ComboSizeError> {
+    let SearchScratch {
+        ws, cache, round, ..
+    } = scratch;
+    round.flush(ws, cache, ctx)?;
+    for &(at, size, eval) in &round.pending {
+        let eval = round.resolve(eval);
         stats.evaluations += 1;
-        if score::within_bound(sorted.len(), eval.phi, delta) {
-            out.push(Combo {
-                nodes: sorted.clone(),
+        if score::within_bound(size, eval.phi, ctx.delta) {
+            out.push(Scored {
+                at,
                 score: eval.score,
             });
         } else {
             stats.bound_rejections += 1;
         }
-        if stack.len() < max_size {
-            enumerate_rec(
-                scratch,
-                cols,
-                child,
-                candidates,
-                cache_on,
-                idx + 1,
-                max_size,
-                delta,
-                stack,
-                sorted,
-                out,
-                stats,
-            )?;
-        }
-        stack.pop();
     }
+    round.clear();
     Ok(())
 }
 
@@ -425,12 +591,13 @@ pub fn find_parents(
 /// [`find_parents`] on caller-provided scratch state.
 ///
 /// Every strategy scores `g(v_i, F ∪ W)` through the score cache backed by
-/// [`CountsWorkspace::refined_counts`]: the accepted parent set `F` is
-/// instantiated once per greedy round, each candidate extension refines
-/// that cached partition — unless the subset was already scored this
-/// search, in which case the memoized `(score, φ)` pair is reused and the
-/// refinement skipped. Results are bit-identical to
-/// [`find_parents_reference`], including all [`SearchStats`] counters.
+/// [`CountsWorkspace::extension_counts`]: the accepted parent set `F` is
+/// instantiated once per greedy round, and the round's novel extensions
+/// are counted against that cached partition in one batch — unless the
+/// subset was already scored this search, in which case the memoized
+/// `(score, φ)` pair is reused and the count skipped. Results are
+/// bit-identical to [`find_parents_reference`], including all
+/// [`SearchStats`] counters.
 pub fn find_parents_with(
     scratch: &mut SearchScratch,
     cols: &NodeColumns,
@@ -441,71 +608,32 @@ pub fn find_parents_with(
     let wrap = |source: ComboSizeError| SearchError { child, source };
     let beta = cols.num_processes() as u64;
     let n2 = cols.ones(child);
-    let delta = score::delta(beta, beta - n2, n2);
-    let cache_on = candidates.len() <= 64;
+    let ctx = Ctx::new(cols, child, candidates, score::delta(beta, beta - n2, n2));
 
     let mut stats = SearchStats::default();
     scratch.cache.reset();
     scratch.ws.set_base(cols, &[]).map_err(wrap)?;
-    let empty = eval_cached(
-        &mut scratch.cache,
-        &mut scratch.ws,
-        cols,
-        child,
-        &[],
-        cache_on.then_some(0),
-    )
-    .map_err(wrap)?;
-    let empty_score = empty.score;
+    let SearchScratch {
+        ws, cache, round, ..
+    } = scratch;
+    let empty_score = eval_one(ws, cache, round, &ctx, &ctx.empty, &ctx.empty)
+        .map_err(wrap)?
+        .score;
     stats.evaluations += 1;
 
-    let mut combos = enumerate_combos_with(
-        scratch,
-        cols,
-        child,
-        candidates,
-        params.max_combo_size,
-        delta,
-        &mut stats,
-    )
-    .map_err(wrap)?;
+    let mut combos = enumerate(scratch, &ctx, params.max_combo_size, &mut stats).map_err(wrap)?;
 
     let (parents, final_score) = match params.strategy {
-        GreedyStrategy::BestImprovement => greedy_best_improvement(
-            scratch,
-            cols,
-            child,
-            candidates,
-            combos,
-            empty_score,
-            delta,
-            &mut stats,
-        )
-        .map_err(wrap)?,
+        GreedyStrategy::BestImprovement => {
+            greedy_best_improvement(scratch, &ctx, combos, empty_score, &mut stats).map_err(wrap)?
+        }
         GreedyStrategy::ScoreOrdered => {
             combos.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("no NaNs"));
-            greedy_score_ordered(
-                scratch,
-                cols,
-                child,
-                candidates,
-                &combos,
-                empty_score,
-                delta,
-                &mut stats,
-            )
-            .map_err(wrap)?
+            greedy_score_ordered(scratch, &ctx, &combos, empty_score, &mut stats).map_err(wrap)?
         }
-        GreedyStrategy::Exhaustive => exhaustive_search(
-            scratch,
-            cols,
-            child,
-            candidates,
-            empty_score,
-            delta,
-            &mut stats,
-        )
-        .map_err(wrap)?,
+        GreedyStrategy::Exhaustive => {
+            exhaustive_search(scratch, &ctx, empty_score, &mut stats).map_err(wrap)?
+        }
     };
 
     Ok(NodeSearchResult {
@@ -625,151 +753,71 @@ fn enumerate_rec_reference(
     Ok(())
 }
 
-/// The part of `w` not already in the sorted set `f`, preserving `w`'s
-/// (sorted) order — the extension the workspace refines along. Empty iff
-/// `w ⊆ f`.
-fn extension_into(f: &[NodeId], w: &[NodeId], extra: &mut Vec<NodeId>) {
-    extra.clear();
-    extra.extend(w.iter().filter(|p| f.binary_search(p).is_err()));
-}
-
-/// How a combination's evaluation is obtained within one batched greedy
-/// round (see [`greedy_best_improvement`]).
-enum RoundEval {
-    /// Scored already: a cache hit, or a multi-node extension evaluated
-    /// through the ordinary incremental path during classification.
-    Ready(CachedScore),
-    /// A novel single-node extension: entry `t` of the round's batched
-    /// workspace pass.
-    Batched(usize),
-    /// Same cache key as an extension already in the batch; resolved from
-    /// the cache after the flush, so the hit/miss split matches the
-    /// sequential order (first occurrence misses, later ones hit).
-    Dup(u64),
-}
-
 /// §IV-A greedy: each round, evaluate `g(v_i, F ∪ W)` for every remaining
 /// admissible combination and take the best strict improvement.
 ///
 /// The round's parent set `F` is instantiated in the workspace once and
-/// combinations are scored in two passes. Pass one classifies each
-/// combination in order: unions already memoized come straight from the
-/// score cache, multi-node extensions refine the workspace immediately,
-/// and every novel single-node extension — the overwhelmingly common case,
-/// since `W \ F` shrinks as `F` grows — is queued. The queue is then
-/// flushed through [`CountsWorkspace::refined_counts_single_batch`], which
-/// streams the cached base partition **once** for the whole batch instead
-/// of copy-refine-tabulating per combination. Pass two replays the
-/// sequential acceptance logic in combination order on the collected
-/// evaluations.
+/// the round is one [`Round`]: each combination is classified by its
+/// bitmask — `W ⊆ F` drops it for good, a memoized union comes from the
+/// cache, and every novel extension `W \ F` of any size is queued — then
+/// one [`CountsWorkspace::extension_counts`] pass scores the whole queue,
+/// and the sequential acceptance logic replays in combination order.
 ///
 /// Scores, `SearchStats`, score-cache hit/miss totals, and workspace
-/// refinement counts are all bit-identical to the sequential path (and so
-/// to [`find_parents_reference`]) — the reference-oracle test pins this.
-#[allow(clippy::too_many_arguments)]
+/// refinement counts are all bit-identical to scoring the combinations
+/// one at a time (and so to [`find_parents_reference`]) — the
+/// reference-oracle tests pin this.
 fn greedy_best_improvement(
     scratch: &mut SearchScratch,
-    cols: &NodeColumns,
-    child: NodeId,
-    candidates: &[NodeId],
-    mut combos: Vec<Combo>,
+    ctx: &Ctx,
+    mut combos: Vec<Scored>,
     empty_score: f64,
-    delta: f64,
     stats: &mut SearchStats,
 ) -> Result<(Vec<NodeId>, f64), ComboSizeError> {
     const EPS: f64 = 1e-9;
-    let SearchScratch { ws, cache } = scratch;
-    let cache_on = candidates.len() <= 64;
+    let SearchScratch {
+        ws,
+        cache,
+        round,
+        masks,
+    } = scratch;
+    let words = ctx.words;
+    let mut mask_f = ctx.empty.clone();
     let mut f: Vec<NodeId> = Vec::new();
-    let mut mask_f = 0u64;
     let mut current = empty_score;
-    let mut extra: Vec<NodeId> = Vec::new();
+    let mut keep: Vec<bool> = Vec::new();
 
     while !combos.is_empty() {
         stats.greedy_rounds += 1;
-        ws.set_base(cols, &f)?;
-        let mut best: Option<(usize, f64)> = None;
-        let mut keep = vec![true; combos.len()];
-
-        // Pass 1: classify. `pending` records (combo index, |F ∪ W|, how
-        // to obtain the evaluation).
-        let mut pending: Vec<(usize, usize, RoundEval)> = Vec::new();
-        let mut batch_nodes: Vec<NodeId> = Vec::new();
-        let mut batch_keys: Vec<Option<u64>> = Vec::new();
+        ws.set_base(ctx.cols, &f)?;
+        round.clear();
+        keep.clear();
+        keep.resize(combos.len(), true);
         for (idx, combo) in combos.iter().enumerate() {
-            extension_into(&f, &combo.nodes, &mut extra);
-            if extra.is_empty() {
+            let w = &masks[combo.at..combo.at + words];
+            let ext = count_outside(w, &mask_f);
+            if ext == 0 {
                 // W ⊆ F already: it can never change the score again.
                 keep[idx] = false;
                 continue;
             }
-            if f.len() + extra.len() > MAX_PARENTS {
+            if f.len() + ext > MAX_PARENTS {
                 continue;
             }
-            let key = cache_on.then(|| mask_f | subset_mask(&extra, candidates));
-            let state = match key {
-                Some(k) => {
-                    if let Some(cached) = cache.get(k) {
-                        RoundEval::Ready(cached)
-                    } else if extra.len() == 1 {
-                        if batch_keys.contains(&Some(k)) {
-                            RoundEval::Dup(k)
-                        } else {
-                            batch_nodes.push(extra[0]);
-                            batch_keys.push(Some(k));
-                            RoundEval::Batched(batch_nodes.len() - 1)
-                        }
-                    } else {
-                        let counts = ws.refined_counts(cols, child, &extra)?;
-                        let value = CachedScore {
-                            score: score::local_score(counts),
-                            phi: score::phi(counts),
-                        };
-                        cache.insert(k, value);
-                        RoundEval::Ready(value)
-                    }
-                }
-                None if extra.len() == 1 => {
-                    // Cache off: batch every single, duplicates included —
-                    // the sequential path would recount each one too.
-                    batch_nodes.push(extra[0]);
-                    batch_keys.push(None);
-                    RoundEval::Batched(batch_nodes.len() - 1)
-                }
-                None => {
-                    let counts = ws.refined_counts(cols, child, &extra)?;
-                    RoundEval::Ready(CachedScore {
-                        score: score::local_score(counts),
-                        phi: score::phi(counts),
-                    })
-                }
-            };
-            pending.push((idx, f.len() + extra.len(), state));
+            let eval = round.classify(
+                cache,
+                ctx.key(&mask_f, w),
+                members(w, &mask_f, ctx.candidates),
+            );
+            round.pending.push((idx, f.len() + ext, eval));
         }
+        round.flush(ws, cache, ctx)?;
 
-        // Flush: one streaming pass over the base partition scores every
-        // queued single-node extension.
-        let mut batch_evals: Vec<CachedScore> = Vec::with_capacity(batch_nodes.len());
-        ws.refined_counts_single_batch(cols, child, &batch_nodes, |t, counts| {
-            let value = CachedScore {
-                score: score::local_score(counts),
-                phi: score::phi(counts),
-            };
-            if let Some(k) = batch_keys[t] {
-                cache.insert(k, value);
-            }
-            batch_evals.push(value);
-        });
-
-        // Pass 2: the sequential acceptance logic, in combination order.
-        for (idx, union_len, state) in pending {
-            let eval = match state {
-                RoundEval::Ready(value) => value,
-                RoundEval::Batched(t) => batch_evals[t],
-                RoundEval::Dup(k) => cache.get(k).expect("batched twin was inserted at flush"),
-            };
+        let mut best: Option<(usize, f64)> = None;
+        for &(idx, union_len, eval) in &round.pending {
+            let eval = round.resolve(eval);
             stats.evaluations += 1;
-            if !score::within_bound(union_len, eval.phi, delta) {
+            if !score::within_bound(union_len, eval.phi, ctx.delta) {
                 stats.bound_rejections += 1;
                 continue;
             }
@@ -780,10 +828,11 @@ fn greedy_best_improvement(
 
         match best {
             Some((idx, s)) => {
-                if cache_on {
-                    mask_f |= subset_mask(&combos[idx].nodes, candidates);
+                let at = combos[idx].at;
+                for (m, &w) in mask_f.iter_mut().zip(&masks[at..at + words]) {
+                    *m |= w;
                 }
-                f = union(&f, &combos[idx].nodes);
+                f = mask_nodes(&mask_f, ctx.candidates);
                 current = s;
                 keep[idx] = false;
                 let mut it = keep.iter();
@@ -849,46 +898,41 @@ fn greedy_best_improvement_reference(
 
 /// Literal Algorithm-1 greedy: pop combinations in descending standalone
 /// score; union in each one whose union satisfies the Theorem-2 bound.
-#[allow(clippy::too_many_arguments)]
+/// Each acceptance changes the base, so every evaluation is a batch of
+/// one.
 fn greedy_score_ordered(
     scratch: &mut SearchScratch,
-    cols: &NodeColumns,
-    child: NodeId,
-    candidates: &[NodeId],
-    combos_sorted: &[Combo],
+    ctx: &Ctx,
+    combos_sorted: &[Scored],
     empty_score: f64,
-    delta: f64,
     stats: &mut SearchStats,
 ) -> Result<(Vec<NodeId>, f64), ComboSizeError> {
-    let cache_on = candidates.len() <= 64;
+    let SearchScratch {
+        ws,
+        cache,
+        round,
+        masks,
+    } = scratch;
+    let mut mask_f = ctx.empty.clone();
     let mut f: Vec<NodeId> = Vec::new();
-    let mut mask_f = 0u64;
     let mut current = empty_score;
-    let mut extra: Vec<NodeId> = Vec::new();
-    scratch.ws.set_base(cols, &f)?;
+    ws.set_base(ctx.cols, &f)?;
     for combo in combos_sorted {
-        extension_into(&f, &combo.nodes, &mut extra);
-        if extra.is_empty() || f.len() + extra.len() > MAX_PARENTS {
+        let w = &masks[combo.at..combo.at + ctx.words];
+        let ext = count_outside(w, &mask_f);
+        if ext == 0 || f.len() + ext > MAX_PARENTS {
             continue;
         }
-        let key = cache_on.then(|| mask_f | subset_mask(&extra, candidates));
-        let eval = eval_cached(
-            &mut scratch.cache,
-            &mut scratch.ws,
-            cols,
-            child,
-            &extra,
-            key,
-        )?;
+        let eval = eval_one(ws, cache, round, ctx, &mask_f, w)?;
         stats.evaluations += 1;
-        if score::within_bound(f.len() + extra.len(), eval.phi, delta) {
+        if score::within_bound(f.len() + ext, eval.phi, ctx.delta) {
             stats.greedy_rounds += 1;
-            if cache_on {
-                mask_f |= subset_mask(&combo.nodes, candidates);
+            for (m, &b) in mask_f.iter_mut().zip(w) {
+                *m |= b;
             }
-            f = union(&f, &combo.nodes);
+            f = mask_nodes(&mask_f, ctx.candidates);
             current = eval.score;
-            scratch.ws.set_base(cols, &f)?;
+            ws.set_base(ctx.cols, &f)?;
         } else {
             stats.bound_rejections += 1;
         }
@@ -935,48 +979,34 @@ fn greedy_score_ordered_reference(
 /// `|W| ≤ max_combo_size`) come straight from the score cache.
 fn exhaustive_search(
     scratch: &mut SearchScratch,
-    cols: &NodeColumns,
-    child: NodeId,
-    candidates: &[NodeId],
+    ctx: &Ctx,
     empty_score: f64,
-    delta: f64,
     stats: &mut SearchStats,
 ) -> Result<(Vec<NodeId>, f64), ComboSizeError> {
-    let c = candidates.len();
+    let c = ctx.candidates.len();
     if c > MAX_EXHAUSTIVE_CANDIDATES {
         return Err(ComboSizeError { parents: c });
     }
-    scratch.ws.set_base(cols, &[])?;
+    let SearchScratch {
+        ws, cache, round, ..
+    } = scratch;
+    ws.set_base(ctx.cols, &[])?;
     let mut best: (Vec<NodeId>, f64) = (Vec::new(), empty_score);
-    let mut subset: Vec<NodeId> = Vec::new();
-    for mask in 1u32..(1u32 << c) {
-        if (mask.count_ones() as usize) > MAX_PARENTS {
+    for mask in 1u64..(1u64 << c) {
+        let size = mask.count_ones() as usize;
+        if size > MAX_PARENTS {
             continue;
         }
-        subset.clear();
-        subset.extend(
-            (0..c)
-                .filter(|&t| mask & (1 << t) != 0)
-                .map(|t| candidates[t]),
-        );
-        subset.sort_unstable();
-        // The loop mask is exactly the candidate-subset bitmask the cache
-        // keys on (bit `t` ⇔ `candidates[t]`).
-        let eval = eval_cached(
-            &mut scratch.cache,
-            &mut scratch.ws,
-            cols,
-            child,
-            &subset,
-            Some(mask as u64),
-        )?;
+        // With at most 25 candidates a subset is one mask word, and the
+        // loop value is that word.
+        let eval = eval_one(ws, cache, round, ctx, &ctx.empty, &[mask])?;
         stats.evaluations += 1;
-        if !score::within_bound(subset.len(), eval.phi, delta) {
+        if !score::within_bound(size, eval.phi, ctx.delta) {
             stats.bound_rejections += 1;
             continue;
         }
         if eval.score > best.1 {
-            best = (subset.clone(), eval.score);
+            best = (mask_nodes(&[mask], ctx.candidates), eval.score);
         }
     }
     Ok(best)
@@ -1277,6 +1307,106 @@ mod tests {
     }
 
     #[test]
+    fn bound_rejections_match_reference_for_a_rarely_infected_child() {
+        // Node 0 is infected in 3 of 150 processes, so δ is small and the
+        // Theorem-2 bound binds once a union's cells are mostly
+        // instantiated; node 1 tracks node 0, nodes 2–9 are fair coins.
+        let mut state = 0x00DD_BA11_5EED_u64;
+        let mut coin = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state & 1 == 1
+        };
+        let rows: Vec<Vec<bool>> = (0..150)
+            .map(|l| {
+                let child = l % 50 == 7;
+                let mut row = vec![child, child || (coin() && coin() && coin())];
+                row.extend((2..10).map(|_| coin()));
+                row
+            })
+            .collect();
+        let m = StatusMatrix::from_rows(&rows);
+        let cols = m.columns();
+        let candidates: Vec<NodeId> = (1..10).collect();
+        for strategy in [
+            GreedyStrategy::BestImprovement,
+            GreedyStrategy::ScoreOrdered,
+            GreedyStrategy::Exhaustive,
+        ] {
+            for max_combo_size in [1, 2, 3] {
+                let params = SearchParams {
+                    strategy,
+                    max_combo_size,
+                    max_candidates: 9,
+                };
+                let new = find_parents(&cols, 0, &candidates, &params).expect("fits");
+                let old = find_parents_reference(&cols, 0, &candidates, &params).expect("fits");
+                assert_eq!(new.parents, old.parents, "{strategy:?} {max_combo_size}");
+                assert_eq!(new.score.to_bits(), old.score.to_bits());
+                assert_eq!(new.stats, old.stats, "{strategy:?} {max_combo_size}");
+                // The improvement-driven greedy stops before its unions
+                // outgrow the bound; the other two reach it.
+                if strategy != GreedyStrategy::BestImprovement {
+                    assert!(
+                        new.stats.bound_rejections > 0,
+                        "{strategy:?} {max_combo_size}: the bound must bind"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn more_than_64_candidates_match_reference_without_the_cache() {
+        // 70 candidates: masks span two words and the cache is off, so
+        // every evaluation reaches the counting kernel.
+        let mut state = 0x1234_5678_9ABC_DEF1u64;
+        let rows: Vec<Vec<bool>> = (0..96)
+            .map(|_| {
+                (0..72)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state.is_multiple_of(3)
+                    })
+                    .collect()
+            })
+            .collect();
+        let m = StatusMatrix::from_rows(&rows);
+        let cols = m.columns();
+        let candidates: Vec<NodeId> = (1..71).rev().collect();
+        for strategy in [
+            GreedyStrategy::BestImprovement,
+            GreedyStrategy::ScoreOrdered,
+        ] {
+            let params = SearchParams {
+                strategy,
+                max_combo_size: 1,
+                max_candidates: 70,
+            };
+            let mut scratch = SearchScratch::new();
+            let new =
+                find_parents_with(&mut scratch, &cols, 0, &candidates, &params).expect("fits");
+            let old = find_parents_reference(&cols, 0, &candidates, &params).expect("fits");
+            assert_eq!(new.parents, old.parents, "{strategy:?}");
+            assert_eq!(new.score.to_bits(), old.score.to_bits(), "{strategy:?}");
+            assert_eq!(new.stats, old.stats, "{strategy:?}");
+            assert!(
+                new.stats.greedy_rounds > 0,
+                "{strategy:?}: the greedy loop ran"
+            );
+            assert_eq!(new.cache_stats, ScoreCacheStats::default(), "{strategy:?}");
+            assert_eq!(
+                scratch.ws.stats().refinements,
+                new.stats.evaluations as u64,
+                "{strategy:?}: with the cache off every evaluation is counted"
+            );
+        }
+    }
+
+    #[test]
     fn score_cache_hits_on_greedy_rounds() {
         // Round one of the greedy re-scores every enumerated combination
         // verbatim, so any search that expands at least once must hit.
@@ -1397,11 +1527,23 @@ mod tests {
     }
 
     #[test]
-    fn subset_mask_uses_candidate_positions() {
+    fn candidate_masks_select_candidate_positions() {
         let candidates = [7u32, 3, 9, 1];
-        assert_eq!(subset_mask(&[], &candidates), 0);
-        assert_eq!(subset_mask(&[7], &candidates), 0b0001);
-        assert_eq!(subset_mask(&[1, 9], &candidates), 0b1100);
-        assert_eq!(subset_mask(&[3, 7, 1, 9], &candidates), 0b1111);
+        let none = [0u64];
+        assert_eq!(mask_words(&candidates), 1);
+        assert_eq!(mask_nodes(&none, &candidates), Vec::<NodeId>::new());
+        assert_eq!(mask_nodes(&[0b0001], &candidates), vec![7]);
+        assert_eq!(mask_nodes(&[0b1100], &candidates), vec![1, 9]);
+        assert_eq!(mask_nodes(&[0b1111], &candidates), vec![1, 3, 7, 9]);
+        // The extension of {7, 3} by {3, 9, 1}, in candidate order.
+        let ext: Vec<NodeId> = members(&[0b1110], &[0b0011], &candidates).collect();
+        assert_eq!(ext, vec![9, 1]);
+        assert_eq!(count_outside(&[0b1110], &[0b0011]), 2);
+        // Past 64 candidates a subset spans several words.
+        let many: Vec<NodeId> = (100..230).collect();
+        assert_eq!(mask_words(&many), 3);
+        let mask = [1u64, 1 << 63, 0b10];
+        assert_eq!(mask_nodes(&mask, &many), vec![100, 227, 229]);
+        assert_eq!(count_outside(&mask, &[1, 0, 0]), 2);
     }
 }

@@ -1,13 +1,17 @@
 //! The streamed memory estimate's τ-sample term must cover what the τ
 //! sample step allocates: the sampled values plus the peak heap of
 //! `pinned_two_means` over them, measured with a counting global
-//! allocator on cap-sized samples.
+//! allocator on cap-sized samples — and the whole `sample_tau` step,
+//! pool staging included, at one and several threads.
 //!
 //! One test function only: the allocator counts every thread, so a second
 //! test running in parallel would pollute the peak.
 
+use diffnet_graph::NodeId;
+use diffnet_simulate::StatusMatrix;
 use diffnet_tends::pinned_two_means;
-use diffnet_tends::stream::{tau_sample_bytes, tau_sample_cap};
+use diffnet_tends::stream::{sample_tau, tau_sample_bytes, tau_sample_cap};
+use diffnet_tends::CorrelationMeasure;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -125,4 +129,41 @@ fn two_means_peak_heap_fits_the_estimates_sample_term() {
             );
         }
     }
+
+    // The whole step on an input with more pairs than the cap (n = 1100
+    // has 604,450 pairs against the 64 MiB budget's 2¹⁹ cap), at one and
+    // several threads: the pool's staging of the sampled values must fit
+    // the same term, and every thread count samples the same τ.
+    let (n, beta) = (1100usize, 150usize);
+    let mut bit = xorshift(0x5EED);
+    let mut m = StatusMatrix::new(beta, n);
+    for l in 0..beta {
+        for i in 0..n {
+            if bit() < 0.3 {
+                m.set(l, i as NodeId);
+            }
+        }
+    }
+    let cols = m.columns();
+    let budget = Some(64u64 << 20);
+    let total = (n * (n - 1) / 2) as u64;
+    assert!(
+        total > tau_sample_cap(total, budget),
+        "precondition: a strided sample"
+    );
+    let term = tau_sample_bytes(total, budget);
+    let mut taus = Vec::new();
+    for threads in [1usize, 2, 4] {
+        let (sample, peak) =
+            peak_during(|| sample_tau(&cols, CorrelationMeasure::Imi, budget, threads));
+        assert!(
+            peak as u64 <= term,
+            "sample_tau at {threads} threads peaked at {peak} B > estimate term {term} B"
+        );
+        taus.push(sample.kmeans.tau.to_bits());
+    }
+    assert!(
+        taus.windows(2).all(|w| w[0] == w[1]),
+        "τ differs by thread count"
+    );
 }

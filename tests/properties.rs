@@ -71,7 +71,11 @@ proptest! {
         let cols = m.columns();
         let mut ws = CountsWorkspace::new();
         ws.set_base(&cols, &base).expect("small base");
-        let counts = ws.refined_counts(&cols, child, &extra).expect("small combo").to_vec();
+        let mut batch = ExtensionBatch::new();
+        batch.push(extra.iter().copied());
+        let mut counts = Vec::new();
+        ws.extension_counts(&cols, child, &batch, |_, table| counts = table.to_vec())
+            .expect("small combo");
         prop_assert_eq!(counts, m.combo_counts(child, &union).expect("small combo"));
     }
 
