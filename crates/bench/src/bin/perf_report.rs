@@ -37,7 +37,13 @@
 //!   second and the end-to-end submit→done latency of an HTTP-submitted
 //!   job (upload, queue, reconstruction, output writes, status poll),
 //!   each with client-side p50/p95/p99 from the same log₂ duration
-//!   buckets the daemon exposes on `/v1/metrics`.
+//!   buckets the daemon exposes on `/v1/metrics`;
+//! * the streamed pipeline at n=100,000 (β=64, 512 MiB budget): the τ
+//!   sample and the candidate fold with its profiled peak RSS, at the
+//!   largest thread count whose estimate fits the budget, against the
+//!   same fold evaluating every pair's measure (`fold_reference_s`), with
+//!   a check that both give the same candidates and counts
+//!   (`results_equal`).
 //!
 //! Multi-thread speedups are only meaningful on multi-core hardware; on a
 //! single-CPU machine the thread-scaling rows are marked
@@ -55,6 +61,7 @@ use diffnet_simulate::{
 use diffnet_tends::search::{
     find_parents_reference, find_parents_with, NodeSearchResult, SearchParams,
 };
+use diffnet_tends::stream::Verdicts;
 use diffnet_tends::{
     BucketIndex, CorrelationMatrix, CorrelationMeasure, PinnedKmeans, RobustOptions,
     ScoreCacheStats, SearchScratch, Tends, TendsConfig,
@@ -739,16 +746,33 @@ fn main() {
     // accumulators — the dense correlation triangle is never allocated,
     // which is what makes this n feasible at all (its f64 storage for
     // n=100,000 would be ~40 GB). Peak RSS is profiled so the row demonstrates the
-    // memory bound, not just the throughput.
+    // memory bound, not just the throughput. The thread count is the
+    // largest one up to min(8, hardware threads) whose estimate fits the
+    // budget: each worker holds its own accumulators.
     let (n_stream, beta_stream) = if quick { (10_000, 64) } else { (100_000, 64) };
     let stream_budget: u64 = 512 << 20;
-    eprintln!("perf_report: streamed IMI (n={n_stream}, beta={beta_stream})");
+    let max_candidates = SearchParams::default().max_candidates;
+    let stream_threads = (1..=hardware_threads.min(8))
+        .rev()
+        .find(|&t| {
+            diffnet_tends::stream::estimate_streamed_bytes(
+                n_stream,
+                beta_stream,
+                n_stream,
+                t,
+                max_candidates,
+                Some(stream_budget),
+            ) <= stream_budget
+        })
+        .unwrap_or(1);
+    eprintln!(
+        "perf_report: streamed IMI (n={n_stream}, beta={beta_stream}, threads={stream_threads})"
+    );
     let stream_statuses = synthetic_statuses(beta_stream, n_stream, 2020);
     let stream_cols = stream_statuses.columns();
     drop(stream_statuses);
     let stream_profiler =
         diffnet_observe::ResourceProfiler::start(diffnet_observe::DEFAULT_SAMPLE_INTERVAL);
-    let stream_threads = if multi_core { 8 } else { 1 };
     let (tau_sample, tau_sample_s) = timed(|| {
         diffnet_tends::stream::sample_tau(
             &stream_cols,
@@ -757,17 +781,28 @@ fn main() {
             stream_threads,
         )
     });
-    let (fold, fold_s) = timed(|| {
-        diffnet_tends::stream::fold_candidates(
-            &stream_cols,
-            CorrelationMeasure::Imi,
-            tau_sample.kmeans.tau,
-            SearchParams::default().max_candidates,
-            diffnet_tends::Shard::full(stream_cols.num_nodes()),
-            stream_threads,
-        )
-    });
+    let stream_fold = |verdicts| {
+        timed(|| {
+            diffnet_tends::stream::fold_candidates_with(
+                &stream_cols,
+                CorrelationMeasure::Imi,
+                tau_sample.kmeans.tau,
+                max_candidates,
+                diffnet_tends::Shard::full(stream_cols.num_nodes()),
+                stream_threads,
+                verdicts,
+            )
+        })
+    };
+    let (fold, fold_s) = stream_fold(Verdicts::Auto);
     let stream_profile = stream_profiler.stop();
+    // The reference side: the same fold evaluating every pair's measure.
+    eprintln!("perf_report: streamed IMI reference fold (per-pair evaluation)");
+    let (fold_ref, fold_reference_s) = stream_fold(Verdicts::PerPair);
+    let fold_results_equal = fold.candidates == fold_ref.candidates
+        && fold.pairs_above_tau == fold_ref.pairs_above_tau
+        && fold.candidate_evictions == fold_ref.candidate_evictions;
+    drop(fold_ref);
     drop(stream_cols);
 
     // One instrumented reconstruction for the per-phase breakdown, so the
@@ -891,9 +926,13 @@ fn main() {
     streaming.push("tau_sample_stride", tau_sample.stride);
     streaming.push("tau", tau_sample.kmeans.tau);
     streaming.push("fold_s", fold_s);
+    streaming.push("fold_reference_s", fold_reference_s);
+    streaming.push("fold_speedup", fold_reference_s / fold_s);
+    streaming.push("results_equal", fold_results_equal);
     streaming.push("scanned_pairs", fold.scanned_pairs);
     streaming.push("pairs_per_s", fold.scanned_pairs as f64 / fold_s);
     streaming.push("tiles", fold.tiles);
+    streaming.push("values_evaluated", fold.values_evaluated);
     streaming.push("pairs_above_tau", fold.pairs_above_tau);
     streaming.push("candidate_evictions", fold.candidate_evictions);
     streaming.push("peak_rss_bytes", stream_profile.peak_rss_bytes);

@@ -134,6 +134,14 @@ fn readme_performance_table_matches_bench_micro_json() {
                 "greedy_search.1.speedup",
             ],
         ),
+        (
+            "streamed fold",
+            [
+                "streaming_imi.fold_reference_s",
+                "streaming_imi.fold_s",
+                "streaming_imi.fold_speedup",
+            ],
+        ),
     ];
     for (label, [baseline, optimized, speedup]) in rows {
         let line = readme

@@ -130,6 +130,10 @@ const METRIC_HELP: &[(&str, &str)] = &[
         "Directed edges written to the inferred topology.",
     ),
     (
+        "fold_values_evaluated",
+        "Node pairs whose correlation the streamed fold evaluated.",
+    ),
+    (
         "greedy_rounds",
         "Greedy refinement rounds across all node searches.",
     ),

@@ -1,8 +1,9 @@
 //! Runtime-dispatched SIMD kernels for the bitset counting hot paths.
 //!
 //! Every hot loop over bit-packed statuses reduces to a handful of
-//! word-stream primitives: AND+popcount over column pairs
-//! ([`NodeColumns::pair_counts_block`](crate::NodeColumns::pair_counts_block)),
+//! word-stream primitives: AND+popcount of one column against a run of
+//! contiguous columns
+//! ([`NodeColumns::pair_n11_block`](crate::NodeColumns::pair_n11_block)),
 //! fused mask/child popcounts (the `N_ijk` tabulation), the same fused
 //! popcounts over every cell of a parent partition at once, and the mask
 //! split performed by the incremental counts workspace. This module implements
@@ -129,10 +130,15 @@ pub struct Kernels {
     dispatch: &'static str,
     and_popcount: fn(&[u64], &[u64]) -> u64,
     and_self_popcount: fn(&[u64], &[u64]) -> (u64, u64),
+    and_popcount_rows: AndRowsFn,
     and3_popcount_rows: And3RowsFn,
     popcount: fn(&[u64]) -> u64,
     refine_masks: fn(&mut [u64], &mut [u64], &[u64]),
 }
+
+/// Signature of the row-wise pair kernel: `out[r] = popcount(row_r & x)`
+/// for each `words`-word row `row_r` of the first argument.
+type AndRowsFn = fn(&[u64], usize, &[u64], &mut [u64]);
 
 /// Signature of the row-wise fused kernel: `out[r] = [popcount(m_r & x),
 /// popcount(m_r & x & c)]` for each `words`-word row `m_r` of the first
@@ -206,6 +212,24 @@ impl Kernels {
     #[inline]
     pub fn and_self_popcount(&self, mask: &[u64], child: &[u64]) -> (u64, u64) {
         (self.and_self_popcount)(mask, child)
+    }
+
+    /// `out[r] = popcount(row_r & x)` for each `r < out.len()`, where
+    /// `row_r = rows[r·words .. (r+1)·words]`: one column `x` against a
+    /// run of contiguous columns. The pairwise primitive: a tile row's
+    /// `n11` counts come from one call instead of one dispatch per pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` holds fewer than `out.len()` rows of `words`
+    /// words, or if `words` is 0 while `out` is not empty.
+    #[inline]
+    pub fn and_popcount_rows(&self, rows: &[u64], words: usize, x: &[u64], out: &mut [u64]) {
+        assert!(
+            out.is_empty() || (words > 0 && rows.len() >= out.len() * words),
+            "column run holds fewer rows than requested"
+        );
+        (self.and_popcount_rows)(rows, words, x, out)
     }
 
     /// `out[r] = [popcount(m_r & x), popcount(m_r & x & c)]` for each
@@ -327,6 +351,7 @@ const SCALAR: Kernels = Kernels {
     dispatch: "scalar",
     and_popcount: scalar_and_popcount,
     and_self_popcount: scalar_and_self_popcount,
+    and_popcount_rows: scalar_and_popcount_rows,
     and3_popcount_rows: scalar_and3_popcount_rows,
     popcount: scalar_popcount,
     refine_masks: scalar_refine_masks,
@@ -464,6 +489,43 @@ fn scalar_and3_popcount(m: &[u64], w: &[u64], c: &[u64]) -> (u64, u64) {
     )
 }
 
+fn scalar_and_popcount_rows(rows: &[u64], words: usize, x: &[u64], out: &mut [u64]) {
+    if !and_popcount_narrow_rows(rows, words, x, out) {
+        for (r, o) in rows.chunks_exact(words.max(1)).zip(out) {
+            *o = scalar_and_popcount(r, x);
+        }
+    }
+}
+
+/// [`and3_popcount_narrow_rows`]' pairwise sibling: one fully unrolled
+/// loop per row width of one to four words, inlined into each tier.
+/// Returns `false`, doing nothing, for wider rows.
+#[inline(always)]
+fn and_popcount_narrow_rows(rows: &[u64], words: usize, x: &[u64], out: &mut [u64]) -> bool {
+    #[inline(always)]
+    fn run<const W: usize>(rows: &[u64], x: &[u64], out: &mut [u64]) {
+        let x: &[u64; W] = x[..W].try_into().expect("W-word operand");
+        for (r, o) in rows.chunks_exact(W).zip(out) {
+            let mut n = 0u64;
+            for i in 0..W {
+                n += u64::from((r[i] & x[i]).count_ones());
+            }
+            *o = n;
+        }
+    }
+    if x.len() < words {
+        return false;
+    }
+    match words {
+        1 => run::<1>(rows, x, out),
+        2 => run::<2>(rows, x, out),
+        3 => run::<3>(rows, x, out),
+        4 => run::<4>(rows, x, out),
+        _ => return false,
+    }
+    true
+}
+
 fn scalar_and3_popcount_rows(
     masks: &[u64],
     words: usize,
@@ -541,6 +603,7 @@ mod x86 {
         dispatch: "popcnt",
         and_popcount: popcnt_and_popcount_safe,
         and_self_popcount: popcnt_and_self_popcount_safe,
+        and_popcount_rows: popcnt_and_popcount_rows_safe,
         and3_popcount_rows: popcnt_and3_popcount_rows_safe,
         popcount: popcnt_popcount_safe,
         // Mask refinement is pure AND/ANDN — no popcount to accelerate.
@@ -551,6 +614,7 @@ mod x86 {
         dispatch: "avx2",
         and_popcount: avx2_and_popcount_safe,
         and_self_popcount: avx2_and_self_popcount_safe,
+        and_popcount_rows: avx2_and_popcount_rows_safe,
         and3_popcount_rows: avx2_and3_popcount_rows_safe,
         popcount: avx2_popcount_safe,
         refine_masks: avx2_refine_masks_safe,
@@ -572,6 +636,11 @@ mod x86 {
         // SAFETY: only installed after runtime POPCNT detection (see
         // `Kernels::for_mode`).
         unsafe { popcnt_and_self_popcount(mask, child) }
+    }
+
+    fn popcnt_and_popcount_rows_safe(rows: &[u64], words: usize, x: &[u64], out: &mut [u64]) {
+        // SAFETY: only installed after runtime POPCNT detection.
+        unsafe { popcnt_and_popcount_rows(rows, words, x, out) }
     }
 
     fn popcnt_and3_popcount_rows_safe(
@@ -598,6 +667,11 @@ mod x86 {
     fn avx2_and_self_popcount_safe(mask: &[u64], child: &[u64]) -> (u64, u64) {
         // SAFETY: only installed after runtime AVX2+POPCNT detection.
         unsafe { avx2_and_self_popcount(mask, child) }
+    }
+
+    fn avx2_and_popcount_rows_safe(rows: &[u64], words: usize, x: &[u64], out: &mut [u64]) {
+        // SAFETY: only installed after runtime AVX2+POPCNT detection.
+        unsafe { avx2_and_popcount_rows(rows, words, x, out) }
     }
 
     fn avx2_and3_popcount_rows_safe(
@@ -687,6 +761,16 @@ mod x86 {
             mwc0 += (x & c[i]).count_ones() as u64;
         }
         (mw0 + mw1, mwc0 + mwc1)
+    }
+
+    #[target_feature(enable = "popcnt")]
+    fn popcnt_and_popcount_rows(rows: &[u64], words: usize, x: &[u64], out: &mut [u64]) {
+        if super::and_popcount_narrow_rows(rows, words, x, out) {
+            return;
+        }
+        for (r, o) in rows.chunks_exact(words.max(1)).zip(out) {
+            *o = popcnt_and_popcount(r, x);
+        }
     }
 
     #[target_feature(enable = "popcnt")]
@@ -824,6 +908,17 @@ mod x86 {
             i += 1;
         }
         (mw_total, mwc_total)
+    }
+
+    #[target_feature(enable = "avx2", enable = "popcnt")]
+    fn avx2_and_popcount_rows(rows: &[u64], words: usize, x: &[u64], out: &mut [u64]) {
+        // Rows of at most one lane group take the unrolled popcnt loop.
+        if super::and_popcount_narrow_rows(rows, words, x, out) {
+            return;
+        }
+        for (r, o) in rows.chunks_exact(words.max(1)).zip(out) {
+            *o = avx2_and_popcount(r, x);
+        }
     }
 
     #[target_feature(enable = "avx2", enable = "popcnt")]
@@ -1025,6 +1120,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn all_tiers_match_naive_and_popcount_rows() {
+        // Row widths straddle the unrolled 1–4-word loops, the 4-word AVX2
+        // lane group and the 16-word Harley–Seal block; row counts include
+        // none and one.
+        for width in [1usize, 2, 3, 4, 5, 8, 17, 18] {
+            for rows in [0usize, 1, 3, 7, 64] {
+                let run = words(0x1F1F_2E2E, rows * width);
+                let x = words(0x3D3D_4C4C, width);
+                let expect: Vec<u64> = run
+                    .chunks_exact(width)
+                    .map(|r| {
+                        r.iter()
+                            .zip(&x)
+                            .map(|(a, b)| (a & b).count_ones() as u64)
+                            .sum()
+                    })
+                    .collect();
+                for k in tiers() {
+                    let mut out = vec![u64::MAX; rows];
+                    k.and_popcount_rows(&run, width, &x, &mut out);
+                    assert_eq!(out, expect, "{} width {width} rows {rows}", k.dispatch());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer rows")]
+    fn and_popcount_rows_rejects_a_short_run() {
+        let mut out = [0u64; 2];
+        Kernels::for_mode(SimdMode::Scalar).and_popcount_rows(&[0; 3], 2, &[0; 2], &mut out);
     }
 
     #[test]

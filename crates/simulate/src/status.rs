@@ -192,6 +192,10 @@ impl StatusMatrix {
     }
 }
 
+/// Most pairs one [`NodeColumns::pair_n11_block`] segment covers: the
+/// length of its on-stack count buffer (2 KiB).
+const N11_SEGMENT: usize = 256;
+
 /// Joint status counts for a node pair across all processes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PairCounts {
@@ -206,6 +210,20 @@ pub struct PairCounts {
 }
 
 impl PairCounts {
+    /// The counts of a pair `(i, j)` from its `n11` and the two nodes' ones
+    /// counts over `beta` processes: `n10 = ones_i − n11`,
+    /// `n01 = ones_j − n11`, `n00 = β + n11 − ones_i − ones_j`.
+    #[inline]
+    pub fn from_n11(n11: u64, ones_i: u64, ones_j: u64, beta: u64) -> PairCounts {
+        PairCounts {
+            n11,
+            n10: ones_i - n11,
+            n01: ones_j - n11,
+            // `+ n11` first: `ones_i + ones_j` may exceed `β`.
+            n00: beta + n11 - ones_i - ones_j,
+        }
+    }
+
     /// Total number of processes `β`.
     pub fn total(&self) -> u64 {
         self.n11 + self.n10 + self.n01 + self.n00
@@ -293,7 +311,7 @@ impl NodeColumns {
 
     /// Per-column ones counts for every node, in node order — the
     /// precompute that lets the tiled pairwise kernel derive `n10/n01/n00`
-    /// from `n11` alone and short-circuit degenerate columns.
+    /// from `n11` alone.
     pub fn ones_counts(&self) -> Vec<u64> {
         (0..self.num_nodes() as u32).map(|i| self.ones(i)).collect()
     }
@@ -312,13 +330,56 @@ impl NodeColumns {
     ///
     /// [`pair_counts_block`]: NodeColumns::pair_counts_block
     pub fn pair_tile_size(&self) -> usize {
+        Self::pair_tile_size_for(self.beta)
+    }
+
+    /// [`pair_tile_size`](Self::pair_tile_size) of any view over `beta`
+    /// processes, for sizing a pass before the columns exist.
+    pub fn pair_tile_size_for(beta: usize) -> usize {
         const L1_BUDGET_BYTES: usize = 32 * 1024;
         // 256-bit AVX2 lane group: four 64-bit words.
         const LANE_BYTES: usize = 32;
-        let col_bytes =
-            (self.words_per_col * std::mem::size_of::<u64>()).next_multiple_of(LANE_BYTES);
+        let words = beta.div_ceil(WORD_BITS).max(1);
+        let col_bytes = (words * std::mem::size_of::<u64>()).next_multiple_of(LANE_BYTES);
         let t = (L1_BUDGET_BYTES / (2 * col_bytes)).clamp(16, 1024);
         t - t % 16
+    }
+
+    /// `n11` — processes where both nodes are infected — for every pair
+    /// `(i, j)` with `i ∈ rows`, `j ∈ cols`, and `i < j`, emitted as row
+    /// segments in row-major order: `emit(i, j0, n11s)` covers the pairs
+    /// `(i, j0)`, `(i, j0 + 1)`, … in order, one count each.
+    ///
+    /// Columns are stored contiguously, so a row's partners form one
+    /// word run, and one [`Kernels::and_popcount_rows`] call per segment
+    /// counts them all: the dispatch is paid once per segment (at most
+    /// 256 pairs, counted into an on-stack buffer), not once per pair.
+    /// Padding bits past `β` are zero, so never- and always-infected
+    /// columns need no special case: their popcounts already are `0` and
+    /// the partner's ones count.
+    ///
+    /// [`Kernels::and_popcount_rows`]: crate::simd::Kernels::and_popcount_rows
+    pub fn pair_n11_block(
+        &self,
+        rows: std::ops::Range<usize>,
+        cols: std::ops::Range<usize>,
+        emit: &mut impl FnMut(NodeId, usize, &[u64]),
+    ) {
+        debug_assert!(rows.end <= self.num_nodes() && cols.end <= self.num_nodes());
+        let k = crate::simd::kernels();
+        let w = self.words_per_col;
+        let mut buf = [0u64; N11_SEGMENT];
+        for i in rows {
+            let ci = self.col(i as NodeId);
+            let mut j0 = cols.start.max(i + 1);
+            while j0 < cols.end {
+                let j1 = (j0 + N11_SEGMENT).min(cols.end);
+                let out = &mut buf[..j1 - j0];
+                k.and_popcount_rows(&self.cols[j0 * w..j1 * w], w, ci, out);
+                emit(i as NodeId, j0, out);
+                j0 = j1;
+            }
+        }
     }
 
     /// Joint counts for every pair `(i, j)` with `i ∈ rows`, `j ∈ cols`,
@@ -327,14 +388,12 @@ impl NodeColumns {
     /// This is the tiled counterpart of [`pair_counts`]: callers walk the
     /// upper triangle in `T×T` blocks (see [`pair_tile_size`], which sizes
     /// `T` to the SIMD lane width) so the `j` tile's columns stay hot in L1
-    /// while the `i` rows stream past. Per pair it runs a single
-    /// AND+popcount pass for `n11` through the runtime-dispatched
-    /// [`simd`](crate::simd) kernel (AVX2/popcnt/scalar, resolved once per
-    /// process) and derives `n10/n01/n00` from the precomputed `ones`
-    /// counts — one popcount stream instead of [`pair_counts`]' three.
-    /// Columns that are never infected (`ones = 0`) or always infected
-    /// (`ones = β`) short-circuit before the word loop: their joint counts
-    /// are a pure function of the partner's ones count.
+    /// while the `i` rows stream past. `n11` comes from
+    /// [`pair_n11_block`]'s row-batched AND+popcount through the
+    /// runtime-dispatched [`simd`](crate::simd) kernel (AVX2/popcnt/scalar,
+    /// resolved once per process), and `n10/n01/n00` are derived from the
+    /// precomputed `ones` counts — one popcount stream instead of
+    /// [`pair_counts`]' three.
     ///
     /// Counts are bit-identical to [`pair_counts`] for every pair, under
     /// every dispatch tier.
@@ -347,10 +406,8 @@ impl NodeColumns {
     ///
     /// [`pair_counts`]: NodeColumns::pair_counts
     /// [`pair_tile_size`]: NodeColumns::pair_tile_size
+    /// [`pair_n11_block`]: NodeColumns::pair_n11_block
     /// [`ones_counts`]: NodeColumns::ones_counts
-    // `j` is a node id (fed to `emit` and `col`), not just an index into
-    // `ones` — the iterator rewrite clippy suggests would obscure that.
-    #[allow(clippy::needless_range_loop)]
     pub fn pair_counts_block(
         &self,
         rows: std::ops::Range<usize>,
@@ -359,63 +416,13 @@ impl NodeColumns {
         emit: &mut impl FnMut(NodeId, NodeId, PairCounts),
     ) {
         debug_assert_eq!(ones.len(), self.num_nodes());
-        debug_assert!(rows.end <= self.num_nodes() && cols.end <= self.num_nodes());
-        let k = crate::simd::kernels();
         let beta = self.beta as u64;
-        // Counts of a pair where one column is degenerate, from the other
-        // column's ones count alone (no word loop).
-        let degenerate = |ones_deg: u64, ones_other: u64| {
-            let n11 = if ones_deg == 0 { 0 } else { ones_other };
-            PairCounts {
-                n11,
-                n10: ones_deg - n11,
-                n01: ones_other - n11,
-                // `+ n11` first: `ones_deg + ones_other` may exceed `β`.
-                n00: beta + n11 - ones_deg - ones_other,
+        self.pair_n11_block(rows, cols, &mut |i, j0, n11s| {
+            let oi = ones[i as usize];
+            for (j, (&n11, &oj)) in (j0..).zip(n11s.iter().zip(&ones[j0..])) {
+                emit(i, j as NodeId, PairCounts::from_n11(n11, oi, oj, beta));
             }
-        };
-        for i in rows {
-            let oi = ones[i];
-            let j_lo = cols.start.max(i + 1);
-            if oi == 0 || oi == beta {
-                for j in j_lo..cols.end {
-                    // NB: `degenerate(oi, ·)` treats `i` as the degenerate
-                    // side; n10/n01 come out in (i, j) orientation.
-                    emit(i as NodeId, j as NodeId, degenerate(oi, ones[j]));
-                }
-                continue;
-            }
-            let ci = self.col(i as NodeId);
-            for j in j_lo..cols.end {
-                let oj = ones[j];
-                if oj == 0 || oj == beta {
-                    let d = degenerate(oj, oi);
-                    emit(
-                        i as NodeId,
-                        j as NodeId,
-                        PairCounts {
-                            n11: d.n11,
-                            n10: d.n01,
-                            n01: d.n10,
-                            n00: d.n00,
-                        },
-                    );
-                    continue;
-                }
-                let cj = self.col(j as NodeId);
-                let n11 = k.and_popcount(ci, cj);
-                emit(
-                    i as NodeId,
-                    j as NodeId,
-                    PairCounts {
-                        n11,
-                        n10: oi - n11,
-                        n01: oj - n11,
-                        n00: beta + n11 - oi - oj,
-                    },
-                );
-            }
-        }
+        });
     }
 
     /// Counts `N_ijk` for child `i` with ordered parent set `parents`,
@@ -1592,10 +1599,25 @@ mod tests {
     }
 
     #[test]
+    fn tiled_kernel_crosses_row_segment_boundaries() {
+        // Rows longer than one 256-pair n11 segment: a full segment, a
+        // partial one, and a tile edge inside the second segment.
+        let n = 2 * N11_SEGMENT + 7;
+        let cols = scrambled(65, n).columns();
+        for tile in [n, N11_SEGMENT + 3] {
+            let got = tiled_pairs(&cols, tile);
+            assert_eq!(got.len(), n * (n - 1) / 2, "tile {tile}");
+            for (i, j, c) in got {
+                assert_eq!(c, cols.pair_counts(i, j), "tile {tile} pair ({i},{j})");
+            }
+        }
+    }
+
+    #[test]
     fn tiled_kernel_degenerate_columns() {
         // scrambled() plants never-infected node 0 and always-infected
-        // nodes 1, 2 — every degenerate short-circuit branch fires:
-        // i-degenerate, j-degenerate, and both-degenerate (1,2).
+        // nodes 1, 2: degenerate pairs on the i side, the j side, and
+        // both (1,2), whose counts come from the popcount alone.
         let beta = 97u64;
         let cols = scrambled(beta as usize, 6).columns();
         let pairs = tiled_pairs(&cols, 4);
@@ -1627,8 +1649,7 @@ mod tests {
         let c03 = at(0, 3);
         assert_eq!((c03.n11, c03.n10), (0, 0));
         assert_eq!(c03.n01, cols.ones(3));
-        // Random i × always-infected j (node 5 is planted always-on):
-        // the j-degenerate branch, reached with a non-degenerate i.
+        // Random i × always-infected j (node 5 is planted always-on).
         let c35 = at(3, 5);
         assert_eq!((c35.n10, c35.n00), (0, 0));
         assert_eq!(c35.n11, cols.ones(3));

@@ -585,6 +585,7 @@ impl Tends {
                     rec.add("candidate_evictions", fold.candidate_evictions);
                     rec.add("correlation_pairs", fold.scanned_pairs);
                     rec.add("correlation_tiles", fold.tiles);
+                    rec.add("fold_values_evaluated", fold.values_evaluated);
                     rss_sample(rec, _p.span_id());
                 }
                 // No sufficient statistics: the streamed path never holds

@@ -274,10 +274,9 @@ impl CorrelationMatrix {
     ///
     /// The pair loop is the cache-blocked [`NodeColumns::pair_counts_block`]
     /// kernel over the crate's one tile schedule (`tile_schedule`): `n11`
-    /// is one SIMD AND+popcount stream per pair with the other three cells
-    /// derived from the per-column ones counts — computed once up front and
-    /// shared by every tile — and constant columns short-circuit the word
-    /// walk entirely. Each tile's claim weight is its exact pair count, so
+    /// comes from one row-batched SIMD AND+popcount call per tile row, with
+    /// the other three cells derived from the per-column ones counts —
+    /// computed once up front and shared by every tile. Each tile's claim weight is its exact pair count, so
     /// the dense diagonal tiles don't serialize the pool. Per-tile results
     /// are *positional* (values in the kernel's deterministic emission
     /// order, a third of the memory of `(i, j, value)` triples) and land in
@@ -519,20 +518,15 @@ impl PairStats {
     pub fn pair_counts(&self, i: usize, j: usize) -> PairCounts {
         let (a, b) = if i < j { (i, j) } else { (j, i) };
         let n11 = self.n11[tri_index(self.n, a, b)];
-        let (oi, oj) = (self.ones[i], self.ones[j]);
-        PairCounts {
-            n11,
-            n10: oi - n11,
-            n01: oj - n11,
-            n00: self.beta + n11 - oi - oj,
-        }
+        PairCounts::from_n11(n11, self.ones[i], self.ones[j], self.beta)
     }
 
     /// Folds `appended` process columns into the statistics — the
-    /// incremental-update kernel pass. Runs the same cost-aware tiled
-    /// [`NodeColumns::pair_counts_block`] schedule as the full computation,
-    /// but over the appended columns only; integer addition is
-    /// order-independent, so the result is exact at every thread count.
+    /// incremental-update kernel pass. Runs the same cost-aware tile
+    /// schedule as the full computation through
+    /// [`NodeColumns::pair_n11_block`], but over the appended columns
+    /// only; integer addition is order-independent, so the result is exact
+    /// at every thread count.
     ///
     /// # Panics
     ///
@@ -554,14 +548,9 @@ impl PairStats {
             |_, b| {
                 let tile = &tiles[b];
                 let mut out: Vec<u64> = Vec::with_capacity(tile.pairs as usize);
-                appended.pair_counts_block(
-                    tile.rows.clone(),
-                    tile.cols.clone(),
-                    &ones,
-                    &mut |_, _, pc| {
-                        out.push(pc.n11);
-                    },
-                );
+                appended.pair_n11_block(tile.rows.clone(), tile.cols.clone(), &mut |_, _, n11s| {
+                    out.extend_from_slice(n11s);
+                });
                 out
             },
         );

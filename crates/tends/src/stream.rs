@@ -9,13 +9,15 @@
 //!
 //! 1. **τ from a deterministic systematic pair sample** ([`sample_tau`]):
 //!    every `stride`-th pair of the canonical upper-triangle rank order is
-//!    scored with the per-pair [`NodeColumns::pair_counts`] oracle (bit-
-//!    identical to the tiled SIMD kernel) and fed to the same pinned
-//!    2-means as the dense path. The sample cap is a pure function of the
-//!    pair count and the memory budget — never the thread count, SIMD
-//!    tier, or shard — so every streamed run at one budget computes the
-//!    same τ, and small inputs (`stride == 1`) reproduce the dense τ
-//!    bit-for-bit.
+//!    scored from the per-column ones counts and one SIMD AND+popcount for
+//!    its `n11` — the counts the tiled kernel derives, so the values are
+//!    bit-identical to the dense ones — and fed to the same pinned
+//!    2-means as the dense path. Each claimed chunk of samples inverts its
+//!    first rank once and then walks the stride. The sample cap is a pure
+//!    function of the pair count and the memory budget — never the thread
+//!    count, SIMD tier, or shard — so every streamed run at one budget
+//!    computes the same τ, and small inputs (`stride == 1`) reproduce the
+//!    dense τ bit-for-bit.
 //! 2. **A bounded sparse accumulator** ([`SparseCandidates`]): tile
 //!    outputs fold straight into per-node top-`k` lists of above-τ
 //!    partners, ordered exactly like the dense candidate lists of
@@ -40,12 +42,27 @@
 //! weights, same emission order — so the streamed path inherits the dense
 //! path's SIMD kernel and its bit-identity guarantees; the dense path
 //! stays available as the equivalence oracle.
+//!
+//! **Verdicts in count space.** For a fixed `β` a pair's measure is a
+//! function of three integers, `(n11, ones_i, ones_j)`, so there are far
+//! fewer distinct verdicts than pairs once `n² ≫ β³` — the regime the
+//! streamed path exists for. Before the pool starts the fold builds one
+//! read-only [`VerdictTable`]: for every ordered pair of ones counts that
+//! occurs, a bitmask over each feasible `n11` of whether the value is
+//! `> τ`, each bit computed by the same `measure.value` call on the same
+//! [`PairCounts`] the per-pair path would build — so every verdict is
+//! exact. A pair then costs one row-batched popcount and one bit test, and
+//! only pairs that pass evaluate the measure (ranking needs the value).
+//! The table is built when it is small against the pairs the shard scans
+//! ([`Verdicts::Auto`]), a pure function of `n`, `β`, the ones counts and
+//! the shard — never of threads or SIMD tier — and otherwise every pair is
+//! evaluated directly; both give the same candidates bit for bit.
 
-use crate::imi::{tile_schedule, CorrelationMeasure, Log2Table, MiCells};
+use crate::imi::{tile_schedule, CorrelationMeasure, Log2Table, MiCells, Tile};
 use crate::kmeans::{pinned_two_means, PinnedKmeans};
 use crate::parallel;
 use diffnet_graph::NodeId;
-use diffnet_simulate::NodeColumns;
+use diffnet_simulate::{NodeColumns, PairCounts};
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -199,6 +216,11 @@ impl SparseCandidates {
         {
             self.above_tau_seen[slot] += seen;
             let dst = &mut self.entries[slot];
+            // Pruning both sides first keeps the union within the
+            // capacity the inserts already reached (see
+            // `fold_heap_bytes`), so a merge never grows a list past it.
+            prune(&mut list, self.max_candidates);
+            prune(dst, self.max_candidates);
             dst.append(&mut list);
             prune(dst, self.max_candidates);
         }
@@ -289,9 +311,22 @@ fn pair_at(rank: u64, n: u64) -> (NodeId, NodeId) {
     (i as NodeId, j as NodeId)
 }
 
+/// The pair `stride` ranks after `(i, j)` in the canonical order. The
+/// caller guarantees that rank exists.
+fn pair_after(i: NodeId, j: NodeId, stride: u64, n: u64) -> (NodeId, NodeId) {
+    let mut i = u64::from(i);
+    // Offset within row i, whose pairs are (i, i+1) .. (i, n-1).
+    let mut off = u64::from(j) - i - 1 + stride;
+    while off >= n - 1 - i {
+        off -= n - 1 - i;
+        i += 1;
+    }
+    (i as NodeId, (i + 1 + off) as NodeId)
+}
+
 /// Estimates τ from a deterministic systematic sample of the pair
 /// population: every `stride`-th pair of the canonical rank order, scored
-/// with the per-pair oracle kernel and fed to the same
+/// from the ones counts and the SIMD kernel's `n11`, and fed to the same
 /// [`pinned_two_means`] as the dense path.
 ///
 /// Positional sampling (not reservoir) keeps the sampled multiset a pure
@@ -312,15 +347,26 @@ pub fn sample_tau(
     // At least 1, so an input without pairs samples nothing.
     let stride = total.div_ceil(cap).max(1);
     let count = total.div_ceil(stride);
-    let lut = Log2Table::new(cols.num_processes() as u64);
+    let beta = cols.num_processes() as u64;
+    let lut = Log2Table::new(beta);
+    let ones = cols.ones_counts();
+    let kernels = diffnet_simulate::simd::kernels();
+    // Each worker remembers the last sample it scored: a claimed chunk's
+    // samples are consecutive, so only its first inverts a rank.
     let values = parallel::run_indexed(
         count as usize,
         4096,
         threads,
-        || (),
-        |(), s| {
-            let (i, j) = pair_at(s as u64 * stride, n);
-            measure.value(&MiCells::from_counts_with(&cols.pair_counts(i, j), &lut))
+        || None::<(usize, NodeId, NodeId)>,
+        |last, s| {
+            let (i, j) = match *last {
+                Some((prev, i, j)) if prev + 1 == s => pair_after(i, j, stride, n),
+                _ => pair_at(s as u64 * stride, n),
+            };
+            *last = Some((s, i, j));
+            let n11 = kernels.and_popcount(cols.col(i), cols.col(j));
+            let pc = PairCounts::from_n11(n11, ones[i as usize], ones[j as usize], beta);
+            measure.value(&MiCells::from_counts_with(&pc, &lut))
         },
     );
     TauSample {
@@ -346,24 +392,155 @@ pub struct FoldOutcome {
     pub tiles: u64,
     /// Pairs scanned across those blocks.
     pub scanned_pairs: u64,
+    /// Pairs whose measure the fold computed: every scanned pair with an
+    /// endpoint in the shard when it evaluates per pair, only the above-τ
+    /// ones when it decides through the [`VerdictTable`]. A pure function
+    /// of the input and the shard.
+    pub values_evaluated: u64,
     /// Chunk claims per pool worker (runtime diagnostics only).
     pub chunks_per_worker: Vec<u64>,
 }
 
+/// How [`fold_candidates_with`] decides whether a pair is above τ.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Verdicts {
+    /// The verdict table when [`VerdictTable::pays_off`] holds for the
+    /// input and shard, per-pair evaluation otherwise — what
+    /// [`fold_candidates`] does.
+    Auto,
+    /// Evaluate the measure of every pair: the reference.
+    PerPair,
+    /// Decide through the verdict table whenever it fits its size cap,
+    /// however few pairs the shard scans.
+    Table,
+}
+
+/// Largest verdict table the fold builds: per-pair lookups into a table
+/// much past the L2 cache would miss instead of saving work.
+const VERDICT_TABLE_MAX_BYTES: u64 = 4 << 20;
+
+/// Exact "above τ" verdicts in count space.
+///
+/// For fixed `β` a pair's joint counts — hence its measure — are a
+/// function of `(n11, ones_i, ones_j)`, and `n11` ranges over
+/// `max(0, ones_i + ones_j − β) ..= min(ones_i, ones_j)`. The table holds,
+/// for every ordered pair `(a, b)` of ones counts that occur among the
+/// nodes, one bit per feasible `n11`: whether the measure of those counts
+/// is `> τ`. Each bit is computed by the same `measure.value` call on the
+/// same [`PairCounts`] the per-pair path builds, so every verdict is exact.
+/// The pair order is kept (`a = ones_i`, `i < j`): the IMI subtracts
+/// `|c10|` before `|c01|`, so its float value is not bitwise symmetric.
+pub struct VerdictTable {
+    /// Each node's ones-count class: the rank of its ones count among the
+    /// distinct counts.
+    class: Vec<u16>,
+    classes: usize,
+    /// Per ordered class pair `(a, b)`, row-major: the bit index of `n11 =
+    /// 0` (wrapping — the entry's first bit is its smallest feasible
+    /// `n11`). The size cap keeps every bit index below `2³²`.
+    base: Vec<u32>,
+    bits: Vec<u64>,
+}
+
+/// The feasible `n11` range of a pair with ones counts `a` and `b`.
+#[inline]
+fn n11_range(a: u64, b: u64, beta: u64) -> (u64, u64) {
+    ((a + b).saturating_sub(beta), a.min(b))
+}
+
+impl VerdictTable {
+    /// The distinct ones counts in ascending order and the verdict bits
+    /// their ordered pairs need, or `None` when the table would exceed its
+    /// size cap.
+    fn shape(ones: &[u64], beta: u64) -> Option<(Vec<u64>, u64)> {
+        let mut seen = vec![false; beta as usize + 1];
+        for &o in ones {
+            seen[o as usize] = true;
+        }
+        let values: Vec<u64> = (0..=beta).filter(|&v| seen[v as usize]).collect();
+        let k = values.len() as u64;
+        if 4 * k * k > VERDICT_TABLE_MAX_BYTES {
+            return None;
+        }
+        let mut bits = 0u64;
+        for &a in &values {
+            for &b in &values {
+                let (lo, hi) = n11_range(a, b, beta);
+                bits += hi - lo + 1;
+            }
+        }
+        (4 * k * k + bits.div_ceil(64) * 8 <= VERDICT_TABLE_MAX_BYTES).then_some((values, bits))
+    }
+
+    /// Whether the table pays for itself: it stays under its size cap and
+    /// computing its bits costs at most an eighth of evaluating the
+    /// `scanned_pairs` pairs directly. A pure function of the ones counts,
+    /// `β` and the pairs the shard scans.
+    pub fn pays_off(ones: &[u64], beta: u64, scanned_pairs: u64) -> bool {
+        Self::shape(ones, beta).is_some_and(|(_, bits)| 8 * bits <= scanned_pairs)
+    }
+
+    /// Builds the table for nodes with these ones counts over `beta`
+    /// processes, or `None` when it would exceed its size cap.
+    fn build(
+        ones: &[u64],
+        beta: u64,
+        measure: CorrelationMeasure,
+        tau: f64,
+        lut: &Log2Table,
+    ) -> Option<VerdictTable> {
+        let (values, total_bits) = Self::shape(ones, beta)?;
+        let k = values.len();
+        let mut class_of = vec![0u16; beta as usize + 1];
+        for (c, &v) in values.iter().enumerate() {
+            class_of[v as usize] = c as u16;
+        }
+        let class = ones.iter().map(|&o| class_of[o as usize]).collect();
+        let mut base = Vec::with_capacity(k * k);
+        let mut bits = vec![0u64; total_bits.div_ceil(64) as usize];
+        let mut next = 0u64;
+        for &a in &values {
+            for &b in &values {
+                let (lo, hi) = n11_range(a, b, beta);
+                base.push((next as u32).wrapping_sub(lo as u32));
+                for n11 in lo..=hi {
+                    let pc = PairCounts::from_n11(n11, a, b, beta);
+                    if measure.value(&MiCells::from_counts_with(&pc, lut)) > tau {
+                        bits[(next >> 6) as usize] |= 1 << (next & 63);
+                    }
+                    next += 1;
+                }
+            }
+        }
+        debug_assert_eq!(next, total_bits);
+        Some(VerdictTable {
+            class,
+            classes: k,
+            base,
+            bits,
+        })
+    }
+
+    /// Node `i`'s row of entries, indexed by its partner's class.
+    #[inline]
+    fn row(&self, i: NodeId) -> &[u32] {
+        let c = self.class[i as usize] as usize;
+        &self.base[c * self.classes..(c + 1) * self.classes]
+    }
+
+    /// Whether pair `(i, j)`, `i < j`, with joint count `n11` is above τ,
+    /// given `row = self.row(i)`.
+    #[inline]
+    fn above(&self, row: &[u32], j: usize, n11: u64) -> bool {
+        let bit = row[self.class[j] as usize].wrapping_add(n11 as u32);
+        self.bits[(bit >> 6) as usize] >> (bit & 63) & 1 == 1
+    }
+}
+
 /// Streams the upper triangle tile-by-tile through the SIMD pair kernel
 /// and folds every above-τ pair straight into bounded per-node candidate
-/// lists for `shard` — the dense matrix never exists.
-///
-/// Uses the tile schedule of
-/// [`crate::CorrelationMatrix::compute_observed`] (same tile size, same
-/// exact-pair-count claim weights), restricted to blocks whose row or
-/// column range touches the shard; every pair is scored by the same
-/// kernel in the same order, so for the full shard the surviving
-/// candidate sets are bit-identical to thresholding the dense matrix.
-/// Each pool worker folds into its own partial [`SparseCandidates`]
-/// (memory: `threads · shard.len() · O(max_candidates)` entries), merged
-/// after the scan — deterministic because bounded top-k is
-/// grouping-independent.
+/// lists for `shard` — the dense matrix never exists. Decides "above τ"
+/// through the [`VerdictTable`] when it pays off ([`Verdicts::Auto`]).
 pub fn fold_candidates(
     cols: &NodeColumns,
     measure: CorrelationMeasure,
@@ -372,8 +549,42 @@ pub fn fold_candidates(
     shard: Shard,
     threads: usize,
 ) -> FoldOutcome {
+    fold_candidates_with(
+        cols,
+        measure,
+        tau,
+        max_candidates,
+        shard,
+        threads,
+        Verdicts::Auto,
+    )
+}
+
+/// [`fold_candidates`] with an explicit verdict strategy; every strategy
+/// yields the same candidates, counts and evictions.
+///
+/// Uses the tile schedule of
+/// [`crate::CorrelationMatrix::compute_observed`] (same tile size, same
+/// exact-pair-count claim weights), restricted to blocks whose row or
+/// column range touches the shard; every pair's counts come from the same
+/// kernel in the same order, so for the full shard the surviving
+/// candidate sets are bit-identical to thresholding the dense matrix.
+/// Each pool worker folds into its own partial [`SparseCandidates`]
+/// (memory: `threads · shard.len() · O(max_candidates)` entries), merged
+/// after the scan — deterministic because bounded top-k is
+/// grouping-independent.
+pub fn fold_candidates_with(
+    cols: &NodeColumns,
+    measure: CorrelationMeasure,
+    tau: f64,
+    max_candidates: usize,
+    shard: Shard,
+    threads: usize,
+    verdicts: Verdicts,
+) -> FoldOutcome {
     let n = cols.num_nodes();
     debug_assert!(shard.end as usize <= n && shard.start <= shard.end);
+    let beta = cols.num_processes() as u64;
     let ones = cols.ones_counts();
     // A pair (i, j) lands in the block whose rows contain i and whose
     // columns contain j, so scanning every block that touches the shard
@@ -383,27 +594,38 @@ pub fn fold_candidates(
     });
     let costs: Vec<u64> = tiles.iter().map(|t| t.pairs).collect();
     let scanned_pairs: u64 = costs.iter().sum();
-    let lut = Log2Table::new(cols.num_processes() as u64);
-    let (above_counts, pool) = parallel::run_weighted_stats(
+    let lut = Log2Table::new(beta);
+    let table = match verdicts {
+        Verdicts::PerPair => None,
+        Verdicts::Table => VerdictTable::build(&ones, beta, measure, tau, &lut),
+        Verdicts::Auto => VerdictTable::pays_off(&ones, beta, scanned_pairs)
+            .then(|| VerdictTable::build(&ones, beta, measure, tau, &lut))
+            .flatten(),
+    };
+    let (counts, pool) = parallel::run_weighted_stats(
         &costs,
         4,
         threads,
         || SparseCandidates::new(shard, max_candidates),
         |acc, b| {
+            // (pairs above τ, values evaluated) in this block.
+            let (mut above, mut evaluated) = (0u64, 0u64);
             let tile = &tiles[b];
-            let mut above = 0u64;
-            cols.pair_counts_block(
-                tile.rows.clone(),
-                tile.cols.clone(),
-                &ones,
-                &mut |i, j, pc| {
+            cols.pair_n11_block(tile.rows.clone(), tile.cols.clone(), &mut |i, j0, n11s| {
+                let in_i = shard.contains(i);
+                let oi = ones[i as usize];
+                // Scores pair (i, j) and folds it if it is above τ.
+                let mut fold = |j: usize, n11: u64| {
+                    let j = j as NodeId;
+                    let in_j = shard.contains(j);
+                    if !(in_i || in_j) {
+                        return;
+                    }
+                    evaluated += 1;
+                    let pc = PairCounts::from_n11(n11, oi, ones[j as usize], beta);
                     let v = measure.value(&MiCells::from_counts_with(&pc, &lut));
                     if v > tau {
-                        let in_i = shard.contains(i);
-                        let in_j = shard.contains(j);
-                        if in_i || in_j {
-                            above += 1;
-                        }
+                        above += 1;
                         if in_i {
                             acc.insert(i, v, j);
                         }
@@ -411,9 +633,24 @@ pub fn fold_candidates(
                             acc.insert(j, v, i);
                         }
                     }
-                },
-            );
-            above
+                };
+                match &table {
+                    Some(t) => {
+                        let row = t.row(i);
+                        for (j, &n11) in (j0..).zip(n11s) {
+                            if t.above(row, j, n11) {
+                                fold(j, n11);
+                            }
+                        }
+                    }
+                    None => {
+                        for (j, &n11) in (j0..).zip(n11s) {
+                            fold(j, n11);
+                        }
+                    }
+                }
+            });
+            (above, evaluated)
         },
     );
     let mut states = pool.states.into_iter();
@@ -426,12 +663,54 @@ pub fn fold_candidates(
     let (candidates, candidate_evictions) = acc.finish();
     FoldOutcome {
         candidates,
-        pairs_above_tau: above_counts.iter().sum(),
+        pairs_above_tau: counts.iter().map(|c| c.0).sum(),
         candidate_evictions,
         tiles: tiles.len() as u64,
         scanned_pairs,
+        values_evaluated: counts.iter().map(|c| c.1).sum(),
         chunks_per_worker: pool.chunks_per_worker,
     }
+}
+
+/// Peak heap bytes of [`fold_candidates`] over `n` nodes and `beta`
+/// processes for a shard of `shard_len` nodes: the fold terms of
+/// [`estimate_streamed_bytes`].
+///
+/// Sum of: the per-node ones counts and verdict classes (10 bytes a
+/// node); the tile schedule with each block's cost, result and the
+/// result's pool staging; the per-worker sparse accumulators — per shard
+/// node, one list whose capacity the amortized pruning keeps at
+/// `(2·max_candidates + 16)` rounded up to the `Vec` growth's power of
+/// two, of 16-byte `(f64, NodeId)` entries, plus the list header and one
+/// counter; the finished lists' headers; the verdict table (at most
+/// 4 MiB, and never more bits than an eighth of the pairs); and
+/// per-worker scratch (pool bookkeeping — the 2 KiB `n11` segment buffer
+/// lives on the worker's stack).
+pub fn fold_heap_bytes(
+    n: usize,
+    beta: usize,
+    shard_len: usize,
+    threads: usize,
+    max_candidates: usize,
+) -> u64 {
+    let (n, b1, shard) = (n as u64, beta as u64 + 1, shard_len as u64);
+    let workers = threads.max(1) as u64;
+    let nodes = 10 * n;
+    let side = NodeColumns::pair_tile_size_for(beta) as u64;
+    let blocks = n.div_ceil(side);
+    let schedule = blocks * (blocks + 1) / 2 * (std::mem::size_of::<Tile>() as u64 + 8 + 2 * 16);
+    let list_cap = match max_candidates {
+        0 => 0,
+        k => (2 * k as u64 + 16).next_power_of_two(),
+    };
+    let accumulators = workers * shard * (list_cap * 16 + 24 + 8);
+    let finished = shard * 24;
+    let pairs = n * n.saturating_sub(1) / 2;
+    let bits = b1.saturating_mul(b1).saturating_mul(b1).min(pairs / 8);
+    let table =
+        (4 * b1.saturating_mul(b1).min(bits) + bits / 8 + 8).min(VERDICT_TABLE_MAX_BYTES) + 2 * b1;
+    let scratch = workers * 64 * 1024;
+    nodes + schedule + accumulators + finished + table + scratch
 }
 
 /// Estimated peak heap bytes of a streamed reconstruction, for budget
@@ -439,13 +718,12 @@ pub fn fold_candidates(
 /// rejects a budget — it just sizes the τ sample with it).
 ///
 /// Sum of the resident pieces: the column bitsets
-/// (`n · ⌈β/64⌉ · 8`), the per-worker sparse accumulators
-/// (`threads · shard_len · (2·max_candidates + 16) · 16` bytes of
-/// `(f64, NodeId)` entries plus one counter per node), the τ sample and
-/// its 2-means ([`tau_sample_bytes`]: `24 · cap` plus the bucket bounds),
-/// and per-worker tile scratch. Deliberately a loose over-estimate — sized
-/// so staying under it keeps actual peak RSS under the budget with room
-/// for the allocator.
+/// (`n · ⌈β/64⌉ · 8`), the τ sample and its 2-means
+/// ([`tau_sample_bytes`]: `24 · cap` plus the bucket bounds), and the
+/// fold ([`fold_heap_bytes`]: accumulators, verdict table, tile schedule
+/// and per-worker scratch). Deliberately a loose over-estimate — sized so
+/// staying under it keeps actual peak RSS under the budget with room for
+/// the allocator.
 pub fn estimate_streamed_bytes(
     n: usize,
     beta: usize,
@@ -455,13 +733,9 @@ pub fn estimate_streamed_bytes(
     memory_budget: Option<u64>,
 ) -> u64 {
     let columns = (n as u64) * (beta.div_ceil(64).max(1) as u64) * 8;
-    let workers = threads.max(1) as u64;
-    let per_node = (2 * max_candidates + 16) as u64 * 16 + 8 + 24;
-    let accumulators = workers * shard_len as u64 * per_node;
     let total_pairs = (n as u64) * (n as u64).saturating_sub(1) / 2;
     let sample = tau_sample_bytes(total_pairs.max(1), memory_budget);
-    let scratch = workers * 64 * 1024;
-    columns + accumulators + sample + scratch
+    columns + sample + fold_heap_bytes(n, beta, shard_len, threads, max_candidates)
 }
 
 #[cfg(test)]
@@ -494,6 +768,28 @@ mod tests {
             }
             for r in 0..total {
                 assert_eq!(pair_at(r, n), expect[r as usize], "rank {r} of n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn stride_walk_matches_rank_inversion() {
+        for n in [2u64, 3, 5, 17, 100] {
+            let total = n * (n - 1) / 2;
+            for stride in [1u64, 2, 3, n - 1, n, n + 1, 2 * n + 3, total] {
+                for start in 0..stride.min(total) {
+                    let (mut i, mut j) = pair_at(start, n);
+                    let mut rank = start + stride;
+                    while rank < total {
+                        (i, j) = pair_after(i, j, stride, n);
+                        assert_eq!(
+                            (i, j),
+                            pair_at(rank, n),
+                            "n={n} stride {stride} rank {rank}"
+                        );
+                        rank += stride;
+                    }
+                }
             }
         }
     }

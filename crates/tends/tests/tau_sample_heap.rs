@@ -2,7 +2,9 @@
 //! sample step allocates: the sampled values plus the peak heap of
 //! `pinned_two_means` over them, measured with a counting global
 //! allocator on cap-sized samples — and the whole `sample_tau` step,
-//! pool staging included, at one and several threads.
+//! pool staging included, at one and several threads. Its fold terms
+//! (`fold_heap_bytes`) must likewise cover `fold_candidates` — verdict
+//! table, accumulators and their merge — on both verdict strategies.
 //!
 //! One test function only: the allocator counts every thread, so a second
 //! test running in parallel would pollute the peak.
@@ -10,8 +12,11 @@
 use diffnet_graph::NodeId;
 use diffnet_simulate::StatusMatrix;
 use diffnet_tends::pinned_two_means;
-use diffnet_tends::stream::{sample_tau, tau_sample_bytes, tau_sample_cap};
+use diffnet_tends::stream::{
+    fold_candidates_with, fold_heap_bytes, sample_tau, tau_sample_bytes, tau_sample_cap, Verdicts,
+};
 use diffnet_tends::CorrelationMeasure;
+use diffnet_tends::Shard;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -166,4 +171,43 @@ fn two_means_peak_heap_fits_the_estimates_sample_term() {
         taus.windows(2).all(|w| w[0] == w[1]),
         "τ differs by thread count"
     );
+
+    // The fold over the same input at the sampled τ: enough above-τ
+    // partners that every accumulator list fills and prunes, on both
+    // verdict strategies, for the full range and for a shard.
+    let tau = f64::from_bits(taus[0]);
+    let max_candidates = 8;
+    for shard in [
+        Shard::full(n),
+        Shard {
+            start: 300,
+            end: 700,
+        },
+    ] {
+        for threads in [1usize, 2, 4] {
+            let term = fold_heap_bytes(n, beta, shard.len(), threads, max_candidates);
+            for verdicts in [Verdicts::Table, Verdicts::PerPair] {
+                let (fold, peak) = peak_during(|| {
+                    fold_candidates_with(
+                        &cols,
+                        CorrelationMeasure::Imi,
+                        tau,
+                        max_candidates,
+                        shard,
+                        threads,
+                        verdicts,
+                    )
+                });
+                assert!(
+                    fold.candidate_evictions > 0,
+                    "precondition: the top-k bound truncates"
+                );
+                assert!(
+                    peak as u64 <= term,
+                    "{verdicts:?} fold of {shard:?} at {threads} threads peaked at {peak} B \
+                     > estimate fold terms {term} B"
+                );
+            }
+        }
+    }
 }
