@@ -5,17 +5,22 @@
 //!
 //! * the raw pairwise counting kernel: cache-blocked tiles
 //!   ([`NodeColumns::pair_counts_block`]) vs the per-pair column walk,
-//!   plus the same tiled sweep pinned to the runtime-resolved SIMD tier
-//!   and to the portable scalar fallback (`simd_s` / `scalar_s`). The
+//!   plus the same tiled row-batched sweep pinned to the runtime-resolved
+//!   SIMD tier and to the portable scalar fallback (`simd_s` /
+//!   `scalar_s`). The
 //!   headline rows use a deep workload (β=8192, 128 words per column)
 //!   that times the kernels at streaming depth; the nested
 //!   `inference_shape` row keeps the β=150 shape the pipeline sees.
 //!   Detected CPU features are recorded in the header;
-//! * the IMI correlation matrix, single-threaded vs 8 workers;
+//! * the IMI correlation matrix, single-threaded vs 8 workers, and the
+//!   float work alone over precomputed `n11` counts: the pair evaluator
+//!   vs the per-pair `MiCells` definition, with a check that both and the
+//!   matrix agree bit for bit (`values_bits_equal`);
 //! * the τ threshold: a sort-based pinned 2-means (filter, sort every
 //!   kept value, suffix sums) vs the bucketed index the pipeline uses, on
-//!   the n=1000, β=150 upper triangle and on a 2¹⁹-value streamed τ
-//!   sample, with a check that both give the same τ bits;
+//!   the n=1000, β=150 upper triangle (built from the bucket counts the
+//!   matrix pass took) and on a 2¹⁹-value streamed τ sample (with its
+//!   count pass), with a check that both give the same τ bits;
 //! * one full TENDS reconstruction, 1 vs 8 threads;
 //! * the `N_ijk` counting kernel: the recursive bitset kernel vs the
 //!   incremental [`CountsWorkspace`] scoring one extension of a cached
@@ -58,12 +63,13 @@ use diffnet_observe::{DurationHistogram, Json, Recorder, RunReport};
 use diffnet_simulate::{
     CountsWorkspace, ExtensionBatch, Kernels, NodeColumns, SimdMode, StatusMatrix,
 };
+use diffnet_tends::imi::MiCells;
 use diffnet_tends::search::{
     find_parents_reference, find_parents_with, NodeSearchResult, SearchParams,
 };
 use diffnet_tends::stream::Verdicts;
 use diffnet_tends::{
-    BucketIndex, CorrelationMatrix, CorrelationMeasure, PinnedKmeans, RobustOptions,
+    CorrelationMatrix, CorrelationMeasure, PairEvaluator, PairStats, PinnedKmeans, RobustOptions,
     ScoreCacheStats, SearchScratch, Tends, TendsConfig,
 };
 
@@ -189,7 +195,7 @@ fn kernel_row(n: usize, cols: &NodeColumns, reps: usize) -> KernelRow {
 fn greedy_row(n: usize, cols: &NodeColumns, reps: usize) -> Json {
     eprintln!("perf_report: greedy search (n={n})");
     let corr = CorrelationMatrix::compute(cols, CorrelationMeasure::Imi);
-    let mut index = BucketIndex::new(corr.upper());
+    let mut index = corr.index();
     let tau = index.pinned_two_means().tau;
     let params = SearchParams::default();
     let (candidates, _) = index.candidate_lists(n, tau, params.max_candidates);
@@ -263,26 +269,65 @@ fn tiled_sweep(cols: &NodeColumns) -> u64 {
     acc
 }
 
-/// Sum of `n11` over the pair triangle through an explicit kernel table,
-/// walking the same tiles as [`tiled_sweep`] but bypassing the
-/// process-wide dispatcher — times one SIMD tier in isolation.
+/// Sum of `n11` over the pair triangle through an explicit kernel table:
+/// the pipeline's row-batched [`NodeColumns::pair_n11_block`] over the
+/// same tiles as [`tiled_sweep`] — one `and_popcount_rows` call per tile
+/// row segment — with one SIMD tier pinned instead of the process-wide
+/// dispatcher, so it times that tier in isolation.
 fn forced_sweep(cols: &NodeColumns, k: &Kernels) -> u64 {
     let n = cols.num_nodes();
     let tile = cols.pair_tile_size();
     let num_tiles = n.div_ceil(tile);
     let mut acc = 0u64;
     for bi in 0..num_tiles {
+        let rows = bi * tile..((bi + 1) * tile).min(n);
         for bj in bi..num_tiles {
             let jcols = bj * tile..((bj + 1) * tile).min(n);
-            for i in bi * tile..((bi + 1) * tile).min(n) {
-                let ci = cols.col(i as u32);
-                for j in jcols.start.max(i + 1)..jcols.end {
-                    acc += k.and_popcount(ci, cols.col(j as u32));
-                }
-            }
+            cols.pair_n11_block_with(k, rows.clone(), jcols, &mut |_, _, n11s| {
+                acc += n11s.iter().sum::<u64>();
+            });
         }
     }
     acc
+}
+
+/// Times the pair evaluator against the per-pair definition on the whole
+/// triangle of `stats` (the `n11` counts precomputed, so only the float
+/// work is timed), and checks both, and the matrix `compute` builds, agree
+/// bit for bit: `(evaluator_s, per_pair_s, values_bits_equal)`.
+fn evaluator_row(cols: &NodeColumns, reps: usize) -> (f64, f64, bool) {
+    let measure = CorrelationMeasure::Imi;
+    let stats = PairStats::compute(cols, 1);
+    let n = stats.num_nodes();
+    let eval = PairEvaluator::new(stats.num_processes(), stats.ones(), measure);
+    let by_evaluator = || {
+        let mut out = vec![0.0f64; stats.n11().len()];
+        let mut at = 0;
+        for i in 0..n {
+            let run = at..at + (n - 1 - i);
+            eval.row(i, i + 1, &stats.n11()[run.clone()], &mut out[run.clone()]);
+            at = run.end;
+        }
+        out
+    };
+    let per_pair = || {
+        let mut out = Vec::with_capacity(stats.n11().len());
+        for i in 0..n {
+            for j in (i + 1)..n {
+                out.push(measure.value(&MiCells::from_counts(&stats.pair_counts(i, j))));
+            }
+        }
+        out
+    };
+    let matrix = CorrelationMatrix::compute(cols, measure);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let reference = bits(&per_pair());
+    let values_bits_equal = bits(&by_evaluator()) == reference && bits(matrix.upper()) == reference;
+    (
+        median_secs(reps, by_evaluator),
+        median_secs(reps, per_pair),
+        values_bits_equal,
+    )
 }
 
 /// The pinned 2-means by its definition: keep the finite values `≥ 0`,
@@ -460,6 +505,7 @@ fn main() {
             CorrelationMatrix::compute_parallel(&large_cols, CorrelationMeasure::Imi, 8)
         })
     });
+    let (evaluator_s, per_pair_eval_s, values_bits_equal) = evaluator_row(&large_cols, reps);
 
     // The τ threshold at the large size (the pipeline's threshold phase:
     // a ranked index, then the 2-means) and on a streamed-size τ sample
@@ -473,8 +519,10 @@ fn main() {
     let sample_cols = status_workload(if quick { 400 } else { 5000 }, beta, 15).columns();
     let sample = systematic_sample(&sample_cols, sample_len);
     assert_eq!(sample.len(), sample_len, "the sample must fill its cap");
-    let mut triangle_row = threshold_row("triangle", large_corr.upper(), reps, |v| {
-        BucketIndex::new(v).pinned_two_means()
+    // The pipeline's path: the index built from the bucket counts the
+    // matrix pass took, so only its scatter and the 2-means are timed.
+    let mut triangle_row = threshold_row("triangle", large_corr.upper(), reps, |_| {
+        large_corr.index().pinned_two_means()
     });
     triangle_row.push("n", n_large as u64);
     triangle_row.push("beta", beta as u64);
@@ -859,7 +907,12 @@ fn main() {
     pair.push("inference_shape", pair_inf);
     json.push("pair_kernel", pair);
 
-    json.push("imi_matrix", scaling_row(n_large, imi_1, imi_8));
+    let mut imi_row = scaling_row(n_large, imi_1, imi_8);
+    imi_row.push("evaluator_s", evaluator_s);
+    imi_row.push("per_pair_s", per_pair_eval_s);
+    imi_row.push("evaluator_speedup", per_pair_eval_s / evaluator_s);
+    imi_row.push("values_bits_equal", values_bits_equal);
+    json.push("imi_matrix", imi_row);
     json.push("threshold", Json::Arr(threshold_rows));
     json.push("reconstruction", scaling_row(n_small, rec_1, rec_8));
 

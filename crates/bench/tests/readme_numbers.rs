@@ -95,6 +95,14 @@ fn readme_performance_table_matches_bench_micro_json() {
             ],
         ),
         (
+            "IMI values from counts, all pairs",
+            [
+                "imi_matrix.per_pair_s",
+                "imi_matrix.evaluator_s",
+                "imi_matrix.evaluator_speedup",
+            ],
+        ),
+        (
             "threshold τ, n = 1000 triangle",
             [
                 "threshold.0.sort_s",

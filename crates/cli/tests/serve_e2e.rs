@@ -524,3 +524,48 @@ fn kill_between_append_splice_and_meta_save_applies_once() {
     );
     shut_down(proc, addr);
 }
+
+#[test]
+fn dense_runs_past_the_node_limit_fail_with_a_typed_error() {
+    // One process over one node more than the dense pipeline takes:
+    // ~185 kB of statuses, ~740 kB of columns, and no pair state.
+    let n = diffnet_tends::MAX_DENSE_NODES + 1;
+    let statuses = tmp("limit_statuses.txt");
+    let row = vec!["0"; n].join(" ");
+    std::fs::write(
+        &statuses,
+        format!("# diffnet status matrix: 1 processes x {n} nodes\n{row}\n"),
+    )
+    .expect("write statuses");
+
+    // Offline: a usage-class failure, exit code 2, naming the remedy.
+    let out = Command::new(bin())
+        .args([
+            "infer",
+            "--statuses",
+            &statuses,
+            "--out",
+            &tmp("limit.edges"),
+        ])
+        .output()
+        .expect("spawn diffnet");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--memory-budget"), "stderr: {stderr}");
+
+    // Served: the job ends `failed` with the same message.
+    let data_dir = tmp("limit_data");
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let (proc, addr) = start_server(&data_dir, "limit", &[], None);
+    let client = Client::new(addr);
+    let body = std::fs::read(&statuses).expect("statuses");
+    let (code, _) = client.post_json("/v1/jobs", &body).expect("submit");
+    assert_eq!(code, 201);
+    let status = client
+        .wait_for_job(1, Duration::from_secs(60))
+        .expect("job settles");
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("failed"));
+    let error = status.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("--memory-budget"), "error: {error}");
+    shut_down(proc, addr);
+}

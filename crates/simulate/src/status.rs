@@ -365,8 +365,21 @@ impl NodeColumns {
         cols: std::ops::Range<usize>,
         emit: &mut impl FnMut(NodeId, usize, &[u64]),
     ) {
+        self.pair_n11_block_with(crate::simd::kernels(), rows, cols, emit);
+    }
+
+    /// [`pair_n11_block`](Self::pair_n11_block) through an explicit kernel
+    /// table instead of the process-wide dispatcher — the same code path,
+    /// with one SIMD tier pinned, for benchmarks that time a tier in
+    /// isolation.
+    pub fn pair_n11_block_with(
+        &self,
+        k: &crate::simd::Kernels,
+        rows: std::ops::Range<usize>,
+        cols: std::ops::Range<usize>,
+        emit: &mut impl FnMut(NodeId, usize, &[u64]),
+    ) {
         debug_assert!(rows.end <= self.num_nodes() && cols.end <= self.num_nodes());
-        let k = crate::simd::kernels();
         let w = self.words_per_col;
         let mut buf = [0u64; N11_SEGMENT];
         for i in rows {

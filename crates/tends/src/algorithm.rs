@@ -2,8 +2,8 @@
 //! diffusion network topology from a status matrix.
 
 use crate::checkpoint::{self, Checkpoint, CheckpointEntry, CheckpointError};
-use crate::imi::{CorrelationMatrix, CorrelationMeasure, PairStats};
-use crate::kmeans::{BucketIndex, PinnedKmeans};
+use crate::imi::{CorrelationMatrix, CorrelationMeasure, PairStats, MAX_DENSE_NODES};
+use crate::kmeans::PinnedKmeans;
 use crate::parallel;
 use crate::score::ScoreCacheStats;
 use crate::search::{
@@ -311,10 +311,16 @@ impl Tends {
     /// counting kernels to tabulate a parent set beyond their limit —
     /// unreachable with default parameters, reachable with hostile ones
     /// (see [`crate::search::find_parents`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dense pipeline is configured (no memory budget or
+    /// shard) and `statuses` has more than [`crate::MAX_DENSE_NODES`]
+    /// nodes.
     pub fn reconstruct(&self, statuses: &StatusMatrix) -> Result<TendsResult, SearchError> {
         let partial = self
             .reconstruct_robust(statuses, Recorder::disabled(), &RobustOptions::default())
-            .expect("checkpointing disabled: checkpoint errors are impossible");
+            .unwrap_or_else(|e| panic!("{e}"));
         match partial.errors.into_iter().next() {
             None => Ok(partial.result),
             Some((_, NodeError::Search(e))) => Err(e),
@@ -350,7 +356,9 @@ impl Tends {
     ///
     /// Only checkpoint problems are fatal: an unreadable, corrupt, or
     /// mismatched (different inputs/config) checkpoint file, or a failed
-    /// checkpoint write.
+    /// checkpoint write — and, before any pair state is allocated,
+    /// [`CheckpointError::DenseLimit`] for a dense run over more than
+    /// [`crate::MAX_DENSE_NODES`] nodes.
     pub fn reconstruct_robust(
         &self,
         statuses: &StatusMatrix,
@@ -531,6 +539,10 @@ impl Tends {
         rec: &Recorder,
         options: &RobustOptions<'_>,
     ) -> Result<PartialReconstruction, CheckpointError> {
+        let nodes = cols.num_nodes();
+        if nodes > MAX_DENSE_NODES && !matches!(source, CandidateSource::Sampled { .. }) {
+            return Err(CheckpointError::DenseLimit { nodes });
+        }
         let (cands, stats) = self.candidates(cols, source, rec);
         let outcome = self.search(cols, &cands, stats, rec, options)?;
         Ok(self.assemble(cols.num_nodes(), cands, outcome, rec))
@@ -626,7 +638,7 @@ impl Tends {
                 // the clustering reaches.
                 let (kmeans, tau, mut index) = {
                     let _p = rec.phase("threshold");
-                    let mut index = BucketIndex::new(corr.upper());
+                    let mut index = corr.index();
                     let kmeans = index.pinned_two_means();
                     let tau = cfg.threshold.apply(kmeans.tau);
                     (kmeans, tau, index)

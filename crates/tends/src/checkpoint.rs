@@ -104,7 +104,8 @@ const V3: u64 = 3;
 /// the header changed in version 4, so it stays at 3.
 const ENTRY_SCHEMA: u64 = 3;
 
-/// Errors from checkpoint load/save.
+/// Errors from checkpoint load/save — and the fatal errors of a robust
+/// reconstruction, which are checkpoint problems plus one input check.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// Underlying I/O failure.
@@ -123,6 +124,14 @@ pub enum CheckpointError {
         /// Fingerprint stored in the file.
         found: String,
     },
+    /// The input has more nodes than the dense pipeline takes
+    /// ([`crate::MAX_DENSE_NODES`]); found before any pair state is
+    /// allocated. The streamed pipeline (a memory budget) has no such
+    /// limit.
+    DenseLimit {
+        /// Nodes in the input.
+        nodes: usize,
+    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -136,6 +145,13 @@ impl fmt::Display for CheckpointError {
                 "checkpoint fingerprint {found} does not match this run ({expected}): \
                  it was written for different inputs or configuration, or its \
                  contents were edited since"
+            ),
+            CheckpointError::DenseLimit { nodes } => write!(
+                f,
+                "{nodes} nodes exceed the dense pipeline's limit of {} (its pair \
+                 triangle is addressed with 32-bit positions); set a memory budget \
+                 (--memory-budget) to run the streamed pipeline",
+                crate::MAX_DENSE_NODES
             ),
         }
     }

@@ -12,13 +12,20 @@
 //! where `mi(a,b) = P̂(X_i=a, X_j=b) · log₂ (P̂(a,b) / (P̂(a)·P̂(b)))` is one
 //! cell of the MI sum. Concordant cells reward, discordant cells penalize.
 //!
+//! Every bulk pass evaluates its pairs through one [`PairEvaluator`]: built
+//! once per pass from `β`, the per-node ones counts and the measure, it
+//! turns a row of `n11` counts into values with table loads instead of
+//! logarithms, bit for bit the per-pair definition [`MiCells::from_counts`].
+//!
 //! [`CorrelationMatrix`] keeps only the strictly upper triangle, row-major
 //! in rank order `(0,1), (0,2), …, (1,2), …` — the layout the pairwise
-//! statistics' `n11` counts use — so a build writes each value once, front
-//! to back, with no mirrored copy: `4·n²` bytes instead of `8·n²`. The
-//! candidate step reads that slice in place
-//! ([`CorrelationMatrix::upper`] feeds [`crate::BucketIndex`]).
+//! statistics' `n11` counts use — so a build writes each value once, into
+//! its final slot, with no mirrored copy: `4·n²` bytes instead of `8·n²`.
+//! The same pass counts each value into the bucket counts of the candidate
+//! step's index, which reads the slice in place
+//! ([`CorrelationMatrix::index`] builds the [`crate::BucketIndex`]).
 
+use crate::kmeans::{BucketCounts, BucketIndex};
 use diffnet_simulate::{NodeColumns, PairCounts};
 use std::ops::Range;
 
@@ -35,21 +42,21 @@ pub fn mi_cell(p_ab: f64, p_a: f64, p_b: f64) -> f64 {
     }
 }
 
-/// Precomputed `log2 k` for every count `k ∈ 0..=β`, shared across all
-/// `n(n−1)/2` pairs of a correlation-matrix build. Each MI cell needs up
-/// to four logarithms of integer counts bounded by `β`, so one table of
-/// `β + 1` entries replaces millions of `log2` calls with loads.
-/// `table[k]` is exactly `(k as f64).log2()`, which keeps lookup-based
-/// cells bit-identical to the direct evaluation.
+/// Precomputed `log2 k` for every count `k ∈ 0..=bound`: the logarithms
+/// of integer counts the pair evaluator and the scoring tables need,
+/// served by loads instead of `log2` calls. `table[k]` is exactly
+/// `(k as f64).log2()`, which keeps lookup-based terms bit-identical to
+/// the direct evaluation.
+#[derive(Clone, Debug)]
 pub struct Log2Table {
     values: Vec<f64>,
 }
 
 impl Log2Table {
-    /// Builds the table covering counts `0..=beta`.
-    pub fn new(beta: u64) -> Log2Table {
+    /// Builds the table covering counts `0..=bound`.
+    pub fn new(bound: u64) -> Log2Table {
         Log2Table {
-            values: (0..=beta).map(|k| (k as f64).log2()).collect(),
+            values: (0..=bound).map(|k| (k as f64).log2()).collect(),
         }
     }
 
@@ -78,23 +85,12 @@ impl MiCells {
     /// All-zero counts (`β = 0`) give all-zero cells. The probabilities
     /// in `mi_cell` are all counts over `β`, so each cell is evaluated
     /// in the count domain as
-    /// `(n_ab/β) · (log2 n_ab + log2 β − log2 n_a − log2 n_b)` —
-    /// the form [`Log2Table`] turns into table lookups for bulk matrix
-    /// builds. Both evaluations call `f64::log2` on the same integer
-    /// inputs, so they are bit-identical.
+    /// `(n_ab·(1/β)) · (((log2 n_ab + log2 β) − log2 n_a) − log2 n_b)`.
+    /// This is the per-pair definition; the bulk passes evaluate the same
+    /// operations in the same order from tables ([`PairEvaluator`]), so
+    /// their values are bit-identical to it.
     pub fn from_counts(pc: &PairCounts) -> MiCells {
-        Self::cells(pc, |k| (k as f64).log2())
-    }
-
-    /// [`from_counts`](Self::from_counts) with every `log2` served from a
-    /// precomputed table — bit-identical, and the form every `O(n²)`
-    /// correlation-matrix pass uses.
-    pub fn from_counts_with(pc: &PairCounts, lut: &Log2Table) -> MiCells {
-        Self::cells(pc, |k| lut.log2(k))
-    }
-
-    #[inline]
-    fn cells(pc: &PairCounts, log2: impl Fn(u64) -> f64) -> MiCells {
+        let log2 = |k: u64| (k as f64).log2();
         let beta = pc.total();
         if beta == 0 {
             return MiCells {
@@ -170,6 +166,114 @@ impl CorrelationMeasure {
     }
 }
 
+/// A node's marginal counts in log form: its ones count, `log₂ ones` and
+/// `log₂(β − ones)`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Margin {
+    ones: u64,
+    log1: f64,
+    log0: f64,
+}
+
+/// The crate's one pair evaluator: turns `n11` counts into IMI or MI
+/// values, bit-identical to [`MiCells::from_counts`] followed by
+/// [`CorrelationMeasure::value`].
+///
+/// Built once per pass from `β`, the per-node ones counts and the measure,
+/// it precomputes for every count `k ≤ β` the two factors of a cell that
+/// depend on its joint count alone, `k·(1/β)` and `log₂ k + log₂ β`, and
+/// each node's [`Margin`]. A pair's four cells are then table loads and
+/// the definition's remaining operations in its order,
+/// `(n_ab·(1/β)) · (((log₂ n_ab + log₂ β) − log₂ n_a) − log₂ n_b)`, with
+/// the `0 log 0 = 0` convention a select on `n_ab = 0` instead of a branch
+/// (a positive `n_ab` implies positive margins); the measure combines the
+/// cells as [`MiCells::imi`] or [`MiCells::mi`] does. Every operation sees
+/// the same inputs as in the definition, so every value keeps its bits.
+#[derive(Clone, Debug)]
+pub struct PairEvaluator {
+    measure: CorrelationMeasure,
+    beta: u64,
+    /// `[k·(1/β), log₂ k + log₂ β]` for every `k ≤ β`.
+    terms: Vec<[f64; 2]>,
+    log2: Log2Table,
+    margins: Vec<Margin>,
+}
+
+impl PairEvaluator {
+    /// The evaluator of `measure` over `beta` processes for nodes with the
+    /// given ones counts (each at most `beta`).
+    pub fn new(beta: u64, ones: &[u64], measure: CorrelationMeasure) -> PairEvaluator {
+        let inv_b = 1.0 / beta as f64;
+        let log2 = Log2Table::new(beta);
+        let lb = log2.log2(beta);
+        let terms = (0..=beta)
+            .map(|k| [k as f64 * inv_b, log2.log2(k) + lb])
+            .collect();
+        let mut eval = PairEvaluator {
+            measure,
+            beta,
+            terms,
+            log2,
+            margins: Vec::new(),
+        };
+        eval.margins = ones.iter().map(|&o| eval.margin(o)).collect();
+        eval
+    }
+
+    /// The margin of a node with `ones` infections.
+    pub(crate) fn margin(&self, ones: u64) -> Margin {
+        Margin {
+            ones,
+            log1: self.log2.log2(ones),
+            log0: self.log2.log2(self.beta - ones),
+        }
+    }
+
+    /// One MI cell from its joint count and the logarithms of its margins.
+    #[inline(always)]
+    fn cell(&self, n_ab: u64, log_a: f64, log_b: f64) -> f64 {
+        let [scaled, lead] = self.terms[n_ab as usize];
+        let v = scaled * ((lead - log_a) - log_b);
+        if n_ab == 0 {
+            0.0
+        } else {
+            v
+        }
+    }
+
+    /// The value of a pair with joint count `n11` whose first node has
+    /// margin `a` and second margin `b`. The order matters: the IMI
+    /// subtracts `|c10|` before `|c01|`, so it is not bitwise symmetric.
+    #[inline(always)]
+    pub(crate) fn value_of(&self, n11: u64, a: Margin, b: Margin) -> f64 {
+        let c11 = self.cell(n11, a.log1, b.log1);
+        let c10 = self.cell(a.ones - n11, a.log1, b.log0);
+        let c01 = self.cell(b.ones - n11, a.log0, b.log1);
+        // `+ n11` first: `ones_i + ones_j` may exceed `β`.
+        let c00 = self.cell(self.beta + n11 - a.ones - b.ones, a.log0, b.log0);
+        match self.measure {
+            CorrelationMeasure::Imi => c11 + c00 - c10.abs() - c01.abs(),
+            CorrelationMeasure::Mi => c11 + c10 + c01 + c00,
+        }
+    }
+
+    /// The value of pair `(i, j)`, `i < j`, with joint count `n11`.
+    #[inline]
+    pub fn value(&self, i: usize, j: usize, n11: u64) -> f64 {
+        self.value_of(n11, self.margins[i], self.margins[j])
+    }
+
+    /// The values of pairs `(i, j0)`, `(i, j0 + 1)`, … from their `n11`
+    /// counts, into `out` (one value per count).
+    pub fn row(&self, i: usize, j0: usize, n11s: &[u64], out: &mut [f64]) {
+        debug_assert_eq!(n11s.len(), out.len());
+        let a = self.margins[i];
+        for ((o, &n11), &b) in out.iter_mut().zip(n11s).zip(&self.margins[j0..]) {
+            *o = self.value_of(n11, a, b);
+        }
+    }
+}
+
 /// One block of the upper-triangle tile schedule: the pairs `(i, j)`,
 /// `i < j`, with `i` in `rows` and `j` in `cols`.
 pub(crate) struct Tile {
@@ -178,17 +282,6 @@ pub(crate) struct Tile {
     /// Exact pair count (diagonal blocks are triangular): the block's
     /// scheduling weight.
     pub(crate) pairs: u64,
-}
-
-impl Tile {
-    /// The block's pairs in the order
-    /// [`NodeColumns::pair_counts_block`] emits them: row-major over `i`,
-    /// then `j > i` within the column range.
-    pub(crate) fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.rows
-            .clone()
-            .flat_map(move |i| (self.cols.start.max(i + 1)..self.cols.end).map(move |j| (i, j)))
-    }
 }
 
 /// The upper-triangle tile schedule every pair-kernel pass shares: `n`
@@ -223,15 +316,64 @@ pub(crate) fn tile_schedule(
     tiles
 }
 
+/// The tile schedule grouped by row block: each entry is the range of
+/// `tiles` sharing one row range, with the block's pair count. The
+/// schedule is row-block major, so a block's tiles are adjacent and its
+/// pairs fill one contiguous run of the triangle.
+fn row_blocks(tiles: &[Tile]) -> Vec<(Range<usize>, u64)> {
+    let mut blocks: Vec<(Range<usize>, u64)> = Vec::new();
+    for (t, tile) in tiles.iter().enumerate() {
+        match blocks.last_mut() {
+            Some((range, pairs)) if tiles[range.start].rows == tile.rows => {
+                range.end = t + 1;
+                *pairs += tile.pairs;
+            }
+            _ => blocks.push((t..t + 1, tile.pairs)),
+        }
+    }
+    blocks
+}
+
+/// Splits a triangle (or an empty slice, for output that is not kept) into
+/// the contiguous runs of the row blocks, front to back.
+fn split_blocks<'t, T>(mut tri: &'t mut [T], blocks: &[(Range<usize>, u64)]) -> Vec<&'t mut [T]> {
+    let keep = !tri.is_empty();
+    blocks
+        .iter()
+        .map(|&(_, pairs)| {
+            let (run, rest) =
+                std::mem::take(&mut tri).split_at_mut(if keep { pairs as usize } else { 0 });
+            tri = rest;
+            run
+        })
+        .collect()
+}
+
+/// Index of pair `(i, j0)` (`i < j0`) in the run of the row block whose
+/// first row is `r0`.
+#[inline]
+fn run_index(n: usize, r0: usize, i: usize, j0: usize) -> usize {
+    tri_index(n, i, j0) - tri_index(n, r0, r0 + 1)
+}
+
+/// The largest node count the dense pipeline takes: the candidate step's
+/// [`BucketIndex`] addresses the `n(n−1)/2` triangle values with `u32`
+/// positions and ranks, and `92,682 · 92,681 / 2 ≤ u32::MAX`. Larger inputs
+/// need the streamed pipeline (a memory budget), which has no such limit;
+/// the pipeline checks this before it allocates any pair state.
+pub const MAX_DENSE_NODES: usize = 92_682;
+
 /// Symmetric matrix of pairwise correlation values over all node pairs.
 ///
 /// Stores only the strictly upper triangle in rank order (see the module
-/// docs). [`get`](Self::get) looks a pair up in either orientation; the
+/// docs), with the bucket counts of its values for the candidate step's
+/// index. [`get`](Self::get) looks a pair up in either orientation; the
 /// diagonal reads 0.
 #[derive(Clone, Debug)]
 pub struct CorrelationMatrix {
     n: usize,
     upper: Vec<f64>,
+    counts: BucketCounts,
 }
 
 impl CorrelationMatrix {
@@ -243,9 +385,9 @@ impl CorrelationMatrix {
         Self::compute_parallel(cols, measure, 1)
     }
 
-    /// Parallel variant of [`compute`](Self::compute): tiles of the upper
-    /// triangle are claimed by `threads` workers (0 = all cores). Each
-    /// cell is a pure function of its pair, so the result is
+    /// Parallel variant of [`compute`](Self::compute): row blocks of the
+    /// upper triangle are claimed by `threads` workers (0 = all cores).
+    /// Each cell is a pure function of its pair, so the result is
     /// bit-identical for every thread count.
     pub fn compute_parallel(
         cols: &NodeColumns,
@@ -272,15 +414,16 @@ impl CorrelationMatrix {
     /// re-estimation persists; `n11` costs `4·n²` bytes, so only
     /// checkpointed runs capture it.
     ///
-    /// The pair loop is the cache-blocked [`NodeColumns::pair_counts_block`]
+    /// The pair loop is the cache-blocked [`NodeColumns::pair_n11_block`]
     /// kernel over the crate's one tile schedule (`tile_schedule`): `n11`
-    /// comes from one row-batched SIMD AND+popcount call per tile row, with
-    /// the other three cells derived from the per-column ones counts —
-    /// computed once up front and shared by every tile. Each tile's claim weight is its exact pair count, so
-    /// the dense diagonal tiles don't serialize the pool. Per-tile results
-    /// are *positional* (values in the kernel's deterministic emission
-    /// order, a third of the memory of `(i, j, value)` triples) and land in
-    /// per-tile slots, keeping the matrix bit-identical at every thread
+    /// comes from one row-batched SIMD AND+popcount call per tile row, and
+    /// the [`PairEvaluator`] — built once from the per-column ones counts —
+    /// turns each row segment into values. A worker claims whole row
+    /// blocks (the tiles sharing a row range, weighted by their exact pair
+    /// count), whose pairs fill one contiguous run of the triangle, so each
+    /// value and `n11` is written straight into its final slot and counted
+    /// into the worker's bucket counts as its segment is written; the counts merge
+    /// by integer addition, so they too are the same at every thread
     /// count.
     pub fn compute_observed(
         cols: &NodeColumns,
@@ -291,34 +434,40 @@ impl CorrelationMatrix {
     ) -> (Self, Option<PairStats>) {
         let n = cols.num_nodes();
         let pairs = n * n.saturating_sub(1) / 2;
+        let beta = cols.num_processes() as u64;
         let ones = cols.ones_counts();
+        let eval = PairEvaluator::new(beta, &ones, measure);
         let tiles = tile_schedule(n, cols.pair_tile_size(), |_, _| true);
-        let costs: Vec<u64> = tiles.iter().map(|t| t.pairs).collect();
-        let lut = Log2Table::new(cols.num_processes() as u64);
-        let (outputs, pool) = crate::parallel::run_weighted_stats(
+        let blocks = row_blocks(&tiles);
+        let costs: Vec<u64> = blocks.iter().map(|b| b.1).collect();
+        let mut upper = vec![0.0f64; pairs];
+        let mut n11 = vec![0u64; if capture_stats { pairs } else { 0 }];
+        let parts: Vec<(&mut [f64], &mut [u64])> = split_blocks(&mut upper, &blocks)
+            .into_iter()
+            .zip(split_blocks(&mut n11, &blocks))
+            .collect();
+        let (_, pool) = crate::parallel::run_weighted_parts(
             &costs,
+            parts,
             4,
             threads,
-            || (),
-            |_, b| {
-                let tile = &tiles[b];
-                let mut vals: Vec<f64> = Vec::with_capacity(tile.pairs as usize);
-                let mut n11s: Vec<u64> = Vec::new();
-                if capture_stats {
-                    n11s.reserve_exact(tile.pairs as usize);
-                }
-                cols.pair_counts_block(
-                    tile.rows.clone(),
-                    tile.cols.clone(),
-                    &ones,
-                    &mut |_, _, pc| {
-                        vals.push(measure.value(&MiCells::from_counts_with(&pc, &lut)));
+            || BucketCounts::new(pairs),
+            |counts, b, (values, n11s)| {
+                let r0 = tiles[blocks[b].0.start].rows.start;
+                for tile in &tiles[blocks[b].0.clone()] {
+                    cols.pair_n11_block(tile.rows.clone(), tile.cols.clone(), &mut |i, j0, seg| {
+                        let i = i as usize;
+                        let at = run_index(n, r0, i, j0);
+                        let run = at..at + seg.len();
+                        let out = &mut values[run.clone()];
+                        eval.row(i, j0, seg, out);
+                        // While the segment is still in L1.
+                        counts.add_all(out);
                         if capture_stats {
-                            n11s.push(pc.n11);
+                            n11s[run].copy_from_slice(seg);
                         }
-                    },
-                );
-                (vals, n11s)
+                    });
+                }
             },
         );
         if rec.is_enabled() {
@@ -326,71 +475,36 @@ impl CorrelationMatrix {
             rec.add("correlation_pairs", pairs as u64);
             rec.add("correlation_tiles", tiles.len() as u64);
         }
-        // The schedule is row-block major, so one row block's tiles are
-        // adjacent: each triangle row is the concatenation of its segments
-        // in those tiles, and the triangle fills front to back. A block's
-        // outputs are freed as soon as its rows are written.
-        let mut upper = Vec::with_capacity(pairs);
-        let mut n11 = Vec::with_capacity(if capture_stats { pairs } else { 0 });
-        let mut outputs = outputs.into_iter();
-        let mut rest = &tiles[..];
-        while let Some(first) = rest.first() {
-            let len = rest.iter().take_while(|t| t.rows == first.rows).count();
-            let (block, tail) = rest.split_at(len);
-            rest = tail;
-            let outs: Vec<(Vec<f64>, Vec<u64>)> = outputs.by_ref().take(len).collect();
-            let mut offsets = vec![0usize; len];
-            for i in first.rows.clone() {
-                for ((tile, (vals, n11s)), off) in block.iter().zip(&outs).zip(&mut offsets) {
-                    debug_assert_eq!(vals.len() as u64, tile.pairs, "one value per block pair");
-                    let seg = tile.cols.end.saturating_sub(tile.cols.start.max(i + 1));
-                    upper.extend_from_slice(&vals[*off..*off + seg]);
-                    if capture_stats {
-                        n11.extend_from_slice(&n11s[*off..*off + seg]);
-                    }
-                    *off += seg;
-                }
-            }
+        let mut states = pool.states.into_iter();
+        let mut counts = states.next().unwrap_or_else(|| BucketCounts::new(pairs));
+        for partial in states {
+            counts.merge(&partial);
         }
-        debug_assert_eq!(upper.len(), pairs);
-        let stats = capture_stats.then(|| PairStats {
-            n,
-            beta: cols.num_processes() as u64,
-            ones,
-            n11,
-        });
-        (CorrelationMatrix { n, upper }, stats)
+        let stats = capture_stats.then_some(PairStats { n, beta, ones, n11 });
+        (CorrelationMatrix { n, upper, counts }, stats)
     }
 
-    /// The pre-tiling implementation: one [`NodeColumns::pair_counts`]
-    /// column walk per pair, single-threaded. Kept as the equivalence
-    /// oracle for the tiled kernel (results must stay bit-identical) and
-    /// as the baseline the benchmarks compare against.
-    pub fn compute_reference(cols: &NodeColumns, measure: CorrelationMeasure) -> Self {
-        let lut = Log2Table::new(cols.num_processes() as u64);
-        Self::from_pairs(cols.num_nodes(), |i, j| {
-            let pc = cols.pair_counts(i as u32, j as u32);
-            measure.value(&MiCells::from_counts_with(&pc, &lut))
-        })
-    }
-
-    /// The matrix with `value(i, j)` at every pair `i < j`, evaluated
-    /// once per pair in row-major order.
-    fn from_pairs(n: usize, mut value: impl FnMut(usize, usize) -> f64) -> Self {
+    /// The pre-tiling implementation, kept as the equivalence oracle for
+    /// the tiled kernel and the evaluator: one [`NodeColumns::pair_counts`]
+    /// column walk and one [`MiCells::from_counts`] per pair.
+    #[cfg(test)]
+    pub(crate) fn compute_reference(cols: &NodeColumns, measure: CorrelationMeasure) -> Self {
+        let n = cols.num_nodes();
         let mut upper = Vec::with_capacity(n * n.saturating_sub(1) / 2);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                upper.push(value(i, j));
+        for i in 0..n as u32 {
+            for j in (i + 1)..n as u32 {
+                upper.push(measure.value(&MiCells::from_counts(&cols.pair_counts(i, j))));
             }
         }
-        CorrelationMatrix { n, upper }
+        Self::from_upper(n, upper)
     }
 
     /// A matrix over `n` nodes from its upper triangle in rank order.
     #[cfg(test)]
     pub(crate) fn from_upper(n: usize, upper: Vec<f64>) -> Self {
         assert_eq!(upper.len(), n * n.saturating_sub(1) / 2);
-        CorrelationMatrix { n, upper }
+        let counts = BucketCounts::of(&upper);
+        CorrelationMatrix { n, upper, counts }
     }
 
     /// Number of nodes.
@@ -414,6 +528,13 @@ impl CorrelationMatrix {
     /// row-major rank order: the input to threshold selection.
     pub fn upper(&self) -> &[f64] {
         &self.upper
+    }
+
+    /// The ranked [`BucketIndex`] over [`upper`](Self::upper), built from
+    /// the bucket counts the matrix's pass already took — the same index
+    /// as `BucketIndex::new(self.upper())` without its count pass.
+    pub fn index(&self) -> BucketIndex<'_> {
+        BucketIndex::from_counts(&self.upper, self.counts.clone(), true)
     }
 }
 
@@ -525,8 +646,9 @@ impl PairStats {
     /// incremental-update kernel pass. Runs the same cost-aware tile
     /// schedule as the full computation through
     /// [`NodeColumns::pair_n11_block`], but over the appended columns
-    /// only; integer addition is order-independent, so the result is exact
-    /// at every thread count.
+    /// only, each worker adding its row block's counts in place; integer
+    /// addition is order-independent, so the result is exact at every
+    /// thread count.
     ///
     /// # Panics
     ///
@@ -537,28 +659,34 @@ impl PairStats {
             self.n,
             "appended cascades must cover the same nodes"
         );
+        let n = self.n;
         let ones = appended.ones_counts();
-        let tiles = tile_schedule(self.n, appended.pair_tile_size(), |_, _| true);
-        let costs: Vec<u64> = tiles.iter().map(|t| t.pairs).collect();
-        let (outputs, _) = crate::parallel::run_weighted_stats(
+        let tiles = tile_schedule(n, appended.pair_tile_size(), |_, _| true);
+        let blocks = row_blocks(&tiles);
+        let costs: Vec<u64> = blocks.iter().map(|b| b.1).collect();
+        let parts = split_blocks(&mut self.n11, &blocks);
+        crate::parallel::run_weighted_parts(
             &costs,
+            parts,
             4,
             threads,
             || (),
-            |_, b| {
-                let tile = &tiles[b];
-                let mut out: Vec<u64> = Vec::with_capacity(tile.pairs as usize);
-                appended.pair_n11_block(tile.rows.clone(), tile.cols.clone(), &mut |_, _, n11s| {
-                    out.extend_from_slice(n11s);
-                });
-                out
+            |_, b, n11s| {
+                let r0 = tiles[blocks[b].0.start].rows.start;
+                for tile in &tiles[blocks[b].0.clone()] {
+                    appended.pair_n11_block(
+                        tile.rows.clone(),
+                        tile.cols.clone(),
+                        &mut |i, j0, seg| {
+                            let at = run_index(n, r0, i as usize, j0);
+                            for (c, &s) in n11s[at..at + seg.len()].iter_mut().zip(seg) {
+                                *c += s;
+                            }
+                        },
+                    );
+                }
             },
         );
-        for (tile, counts) in tiles.iter().zip(outputs) {
-            for ((i, j), c) in tile.pairs().zip(counts) {
-                self.n11[tri_index(self.n, i, j)] += c;
-            }
-        }
         for (o, &a) in self.ones.iter_mut().zip(ones.iter()) {
             *o += a;
         }
@@ -567,14 +695,28 @@ impl PairStats {
 
     /// The correlation matrix these statistics determine — bit-identical
     /// to [`CorrelationMatrix::compute_observed`] over the matching status
-    /// matrix, because each pair's [`MiCells`] are the same float function
-    /// of the same integer counts. Pure float work per pair, so it runs
-    /// single-threaded without a kernel pass.
+    /// matrix, because the same [`PairEvaluator`] turns the same integer
+    /// counts into values (and counts them into the same buckets). Pure
+    /// float work per pair, so it runs single-threaded without a kernel
+    /// pass.
     pub fn correlation(&self, measure: CorrelationMeasure) -> CorrelationMatrix {
-        let lut = Log2Table::new(self.beta);
-        CorrelationMatrix::from_pairs(self.n, |i, j| {
-            measure.value(&MiCells::from_counts_with(&self.pair_counts(i, j), &lut))
-        })
+        let eval = PairEvaluator::new(self.beta, &self.ones, measure);
+        let pairs = self.n11.len();
+        let mut upper = vec![0.0f64; pairs];
+        let mut counts = BucketCounts::new(pairs);
+        let mut at = 0;
+        for i in 0..self.n {
+            let run = at..at + (self.n - 1 - i);
+            let out = &mut upper[run.clone()];
+            eval.row(i, i + 1, &self.n11[run.clone()], out);
+            counts.add_all(out);
+            at = run.end;
+        }
+        CorrelationMatrix {
+            n: self.n,
+            upper,
+            counts,
+        }
     }
 }
 
@@ -866,6 +1008,72 @@ mod tests {
         assert_eq!(stats, rebuilt);
         assert!(PairStats::from_parts(70, vec![1, 2, 3], vec![0]).is_err());
         assert!(PairStats::from_parts(2, vec![5, 1, 1], vec![0, 0, 0]).is_err());
+    }
+
+    /// The evaluator's value of a pair and its row path's, as bits,
+    /// beside the per-pair definition's.
+    fn evaluator_and_definition(
+        beta: u64,
+        (a, b): (u64, u64),
+        n11: u64,
+        measure: CorrelationMeasure,
+    ) -> ([u64; 2], u64) {
+        let eval = PairEvaluator::new(beta, &[a, b], measure);
+        let mut row = [f64::NAN];
+        eval.row(0, 1, &[n11], &mut row);
+        let pc = PairCounts::from_n11(n11, a, b, beta);
+        (
+            [eval.value(0, 1, n11).to_bits(), row[0].to_bits()],
+            measure.value(&MiCells::from_counts(&pc)).to_bits(),
+        )
+    }
+
+    #[test]
+    fn evaluator_matches_the_definition_on_every_small_count() {
+        for beta in [0u64, 1, 2, 3, 7, 64, 65] {
+            for a in 0..=beta {
+                for b in 0..=beta {
+                    for n11 in (a + b).saturating_sub(beta)..=a.min(b) {
+                        for measure in [CorrelationMeasure::Imi, CorrelationMeasure::Mi] {
+                            let (got, want) = evaluator_and_definition(beta, (a, b), n11, measure);
+                            assert_eq!(got, [want; 2], "β {beta}, ones ({a}, {b}), n11 {n11}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Ones counts drawn with the never- (0) and always-infected (β)
+        /// columns over-represented, and `n11` at both feasibility bounds
+        /// as often as inside them.
+        #[test]
+        fn evaluator_is_the_definition_bit_for_bit(
+            pick in 0usize..7,
+            ones_a in (0u8..4, 0.0f64..=1.0),
+            ones_b in (0u8..4, 0.0f64..=1.0),
+            at in (0u8..3, 0.0f64..=1.0),
+        ) {
+            let beta = [0u64, 1, 63, 64, 65, 150, 1200][pick];
+            let [a, b] = [ones_a, ones_b].map(|(kind, frac)| match kind {
+                0 => 0,
+                1 => beta,
+                _ => (frac * beta as f64) as u64,
+            });
+            let (lo, hi) = ((a + b).saturating_sub(beta), a.min(b));
+            let n11 = match at.0 {
+                0 => lo,
+                1 => hi,
+                _ => lo + (at.1 * (hi - lo) as f64) as u64,
+            };
+            for measure in [CorrelationMeasure::Imi, CorrelationMeasure::Mi] {
+                let (got, want) = evaluator_and_definition(beta, (a, b), n11, measure);
+                proptest::prop_assert_eq!(got, [want; 2], "β {}, ones ({}, {}), n11 {}", beta, a, b, n11);
+            }
+        }
     }
 
     #[test]

@@ -14,12 +14,21 @@
 //! The 2-means is defined over the values in ascending order, but it only
 //! ever looks at the top of that order: `τ` is set by the free cluster,
 //! typically the top ~15% of the values. [`BucketIndex`] therefore never
-//! sorts the whole input. It keys every value by the IEEE total order
-//! (`−0.0` below `+0.0`), and one count pass plus one scatter pass bucket
-//! every value `≥ −0.0` by key prefix (`+∞` included, NaN dropped, the
-//! negatives left in place). Buckets are sorted from the top down, and only
-//! as far as a query reaches. The prefix width is a pure function of the
-//! input length, so tiny inputs do not pay for 2¹⁶ empty buckets.
+//! sorts the whole input, and never even scatters most of it. It keys every
+//! value by the IEEE total order (`−0.0` below `+0.0`) and buckets the
+//! values `≥ −0.0` by key prefix (`+∞` included, NaN dropped, the negatives
+//! left in place). The prefix width is a pure function of the input length,
+//! so tiny inputs do not pay for 2¹⁶ empty buckets — and so a producer of
+//! the values can count each bucket as it writes the values: the dense
+//! correlation pass fills the `BucketCounts` itself, and the index never
+//! reads the triangle to count it. From the counts alone the index picks a
+//! cutoff bucket (`BucketIndex::first_cutoff`: the pinned 2-means over the
+//! bucket edges estimates `τ`'s bucket, and the cutoff sits one binade
+//! below it) and scatters keys, and ranks, only for the buckets at and
+//! above it, in one pass over the values. A query that reaches below the
+//! cutoff widens it on demand with one more pass. Positions stay global —
+//! each bucket's place in the order comes from the counts — and buckets
+//! are sorted from the top down, only as far as a query reaches.
 //!
 //! **Why the sorted region only grows downward.** The free cluster starts
 //! as `{v > max/2}` with centroid `c₁ = max`. If `c_{t+1} ≤ c_t`, the next
@@ -27,8 +36,8 @@
 //! are `≤ c_t/2`, below the current mean `c_{t+1}` (every member exceeds
 //! `c_t/2`), so the new mean can only fall: `c_{t+2} ≤ c_{t+1}`. By
 //! induction the centroid never rises, and each iteration reads a boundary
-//! at or below the previous one. The index sorts down to the bucket
-//! holding `c/2` and accumulates the suffix sums from the maximum down —
+//! at or below the previous one. The index scatters and sorts down to the
+//! bucket holding `c/2` and accumulates the suffix sums from the maximum down —
 //! the same summation order as a full sort — so `τ`, the free centroid,
 //! both counts and the iteration count come out bit-identical to the
 //! sort-based definition. Exactness does not rest on the monotonicity
@@ -38,9 +47,9 @@
 //! `τ`.
 //!
 //! **Candidate order from rank ties.** With ranks tracked
-//! ([`BucketIndex::new`]), a bucket sorts by (value ascending, rank
-//! descending), so walking down from the top visits the values above `τ`
-//! in (value descending, rank ascending) order. For a fixed node `i`, its
+//! ([`BucketIndex::new`]), a bucket sorts by (value descending, rank
+//! ascending), so walking down from the top visits the values above `τ`
+//! in that order. For a fixed node `i`, its
 //! pairs' upper-triangle ranks increase with the partner id (pairs `(j, i)`,
 //! `j < i`, sit in earlier rows than every `(i, j)`, `j > i`). Appending
 //! each visited pair's partner to both endpoints' lists until a list holds
@@ -102,9 +111,9 @@ pub fn pinned_two_means(values: &[f64]) -> PinnedKmeans {
 }
 
 /// Upper bound on the heap [`pinned_two_means`] allocates for `len`
-/// values: 8 bytes per kept value for the keys, 8 per finite kept value
-/// for the suffix sums (reserved once, touched only as far as the sorted
-/// region reaches), and the bucket bounds.
+/// values: 8 bytes per kept value for the keys and 8 per finite kept value
+/// for the suffix sums (each reserved once, touched only as far as the
+/// queries reach), and the bucket counts.
 pub(crate) fn two_means_heap_bytes(len: usize) -> u64 {
     let buckets = (SPAN >> (63 - prefix_bits(len))) + 2;
     16 * (len as u64 + 1) + 4 * buckets
@@ -138,27 +147,92 @@ fn prefix_bits(len: usize) -> u32 {
     (usize::BITS - len.leading_zeros()).clamp(4, 16)
 }
 
-/// A bucketed, lazily sorted index over a slice of correlation values —
-/// the candidate step's one pass over the pair population (see the module
-/// docs).
+/// How many values of an input fall in each bucket of its [`BucketIndex`]
+/// — the index's count pass, kept apart so that a producer of the values
+/// (the correlation-matrix pass) can count each value as it writes it, and
+/// the index never reads the input to count.
 ///
-/// Holds the total-order key of every value `≥ −0.0` (`+∞` included, NaN
-/// dropped) grouped by key prefix, and, when built with [`new`](Self::new),
-/// each value's position in the input (its *rank*): 12 bytes per kept
-/// value, plus one `u32` bucket bound per bucket. Negative values stay in the
-/// input and are gathered only by a query that reaches below zero.
+/// The prefix width is [`prefix_bits`] of the input length, so counts
+/// filled value by value equal a count pass over the finished input.
+#[derive(Clone, Debug)]
+pub(crate) struct BucketCounts {
+    shift: u32,
+    /// Slot `b + 1` counts bucket `b`; slot 0 counts the dropped values
+    /// (negatives and NaN).
+    slots: Vec<u32>,
+    infinities: usize,
+}
+
+impl BucketCounts {
+    /// Empty counts for an input of `len` values.
+    pub(crate) fn new(len: usize) -> BucketCounts {
+        let shift = 63 - prefix_bits(len);
+        BucketCounts {
+            shift,
+            slots: vec![0; (SPAN >> shift) as usize + 2],
+            infinities: 0,
+        }
+    }
+
+    /// The counts of every value of `values`.
+    pub(crate) fn of(values: &[f64]) -> BucketCounts {
+        let mut counts = BucketCounts::new(values.len());
+        counts.add_all(values);
+        counts
+    }
+
+    /// Counts every value of `values`. Branch-free: the sign of a
+    /// correlation is unpredictable.
+    #[inline]
+    pub(crate) fn add_all(&mut self, values: &[f64]) {
+        for &v in values {
+            let d = order_key(v).wrapping_sub(NEG_ZERO_KEY);
+            let kept = usize::from(d <= SPAN);
+            self.slots[kept * (1 + (d >> self.shift) as usize)] += 1;
+            self.infinities += usize::from(d == SPAN);
+        }
+    }
+
+    /// Adds `other`'s counts (same input length) to these.
+    pub(crate) fn merge(&mut self, other: &BucketCounts) {
+        debug_assert_eq!(self.shift, other.shift);
+        for (a, b) in self.slots.iter_mut().zip(&other.slots) {
+            *a += b;
+        }
+        self.infinities += other.infinities;
+    }
+}
+
+/// A bucketed, lazily scattered and lazily sorted index over a slice of
+/// correlation values — the candidate step's one pass over the pair
+/// population (see the module docs).
+///
+/// Built from the values' bucket counts, it holds the total-order key
+/// of every value `≥ −0.0` (`+∞` included, NaN dropped) of the buckets a
+/// query has reached, top bucket first, and, when built with ranks, each
+/// value's position in the input (its *rank*): at most 12 bytes per kept
+/// value, plus one `u32` per bucket. Negative values stay in the input and
+/// are gathered only by a query that reaches below zero.
 pub struct BucketIndex<'a> {
     values: &'a [f64],
     shift: u32,
-    /// Keys of the kept values, bucket-major; buckets at and above
-    /// `unsorted` are sorted ascending (ties by rank descending).
-    keys: Vec<u64>,
-    /// Input position of each key; empty for a rank-free index.
-    ranks: Vec<u32>,
-    /// Bucket `b` holds positions `bounds[b]..bounds[b + 1]`.
-    bounds: Vec<u32>,
+    /// `depth[b]`: how many kept values lie in buckets `b..`. Counted from
+    /// the largest value down, bucket `b` holds the values of depth
+    /// `depth[b + 1]..depth[b]`; `depth[0]` is the kept count and the last
+    /// entry is 0.
+    depth: Vec<u32>,
     infinities: usize,
-    /// Buckets `0..unsorted` are still in scatter order.
+    /// Keys of the values of buckets `scattered..`, by depth (`keys[t]` is
+    /// the `t`-th largest once sorted). Capacity for every kept value is
+    /// reserved at build; only the scattered part is written.
+    keys: Vec<u64>,
+    /// Input position of each key, when built with ranks.
+    ranks: Vec<u32>,
+    with_ranks: bool,
+    /// Buckets `scattered..` have their keys in `keys`.
+    scattered: usize,
+    /// Buckets `unsorted..` are sorted by key descending, ties by rank
+    /// ascending; `unsorted ≥ scattered`.
     unsorted: usize,
     scratch: Vec<u128>,
 }
@@ -171,108 +245,198 @@ impl<'a> BucketIndex<'a> {
     /// # Panics
     ///
     /// Panics if `values` holds more than `u32::MAX` entries — ranks are
-    /// `u32`, which bounds the dense path at `n ≤ 92,681` nodes (the
-    /// streamed path has no such limit).
+    /// `u32`, which bounds the dense path at `n ≤ 92,682` nodes (the
+    /// pipeline checks [`crate::MAX_DENSE_NODES`] before it allocates
+    /// the triangle; the streamed path has no such limit).
     pub fn new(values: &'a [f64]) -> Self {
         Self::build(values, true)
     }
 
     fn build(values: &'a [f64], with_ranks: bool) -> Self {
+        Self::from_counts(values, BucketCounts::of(values), with_ranks)
+    }
+
+    /// The index over `values` from their bucket counts, which must equal
+    /// `BucketCounts::of(values)` (however they were filled). Scatters
+    /// the buckets down to the first cutoff — one pass over the input.
+    pub(crate) fn from_counts(values: &'a [f64], counts: BucketCounts, with_ranks: bool) -> Self {
+        let mut index = Self::unscattered(values, counts, with_ranks);
+        let cutoff = index.first_cutoff();
+        index.scatter(cutoff);
+        index
+    }
+
+    /// The index with nothing scattered yet.
+    fn unscattered(values: &'a [f64], counts: BucketCounts, with_ranks: bool) -> Self {
         assert!(
             values.len() <= u32::MAX as usize,
             "the bucketed index addresses at most u32::MAX values, got {}",
             values.len()
         );
-        let shift = 63 - prefix_bits(values.len());
-        let buckets = (SPAN >> shift) as usize + 1;
-        // Slot `b + 1` counts bucket `b`; slot 0 absorbs the negatives and
-        // NaN. Computed without a branch: the sign of a correlation is
-        // unpredictable.
-        let slot = |v: f64| {
-            let d = order_key(v).wrapping_sub(NEG_ZERO_KEY);
-            let kept = usize::from(d <= SPAN);
-            (kept * (1 + (d >> shift) as usize), kept, d)
-        };
-        // Count pass.
-        let mut bounds = vec![0u32; buckets + 1];
-        let mut infinities = 0usize;
-        for &v in values {
-            let (b, _, d) = slot(v);
-            bounds[b] += 1;
-            infinities += usize::from(d == SPAN);
+        let BucketCounts {
+            shift,
+            slots: mut depth,
+            infinities,
+        } = counts;
+        debug_assert_eq!(shift, 63 - prefix_bits(values.len()));
+        // Slot `s` counts bucket `s − 1`, so a suffix sum shifted down by
+        // one turns the slots into depths in place.
+        let mut acc = 0u32;
+        for s in (1..depth.len()).rev() {
+            let count = depth[s];
+            depth[s] = acc;
+            acc += count;
         }
-        let mut kept = 0u32;
-        for c in &mut bounds[1..] {
-            let count = *c;
-            *c = kept;
-            kept += count;
-        }
-        // Scatter pass, stable in input order: slot `b + 1` is bucket `b`'s
-        // write cursor, and dropped values all land in one scratch entry
-        // past the kept ones.
-        bounds[0] = kept;
-        let kept = kept as usize;
-        let mut keys = vec![0u64; kept + 1];
-        let mut ranks = vec![0u32; if with_ranks { kept + 1 } else { 0 }];
-        for (r, &v) in values.iter().enumerate() {
-            let (b, is_kept, d) = slot(v);
-            let pos = bounds[b] as usize;
-            keys[pos] = d.wrapping_add(NEG_ZERO_KEY);
-            if with_ranks {
-                ranks[pos] = r as u32;
-            }
-            bounds[b] += is_kept as u32;
-        }
-        // Each cursor now sits at its bucket's end, the next one's start.
-        bounds[0] = 0;
-        keys.truncate(kept);
-        ranks.truncate(kept);
+        depth[0] = acc;
+        let kept = acc as usize;
+        let buckets = depth.len() - 1;
         BucketIndex {
             values,
             shift,
-            keys,
-            ranks,
-            unsorted: buckets,
-            bounds,
+            depth,
             infinities,
+            keys: Vec::with_capacity(kept),
+            ranks: Vec::with_capacity(if with_ranks { kept } else { 0 }),
+            with_ranks,
+            scattered: buckets,
+            unsorted: buckets,
             scratch: Vec::new(),
         }
     }
 
-    /// Positions of bucket `b`.
+    /// Number of buckets.
+    fn buckets(&self) -> usize {
+        self.depth.len() - 1
+    }
+
+    /// The kept count.
+    fn kept(&self) -> usize {
+        self.depth[0] as usize
+    }
+
+    /// Bucket of a value `≥ −0.0`.
+    fn bucket_of(&self, v: f64) -> usize {
+        (((order_key(v) - NEG_ZERO_KEY) >> self.shift) as usize).min(self.buckets() - 1)
+    }
+
+    /// Depths of bucket `b`'s values.
     fn bucket(&self, b: usize) -> std::ops::Range<usize> {
-        self.bounds[b] as usize..self.bounds[b + 1] as usize
+        self.depth[b + 1] as usize..self.depth[b] as usize
     }
 
-    /// First position of the sorted region.
-    fn sorted_from(&self) -> usize {
-        self.bounds[self.unsorted] as usize
+    /// The bucket the build scatters down to — a pure function of the
+    /// bucket counts. The pinned 2-means run over the bucket lower edges
+    /// (every value rounded down to its bucket's edge, so each bucket is
+    /// one weighted point) estimates the bucket of `τ`; the cutoff is the
+    /// bucket of half that bucket's edge, which leaves a binade of room for
+    /// the estimate's error and for thresholds scaled down to `τ/2`.
+    fn first_cutoff(&self) -> usize {
+        let buckets = self.buckets();
+        let edge = |b: usize| from_key(NEG_ZERO_KEY + ((b as u64) << self.shift));
+        let Some(top) = (0..buckets).rev().find(|&b| !self.bucket(b).is_empty()) else {
+            return buckets;
+        };
+        // Buckets `next..` are summed into the free cluster; like the
+        // exact centroid, the estimate only moves down, so the sums only
+        // grow.
+        let (mut next, mut count, mut sum) = (top + 1, 0u64, 0.0f64);
+        let (mut c, mut boundary) = (edge(top), top);
+        for _ in 0..100 {
+            let half = self.bucket_of(c / 2.0);
+            while next > half + 1 {
+                next -= 1;
+                let members = self.bucket(next).len() as u64;
+                count += members;
+                sum += members as f64 * edge(next);
+            }
+            if count == 0 || half == boundary {
+                break;
+            }
+            boundary = half;
+            c = sum / count as f64;
+        }
+        self.bucket_of(edge(boundary) / 2.0)
     }
 
-    /// Sorts buckets from the top down until position `pos` is sorted.
-    fn sort_down_to(&mut self, pos: usize) {
-        while self.sorted_from() > pos {
+    /// Scatters the values of buckets `lo..scattered` into their key slots
+    /// — one pass over the input — and marks them scattered.
+    fn scatter(&mut self, lo: usize) {
+        let hi = self.scattered;
+        self.keys.resize(self.depth[lo] as usize, 0);
+        if self.with_ranks {
+            self.ranks.resize(self.keys.len(), 0);
+        }
+        // Entry `b` is bucket `b`'s write cursor: moved to the bucket's
+        // first depth, it ends back at `depth[b]` once the bucket is
+        // written.
+        for b in lo..hi {
+            self.depth[b] = self.depth[b + 1];
+        }
+        // Chunk by chunk: a branch-free pass picks the chunk's values in
+        // range (most values lie below the scattered buckets, where a
+        // branch would mispredict), then only the picked ones are written.
+        const CHUNK: usize = 1024;
+        let mut picked = [0u32; CHUNK];
+        let (values, shift) = (self.values, self.shift);
+        for (c, chunk) in values.chunks(CHUNK).enumerate() {
+            let mut k = 0;
+            for (o, &v) in chunk.iter().enumerate() {
+                let d = order_key(v).wrapping_sub(NEG_ZERO_KEY);
+                let b = (d >> shift) as usize;
+                picked[k] = o as u32;
+                k += usize::from((d <= SPAN) & (b >= lo) & (b < hi));
+            }
+            for &o in &picked[..k] {
+                let r = c * CHUNK + o as usize;
+                let d = order_key(values[r]) - NEG_ZERO_KEY;
+                let b = (d >> shift) as usize;
+                let pos = self.depth[b] as usize;
+                self.depth[b] += 1;
+                self.keys[pos] = d + NEG_ZERO_KEY;
+                if self.with_ranks {
+                    self.ranks[pos] = r as u32;
+                }
+            }
+        }
+        self.scattered = lo;
+    }
+
+    /// Scatters and sorts buckets from the top down until the `depth`
+    /// largest kept values are in order. A query that reaches below the
+    /// scattered buckets widens them to the highest bucket holding at
+    /// least twice as many values as are scattered, so a walk down the
+    /// order costs `O(log kept)` passes over the input at most.
+    fn reach(&mut self, depth: usize) {
+        let scattered = self.depth[self.scattered] as usize;
+        if depth > scattered {
+            let want = depth.max(2 * scattered);
+            let mut lo = self.scattered;
+            while lo > 0 && (self.depth[lo] as usize) < want {
+                lo -= 1;
+            }
+            self.scatter(lo);
+        }
+        while (self.depth[self.unsorted] as usize) < depth {
             self.unsorted -= 1;
             let range = self.bucket(self.unsorted);
             if range.len() < 2 {
                 continue;
             }
-            if self.ranks.is_empty() {
-                self.keys[range].sort_unstable();
+            if !self.with_ranks {
+                self.keys[range].sort_unstable_by(|a, b| b.cmp(a));
             } else {
-                // (key, !rank) packed in one integer: ascending keys, ranks
-                // descending within a key, so a downward walk meets ties in
-                // ascending rank order.
+                // (key, !rank) packed in one integer, sorted descending:
+                // keys descending, ties in ascending rank order.
                 self.scratch.clear();
                 self.scratch.extend(
                     range
                         .clone()
-                        .map(|p| u128::from(self.keys[p]) << 32 | u128::from(!self.ranks[p])),
+                        .map(|t| u128::from(self.keys[t]) << 32 | u128::from(!self.ranks[t])),
                 );
-                self.scratch.sort_unstable();
-                for (p, &e) in range.zip(&self.scratch) {
-                    self.keys[p] = (e >> 32) as u64;
-                    self.ranks[p] = !(e as u32);
+                self.scratch.sort_unstable_by(|a, b| b.cmp(a));
+                for (t, &e) in range.zip(&self.scratch) {
+                    self.keys[t] = (e >> 32) as u64;
+                    self.ranks[t] = !(e as u32);
                 }
             }
         }
@@ -281,10 +445,11 @@ impl<'a> BucketIndex<'a> {
     /// Number of kept values whose key is at most `key` (a key of a value
     /// `≥ +0.0`), sorting only the buckets at and above `key`'s.
     fn count_at_most(&mut self, key: u64) -> usize {
-        let b = (((key - NEG_ZERO_KEY) >> self.shift) as usize).min(self.bounds.len() - 2);
-        let range = self.bucket(b);
-        self.sort_down_to(range.start);
-        range.start + self.keys[range].partition_point(|&k| k <= key)
+        let b = ((key - NEG_ZERO_KEY) >> self.shift) as usize;
+        let range = self.bucket(b.min(self.buckets() - 1));
+        self.reach(range.end);
+        let above = range.start + self.keys[range].partition_point(|&k| k > key);
+        self.kept() - above
     }
 
     /// The pinned 2-means of [`pinned_two_means`] over the indexed values,
@@ -292,14 +457,16 @@ impl<'a> BucketIndex<'a> {
     pub fn pinned_two_means(&mut self) -> PinnedKmeans {
         const MAX_ITERS: usize = 100;
 
-        // Ascending order puts the infinities last: positions
-        // `0..finite` are the finite kept values.
-        let finite = self.keys.len() - self.infinities;
+        // In ascending order the infinities come last: positions
+        // `0..finite` are the finite kept values, and position `p` is the
+        // value of depth `kept − 1 − p`.
+        let kept = self.kept();
+        let finite = kept - self.infinities;
         let positive_max = if finite == 0 {
             0.0
         } else {
-            self.sort_down_to(finite - 1);
-            from_key(self.keys[finite - 1])
+            self.reach(self.infinities + 1);
+            from_key(self.keys[self.infinities])
         };
         if positive_max <= 0.0 {
             return PinnedKmeans {
@@ -338,7 +505,7 @@ impl<'a> BucketIndex<'a> {
                 let members = finite - new_boundary;
                 while suffix.len() <= members {
                     let top = suffix.len();
-                    suffix.push(from_key(self.keys[finite - top]) + suffix[top - 1]);
+                    suffix.push(from_key(self.keys[self.infinities + top - 1]) + suffix[top - 1]);
                 }
                 suffix[members] / members as f64
             } else {
@@ -355,8 +522,8 @@ impl<'a> BucketIndex<'a> {
         let tau = if boundary_idx == 0 {
             0.0
         } else {
-            self.sort_down_to(boundary_idx - 1);
-            from_key(self.keys[boundary_idx - 1])
+            self.reach(kept - boundary_idx + 1);
+            from_key(self.keys[kept - boundary_idx])
         };
         PinnedKmeans {
             tau,
@@ -373,19 +540,20 @@ impl<'a> BucketIndex<'a> {
     /// there were. Negative values are gathered from the input only when
     /// `tau < 0`.
     fn for_each_above(&mut self, tau: f64, mut visit: impl FnMut(u32)) -> u64 {
-        let mut pos = self.keys.len();
-        while pos > 0 {
-            self.sort_down_to(pos - 1);
-            while pos > self.sorted_from() {
-                let value = from_key(self.keys[pos - 1]);
+        let kept = self.kept();
+        let mut t = 0;
+        while t < kept {
+            self.reach(t + 1);
+            while t < self.depth[self.unsorted] as usize {
+                let value = from_key(self.keys[t]);
                 if value.partial_cmp(&tau) != Some(std::cmp::Ordering::Greater) {
-                    return (self.keys.len() - pos) as u64;
+                    return t as u64;
                 }
-                visit(self.ranks[pos - 1]);
-                pos -= 1;
+                visit(self.ranks[t]);
+                t += 1;
             }
         }
-        let mut above = self.keys.len() as u64;
+        let mut above = kept as u64;
         // Every kept value is above τ; negatives can be too only if τ < 0.
         if tau < 0.0 {
             let mut negatives: Vec<u128> = self
@@ -610,15 +778,46 @@ mod tests {
     fn the_index_sorts_only_the_buckets_a_query_reaches() {
         let vals = imi_like(499_500, 9);
         let mut index = BucketIndex::new(&vals);
+        let scattered = index.depth[index.scattered] as usize;
         let r = index.pinned_two_means();
-        let sorted = index.keys.len() - index.sorted_from();
+        let kept = index.kept();
+        let sorted = index.depth[index.unsorted] as usize;
         assert!(
-            sorted < index.keys.len() / 2,
-            "2-means sorted {sorted} of {} kept values",
-            index.keys.len()
+            scattered < kept / 2 && sorted < kept / 2,
+            "scattered {scattered} and sorted {sorted} of {kept} kept values"
         );
-        let tau_pos = index.keys.len() - r.free_count - index.infinities;
-        assert!(index.sorted_from() <= tau_pos);
+        assert_eq!(
+            index.depth[index.scattered] as usize, scattered,
+            "the first cutoff covers the 2-means"
+        );
+        // τ, the largest pinned value, lies inside the sorted region.
+        assert!(sorted > r.free_count + index.infinities);
+    }
+
+    /// The index with its first scatter forced down to bucket `cutoff`
+    /// (`None`: the top bucket, so every query widens it).
+    fn forced(values: &[f64], with_ranks: bool, cutoff: Option<usize>) -> BucketIndex<'_> {
+        let mut index = BucketIndex::unscattered(values, BucketCounts::of(values), with_ranks);
+        let top = index.buckets() - 1;
+        index.scatter(cutoff.unwrap_or(top));
+        index
+    }
+
+    #[test]
+    fn counts_filled_piecewise_equal_a_count_pass() {
+        let mut vals = imi_like(10_000, 3);
+        vals.extend([f64::INFINITY, f64::NAN, -0.0, f64::MAX, f64::INFINITY]);
+        let mut halves = [BucketCounts::new(vals.len()), BucketCounts::new(vals.len())];
+        for (k, chunk) in vals.chunks(7).enumerate() {
+            halves[k % 2].add_all(chunk);
+        }
+        let [mut merged, odd] = halves;
+        merged.merge(&odd);
+        let whole = BucketCounts::of(&vals);
+        assert_eq!(
+            (merged.slots, merged.infinities),
+            (whole.slots, whole.infinities)
+        );
     }
 
     /// Values that stress the index: signed zeros, NaN of both signs, ±∞,
@@ -730,6 +929,70 @@ mod tests {
             }
             let direct = corr.upper().iter().filter(|&&v| v > tau).count() as u64;
             prop_assert_eq!(above, direct);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The first scatter forced to the top bucket (every query widens
+        /// the index, as far down as it reaches) and to bucket 0 (the
+        /// whole input scattered at once): τ, every 2-means field, the
+        /// candidate lists and `pairs_above_tau` stay those of the
+        /// sort-based reference and per-row thresholding.
+        #[test]
+        fn forced_cutoffs_keep_every_result(
+            n in 0usize..24,
+            pool in hostile_values(300),
+            mode in threshold_mode(),
+            max_candidates in 0usize..8,
+        ) {
+            let pairs = n * n.saturating_sub(1) / 2;
+            let upper: Vec<f64> = (0..pairs)
+                .map(|r| pool.get(r % pool.len().max(1)).copied().unwrap_or(0.5))
+                .collect();
+            let reference = sort_based(&upper);
+            let corr = CorrelationMatrix::from_upper(n, upper);
+            for cutoff in [None, Some(0)] {
+                prop_assert_eq!(
+                    bits(&forced(corr.upper(), false, cutoff).pinned_two_means()),
+                    bits(&reference)
+                );
+                let mut index = forced(corr.upper(), true, cutoff);
+                let kmeans = index.pinned_two_means();
+                prop_assert_eq!(bits(&kmeans), bits(&reference));
+                let tau = mode.apply(kmeans.tau);
+                let (lists, above) = index.candidate_lists(n, tau, max_candidates);
+                for (i, list) in lists.iter().enumerate() {
+                    prop_assert_eq!(
+                        list,
+                        &candidate_parents(&corr, i as NodeId, tau, max_candidates),
+                        "node {} at τ = {}, cutoff {:?}", i, tau, cutoff
+                    );
+                }
+                let direct = corr.upper().iter().filter(|&&v| v > tau).count() as u64;
+                prop_assert_eq!(above, direct);
+            }
+        }
+    }
+
+    #[test]
+    fn forced_cutoffs_on_a_large_input() {
+        // 2¹⁶ buckets: widening from the top bucket takes several passes.
+        let vals = imi_like(100_000, 17);
+        let reference = sort_based(&vals);
+        for cutoff in [None, Some(0)] {
+            let mut index = forced(&vals, true, cutoff);
+            assert_eq!(
+                bits(&index.pinned_two_means()),
+                bits(&reference),
+                "{cutoff:?}"
+            );
+            let direct = vals.iter().filter(|&&v| v > reference.tau).count() as u64;
+            assert_eq!(index.for_each_above(reference.tau, |_| {}), direct);
+            let below = -0.001;
+            let direct = vals.iter().filter(|&&v| v > below).count() as u64;
+            assert_eq!(index.for_each_above(below, |_| {}), direct);
         }
     }
 

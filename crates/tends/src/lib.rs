@@ -65,7 +65,7 @@ pub use estimate::{
     estimate_propagation_probabilities, estimate_propagation_probabilities_from_columns,
     EstimateConfig, PropagationEstimate,
 };
-pub use imi::{CorrelationMatrix, CorrelationMeasure, PairStats};
+pub use imi::{CorrelationMatrix, CorrelationMeasure, PairEvaluator, PairStats, MAX_DENSE_NODES};
 pub use kmeans::{pinned_two_means, BucketIndex, PinnedKmeans};
 pub use score::ScoreCacheStats;
 pub use search::{GreedyStrategy, SearchError, SearchParams, SearchScratch, SearchStats};

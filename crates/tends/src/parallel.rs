@@ -19,6 +19,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Resolves a thread-count knob: `0` means "all available cores", and the
 /// result is clamped to `[1, work_items]` so tiny workloads don't spawn
@@ -297,6 +298,38 @@ where
     let next = AtomicUsize::new(0);
     let claim = || chunks.get(next.fetch_add(1, Ordering::Relaxed)).cloned();
     run_claimed(total, threads, init, claim, work)
+}
+
+/// [`run_weighted_stats`] over owned parts: index `i`'s work also
+/// receives `parts[i]` by value — typically a disjoint `&mut` run of one
+/// output buffer — so workers write their results in place instead of
+/// returning them for a copy.
+pub fn run_weighted_parts<P, T, S, I, W>(
+    costs: &[u64],
+    parts: Vec<P>,
+    chunks_per_thread: usize,
+    threads: usize,
+    init: I,
+    work: W,
+) -> (Vec<T>, PoolStats<S>)
+where
+    P: Send,
+    T: Send,
+    S: Send,
+    I: Fn() -> S + Sync,
+    W: Fn(&mut S, usize, P) -> T + Sync,
+{
+    assert_eq!(parts.len(), costs.len(), "one part per index");
+    // Each index is claimed exactly once, so every lock is uncontended.
+    let parts: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    run_weighted_stats(costs, chunks_per_thread, threads, init, |state, i| {
+        let part = parts[i]
+            .lock()
+            .expect("no worker panics while holding a part")
+            .take()
+            .expect("each index runs once");
+        work(state, i, part)
+    })
 }
 
 #[cfg(test)]

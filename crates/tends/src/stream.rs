@@ -49,8 +49,8 @@
 //! streamed path exists for. Before the pool starts the fold builds one
 //! read-only [`VerdictTable`]: for every ordered pair of ones counts that
 //! occurs, a bitmask over each feasible `n11` of whether the value is
-//! `> τ`, each bit computed by the same `measure.value` call on the same
-//! [`PairCounts`] the per-pair path would build — so every verdict is
+//! `> τ`, each bit computed by the same [`PairEvaluator`] the per-pair path
+//! uses, on the same counts — so every verdict is
 //! exact. A pair then costs one row-batched popcount and one bit test, and
 //! only pairs that pass evaluate the measure (ranking needs the value).
 //! The table is built when it is small against the pairs the shard scans
@@ -58,11 +58,11 @@
 //! the shard — never of threads or SIMD tier — and otherwise every pair is
 //! evaluated directly; both give the same candidates bit for bit.
 
-use crate::imi::{tile_schedule, CorrelationMeasure, Log2Table, MiCells, Tile};
+use crate::imi::{tile_schedule, CorrelationMeasure, PairEvaluator, Tile};
 use crate::kmeans::{pinned_two_means, PinnedKmeans};
 use crate::parallel;
 use diffnet_graph::NodeId;
-use diffnet_simulate::{NodeColumns, PairCounts};
+use diffnet_simulate::NodeColumns;
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -347,9 +347,7 @@ pub fn sample_tau(
     // At least 1, so an input without pairs samples nothing.
     let stride = total.div_ceil(cap).max(1);
     let count = total.div_ceil(stride);
-    let beta = cols.num_processes() as u64;
-    let lut = Log2Table::new(beta);
-    let ones = cols.ones_counts();
+    let eval = PairEvaluator::new(cols.num_processes() as u64, &cols.ones_counts(), measure);
     let kernels = diffnet_simulate::simd::kernels();
     // Each worker remembers the last sample it scored: a claimed chunk's
     // samples are consecutive, so only its first inverts a rank.
@@ -365,8 +363,7 @@ pub fn sample_tau(
             };
             *last = Some((s, i, j));
             let n11 = kernels.and_popcount(cols.col(i), cols.col(j));
-            let pc = PairCounts::from_n11(n11, ones[i as usize], ones[j as usize], beta);
-            measure.value(&MiCells::from_counts_with(&pc, &lut))
+            eval.value(i as usize, j as usize, n11)
         },
     );
     TauSample {
@@ -426,8 +423,8 @@ const VERDICT_TABLE_MAX_BYTES: u64 = 4 << 20;
 /// `max(0, ones_i + ones_j − β) ..= min(ones_i, ones_j)`. The table holds,
 /// for every ordered pair `(a, b)` of ones counts that occur among the
 /// nodes, one bit per feasible `n11`: whether the measure of those counts
-/// is `> τ`. Each bit is computed by the same `measure.value` call on the
-/// same [`PairCounts`] the per-pair path builds, so every verdict is exact.
+/// is `> τ`. Each bit is computed by the same [`PairEvaluator`] the
+/// per-pair path uses, on the same counts, so every verdict is exact.
 /// The pair order is kept (`a = ones_i`, `i < j`): the IMI subtracts
 /// `|c10|` before `|c01|`, so its float value is not bitwise symmetric.
 pub struct VerdictTable {
@@ -482,13 +479,7 @@ impl VerdictTable {
 
     /// Builds the table for nodes with these ones counts over `beta`
     /// processes, or `None` when it would exceed its size cap.
-    fn build(
-        ones: &[u64],
-        beta: u64,
-        measure: CorrelationMeasure,
-        tau: f64,
-        lut: &Log2Table,
-    ) -> Option<VerdictTable> {
+    fn build(ones: &[u64], beta: u64, eval: &PairEvaluator, tau: f64) -> Option<VerdictTable> {
         let (values, total_bits) = Self::shape(ones, beta)?;
         let k = values.len();
         let mut class_of = vec![0u16; beta as usize + 1];
@@ -503,9 +494,9 @@ impl VerdictTable {
             for &b in &values {
                 let (lo, hi) = n11_range(a, b, beta);
                 base.push((next as u32).wrapping_sub(lo as u32));
+                let (ma, mb) = (eval.margin(a), eval.margin(b));
                 for n11 in lo..=hi {
-                    let pc = PairCounts::from_n11(n11, a, b, beta);
-                    if measure.value(&MiCells::from_counts_with(&pc, lut)) > tau {
+                    if eval.value_of(n11, ma, mb) > tau {
                         bits[(next >> 6) as usize] |= 1 << (next & 63);
                     }
                     next += 1;
@@ -594,12 +585,12 @@ pub fn fold_candidates_with(
     });
     let costs: Vec<u64> = tiles.iter().map(|t| t.pairs).collect();
     let scanned_pairs: u64 = costs.iter().sum();
-    let lut = Log2Table::new(beta);
+    let eval = PairEvaluator::new(beta, &ones, measure);
     let table = match verdicts {
         Verdicts::PerPair => None,
-        Verdicts::Table => VerdictTable::build(&ones, beta, measure, tau, &lut),
+        Verdicts::Table => VerdictTable::build(&ones, beta, &eval, tau),
         Verdicts::Auto => VerdictTable::pays_off(&ones, beta, scanned_pairs)
-            .then(|| VerdictTable::build(&ones, beta, measure, tau, &lut))
+            .then(|| VerdictTable::build(&ones, beta, &eval, tau))
             .flatten(),
     };
     let (counts, pool) = parallel::run_weighted_stats(
@@ -613,7 +604,6 @@ pub fn fold_candidates_with(
             let tile = &tiles[b];
             cols.pair_n11_block(tile.rows.clone(), tile.cols.clone(), &mut |i, j0, n11s| {
                 let in_i = shard.contains(i);
-                let oi = ones[i as usize];
                 // Scores pair (i, j) and folds it if it is above τ.
                 let mut fold = |j: usize, n11: u64| {
                     let j = j as NodeId;
@@ -622,8 +612,7 @@ pub fn fold_candidates_with(
                         return;
                     }
                     evaluated += 1;
-                    let pc = PairCounts::from_n11(n11, oi, ones[j as usize], beta);
-                    let v = measure.value(&MiCells::from_counts_with(&pc, &lut));
+                    let v = eval.value(i as usize, j as usize, n11);
                     if v > tau {
                         above += 1;
                         if in_i {
