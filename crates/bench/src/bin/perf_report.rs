@@ -596,14 +596,18 @@ fn main() {
             let ck_reps = reps.max(9);
             let plain_s = median_secs(ck_reps, || {
                 ck_tends()
-                    .reconstruct_robust(statuses, Recorder::disabled(), &RobustOptions::default())
+                    .reconstruct_robust(
+                        &statuses.columns(),
+                        Recorder::disabled(),
+                        &RobustOptions::default(),
+                    )
                     .expect("robust run")
             });
             let checkpointed_s = median_secs(ck_reps, || {
                 std::fs::remove_file(&ck_path).ok();
                 ck_tends()
                     .reconstruct_robust(
-                        statuses,
+                        &statuses.columns(),
                         Recorder::disabled(),
                         &RobustOptions {
                             checkpoint: Some(ck_path.clone()),
@@ -654,7 +658,7 @@ fn main() {
     std::fs::remove_file(&ck_append).ok();
     append_tends()
         .reconstruct_robust(
-            &append_base,
+            &append_base.columns(),
             Recorder::disabled(),
             &RobustOptions {
                 checkpoint: Some(ck_append.clone()),
@@ -667,7 +671,7 @@ fn main() {
         std::fs::remove_file(&ck_append).ok();
         append_tends()
             .reconstruct_robust(
-                &append_combined,
+                &append_combined.columns(),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(ck_append.clone()),
@@ -676,44 +680,36 @@ fn main() {
             )
             .expect("full re-run")
     });
-    let warm_options = RobustOptions {
-        checkpoint: Some(ck_append.clone()),
-        resume: true,
-        revision: 1,
-        ..Default::default()
+    let warm_append = || {
+        std::fs::write(&ck_append, &warm_state).expect("restore base checkpoint");
+        append_tends()
+            .reconstruct_robust(
+                &append_combined.columns(),
+                Recorder::disabled(),
+                &RobustOptions {
+                    checkpoint: Some(ck_append.clone()),
+                    resume: true,
+                    revision: 1,
+                    appended: Some(&appended.columns()),
+                    ..Default::default()
+                },
+            )
+            .expect("incremental append run")
     };
     // The column transposes stay inside the timed region, as the file
     // load does in the daemon's warm path.
-    let incremental_s = median_secs(reps.min(3), || {
-        std::fs::write(&ck_append, &warm_state).expect("restore base checkpoint");
-        append_tends()
-            .reconstruct_robust_append(
-                &append_combined.columns(),
-                &appended.columns(),
-                Recorder::disabled(),
-                &warm_options,
-            )
-            .expect("incremental append run")
-    });
+    let incremental_s = median_secs(reps.min(3), &warm_append);
     // The exactness check: the warm result must equal the fresh combined
     // run bit for bit.
     let append_full = append_tends()
         .reconstruct_robust(
-            &append_combined,
+            &append_combined.columns(),
             Recorder::disabled(),
             &RobustOptions::default(),
         )
         .expect("fresh combined run")
         .result;
-    std::fs::write(&ck_append, &warm_state).expect("restore base checkpoint");
-    let append_warm = append_tends()
-        .reconstruct_robust_append(
-            &append_combined.columns(),
-            &appended.columns(),
-            Recorder::disabled(),
-            &warm_options,
-        )
-        .expect("incremental append run");
+    let append_warm = warm_append();
     assert_eq!(
         append_warm.result.graph, append_full.graph,
         "incremental append must reproduce the fresh combined run"
@@ -857,11 +853,17 @@ fn main() {
     // report shows where the wall-clock goes inside a single run.
     eprintln!("perf_report: instrumented phase breakdown (n={n_small})");
     let recorder = Recorder::new();
+    // The library starts from columns; the transpose is recorded here so
+    // the breakdown still covers the whole run from the row-major matrix.
+    let small_cols = {
+        let _p = recorder.phase("status_columns");
+        small.columns()
+    };
     let _ = Tends::with_config(TendsConfig {
         threads: 1,
         ..Default::default()
     })
-    .reconstruct_robust(&small, &recorder, &RobustOptions::default())
+    .reconstruct_robust(&small_cols, &recorder, &RobustOptions::default())
     .expect("default search fits")
     .result;
     let run_report = RunReport::new("tends", recorder.snapshot(), 1);

@@ -436,8 +436,7 @@ fn infer(args: &ParsedArgs) -> Result<CommandOutput, ArgError> {
                 resume: args.has_flag("resume"),
                 checkpoint_interval: args.get_or("checkpoint-interval", 8)?,
                 fault: &fault,
-                cancel: None,
-                revision: 0,
+                ..Default::default()
             };
             // mmap the statuses straight into the column bitsets: the
             // row-major matrix is never materialized.
@@ -474,7 +473,7 @@ fn infer(args: &ParsedArgs) -> Result<CommandOutput, ArgError> {
                 }
             }
             let partial = Tends::with_config(cfg)
-                .reconstruct_robust_from_columns(&cols, rec, &options)
+                .reconstruct_robust(&cols, rec, &options)
                 .map_err(|e| ArgError::new(e.to_string()))?;
             if streamed {
                 let evicted = rec
@@ -677,9 +676,9 @@ fn stats(args: &ParsedArgs) -> Result<String, ArgError> {
 }
 
 /// Phases a TENDS run report must contain — the `report-check` default.
-/// (`infer` loads the statuses straight into columns, so its reports have
-/// no separate `status_columns` phase; library runs from a row-major
-/// matrix still record one.)
+/// (`infer` loads the statuses straight into columns under
+/// `load_statuses`; the library itself never transposes, so a caller
+/// starting from a row-major matrix records its own phase for that.)
 const TENDS_PHASES: &[&str] = &[
     "load_statuses",
     "correlation_matrix",

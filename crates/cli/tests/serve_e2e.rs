@@ -553,19 +553,18 @@ fn dense_runs_past_the_node_limit_fail_with_a_typed_error() {
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("--memory-budget"), "stderr: {stderr}");
 
-    // Served: the job ends `failed` with the same message.
+    // Served: submit refuses the job with a 422 naming the remedy, and
+    // nothing is persisted or queued.
     let data_dir = tmp("limit_data");
     let _ = std::fs::remove_dir_all(&data_dir);
     let (proc, addr) = start_server(&data_dir, "limit", &[], None);
     let client = Client::new(addr);
     let body = std::fs::read(&statuses).expect("statuses");
-    let (code, _) = client.post_json("/v1/jobs", &body).expect("submit");
-    assert_eq!(code, 201);
-    let status = client
-        .wait_for_job(1, Duration::from_secs(60))
-        .expect("job settles");
-    assert_eq!(status.get("state").and_then(Json::as_str), Some("failed"));
-    let error = status.get("error").and_then(Json::as_str).unwrap_or("");
-    assert!(error.contains("--memory-budget"), "error: {error}");
+    let (code, reply) = client.post_json("/v1/jobs", &body).expect("submit");
+    assert_eq!(code, 422, "{}", reply.to_pretty());
+    let error = reply.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("memory_budget"), "error: {error}");
+    let (code, _) = client.get("/v1/jobs/1").expect("job status");
+    assert_eq!(code, 404, "a refused job is not persisted");
     shut_down(proc, addr);
 }

@@ -42,7 +42,7 @@
 //! bounded buffer, then the batch's rows — so the I/O of an append grows
 //! with the batch, not with the job. Every status file a run reads is
 //! loaded straight into column bitsets by
-//! [`load_status_columns`](diffnet_simulate::io::load_status_columns).
+//! [`load_status_columns`].
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
@@ -63,7 +63,7 @@ use diffnet_simulate::io::{
     copy_status_rows, load_status_columns, read_observations, read_status_columns,
     read_status_header, write_status_header,
 };
-use diffnet_tends::{plan_shards, NodeError, RobustOptions, Tends, TendsConfig};
+use diffnet_tends::{plan_shards, NodeError, RobustOptions, Tends, TendsConfig, MAX_DENSE_NODES};
 
 /// Algorithms a job may request. `tends` takes a status matrix body;
 /// the baselines take an observations body plus an edge budget.
@@ -585,6 +585,19 @@ impl JobManager {
             if cols.num_processes() == 0 || cols.num_nodes() == 0 {
                 return Err(JobError::new(422, "status matrix is empty"));
             }
+            // The dense pipeline's limit is known from the upload alone, so
+            // an over-limit job is refused here rather than queued to fail.
+            if !spec.is_streamed() && cols.num_nodes() > MAX_DENSE_NODES {
+                return Err(JobError::new(
+                    422,
+                    format!(
+                        "{} nodes exceed the dense pipeline's limit of {MAX_DENSE_NODES}; \
+                         set memory_budget (the memory-budget query parameter) to run \
+                         the streamed pipeline",
+                        cols.num_nodes()
+                    ),
+                ));
+            }
             (cols.num_processes(), cols.num_nodes())
         } else {
             let obs = read_observations(body)
@@ -949,16 +962,6 @@ impl JobManager {
         // which just joins its sampler thread.
         let profiler = ResourceProfiler::start(DEFAULT_SAMPLE_INTERVAL);
         let checkpoint = dir.join("checkpoint.json");
-        let options = RobustOptions {
-            checkpoint: Some(checkpoint.clone()),
-            resume: true,
-            checkpoint_interval: meta.spec.checkpoint_interval,
-            fault: self.fault.as_ref(),
-            cancel: Some(&self.shutdown),
-            // JobMeta revisions are 1-based (fresh submission = 1); the
-            // tends sufficient-statistics revision is 0-based.
-            revision: meta.revision.saturating_sub(1),
-        };
         // Mirror the CLI's `infer` path exactly — same loader, same
         // phases, same config defaults — so the report's deterministic
         // section is byte-identical to an offline `diffnet infer` run.
@@ -971,58 +974,68 @@ impl JobManager {
                 Err(e) => return Outcome::failed(format!("cannot load statuses: {e}")),
             }
         };
-        let run = if meta.spec.is_streamed() {
-            // Out-of-core: never materialize the dense correlation matrix.
-            let shard = match (meta.spec.shard_index, meta.spec.shard_count) {
-                (Some(i), Some(c)) => Some(plan_shards(cols.num_nodes(), c)[i]),
-                _ => None,
-            };
-            let cfg = TendsConfig {
-                threads: meta.spec.threads,
-                memory_budget: meta.spec.memory_budget,
-                shard,
-                ..TendsConfig::default()
-            };
-            Tends::with_config(cfg).reconstruct_robust_from_columns(&cols, rec, &options)
+        // A memory budget or shard switches to the out-of-core streamed
+        // pipeline, which never materializes the dense correlation matrix.
+        let shard = match (meta.spec.shard_index, meta.spec.shard_count) {
+            (Some(i), Some(c)) => Some(plan_shards(cols.num_nodes(), c)[i]),
+            _ => None,
+        };
+        let tends = Tends::with_config(TendsConfig {
+            threads: meta.spec.threads,
+            memory_budget: meta.spec.memory_budget,
+            shard,
+            ..TendsConfig::default()
+        });
+        // Warm path: fold only the appended rows into the checkpointed
+        // sufficient statistics, then search every node over the combined
+        // columns. Only dense jobs have appended rows: appends to streamed
+        // jobs are refused when they are posted.
+        let append_input = dir.join("append.txt");
+        let appended = if append_input.exists() && checkpoint.exists() {
+            match load_status_columns(&append_input) {
+                Ok(a) => Some(a),
+                Err(e) => return Outcome::failed(format!("cannot load appended rows: {e}")),
+            }
         } else {
-            let cfg = TendsConfig {
-                threads: meta.spec.threads,
-                ..TendsConfig::default()
-            };
-            let tends = Tends::with_config(cfg);
-            let append_input = dir.join("append.txt");
-            if append_input.exists() && checkpoint.exists() {
-                // Warm path: fold only the appended rows into the
-                // checkpointed sufficient statistics, then search every
-                // node over the combined columns. Byte-identical to a
-                // fresh run over the combined matrix, so a failure to
-                // warm-start (foreign, stale, or corrupt checkpoint) just
-                // drops the checkpoint and falls back to the full re-run.
-                match load_status_columns(&append_input) {
-                    Ok(appended) => {
-                        match tends.reconstruct_robust_append(&cols, &appended, rec, &options) {
-                            Ok(p) => {
-                                let _ = fs::remove_file(&append_input);
-                                Ok(p)
-                            }
-                            Err(e) => {
-                                self.rec.add("append_cold_fallbacks", 1);
-                                rec.add("append_cold_fallbacks", 1);
-                                eprintln!(
-                                    "job {}: warm append failed ({e}); re-running from scratch",
-                                    meta.id
-                                );
-                                let _ = fs::remove_file(&checkpoint);
-                                let _ = fs::remove_file(&append_input);
-                                tends.reconstruct_robust_from_columns(&cols, rec, &options)
-                            }
-                        }
-                    }
-                    Err(e) => return Outcome::failed(format!("cannot load appended rows: {e}")),
-                }
-            } else {
+            let _ = fs::remove_file(&append_input);
+            None
+        };
+        let options = RobustOptions {
+            checkpoint: Some(checkpoint.clone()),
+            resume: true,
+            checkpoint_interval: meta.spec.checkpoint_interval,
+            fault: self.fault.as_ref(),
+            cancel: Some(&self.shutdown),
+            // JobMeta revisions are 1-based (fresh submission = 1); the
+            // tends sufficient-statistics revision is 0-based.
+            revision: meta.revision.saturating_sub(1),
+            appended: appended.as_ref(),
+        };
+        let run = match tends.reconstruct_robust(&cols, rec, &options) {
+            // The warm result is byte-identical to a fresh run over the
+            // combined matrix, so a failure to warm-start (foreign, stale,
+            // or corrupt checkpoint) just drops the checkpoint and falls
+            // back to the full re-run.
+            Err(e) if appended.is_some() => {
+                self.rec.add("append_cold_fallbacks", 1);
+                rec.add("append_cold_fallbacks", 1);
+                eprintln!(
+                    "job {}: warm append failed ({e}); re-running from scratch",
+                    meta.id
+                );
+                let _ = fs::remove_file(&checkpoint);
                 let _ = fs::remove_file(&append_input);
-                tends.reconstruct_robust_from_columns(&cols, rec, &options)
+                let cold = RobustOptions {
+                    appended: None,
+                    ..options
+                };
+                tends.reconstruct_robust(&cols, rec, &cold)
+            }
+            run => {
+                if run.is_ok() {
+                    let _ = fs::remove_file(&append_input);
+                }
+                run
             }
         };
         let partial = match run {

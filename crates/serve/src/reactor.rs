@@ -4,7 +4,7 @@
 //! and all client connections are registered level-triggered on one
 //! epoll instance; readiness drives the incremental parser
 //! ([`crate::http::parse_buffered`]) and the write-buffer flusher, so a
-//! slow or hostile client costs one bounded [`Conn`] instead of a
+//! slow or hostile client costs one bounded `Conn` instead of a
 //! blocked thread. FFI is confined to this module (`epoll_create1` /
 //! `epoll_ctl` / `epoll_wait` / `eventfd` / `read` / `write` / `close`),
 //! mirroring the `mmap(2)`/`signal(2)` precedents elsewhere in the

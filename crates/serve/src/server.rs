@@ -3,9 +3,9 @@
 //! All socket work happens on the single [`crate::reactor`] thread
 //! (nonblocking accept, readiness-driven parsing, keep-alive and
 //! pipelining, bounded buffers, timeouts); this module owns everything
-//! above it: the [`ServeConfig`], the process-wide [`Shared`] state, the
-//! [`route`] table mapping parsed requests onto the [`JobManager`] API,
-//! and the [`route_is_heavy`] split deciding which routes run inline on
+//! above it: the [`ServeConfig`], the process-wide `Shared` state, the
+//! `route` table mapping parsed requests onto the [`JobManager`] API,
+//! and the `route_is_heavy` split deciding which routes run inline on
 //! the loop versus on the request-worker pool.
 //!
 //! Shutdown is cooperative and has three triggers that all set the same

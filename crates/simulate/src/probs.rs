@@ -92,7 +92,7 @@ impl EdgeProbs {
 
     /// [`from_vec`](Self::from_vec) with the shape mismatch as a typed
     /// error instead of a panic. Values are still asserted into `[0, 1]`
-    /// by [`from_vec`]; this method only validates the shape, for callers
+    /// by [`from_vec`](Self::from_vec); this method only validates the shape, for callers
     /// whose values are already probabilities.
     pub fn try_from_vec(g: &DiGraph, probs: Vec<f64>) -> Result<Self, ProbShapeError> {
         if probs.len() != g.edge_count() {

@@ -106,7 +106,8 @@ pub struct TendsConfig {
     /// `node_results` are indexed by `node − shard.start`; the graph
     /// keeps global node ids. Incompatible with
     /// [`DirectionPolicy::MutualOnly`], which needs every node's parent
-    /// set (callers must reject that combination; the library asserts).
+    /// set: [`Tends::reconstruct_robust`] refuses that combination, and a
+    /// shard past the last node, with a typed [`CheckpointError::Format`].
     pub shard: Option<Shard>,
 }
 
@@ -199,8 +200,9 @@ impl PartialReconstruction {
     }
 }
 
-/// Robustness options for [`Tends::reconstruct_robust`]: checkpointing,
-/// resume, and fault injection. [`Default`] disables all three.
+/// Options for [`Tends::reconstruct_robust`]: checkpointing, resume, fault
+/// injection, cancellation, and cascade appends. [`Default`] is a plain
+/// fresh run with none of them.
 #[derive(Debug)]
 pub struct RobustOptions<'a> {
     /// Checkpoint file to write progress to; `None` disables
@@ -228,6 +230,14 @@ pub struct RobustOptions<'a> {
     /// pre-append checkpoint fails with a typed mismatch instead of
     /// silently splicing parents estimated from fewer cascades.
     pub revision: u64,
+    /// The processes of a cascade append, as a column view: `Some` turns
+    /// the run into an incremental re-estimation that folds these columns
+    /// into the checkpointed sufficient statistics instead of recomputing
+    /// the correlation matrix (see [`Tends::reconstruct_robust`]). The
+    /// run's own columns must then be the combined matrix, `checkpoint`
+    /// must name the base run's checkpoint, and `revision` must be the
+    /// bumped revision. `None` (default) is an ordinary run.
+    pub appended: Option<&'a NodeColumns>,
 }
 
 impl Default for RobustOptions<'_> {
@@ -239,6 +249,7 @@ impl Default for RobustOptions<'_> {
             fault: FaultPlan::none(),
             cancel: None,
             revision: 0,
+            appended: None,
         }
     }
 }
@@ -303,7 +314,8 @@ impl Tends {
     }
 
     /// Reconstructs the diffusion network topology from final infection
-    /// statuses (Algorithm 1).
+    /// statuses (Algorithm 1): [`reconstruct_robust`](Self::reconstruct_robust)
+    /// over the matrix's columns, with no recorder and default options.
     ///
     /// # Errors
     ///
@@ -314,12 +326,17 @@ impl Tends {
     ///
     /// # Panics
     ///
-    /// Panics if the dense pipeline is configured (no memory budget or
-    /// shard) and `statuses` has more than [`crate::MAX_DENSE_NODES`]
-    /// nodes.
+    /// Panics on the errors `reconstruct_robust` returns without a
+    /// checkpoint: a dense pipeline (no memory budget or shard) over more
+    /// than [`crate::MAX_DENSE_NODES`] nodes, or a shard config that does
+    /// not fit the matrix.
     pub fn reconstruct(&self, statuses: &StatusMatrix) -> Result<TendsResult, SearchError> {
         let partial = self
-            .reconstruct_robust(statuses, Recorder::disabled(), &RobustOptions::default())
+            .reconstruct_robust(
+                &statuses.columns(),
+                Recorder::disabled(),
+                &RobustOptions::default(),
+            )
             .unwrap_or_else(|e| panic!("{e}"));
         match partial.errors.into_iter().next() {
             None => Ok(partial.result),
@@ -328,8 +345,17 @@ impl Tends {
         }
     }
 
-    /// [`reconstruct`](Self::reconstruct) with instrumentation and the
-    /// full robustness layer.
+    /// Algorithm 1 over the column bitset view of the statuses, with
+    /// instrumentation and the full robustness layer. `cols` comes from
+    /// [`StatusMatrix::columns`] or straight off disk
+    /// (`diffnet_simulate::io::load_status_columns`); the row-major matrix
+    /// is never needed.
+    ///
+    /// Dispatches on the config: with
+    /// [`memory_budget`](TendsConfig::memory_budget) or
+    /// [`shard`](TendsConfig::shard) set, candidates come from the
+    /// streamed sparse-candidate pipeline (phases `tau_sample`,
+    /// `streamed_fold`); otherwise from the dense correlation matrix.
     ///
     /// Each pipeline phase is timed on `rec`, and the load-bearing
     /// internals (pairs above `τ`, candidate-set sizes, Theorem-2
@@ -352,42 +378,21 @@ impl Tends {
     /// thread count produces the same graph and the same deterministic
     /// report sections as an uninterrupted run.
     ///
-    /// # Errors
+    /// # Cascade appends
     ///
-    /// Only checkpoint problems are fatal: an unreadable, corrupt, or
-    /// mismatched (different inputs/config) checkpoint file, or a failed
-    /// checkpoint write — and, before any pair state is allocated,
-    /// [`CheckpointError::DenseLimit`] for a dense run over more than
-    /// [`crate::MAX_DENSE_NODES`] nodes.
-    pub fn reconstruct_robust(
-        &self,
-        statuses: &StatusMatrix,
-        rec: &Recorder,
-        options: &RobustOptions<'_>,
-    ) -> Result<PartialReconstruction, CheckpointError> {
-        let cols = {
-            let _p = rec.phase("status_columns");
-            statuses.columns()
-        };
-        self.reconstruct_robust_from_columns(&cols, rec, options)
-    }
-
-    /// Incremental re-estimation after a cascade append: folds the
-    /// appended processes into the checkpointed sufficient statistics —
-    /// work proportional to the new columns only — which yields the exact
-    /// combined correlation matrix, τ and candidate lists, then runs the
-    /// ordinary parent search for every node over the combined columns.
-    /// Each node's search depends only on the columns and its candidate
-    /// list, so edges, scores, τ and every search counter equal those of
-    /// [`reconstruct_robust`](Self::reconstruct_robust) over the combined
+    /// With [`RobustOptions::appended`] set, the run is an incremental
+    /// re-estimation: it folds the appended processes into the
+    /// checkpointed sufficient statistics — work proportional to the new
+    /// columns only — which yields the exact combined correlation matrix,
+    /// τ and candidate lists, then runs the ordinary parent search for
+    /// every node over the combined columns. Each node's search depends
+    /// only on the columns and its candidate list, so edges, scores, τ and
+    /// every search counter equal those of a fresh run over the combined
     /// matrix at every thread count and SIMD tier, by construction.
     ///
-    /// Both inputs are column views, as
-    /// `diffnet_simulate::io::load_status_columns` or
-    /// [`StatusMatrix::columns`] produce them. `combined` must contain
-    /// exactly the base run's processes plus the `appended` processes (row
-    /// order is irrelevant: every statistic is a function of the row
-    /// multiset). `options.revision` must be the
+    /// `cols` must then contain exactly the base run's processes plus the
+    /// appended ones (row order is irrelevant: every statistic is a
+    /// function of the row multiset). `options.revision` must be the
     /// *bumped* revision (checkpoint revision + 1) and `options.checkpoint`
     /// must name the base run's checkpoint. The post-append checkpoint
     /// replaces it through the same delta log every run writes: first the
@@ -401,15 +406,56 @@ impl Tends {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Format`] when the config is streamed
-    /// ([`memory_budget`](TendsConfig::memory_budget) or
-    /// [`shard`](TendsConfig::shard) set), or the checkpoint is missing,
-    /// carries no sufficient statistics (streamed checkpoints), disagrees
-    /// with the matrix shapes, or its revision cannot warm-start
-    /// `options.revision`; [`CheckpointError::Mismatch`] when the
-    /// persisted fingerprint is not reproducible from the checkpoint's own
-    /// statistics under the current config (a stale or foreign file).
-    pub fn reconstruct_robust_append(
+    /// Only checkpoint and config problems are fatal, and every config
+    /// problem is reported before any pair state is allocated:
+    /// - [`CheckpointError::DenseLimit`] for a dense run over more than
+    ///   [`crate::MAX_DENSE_NODES`] nodes;
+    /// - [`CheckpointError::Format`] for a shard that does not fit the
+    ///   `n` nodes, or [`DirectionPolicy::MutualOnly`] with a partial
+    ///   shard (it needs every node's parent set);
+    /// - for an append, [`CheckpointError::Format`] when the config is
+    ///   streamed, or the checkpoint is missing, carries no sufficient
+    ///   statistics (streamed checkpoints), disagrees with the matrix
+    ///   shapes, or its revision cannot warm-start `options.revision`;
+    /// - an unreadable, corrupt, or mismatched (different inputs/config)
+    ///   checkpoint file, or a failed checkpoint write.
+    pub fn reconstruct_robust(
+        &self,
+        cols: &NodeColumns,
+        rec: &Recorder,
+        options: &RobustOptions<'_>,
+    ) -> Result<PartialReconstruction, CheckpointError> {
+        if let Some(appended) = options.appended {
+            return self.append(cols, appended, rec, options);
+        }
+        let n = cols.num_nodes();
+        let source = if self.config.memory_budget.is_some() || self.config.shard.is_some() {
+            let shard = self.config.shard.unwrap_or_else(|| Shard::full(n));
+            if shard.start > shard.end || shard.end as usize > n {
+                return Err(CheckpointError::Format(format!(
+                    "shard {}..{} out of range for n = {n}",
+                    shard.start, shard.end,
+                )));
+            }
+            // MutualOnly needs the parent set of every node in the graph;
+            // a shard only computes its own range.
+            if self.config.direction == DirectionPolicy::MutualOnly && shard.len() != n {
+                return Err(CheckpointError::Format(
+                    "MutualOnly direction requires an unsharded run".into(),
+                ));
+            }
+            CandidateSource::Sampled { shard }
+        } else {
+            CandidateSource::Columns {
+                capture_stats: options.checkpoint.is_some(),
+            }
+        };
+        self.run(cols, source, rec, options)
+    }
+
+    /// The append half of [`reconstruct_robust`](Self::reconstruct_robust):
+    /// `combined` holds every process, `appended` the new ones.
+    fn append(
         &self,
         combined: &NodeColumns,
         appended: &NodeColumns,
@@ -439,9 +485,10 @@ impl Tends {
             let opts = RobustOptions {
                 checkpoint: Some(path),
                 resume: true,
+                appended: None,
                 ..*options
             };
-            return self.reconstruct_robust_from_columns(combined, rec, &opts);
+            return self.reconstruct_robust(combined, rec, &opts);
         }
         if ck.revision + 1 != options.revision {
             return Err(CheckpointError::Format(format!(
@@ -486,48 +533,6 @@ impl Tends {
             ..*options
         };
         self.run(combined, source, rec, &opts)
-    }
-
-    /// [`reconstruct_robust`](Self::reconstruct_robust) starting from the
-    /// column bitset view — the entry point for out-of-core callers that
-    /// streamed the columns straight off disk
-    /// (`diffnet_simulate::io::load_status_columns`) and never held the
-    /// row-major matrix.
-    ///
-    /// Dispatches on the config: with
-    /// [`memory_budget`](TendsConfig::memory_budget) or
-    /// [`shard`](TendsConfig::shard) set, candidates come from the
-    /// streamed sparse-candidate pipeline (phases `tau_sample`,
-    /// `streamed_fold`); otherwise from the dense correlation matrix.
-    pub fn reconstruct_robust_from_columns(
-        &self,
-        cols: &NodeColumns,
-        rec: &Recorder,
-        options: &RobustOptions<'_>,
-    ) -> Result<PartialReconstruction, CheckpointError> {
-        let n = cols.num_nodes();
-        let source = if self.config.memory_budget.is_some() || self.config.shard.is_some() {
-            let shard = self.config.shard.unwrap_or_else(|| Shard::full(n));
-            assert!(
-                shard.start <= shard.end && shard.end as usize <= n,
-                "shard {}..{} out of range for n = {n}",
-                shard.start,
-                shard.end,
-            );
-            // MutualOnly needs the parent set of every node in the graph;
-            // a shard only computes its own range. Callers (CLI, daemon)
-            // reject the combination with a typed error before getting here.
-            assert!(
-                self.config.direction != DirectionPolicy::MutualOnly || shard.len() == n,
-                "MutualOnly direction requires an unsharded run",
-            );
-            CandidateSource::Sampled { shard }
-        } else {
-            CandidateSource::Columns {
-                capture_stats: options.checkpoint.is_some(),
-            }
-        };
-        self.run(cols, source, rec, options)
     }
 
     /// Algorithm 1 over `cols`: the candidate step (lines 2–5 and 10–12),
@@ -1300,6 +1305,10 @@ mod tests {
             .statuses
     }
 
+    fn cols(m: &StatusMatrix) -> NodeColumns {
+        m.columns()
+    }
+
     fn f_score(truth: &DiGraph, inferred: &DiGraph) -> f64 {
         let tp = inferred
             .edges()
@@ -1497,7 +1506,7 @@ mod tests {
         let plain = Tends::new().reconstruct(&statuses).expect("search fits");
         let rec = Recorder::new();
         let observed = Tends::new()
-            .reconstruct_robust(&statuses, &rec, &RobustOptions::default())
+            .reconstruct_robust(&cols(&statuses), &rec, &RobustOptions::default())
             .expect("search fits")
             .result;
         assert_eq!(plain.graph, observed.graph);
@@ -1509,7 +1518,6 @@ mod tests {
         let snap = rec.snapshot();
         let names: Vec<_> = snap.phases.iter().map(|(n, _)| *n).collect();
         for phase in [
-            "status_columns",
             "correlation_matrix",
             "threshold",
             "candidate_pruning",
@@ -1600,7 +1608,7 @@ mod tests {
             });
             let rec = Recorder::new();
             let full = tends
-                .reconstruct_robust(&statuses, &rec, &RobustOptions::default())
+                .reconstruct_robust(&cols(&statuses), &rec, &RobustOptions::default())
                 .expect("search fits")
                 .result;
             let full_report = diffnet_observe::RunReport::new("tends", rec.snapshot(), threads);
@@ -1616,7 +1624,7 @@ mod tests {
             };
             let rec2 = Recorder::new();
             tends
-                .reconstruct_robust(&statuses, &rec2, &opts)
+                .reconstruct_robust(&cols(&statuses), &rec2, &opts)
                 .expect("checkpointed run");
             let mut ck = Checkpoint::load(&path).expect("load checkpoint");
             assert_eq!(ck.entries.len(), 10, "final flush persists all nodes");
@@ -1633,7 +1641,7 @@ mod tests {
                 let rec3 = Recorder::new();
                 let resumed = tends
                     .reconstruct_robust(
-                        &statuses,
+                        &cols(&statuses),
                         &rec3,
                         &RobustOptions {
                             checkpoint: Some(path.clone()),
@@ -1712,7 +1720,7 @@ mod tests {
                 ..Default::default()
             };
             let fresh = tends
-                .reconstruct_robust(&combined, &fresh_rec, &fresh_opts)
+                .reconstruct_robust(&cols(&combined), &fresh_rec, &fresh_opts)
                 .expect("search fits")
                 .result;
             std::fs::remove_file(&fresh_path).ok();
@@ -1724,18 +1732,18 @@ mod tests {
                 ..Default::default()
             };
             tends
-                .reconstruct_robust(&base, Recorder::disabled(), &base_opts)
+                .reconstruct_robust(&cols(&base), Recorder::disabled(), &base_opts)
                 .expect("base run");
 
             let rec = Recorder::new();
             let warm = tends
-                .reconstruct_robust_append(
-                    &combined.columns(),
-                    &appended.columns(),
+                .reconstruct_robust(
+                    &cols(&combined),
                     &rec,
                     &RobustOptions {
                         checkpoint: Some(path.clone()),
                         revision: 1,
+                        appended: Some(&cols(&appended)),
                         ..Default::default()
                     },
                 )
@@ -1807,7 +1815,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         tends
             .reconstruct_robust(
-                &base0,
+                &cols(&base0),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(path.clone()),
@@ -1817,20 +1825,20 @@ mod tests {
             .expect("base run");
         for (revision, combined_so_far, appended) in [(1, &base01, &app1), (2, &combined, &app2)] {
             let warm = tends
-                .reconstruct_robust_append(
-                    &combined_so_far.columns(),
-                    &appended.columns(),
+                .reconstruct_robust(
+                    &cols(combined_so_far),
                     Recorder::disabled(),
                     &RobustOptions {
                         checkpoint: Some(path.clone()),
                         revision,
+                        appended: Some(&cols(appended)),
                         ..Default::default()
                     },
                 )
                 .expect("incremental append");
             let fresh = tends
                 .reconstruct_robust(
-                    combined_so_far,
+                    &cols(combined_so_far),
                     Recorder::disabled(),
                     &RobustOptions::default(),
                 )
@@ -1877,7 +1885,7 @@ mod tests {
                     ..Default::default()
                 };
                 tends
-                    .reconstruct_robust(statuses, Recorder::disabled(), &opts)
+                    .reconstruct_robust(&cols(statuses), Recorder::disabled(), &opts)
                     .expect("checkpointed run")
             };
             let fresh = checkpointed(&combined).result;
@@ -1896,15 +1904,15 @@ mod tests {
             ];
             for (what, fault, cancel) in interruptions {
                 std::fs::write(&path, &base_ck).expect("restore base checkpoint");
-                let interrupted = tends.reconstruct_robust_append(
+                let interrupted = tends.reconstruct_robust(
                     &combined_cols,
-                    &appended_cols,
                     Recorder::disabled(),
                     &RobustOptions {
                         checkpoint: Some(path.clone()),
                         revision: 1,
                         fault,
                         cancel,
+                        appended: Some(&appended_cols),
                         ..Default::default()
                     },
                 );
@@ -1923,13 +1931,13 @@ mod tests {
                 );
 
                 let retried = tends
-                    .reconstruct_robust_append(
+                    .reconstruct_robust(
                         &combined_cols,
-                        &appended_cols,
                         Recorder::disabled(),
                         &RobustOptions {
                             checkpoint: Some(path.clone()),
                             revision: 1,
+                            appended: Some(&appended_cols),
                             ..Default::default()
                         },
                     )
@@ -1968,13 +1976,13 @@ mod tests {
         ];
         for cfg in streamed {
             let err = Tends::with_config(cfg)
-                .reconstruct_robust_append(
-                    &combined.columns(),
-                    &appended.columns(),
+                .reconstruct_robust(
+                    &cols(&combined),
                     Recorder::disabled(),
                     &RobustOptions {
                         checkpoint: Some(temp_checkpoint("streamed_append.json")),
                         revision: 1,
+                        appended: Some(&cols(&appended)),
                         ..Default::default()
                     },
                 )
@@ -1999,7 +2007,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         tends
             .reconstruct_robust(
-                &base,
+                &cols(&base),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(path.clone()),
@@ -2010,7 +2018,7 @@ mod tests {
 
         let err = tends
             .reconstruct_robust(
-                &combined,
+                &cols(&combined),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(path.clone()),
@@ -2038,7 +2046,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         tends
             .reconstruct_robust(
-                &base,
+                &cols(&base),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(path.clone()),
@@ -2052,17 +2060,13 @@ mod tests {
         let append_opts = |revision| RobustOptions {
             checkpoint: Some(path.clone()),
             revision,
+            appended: Some(&appended_cols),
             ..Default::default()
         };
         let append_err = |bytes: &[u8], what: &str| {
             std::fs::write(&path, bytes).expect("write tampered");
             tends
-                .reconstruct_robust_append(
-                    &combined_cols,
-                    &appended_cols,
-                    Recorder::disabled(),
-                    &append_opts(1),
-                )
+                .reconstruct_robust(&combined_cols, Recorder::disabled(), &append_opts(1))
                 .expect_err(what)
         };
 
@@ -2114,12 +2118,7 @@ mod tests {
         stripped.stats = None;
         stripped.save(&path).expect("save stripped");
         let err = tends
-            .reconstruct_robust_append(
-                &combined_cols,
-                &appended_cols,
-                Recorder::disabled(),
-                &append_opts(1),
-            )
+            .reconstruct_robust(&combined_cols, Recorder::disabled(), &append_opts(1))
             .expect_err("stats-free checkpoint must be rejected");
         assert!(
             matches!(&err, CheckpointError::Format(m) if m.contains("sufficient statistics")),
@@ -2139,7 +2138,7 @@ mod tests {
             .io_error_at("node_search", 5, 1);
         let partial = Tends::new()
             .reconstruct_robust(
-                &statuses,
+                &cols(&statuses),
                 Recorder::disabled(),
                 &RobustOptions {
                     fault: &fault,
@@ -2178,7 +2177,7 @@ mod tests {
         let cancel = AtomicBool::new(true);
         let cancelled = Tends::new()
             .reconstruct_robust(
-                &statuses,
+                &cols(&statuses),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(path.clone()),
@@ -2196,7 +2195,7 @@ mod tests {
         cancel.store(false, Ordering::Relaxed);
         let resumed = Tends::new()
             .reconstruct_robust(
-                &statuses,
+                &cols(&statuses),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(path.clone()),
@@ -2222,7 +2221,7 @@ mod tests {
             ..Default::default()
         };
         Tends::new()
-            .reconstruct_robust(&statuses, Recorder::disabled(), &opts)
+            .reconstruct_robust(&cols(&statuses), Recorder::disabled(), &opts)
             .expect("first run");
 
         // Same file, different threshold → different τ → different searches.
@@ -2232,7 +2231,7 @@ mod tests {
         });
         let err = other
             .reconstruct_robust(
-                &statuses,
+                &cols(&statuses),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(path.clone()),
@@ -2253,7 +2252,7 @@ mod tests {
         std::fs::write(&path, "{\"format\": \"diffnet-checkpoint\", \"ver").expect("write");
         let err = Tends::new()
             .reconstruct_robust(
-                &statuses,
+                &cols(&statuses),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(path.clone()),
@@ -2281,7 +2280,7 @@ mod tests {
             ..Default::default()
         };
         Tends::new()
-            .reconstruct_robust(&statuses, Recorder::disabled(), &opts)
+            .reconstruct_robust(&cols(&statuses), Recorder::disabled(), &opts)
             .expect("base run");
         let pristine = Checkpoint::load(&path).expect("base checkpoint");
         let cands = pristine.entries[&0].candidates.clone();
@@ -2302,7 +2301,7 @@ mod tests {
             }
             ck.save(&path).expect("save edited");
             let err = Tends::new()
-                .reconstruct_robust(&statuses, Recorder::disabled(), &opts)
+                .reconstruct_robust(&cols(&statuses), Recorder::disabled(), &opts)
                 .expect_err(what);
             assert!(
                 matches!(&err, CheckpointError::Format(m) if m.starts_with("node 0:")),
@@ -2332,7 +2331,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let base_run = tends
             .reconstruct_robust(
-                &base,
+                &cols(&base),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(path.clone()),
@@ -2355,7 +2354,7 @@ mod tests {
 
         let resumed = tends
             .reconstruct_robust(
-                &base,
+                &cols(&base),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(path.clone()),
@@ -2369,13 +2368,13 @@ mod tests {
 
         std::fs::write(&path, &legacy).expect("write legacy checkpoint");
         let warm = tends
-            .reconstruct_robust_append(
-                &combined.columns(),
-                &appended.columns(),
+            .reconstruct_robust(
+                &cols(&combined),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(path.clone()),
                     revision: 1,
+                    appended: Some(&cols(&appended)),
                     ..Default::default()
                 },
             )
@@ -2410,7 +2409,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let base_run = tends
             .reconstruct_robust(
-                &base,
+                &cols(&base),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(path.clone()),
@@ -2427,7 +2426,7 @@ mod tests {
 
         let resumed = tends
             .reconstruct_robust(
-                &base,
+                &cols(&base),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(path.clone()),
@@ -2447,13 +2446,13 @@ mod tests {
 
         std::fs::write(&path, &v3).expect("write v3 checkpoint");
         let warm = tends
-            .reconstruct_robust_append(
-                &combined.columns(),
-                &appended.columns(),
+            .reconstruct_robust(
+                &cols(&combined),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(path.clone()),
                     revision: 1,
+                    appended: Some(&cols(&appended)),
                     ..Default::default()
                 },
             )
@@ -2479,7 +2478,7 @@ mod tests {
         let fault = FaultPlan::new().io_error("checkpoint_flush", 1);
         let err = Tends::new()
             .reconstruct_robust(
-                &statuses,
+                &cols(&statuses),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(path.clone()),
@@ -2501,7 +2500,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let partial = Tends::new()
             .reconstruct_robust(
-                &statuses,
+                &cols(&statuses),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(path.clone()),
@@ -2658,7 +2657,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let first = Tends::with_config(cfg)
             .reconstruct_robust(
-                &statuses,
+                &cols(&statuses),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(path.clone()),
@@ -2673,7 +2672,7 @@ mod tests {
         // same edges bit-for-bit.
         let resumed = Tends::with_config(cfg)
             .reconstruct_robust(
-                &statuses,
+                &cols(&statuses),
                 Recorder::disabled(),
                 &RobustOptions {
                     checkpoint: Some(path.clone()),
@@ -2691,7 +2690,7 @@ mod tests {
             ..cfg
         })
         .reconstruct_robust(
-            &statuses,
+            &cols(&statuses),
             Recorder::disabled(),
             &RobustOptions {
                 checkpoint: Some(path.clone()),
@@ -2713,19 +2712,13 @@ mod tests {
             memory_budget: Some(8 << 20),
             ..Default::default()
         })
-        .reconstruct_robust(&statuses, &rec, &RobustOptions::default())
+        .reconstruct_robust(&cols(&statuses), &rec, &RobustOptions::default())
         .expect("streamed run");
         let snapshot = rec.snapshot();
         let phases: Vec<&str> = snapshot.phases.iter().map(|(n, _)| *n).collect();
         assert_eq!(
             phases,
-            vec![
-                "status_columns",
-                "tau_sample",
-                "streamed_fold",
-                "parent_search",
-                "direction"
-            ]
+            vec!["tau_sample", "streamed_fold", "parent_search", "direction"]
         );
         assert!(snapshot.counters.contains_key("pairs_above_tau"));
         assert!(snapshot.counters.contains_key("candidate_evictions"));
@@ -2757,7 +2750,7 @@ mod tests {
             ..Default::default()
         };
         Tends::with_config(cfg)
-            .reconstruct_robust(&statuses, &rec, &RobustOptions::default())
+            .reconstruct_robust(&cols(&statuses), &rec, &RobustOptions::default())
             .expect("streamed run");
         let snapshot = rec.snapshot();
         assert!(
@@ -2766,6 +2759,72 @@ mod tests {
         );
         // The dense path with the same bound keeps the same candidates.
         assert_streamed_matches_dense(&statuses, cfg);
+    }
+
+    #[test]
+    fn bad_shard_configs_are_typed_errors() {
+        let truth = DiGraph::from_edges(6, &[(0, 1), (1, 0)]);
+        let statuses = observe(&truth, 0.5, 0.2, 100, 126);
+        let (combined, appended) = (cols(&statuses), cols(&split_statuses(&statuses, 80).1));
+        let refused = |cfg: TendsConfig, options: &RobustOptions<'_>| {
+            Tends::with_config(cfg)
+                .reconstruct_robust(&combined, Recorder::disabled(), options)
+                .expect_err("config must be refused")
+        };
+        let format_naming = |err: CheckpointError, what: &str| {
+            assert!(
+                matches!(&err, CheckpointError::Format(m) if m.contains(what)),
+                "expected a Format error naming {what:?}, got {err:?}"
+            );
+        };
+
+        let past_n = TendsConfig {
+            shard: Some(Shard { start: 2, end: 7 }),
+            ..Default::default()
+        };
+        format_naming(
+            refused(past_n, &RobustOptions::default()),
+            "shard 2..7 out of range for n = 6",
+        );
+        let mutual_partial = TendsConfig {
+            direction: DirectionPolicy::MutualOnly,
+            shard: Some(Shard { start: 0, end: 3 }),
+            ..Default::default()
+        };
+        format_naming(
+            refused(mutual_partial, &RobustOptions::default()),
+            "MutualOnly direction requires an unsharded run",
+        );
+
+        // An append keeps its own refusals: streamed configs cannot
+        // warm-start, and an append without a checkpoint has nothing to
+        // fold into.
+        let path = temp_checkpoint("bad_config_append.json");
+        std::fs::remove_file(&path).ok();
+        let streamed = TendsConfig {
+            memory_budget: Some(8 << 20),
+            ..Default::default()
+        };
+        let streamed_append = RobustOptions {
+            checkpoint: Some(path.clone()),
+            revision: 1,
+            appended: Some(&appended),
+            ..Default::default()
+        };
+        format_naming(
+            refused(streamed, &streamed_append),
+            "memory_budget and shard",
+        );
+        let no_checkpoint = RobustOptions {
+            revision: 1,
+            appended: Some(&appended),
+            ..Default::default()
+        };
+        format_naming(
+            refused(TendsConfig::default(), &no_checkpoint),
+            "requires a checkpoint file",
+        );
+        assert!(!path.exists(), "a refused append writes no checkpoint");
     }
 
     #[test]

@@ -182,7 +182,7 @@ pub(crate) struct Margin {
 /// Built once per pass from `β`, the per-node ones counts and the measure,
 /// it precomputes for every count `k ≤ β` the two factors of a cell that
 /// depend on its joint count alone, `k·(1/β)` and `log₂ k + log₂ β`, and
-/// each node's [`Margin`]. A pair's four cells are then table loads and
+/// each node's `Margin`. A pair's four cells are then table loads and
 /// the definition's remaining operations in its order,
 /// `(n_ab·(1/β)) · (((log₂ n_ab + log₂ β) − log₂ n_a) − log₂ n_b)`, with
 /// the `0 log 0 = 0` convention a select on `n_ab = 0` instead of a branch

@@ -9,7 +9,7 @@
 //! instead, workers repeatedly claim small chunks from a shared atomic
 //! counter ([`WorkQueue`]) until the range is drained.
 //!
-//! Determinism: [`run_indexed`] requires the work function to be a pure
+//! Determinism: [`run_indexed_stats`] requires the work function to be a pure
 //! function of its index (plus shared read-only captures). Each claimed
 //! chunk's results are kept together and the chunks are concatenated in
 //! index order, so the output is identical regardless of thread count or
@@ -77,30 +77,13 @@ pub struct PoolStats<S> {
 
 /// Computes `work(state, i)` for every `i` in `0..total` on `threads`
 /// workers with work-stealing chunk claiming, returning the results in
-/// index order.
+/// index order with the pool's [`PoolStats`]: per-worker chunk-claim
+/// counts and the workers' final states, so callers can report pool
+/// utilization and harvest counters accumulated in the scratch state.
 ///
 /// Each worker owns one `state` built by `init` (scratch space such as a
 /// counting workspace); `work` must be deterministic given its index, which
 /// makes the output independent of the thread count.
-pub fn run_indexed<T, S, I, W>(
-    total: usize,
-    chunk: usize,
-    threads: usize,
-    init: I,
-    work: W,
-) -> Vec<T>
-where
-    T: Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    W: Fn(&mut S, usize) -> T + Sync,
-{
-    run_indexed_stats(total, chunk, threads, init, work).0
-}
-
-/// [`run_indexed`] that additionally returns [`PoolStats`]: per-worker
-/// chunk-claim counts and the workers' final states, so callers can report
-/// pool utilization and harvest counters accumulated in the scratch state.
 pub fn run_indexed_stats<T, S, I, W>(
     total: usize,
     chunk: usize,
@@ -243,26 +226,10 @@ pub fn cost_chunks(costs: &[u64], target_chunks: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// [`run_indexed`]'s cost-aware sibling: computes `work(state, i)` for every
-/// `i` in `0..costs.len()`, scheduling cost-balanced chunks (see
-/// [`cost_chunks`]) instead of fixed-size ones.
-pub fn run_weighted<T, S, I, W>(
-    costs: &[u64],
-    chunks_per_thread: usize,
-    threads: usize,
-    init: I,
-    work: W,
-) -> Vec<T>
-where
-    T: Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    W: Fn(&mut S, usize) -> T + Sync,
-{
-    run_weighted_stats(costs, chunks_per_thread, threads, init, work).0
-}
-
-/// [`run_weighted`] that additionally returns [`PoolStats`].
+/// [`run_indexed_stats`]'s cost-aware sibling: computes `work(state, i)`
+/// for every `i` in `0..costs.len()`, scheduling cost-balanced chunks
+/// instead of fixed-size ones, and returns the results with the pool's
+/// [`PoolStats`].
 ///
 /// Chunk boundaries are `cost_chunks(costs, threads × chunks_per_thread)`;
 /// several chunks per thread keep the work-stealing slack that absorbs cost
@@ -363,20 +330,21 @@ mod tests {
         let expect: Vec<u64> = (0..500u64).map(|i| i * i).collect();
         for threads in [1, 2, 4, 0] {
             let inits = AtomicUsize::new(0);
-            let got = run_indexed(
+            let got = run_indexed_stats(
                 500,
                 3,
                 threads,
                 || inits.fetch_add(1, Ordering::Relaxed),
                 |_, i| (i as u64) * (i as u64),
-            );
+            )
+            .0;
             assert_eq!(got, expect, "threads {threads}");
         }
     }
 
     #[test]
     fn run_indexed_empty_range() {
-        let got: Vec<u8> = run_indexed(0, 8, 4, || (), |_, _| unreachable!());
+        let got: Vec<u8> = run_indexed_stats(0, 8, 4, || (), |_, _| unreachable!()).0;
         assert!(got.is_empty());
     }
 
@@ -449,7 +417,7 @@ mod tests {
         let costs: Vec<u64> = (0..200u64).map(|i| i * i).collect();
         let expect: Vec<u64> = (0..200u64).map(|i| i + 7).collect();
         for threads in [1usize, 2, 4, 0] {
-            let got = run_weighted(&costs, 4, threads, || (), |_, i| i as u64 + 7);
+            let got = run_weighted_stats(&costs, 4, threads, || (), |_, i| i as u64 + 7).0;
             assert_eq!(got, expect, "threads {threads}");
         }
     }
@@ -479,14 +447,14 @@ mod tests {
 
     #[test]
     fn run_weighted_empty_range() {
-        let got: Vec<u8> = run_weighted(&[], 4, 4, || (), |_, _| unreachable!());
+        let got: Vec<u8> = run_weighted_stats(&[], 4, 4, || (), |_, _| unreachable!()).0;
         assert!(got.is_empty());
     }
 
     #[test]
     fn per_worker_state_is_reused_within_a_worker() {
         // Sequential path: one state, mutated across all indices.
-        let got = run_indexed(
+        let got = run_indexed_stats(
             5,
             1,
             1,
@@ -495,7 +463,8 @@ mod tests {
                 *acc += 1;
                 *acc
             },
-        );
+        )
+        .0;
         assert_eq!(got, vec![1, 2, 3, 4, 5]);
     }
 }

@@ -351,7 +351,7 @@ pub fn sample_tau(
     let kernels = diffnet_simulate::simd::kernels();
     // Each worker remembers the last sample it scored: a claimed chunk's
     // samples are consecutive, so only its first inverts a rank.
-    let values = parallel::run_indexed(
+    let (values, _) = parallel::run_indexed_stats(
         count as usize,
         4096,
         threads,

@@ -60,7 +60,7 @@ fn dense_runs_past_the_limit_fail_before_allocating_pair_state() {
     // One process: ~740 kB of columns.
     let cols = StatusMatrix::new(1, n).columns();
     let err = Tends::new()
-        .reconstruct_robust_from_columns(&cols, Recorder::disabled(), &RobustOptions::default())
+        .reconstruct_robust(&cols, Recorder::disabled(), &RobustOptions::default())
         .expect_err("past the dense limit");
     assert!(
         matches!(err, CheckpointError::DenseLimit { nodes } if nodes == n),

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use diffnet_graph::DiGraph;
 use diffnet_observe::{Recorder, RunReport};
-use diffnet_simulate::{EdgeProbs, IcConfig, IndependentCascade, StatusMatrix};
+use diffnet_simulate::{EdgeProbs, IcConfig, IndependentCascade, NodeColumns, StatusMatrix};
 use diffnet_tends::{Checkpoint, CheckpointError, RobustOptions, Tends, TendsConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -36,6 +36,10 @@ fn observe(truth: &DiGraph, beta: usize, seed: u64) -> StatusMatrix {
             &mut rng,
         )
         .statuses
+}
+
+fn cols(m: &StatusMatrix) -> NodeColumns {
+    m.columns()
 }
 
 /// Splits a status matrix into its first `at` rows and the rest.
@@ -82,7 +86,7 @@ proptest! {
         for threads in [1usize, 4] {
             let tends = Tends::with_config(TendsConfig { threads, ..Default::default() });
             let rec = Recorder::new();
-            let full = tends.reconstruct_robust(&statuses, &rec, &RobustOptions::default()).expect("search fits").result;
+            let full = tends.reconstruct_robust(&cols(&statuses), &rec, &RobustOptions::default()).expect("search fits").result;
             let full_report = RunReport::new("tends", rec.snapshot(), threads);
 
             let path = temp_path(&format!("prefix_b{beta}_k{k}_s{seed}_t{threads}"));
@@ -93,7 +97,7 @@ proptest! {
                 ..Default::default()
             };
             let rec2 = Recorder::new();
-            tends.reconstruct_robust(&statuses, &rec2, &opts).expect("checkpointed run");
+            tends.reconstruct_robust(&cols(&statuses), &rec2, &opts).expect("checkpointed run");
 
             let ck = Checkpoint::load(&path).expect("load checkpoint");
             prop_assert_eq!(ck.entries.len(), 8);
@@ -104,7 +108,7 @@ proptest! {
             let rec3 = Recorder::new();
             let resumed = tends
                 .reconstruct_robust(
-                    &statuses,
+                    &cols(&statuses),
                     &rec3,
                     &RobustOptions {
                         checkpoint: Some(path.clone()),
@@ -150,7 +154,7 @@ proptest! {
             ..Default::default()
         };
         Tends::with_config(TendsConfig::default())
-            .reconstruct_robust(&statuses, Recorder::disabled(), &opts)
+            .reconstruct_robust(&cols(&statuses), Recorder::disabled(), &opts)
             .expect("checkpointed run");
         let full = Checkpoint::load(&path).expect("load full checkpoint");
         let bytes = std::fs::read(&path).expect("checkpoint bytes");
@@ -193,7 +197,7 @@ proptest! {
             ..Default::default()
         };
         tends
-            .reconstruct_robust(&statuses, Recorder::disabled(), &opts)
+            .reconstruct_robust(&cols(&statuses), Recorder::disabled(), &opts)
             .expect("checkpointed run");
         let (header, section) = Checkpoint::load(&path).expect("load checkpoint").header();
         let mut bytes = std::fs::read(&path).expect("checkpoint bytes");
@@ -203,7 +207,7 @@ proptest! {
         std::fs::write(&path, &bytes).expect("write flipped");
         let loaded = Checkpoint::load(&path);
         opts.resume = true;
-        let resumed = tends.reconstruct_robust(&statuses, Recorder::disabled(), &opts);
+        let resumed = tends.reconstruct_robust(&cols(&statuses), Recorder::disabled(), &opts);
         std::fs::remove_file(&path).ok();
         match resumed {
             Err(
@@ -238,7 +242,11 @@ proptest! {
         for threads in [1usize, 4] {
             let tends = Tends::with_config(TendsConfig { threads, ..Default::default() });
             let fresh = tends
-                .reconstruct_robust(&statuses, Recorder::disabled(), &RobustOptions::default())
+                .reconstruct_robust(
+                    &cols(&statuses),
+                    Recorder::disabled(),
+                    &RobustOptions::default(),
+                )
                 .expect("fresh combined run")
                 .result;
 
@@ -246,7 +254,7 @@ proptest! {
             std::fs::remove_file(&path).ok();
             tends
                 .reconstruct_robust(
-                    &base,
+                    &cols(&base),
                     Recorder::disabled(),
                     &RobustOptions {
                         checkpoint: Some(path.clone()),
@@ -257,15 +265,15 @@ proptest! {
                 .expect("base run");
             let rec = Recorder::new();
             let warm = tends
-                .reconstruct_robust_append(
-                    &statuses.columns(),
-                    &appended.columns(),
+                .reconstruct_robust(
+                    &cols(&statuses),
                     &rec,
                     &RobustOptions {
                         checkpoint: Some(path.clone()),
                         resume: true,
                         checkpoint_interval: 4,
                         revision: 1,
+                        appended: Some(&cols(&appended)),
                         ..Default::default()
                     },
                 )

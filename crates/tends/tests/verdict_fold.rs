@@ -210,7 +210,7 @@ fn streamed_matches_dense_where_the_table_is_built() {
             threads,
             ..Default::default()
         })
-        .reconstruct_robust(&statuses, &rec, &RobustOptions::default())
+        .reconstruct_robust(&statuses.columns(), &rec, &RobustOptions::default())
         .expect("streamed run")
         .result;
         assert_eq!(dense.tau.to_bits(), streamed.tau.to_bits());

@@ -143,7 +143,7 @@ proptest! {
             let rec = Recorder::new();
             let cfg = TendsConfig { threads, ..Default::default() };
             let result = Tends::with_config(cfg)
-                .reconstruct_robust(&m, &rec, &diffnet::tends::RobustOptions::default())
+                .reconstruct_robust(&m.columns(), &rec, &diffnet::tends::RobustOptions::default())
                 .expect("default search fits")
                 .result;
             (result, RunReport::new("tends", rec.snapshot(), threads))
