@@ -23,8 +23,9 @@
 //!   count pass), with a check that both give the same τ bits;
 //! * one full TENDS reconstruction, 1 vs 8 threads;
 //! * the `N_ijk` counting kernel: the recursive bitset kernel vs the
-//!   incremental [`CountsWorkspace`] scoring one extension of a cached
-//!   base;
+//!   [`CountsWorkspace`]'s marginals of one candidate histogram, over the
+//!   15 tables of one greedy round, with a check that every table agrees
+//!   (`tables_equal`);
 //! * the full greedy parent search, at both sizes: cached workspace path
 //!   vs the from-scratch reference path, both single-threaded, with the
 //!   score cache's hit/miss counts and whether every node's parents, score
@@ -60,9 +61,7 @@ use diffnet_bench::harness::{observe, Setting};
 use diffnet_datasets::LfrSpec;
 use diffnet_metrics::timed;
 use diffnet_observe::{DurationHistogram, Json, Recorder, RunReport};
-use diffnet_simulate::{
-    CountsWorkspace, ExtensionBatch, Kernels, NodeColumns, SimdMode, StatusMatrix,
-};
+use diffnet_simulate::{CountsWorkspace, Kernels, NodeColumns, SimdMode, StatusMatrix};
 use diffnet_tends::imi::MiCells;
 use diffnet_tends::search::{
     find_parents_reference, find_parents_with, NodeSearchResult, SearchParams,
@@ -145,46 +144,71 @@ struct KernelRow {
     n: usize,
     recursive_s: f64,
     workspace_s: f64,
+    tables_equal: bool,
 }
 
-/// Times the two counting kernels over every node as child, with a cached
-/// 3-parent base and a 2-node extension — the shape of one greedy round.
+/// Times the two ways of counting one greedy round's tables for every
+/// node as child: eight candidates, a 3-parent base, and each of its 15
+/// extensions by one or two of the other candidates. The recursive
+/// kernel counts each union from the columns; the workspace builds the
+/// child's candidate histogram once and reads each table as its
+/// marginal. `tables_equal` checks every table against the recursive
+/// kernel's.
 fn kernel_row(n: usize, cols: &NodeColumns, reps: usize) -> KernelRow {
-    let base: Vec<u32> = [0u32, 2, 4]
-        .into_iter()
-        .filter(|&p| (p as usize) < n)
+    let candidates: Vec<u32> = (0..8u32.min(n as u32)).collect();
+    let base = 0b0001_0101u64 & ((1 << candidates.len()) - 1);
+    let rest: Vec<u64> = (0..candidates.len())
+        .map(|t| 1u64 << t)
+        .filter(|b| base & b == 0)
         .collect();
-    let extra: Vec<u32> = [1u32, 3]
-        .into_iter()
-        .filter(|&p| (p as usize) < n)
+    let mut subsets: Vec<u64> = Vec::new();
+    for (i, &a) in rest.iter().enumerate() {
+        subsets.push(base | a);
+        subsets.extend(rest[i + 1..].iter().map(|&b| base | a | b));
+    }
+    let unions: Vec<Vec<u32>> = subsets
+        .iter()
+        .map(|&s| {
+            (0..candidates.len())
+                .filter(|t| s >> t & 1 == 1)
+                .map(|t| candidates[t])
+                .collect()
+        })
         .collect();
-    let mut union: Vec<u32> = base.iter().chain(&extra).copied().collect();
-    union.sort_unstable();
 
-    let children: Vec<u32> = (5..n as u32).collect();
+    let children: Vec<u32> = (candidates.len() as u32..n as u32).collect();
     let recursive_s = median_secs(reps, || {
         let mut acc = 0u64;
         for &child in &children {
-            acc += cols.combo_counts(child, &union).expect("small combo")[0][0];
+            for union in &unions {
+                acc += cols.combo_counts(child, union).expect("small combo")[0][0];
+            }
         }
         acc
     });
     let mut ws = CountsWorkspace::new();
-    ws.set_base(cols, &base).expect("small base");
-    let mut batch = ExtensionBatch::new();
-    batch.push(extra.iter().copied());
     let workspace_s = median_secs(reps, || {
         let mut acc = 0u64;
         for &child in &children {
-            ws.extension_counts(cols, child, &batch, |_, counts| acc += counts[0][0])
-                .expect("small combo");
+            ws.set_candidates(cols, child, &candidates);
+            for &subset in &subsets {
+                acc += ws.table(&[subset]).expect("small combo")[0][0];
+            }
         }
         acc
+    });
+    let tables_equal = children.iter().all(|&child| {
+        ws.set_candidates(cols, child, &candidates);
+        subsets.iter().zip(&unions).all(|(&subset, union)| {
+            ws.table(&[subset]).expect("small combo")
+                == cols.combo_counts(child, union).expect("small combo")
+        })
     });
     KernelRow {
         n,
         recursive_s,
         workspace_s,
+        tables_equal,
     }
 }
 
@@ -926,6 +950,7 @@ fn main() {
             row.push("recursive_s", k.recursive_s);
             row.push("workspace_s", k.workspace_s);
             row.push("speedup", k.recursive_s / k.workspace_s);
+            row.push("tables_equal", k.tables_equal);
             row
         })
         .collect();

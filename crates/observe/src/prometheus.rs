@@ -242,10 +242,13 @@ const METRIC_HELP: &[(&str, &str)] = &[
         "worker_chunks",
         "Chunk claims per worker per parallel region.",
     ),
-    ("workspace_rebases", "Counting-workspace rebase operations."),
+    (
+        "workspace_rebases",
+        "Candidate histograms built by the counting workspace (one per searched node).",
+    ),
     (
         "workspace_refinements",
-        "Counting-workspace incremental refinements.",
+        "Parent tables marginalized from candidate histograms (one per score-cache miss).",
     ),
 ];
 

@@ -5,10 +5,10 @@
 //! contiguous columns
 //! ([`NodeColumns::pair_n11_block`](crate::NodeColumns::pair_n11_block)),
 //! fused mask/child popcounts (the `N_ijk` tabulation), the same fused
-//! popcounts over every cell of a parent partition at once, and the mask
-//! split performed by the incremental counts workspace. This module implements
-//! those primitives in three tiers behind one-time runtime feature
-//! detection:
+//! popcounts over every cell of a parent partition at once, the mask
+//! split, and the marginalization of a cell histogram onto a subset of its
+//! code bits (the parent search's tables). This module implements those
+//! primitives in three tiers behind one-time runtime feature detection:
 //!
 //! * **avx2** — 256-bit AND plus the Muła nibble-LUT popcount
 //!   (`vpshufb` + `vpsadbw`), four 64-bit words per step;
@@ -19,6 +19,10 @@
 //!   amortizes one software popcount over eight words. Faster than the
 //!   word-at-a-time loop on every architecture, and the only tier on
 //!   non-x86 targets.
+//!
+//! Both x86-64 tiers marginalize with BMI2 `pext` where the CPU has a
+//! fast one (not AMD before Zen 3, which microcodes it), and otherwise
+//! with the scalar tier's bit-serial compaction.
 //!
 //! The active tier is resolved once per process — from an explicit
 //! [`set_mode`] call (the CLI `--simd` flag) or the `DIFFNET_SIMD` env
@@ -134,6 +138,7 @@ pub struct Kernels {
     and3_popcount_rows: And3RowsFn,
     popcount: fn(&[u64]) -> u64,
     refine_masks: fn(&mut [u64], &mut [u64], &[u64]),
+    marginal_counts: MarginalFn,
 }
 
 /// Signature of the row-wise pair kernel: `out[r] = popcount(row_r & x)`
@@ -145,6 +150,10 @@ type AndRowsFn = fn(&[u64], usize, &[u64], &mut [u64]);
 /// argument.
 type And3RowsFn = fn(&[u64], usize, &[u64], &[u64], &mut [[u64; 2]]);
 
+/// Signature of the marginal-table kernel: `out[compact(code_r, subset)]
+/// += cells[r]` for each `words`-word code `code_r` of the first argument.
+type MarginalFn = fn(&[u64], usize, &[[u64; 2]], &[u64], &mut [[u64; 2]]);
+
 impl Kernels {
     /// Builds the kernel table for `mode` without touching the
     /// process-wide cache. A forced mode whose CPU feature is missing
@@ -155,7 +164,7 @@ impl Kernels {
             SimdMode::Auto => best_available(),
             SimdMode::Avx2 => {
                 if have_avx2() {
-                    x86::AVX2
+                    x86::with_pext(x86::AVX2)
                 } else {
                     let fallback = best_available();
                     eprintln!(
@@ -168,7 +177,7 @@ impl Kernels {
             }
             SimdMode::Popcnt => {
                 if have_popcnt() {
-                    x86::POPCNT
+                    x86::with_pext(x86::POPCNT)
                 } else {
                     eprintln!(
                         "warning: DIFFNET_SIMD=popcnt requested but POPCNT is \
@@ -196,6 +205,9 @@ impl Kernels {
         }
         if have_popcnt() {
             features.push("popcnt");
+        }
+        if have_fast_pext() {
+            features.push("bmi2");
         }
         features
     }
@@ -266,6 +278,39 @@ impl Kernels {
         (self.popcount)(a)
     }
 
+    /// Marginalizes a cell histogram onto the code bits `subset`: `out`
+    /// is zeroed, then each cell `r` — code `codes[r·words .. (r+1)·words]`
+    /// (bit `t % 64` of word `t / 64` is code bit `t`), counts
+    /// `cells[r]` — is added to `out[j]`, where `j` packs the code's bits
+    /// at `subset`'s set positions in ascending order (bit `i` of `j` is
+    /// the `i`-th set bit of `subset`; BMI2 `pext`, chained across words).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subset` is not `words` words long, if `codes` holds
+    /// fewer than `cells.len()` codes, or if `out.len()` is not
+    /// `2^|subset|`.
+    #[inline]
+    pub fn marginal_counts(
+        &self,
+        codes: &[u64],
+        words: usize,
+        cells: &[[u64; 2]],
+        subset: &[u64],
+        out: &mut [[u64; 2]],
+    ) {
+        let size: u32 = subset.iter().map(|w| w.count_ones()).sum();
+        assert!(
+            subset.len() == words && words > 0 && codes.len() >= cells.len() * words,
+            "codes and subset must have the histogram's code width"
+        );
+        assert!(
+            size < usize::BITS && out.len() == 1usize << size,
+            "output table must have one entry per subset combination"
+        );
+        (self.marginal_counts)(codes, words, cells, subset, out)
+    }
+
     /// Splits the masks in `lo` by parent column `p`: afterwards
     /// `lo[k] = old_lo[k] & !p[k]` (parent uninfected) and
     /// `hi[k] = old_lo[k] & p[k]` (parent infected). Processes the common
@@ -279,9 +324,9 @@ impl Kernels {
 /// The fastest tier this CPU supports.
 fn best_available() -> Kernels {
     if have_avx2() {
-        x86::AVX2
+        x86::with_pext(x86::AVX2)
     } else if have_popcnt() {
-        x86::POPCNT
+        x86::with_pext(x86::POPCNT)
     } else {
         SCALAR
     }
@@ -343,6 +388,29 @@ fn have_avx2() -> bool {
     false
 }
 
+/// Whether the CPU has BMI2 with a hardware `pext`: AMD families before
+/// Zen 3 (0x19) microcode it at tens to hundreds of cycles, slower than
+/// the bit-serial loop for the few bits a parent table compacts.
+#[cfg(target_arch = "x86_64")]
+fn have_fast_pext() -> bool {
+    use core::arch::x86_64::__cpuid;
+    if !std::arch::is_x86_feature_detected!("bmi2") {
+        return false;
+    }
+    // SAFETY: CPUID is available on every x86-64 CPU; leaves 0 and 1
+    // always exist.
+    #[allow(unused_unsafe)]
+    let (vendor, signature) = unsafe { (__cpuid(0), __cpuid(1)) };
+    let amd = (vendor.ebx, vendor.edx, vendor.ecx) == (0x6874_7541, 0x6974_6E65, 0x444D_4163);
+    let family = (signature.eax >> 8 & 0xF) + (signature.eax >> 20 & 0xFF);
+    !amd || family >= 0x19
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn have_fast_pext() -> bool {
+    false
+}
+
 // ---------------------------------------------------------------------
 // Scalar tier: Harley–Seal carry-save accumulation.
 // ---------------------------------------------------------------------
@@ -355,6 +423,7 @@ const SCALAR: Kernels = Kernels {
     and3_popcount_rows: scalar_and3_popcount_rows,
     popcount: scalar_popcount,
     refine_masks: scalar_refine_masks,
+    marginal_counts: scalar_marginal_counts,
 };
 
 /// Carry-save adder: `(sum, carry)` of three bit-vectors, per lane.
@@ -581,6 +650,64 @@ fn and3_popcount_narrow_rows(
     true
 }
 
+/// `x`'s bits at `mask`'s set positions, packed into the low bits in
+/// ascending order — `pext` one mask bit at a time.
+#[inline(always)]
+fn pext_bit_serial(x: u64, mut mask: u64) -> u64 {
+    let mut out = 0u64;
+    let mut bit = 0u32;
+    while mask != 0 {
+        out |= (x >> mask.trailing_zeros() & 1) << bit;
+        mask &= mask - 1;
+        bit += 1;
+    }
+    out
+}
+
+/// The marginal-table loop over any bit compaction `pext`: one word per
+/// code is the search's case (at most 64 candidates); wider codes chain
+/// their words' compactions, each shifted past the bits of the words
+/// before it. Inlined into each tier with its own `pext`.
+#[inline(always)]
+fn marginal_with(
+    codes: &[u64],
+    words: usize,
+    cells: &[[u64; 2]],
+    subset: &[u64],
+    out: &mut [[u64; 2]],
+    pext: impl Fn(u64, u64) -> u64,
+) {
+    out.fill([0, 0]);
+    if let [s] = *subset {
+        for (&code, &[n0, n1]) in codes.iter().zip(cells) {
+            let o = &mut out[pext(code, s) as usize];
+            o[0] += n0;
+            o[1] += n1;
+        }
+        return;
+    }
+    for (code, &[n0, n1]) in codes.chunks_exact(words).zip(cells) {
+        let (mut j, mut shift) = (0usize, 0u32);
+        for (&c, &s) in code.iter().zip(subset) {
+            j |= (pext(c, s) as usize) << shift;
+            shift += s.count_ones();
+        }
+        let o = &mut out[j];
+        o[0] += n0;
+        o[1] += n1;
+    }
+}
+
+fn scalar_marginal_counts(
+    codes: &[u64],
+    words: usize,
+    cells: &[[u64; 2]],
+    subset: &[u64],
+    out: &mut [[u64; 2]],
+) {
+    marginal_with(codes, words, cells, subset, out, pext_bit_serial);
+}
+
 fn scalar_refine_masks(lo: &mut [u64], hi: &mut [u64], p: &[u64]) {
     let n = lo.len().min(hi.len()).min(p.len());
     for k in 0..n {
@@ -608,6 +735,7 @@ mod x86 {
         popcount: popcnt_popcount_safe,
         // Mask refinement is pure AND/ANDN — no popcount to accelerate.
         refine_masks: super::scalar_refine_masks,
+        marginal_counts: super::scalar_marginal_counts,
     };
 
     pub(super) const AVX2: Kernels = Kernels {
@@ -618,7 +746,20 @@ mod x86 {
         and3_popcount_rows: avx2_and3_popcount_rows_safe,
         popcount: avx2_popcount_safe,
         refine_masks: avx2_refine_masks_safe,
+        marginal_counts: super::scalar_marginal_counts,
     };
+
+    /// `tier` marginalizing with BMI2 `pext` where it is fast.
+    pub(super) fn with_pext(tier: Kernels) -> Kernels {
+        Kernels {
+            marginal_counts: if super::have_fast_pext() {
+                bmi2_marginal_counts_safe
+            } else {
+                tier.marginal_counts
+            },
+            ..tier
+        }
+    }
 
     // Safe wrappers: `#[target_feature]` functions cannot coerce to plain
     // `fn` pointers, so each tier entry is an ordinary function whose only
@@ -693,6 +834,29 @@ mod x86 {
     fn avx2_refine_masks_safe(lo: &mut [u64], hi: &mut [u64], p: &[u64]) {
         // SAFETY: only installed after runtime AVX2+POPCNT detection.
         unsafe { avx2_refine_masks(lo, hi, p) }
+    }
+
+    fn bmi2_marginal_counts_safe(
+        codes: &[u64],
+        words: usize,
+        cells: &[[u64; 2]],
+        subset: &[u64],
+        out: &mut [[u64; 2]],
+    ) {
+        // SAFETY: only installed by `with_pext` after runtime BMI2
+        // detection.
+        unsafe { bmi2_marginal_counts(codes, words, cells, subset, out) }
+    }
+
+    #[target_feature(enable = "bmi2")]
+    fn bmi2_marginal_counts(
+        codes: &[u64],
+        words: usize,
+        cells: &[[u64; 2]],
+        subset: &[u64],
+        out: &mut [[u64; 2]],
+    ) {
+        super::marginal_with(codes, words, cells, subset, out, |x, m| _pext_u64(x, m));
     }
 
     // `#[target_feature]` cannot be applied to generic functions, so the
@@ -1162,6 +1326,66 @@ mod tests {
         let mut out = [[0u64; 2]; 2];
         Kernels::for_mode(SimdMode::Scalar)
             .and3_popcount_rows(&[0; 3], 2, &[0; 2], &[0; 2], &mut out);
+    }
+
+    #[test]
+    fn all_tiers_match_naive_marginal_counts() {
+        // One- and two-word codes; subsets from empty to ten bits,
+        // including ones that straddle the word boundary.
+        for width in [1usize, 2] {
+            let codes = words(0x0DD_C0DE, 37 * width);
+            let counts = words(0x0C0_FFEE, 2 * 37);
+            let cells: Vec<[u64; 2]> = counts
+                .chunks_exact(2)
+                .map(|c| [c[0] % 97, c[1] % 89])
+                .collect();
+            let picks = words(0x5EED, 24);
+            for bits in 0..=10usize {
+                let mut subset = vec![0u64; width];
+                for &p in picks.iter().take(bits) {
+                    let t = (p % (64 * width as u64)) as usize;
+                    subset[t / 64] |= 1 << (t % 64);
+                }
+                let size: u32 = subset.iter().map(|w| w.count_ones()).sum();
+                let mut expect = vec![[0u64; 2]; 1 << size];
+                for (code, cell) in codes.chunks_exact(width).zip(&cells) {
+                    // The subset's bits of the code, lowest position first.
+                    let mut j = 0usize;
+                    let mut k = 0;
+                    for t in 0..64 * width {
+                        if subset[t / 64] >> (t % 64) & 1 == 1 {
+                            j |= ((code[t / 64] >> (t % 64) & 1) as usize) << k;
+                            k += 1;
+                        }
+                    }
+                    expect[j][0] += cell[0];
+                    expect[j][1] += cell[1];
+                }
+                for k in tiers() {
+                    let mut out = vec![[u64::MAX; 2]; 1 << size];
+                    k.marginal_counts(&codes, width, &cells, &subset, &mut out);
+                    assert_eq!(
+                        out,
+                        expect,
+                        "{} width {width} subset {subset:x?}",
+                        k.dispatch()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one entry per subset combination")]
+    fn marginal_counts_rejects_a_wrong_table_size() {
+        let mut out = [[0u64; 2]; 2];
+        Kernels::for_mode(SimdMode::Scalar).marginal_counts(
+            &[0; 3],
+            1,
+            &[[1, 1]; 3],
+            &[0b11],
+            &mut out,
+        );
     }
 
     #[test]

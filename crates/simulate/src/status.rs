@@ -7,12 +7,12 @@
 //!   column-major transpose ([`NodeColumns`]) where each count is a few
 //!   `popcount`s, and
 //! * parent-combination counts `N_ijk` (for the scoring criterion) —
-//!   served in the search by [`CountsWorkspace`], which caches one parent
-//!   set's partition of the processes and scores a whole batch of
-//!   extensions of it in one pass ([`ExtensionBatch`]), with
-//!   [`NodeColumns::combo_counts`] (recursive bitset splitting) and
-//!   [`StatusMatrix::combo_counts`] (a row scan that assembles each
-//!   process's combination index bit by bit) as the oracles it must match.
+//!   served in the search by [`CountsWorkspace`], which histograms the
+//!   child against its whole candidate list once and reads every table as
+//!   a marginal of that histogram, with [`NodeColumns::combo_counts`]
+//!   (recursive bitset splitting) and [`StatusMatrix::combo_counts`] (a
+//!   row scan that assembles each process's combination index bit by bit)
+//!   as the oracles it must match.
 
 use diffnet_graph::NodeId;
 use std::fmt;
@@ -636,157 +636,116 @@ fn transpose64(a: &mut [u64; WORD_BITS]) {
     }
 }
 
-/// A batch of parent-set extensions `W`, scored together against one
-/// cached base by [`CountsWorkspace::extension_counts`].
+/// Reusable scratch state for the parent search's `N_ijk` tables.
 ///
-/// Stored as one flat run of node ids per extension, each run sorted on
-/// insertion; [`clear`](Self::clear) keeps the buffers, so a caller that
-/// builds one batch per greedy round allocates nothing in steady state.
-#[derive(Clone, Debug, Default)]
-pub struct ExtensionBatch {
-    nodes: Vec<NodeId>,
-    ends: Vec<usize>,
-}
-
-impl ExtensionBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        ExtensionBatch::default()
-    }
-
-    /// Removes every extension, retaining capacity.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.ends.clear();
-    }
-
-    /// Appends one extension (its nodes in any order) and returns its
-    /// index in the batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node repeats within the extension.
-    pub fn push(&mut self, nodes: impl IntoIterator<Item = NodeId>) -> usize {
-        let start = self.nodes.len();
-        self.nodes.extend(nodes);
-        let ext = &mut self.nodes[start..];
-        ext.sort_unstable();
-        assert!(
-            ext.windows(2).all(|w| w[0] < w[1]),
-            "extension set must be duplicate-free"
-        );
-        self.ends.push(self.nodes.len());
-        self.ends.len() - 1
-    }
-
-    /// Number of extensions.
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// Whether the batch holds no extension.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
-
-    /// Extension `t`, sorted.
-    pub fn get(&self, t: usize) -> &[NodeId] {
-        let start = if t == 0 { 0 } else { self.ends[t - 1] };
-        &self.nodes[start..self.ends[t]]
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &[NodeId]> {
-        (0..self.len()).map(|t| self.get(t))
-    }
-}
-
-/// Reusable scratch state for incremental `N_ijk` counting.
+/// Every table the search scores for a child is a marginal of one joint
+/// table: the child against its whole candidate list. The workspace
+/// builds that joint table once per child ([`set_candidates`]) as a
+/// sparse histogram — the root mask split along each candidate in
+/// ascending node-id order, keeping only the cells some process lands in
+/// (at most `min(2^c, β)` of them), then every cell's `[uninfected,
+/// infected]` counts from one
+/// [`and3_popcount_rows`](crate::simd::Kernels::and3_popcount_rows) call.
+/// A cell's code has bit `t` set when candidate `t` (in that order) is
+/// infected.
 ///
-/// The greedy parent search evaluates `g(v_i, F ∪ W)` for one fixed base set
-/// `F` and many small extensions `W` per round. The workspace instantiates
-/// `F`'s partition once per round ([`set_base`]): the process masks of the
-/// combinations of `F`'s statuses that occur at all (at most `min(2^|F|,
-/// β)` of them). [`extension_counts`] then scores a whole batch of
-/// extensions in one pass over that partition, without copying or
-/// refining it per extension:
+/// The table of any candidate subset `U` ([`table`]) is then
+/// `counts[pext(code, U)] += cell` over the cells
+/// ([`marginal_counts`](crate::simd::Kernels::marginal_counts)): no
+/// process mask is touched again. Because code bits follow node-id
+/// order, the packed index puts the subset's parents in sorted order —
+/// the same table, entry for entry, as `cols.combo_counts(child,
+/// &sorted_subset)`, so score sums visit the same terms in the same
+/// order and reproduce the same bits. All buffers are retained across
+/// calls, so steady-state evaluation performs no allocations.
 ///
-/// * each cell's `(total, infected)` counts are computed once per batch;
-/// * each distinct member node `a` of the batch splits every cell once —
-///   `(|m ∧ a|, |m ∧ a ∧ child|)` — and every extension containing `a`
-///   shares that split;
-/// * an extension of `k ≥ 2` nodes adds one split per member subset of two
-///   or more nodes (one for a pair: `m ∧ a ∧ b`), and its `2^k` cells per
-///   base cell follow by inclusion–exclusion (for a pair: `10 = m∧a − 11`,
-///   `01 = m∧b − 11`, `00 = m − m∧a − m∧b + 11`).
-///
-/// Every split over the partition is one call of the dispatched
-/// [`and3_popcount_rows`](crate::simd::Kernels::and3_popcount_rows)
-/// kernel. All buffers are retained across calls, so steady-state
-/// evaluation performs no allocations.
-///
-/// Counts are **bit-identical** to `cols.combo_counts(child, &union)` where
-/// `union` is the sorted merge of the base and extension sets: entry `j` of
-/// each table indexes parent combinations by the sorted-union bit order
-/// (parent `t` of the union contributes bit `t`), exactly like the other
-/// two kernels. Identical table order means downstream floating-point score
-/// sums visit terms in the same order and reproduce the same bits.
-///
-/// [`set_base`]: CountsWorkspace::set_base
-/// [`extension_counts`]: CountsWorkspace::extension_counts
+/// [`set_candidates`]: CountsWorkspace::set_candidates
+/// [`table`]: CountsWorkspace::table
 #[derive(Clone, Debug, Default)]
 pub struct CountsWorkspace {
-    /// The cached base parent set `F` (sorted, deduplicated).
-    base_parents: Vec<NodeId>,
-    /// Words per process-bitset column; fixed by the `NodeColumns` that the
-    /// base was instantiated from.
-    words: usize,
+    /// Number of candidates the histogram splits along.
+    candidates: usize,
+    /// Words per cell code: `⌈candidates / 64⌉`, at least one.
+    code_words: usize,
+    /// Code of each non-empty cell, `code_words` words each (then stale
+    /// words from the build).
+    codes: Vec<u64>,
+    /// Each cell's `[uninfected, infected]` child counts, in `codes` order.
+    cells: Vec<[u64; 2]>,
+    /// The cells' process masks during the build, `β/64` words each.
+    masks: Vec<u64>,
+    /// The build's next-level buffers, swapped with `codes`/`masks` after
+    /// each candidate.
+    next_codes: Vec<u64>,
+    next_masks: Vec<u64>,
     /// All-ones mask over the `β` valid process bits.
     root: Vec<u64>,
-    /// Base-order combination index of each non-empty cell of `F`'s
-    /// partition.
-    cells: Vec<u32>,
-    /// Those cells' process masks, `words` words each, in `cells` order.
-    masks: Vec<u64>,
-    /// [`set_base`](Self::set_base)'s next-level buffers, swapped with
-    /// `cells`/`masks` after each parent.
-    next_cells: Vec<u32>,
-    next_masks: Vec<u64>,
-    /// Distinct member nodes of the batch being scored, sorted.
-    members: Vec<NodeId>,
-    /// Shared `[|m ∧ x|, |m ∧ x ∧ child|]` rows, one entry per cell: row 0
-    /// splits by the root mask (the cells' own counts), row `1 + i` by
-    /// `members[i]`.
-    rows: Vec<[u64; 2]>,
-    /// One extension's `2^|W|` rows, one per member subset, turned into its
-    /// cells' counts in place.
-    work: Vec<[u64; 2]>,
-    /// Column intersection of each member subset of one extension.
-    ands: Vec<u64>,
-    /// Sorted-union index of each cell's base bits, for one extension.
-    cell_index: Vec<usize>,
-    /// Sorted-union index of each member subset's bits, for one extension.
-    subset_index: Vec<usize>,
-    /// Output table, in sorted-union combination order.
+    /// Output table, in sorted-subset combination order.
     counts: Vec<[u64; 2]>,
     /// A pinned kernel tier ([`with_kernels`](Self::with_kernels)); the
     /// process-wide table otherwise.
     kernels: Option<crate::simd::Kernels>,
-    /// Cumulative tables emitted by [`extension_counts`](Self::extension_counts).
-    refine_calls: u64,
-    /// Cumulative [`set_base`](Self::set_base) calls (full recounts).
-    rebase_calls: u64,
+    /// Cumulative tables emitted by [`table`](Self::table).
+    tables: u64,
+    /// Cumulative histograms built by [`set_candidates`](Self::set_candidates).
+    histograms: u64,
 }
 
-/// Cumulative call counts of one [`CountsWorkspace`], distinguishing cheap
-/// incremental refinements from full base recounts — the ratio is the
-/// whole point of the incremental engine, so runs report both.
+/// Cumulative call counts of one [`CountsWorkspace`]: tables counted
+/// against histograms built — each histogram serves every table of one
+/// child's search, so runs report both.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkspaceStats {
-    /// Tables emitted by [`CountsWorkspace::extension_counts`] (one per
-    /// extension scored against the cached base).
+    /// Tables emitted by [`CountsWorkspace::table`] (one per subset
+    /// counted; the search's score-cache misses).
     pub refinements: u64,
-    /// [`CountsWorkspace::set_base`] calls (full partition recounts).
+    /// Histograms built by [`CountsWorkspace::set_candidates`] (one per
+    /// searched node).
     pub rebases: u64,
+}
+
+/// Extends `v` with zeros to at least `len` words.
+fn grow(v: &mut Vec<u64>, len: usize) {
+    if v.len() < len {
+        v.resize(len, 0);
+    }
+}
+
+/// Splits every cell — code `codes[r·cw ..]`, process mask
+/// `masks[r·words ..]` — along candidate `t`'s column `pcol` into its
+/// `m ∧ ¬p` and `m ∧ p` halves (the latter with code bit `t` set),
+/// writing the non-empty ones in that order from the front of
+/// `next_codes`/`next_masks` (room for two halves per cell), and returns
+/// how many it kept. Every half is written and then kept or overwritten,
+/// so the loop has no data-dependent branch.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn split_cells(
+    codes: &[u64],
+    masks: &[u64],
+    cw: usize,
+    words: usize,
+    pcol: &[u64],
+    t: usize,
+    next_codes: &mut [u64],
+    next_masks: &mut [u64],
+) -> usize {
+    let mut kept = 0usize;
+    for (code, m) in codes.chunks_exact(cw).zip(masks.chunks_exact(words)) {
+        for (set, flip) in [(0, u64::MAX), (1u64 << (t % 64), 0)] {
+            let out = &mut next_masks[kept * words..(kept + 1) * words];
+            let mut any = 0u64;
+            for ((o, &w), &c) in out.iter_mut().zip(m).zip(pcol) {
+                *o = w & (c ^ flip);
+                any |= *o;
+            }
+            let dst = &mut next_codes[kept * cw..(kept + 1) * cw];
+            dst.copy_from_slice(code);
+            dst[t / 64] |= set;
+            kept += usize::from(any != 0);
+        }
+    }
+    kept
 }
 
 impl CountsWorkspace {
@@ -795,7 +754,7 @@ impl CountsWorkspace {
         CountsWorkspace::default()
     }
 
-    /// An empty workspace whose extension counting runs on `kernels`
+    /// An empty workspace whose histogram and tables run on `kernels`
     /// instead of the process-wide [`kernels`](crate::simd::kernels)
     /// table — for comparing tiers within one process. Every tier yields
     /// the same tables.
@@ -806,229 +765,126 @@ impl CountsWorkspace {
         }
     }
 
-    /// Instantiates the partition of `parents` (the round's base set `F`)
-    /// over `cols`, replacing any previous base.
+    /// Builds the histogram of `child` against `candidates` over `cols`,
+    /// replacing any previous one.
     ///
-    /// The root mask is split along each parent in turn and cells left
+    /// The root mask is split along each candidate in turn and cells left
     /// with no process are dropped, as [`NodeColumns::combo_counts`]
     /// prunes empty branches.
     ///
-    /// `parents` must be sorted and duplicate-free — the invariant the
-    /// greedy search maintains for its accepted parent set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ComboSizeError`] if `parents.len()` exceeds
-    /// [`MAX_TABULATED_PARENTS`].
-    ///
     /// # Panics
     ///
-    /// Panics if `parents` is unsorted or duplicated (a programmer-contract
-    /// violation, unlike the size limit which hostile inputs can reach).
-    pub fn set_base(
-        &mut self,
-        cols: &NodeColumns,
-        parents: &[NodeId],
-    ) -> Result<(), ComboSizeError> {
+    /// Panics if `candidates` is unsorted or duplicated.
+    pub fn set_candidates(&mut self, cols: &NodeColumns, child: NodeId, candidates: &[NodeId]) {
         assert!(
-            parents.windows(2).all(|w| w[0] < w[1]),
-            "base parent set must be sorted and duplicate-free"
+            candidates.windows(2).all(|w| w[0] < w[1]),
+            "candidate list must be sorted and duplicate-free"
         );
-        check_combo_size(parents.len())?;
-        self.rebase_calls += 1;
+        self.histograms += 1;
         let words = cols.words_per_col;
-        self.words = words;
-        self.base_parents.clear();
-        self.base_parents.extend_from_slice(parents);
+        let cw = candidates.len().div_ceil(64).max(1);
+        self.candidates = candidates.len();
+        self.code_words = cw;
         self.root.resize(words, 0);
         cols.root_mask_into(&mut self.root);
-        self.cells.clear();
-        self.masks.clear();
-        if self.root.iter().any(|&w| w != 0) {
-            self.cells.push(0);
-            self.masks.extend_from_slice(&self.root);
-        }
-        for (t, &p) in parents.iter().enumerate() {
+        // The buffers only grow: `live` cells of the current level lead
+        // `codes`/`masks`, and whatever follows is stale.
+        let mut live = usize::from(self.root.iter().any(|&w| w != 0));
+        grow(&mut self.codes, cw);
+        grow(&mut self.masks, words);
+        self.codes[..cw].fill(0);
+        self.masks[..words].copy_from_slice(&self.root);
+        for (t, &p) in candidates.iter().enumerate() {
             let pcol = &cols.col(p)[..words];
-            self.next_cells.clear();
-            self.next_masks.resize(2 * self.masks.len(), 0);
-            let mut kept = 0usize;
-            for (&e, m) in self.cells.iter().zip(self.masks.chunks_exact(words)) {
-                for (bit, flip) in [(0, u64::MAX), (1u32 << t, 0)] {
-                    // The half of `m` where the parent's status is `bit`:
-                    // `m ∧ ¬p` for 0, `m ∧ p` for 1.
-                    let out = &mut self.next_masks[kept * words..(kept + 1) * words];
-                    let mut any = 0u64;
-                    for ((o, &w), &c) in out.iter_mut().zip(m).zip(pcol) {
-                        *o = w & (c ^ flip);
-                        any |= *o;
-                    }
-                    if any != 0 {
-                        self.next_cells.push(e | bit);
-                        kept += 1;
-                    }
-                }
-            }
-            self.next_masks.truncate(kept * words);
-            std::mem::swap(&mut self.cells, &mut self.next_cells);
+            grow(&mut self.next_codes, 2 * live * cw);
+            grow(&mut self.next_masks, 2 * live * words);
+            let (codes, masks) = (&self.codes[..live * cw], &self.masks[..live * words]);
+            let (next_codes, next_masks) = (&mut self.next_codes, &mut self.next_masks);
+            let mut split =
+                |cw, words| split_cells(codes, masks, cw, words, pcol, t, next_codes, next_masks);
+            // Constant widths for paper-scale inputs (one code word,
+            // β ≤ 256) let the word loops unroll.
+            live = match (cw, words) {
+                (1, 1) => split(1, 1),
+                (1, 2) => split(1, 2),
+                (1, 3) => split(1, 3),
+                (1, 4) => split(1, 4),
+                _ => split(cw, words),
+            };
+            std::mem::swap(&mut self.codes, &mut self.next_codes);
             std::mem::swap(&mut self.masks, &mut self.next_masks);
         }
-        Ok(())
-    }
-
-    /// The cached base parent set.
-    pub fn base_parents(&self) -> &[NodeId] {
-        &self.base_parents
-    }
-
-    /// Cumulative refine/rebase call counts since construction.
-    pub fn stats(&self) -> WorkspaceStats {
-        WorkspaceStats {
-            refinements: self.refine_calls,
-            rebases: self.rebase_calls,
+        let k = self.kernels.unwrap_or(*crate::simd::kernels());
+        self.cells.resize(live, [0, 0]);
+        k.and3_popcount_rows(
+            &self.masks[..live * words],
+            words,
+            &self.root,
+            cols.col(child),
+            &mut self.cells,
+        );
+        for cell in &mut self.cells {
+            // [total, infected] → [uninfected, infected].
+            cell[0] -= cell[1];
         }
     }
 
-    /// Counts `N_ijk` for `child` under `F ∪ W` for every extension `W` of
-    /// `batch`, in one pass over the cached base partition (see the type
-    /// docs for the scheme).
+    /// Number of non-empty cells in the current histogram.
+    pub fn cells(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Cumulative table/histogram counts since construction.
+    pub fn stats(&self) -> WorkspaceStats {
+        WorkspaceStats {
+            refinements: self.tables,
+            rebases: self.histograms,
+        }
+    }
+
+    /// Counts `N_ijk` for the child under the candidate subset `subset`:
+    /// bit `t % 64` of word `t / 64` selects candidate `t` of the sorted
+    /// list the histogram was built over, and `subset` spans that list's
+    /// code width (one word up to 64 candidates).
     ///
-    /// Each extension must be disjoint from the base set; it may be empty
-    /// (the table of `F` itself). `sink` receives `(t, counts)` for each
-    /// extension index `t` in batch order; the table is indexed by
-    /// sorted-union combination order and is bit-identical to
-    /// `cols.combo_counts(child, &sorted_union)`. Each extension counts
-    /// once toward [`refinements`](WorkspaceStats::refinements).
+    /// The table is indexed by sorted-subset combination order and is
+    /// bit-identical to `cols.combo_counts(child, &sorted_subset)`. Each
+    /// call counts once toward [`refinements`](WorkspaceStats::refinements).
     ///
     /// # Errors
     ///
-    /// Returns [`ComboSizeError`] — before scoring anything or counting any
-    /// refinement — for the first extension whose union with the base
-    /// exceeds [`MAX_TABULATED_PARENTS`] nodes.
+    /// Returns [`ComboSizeError`] — without counting a refinement — if
+    /// the subset has more than [`MAX_TABULATED_PARENTS`] nodes.
     ///
     /// # Panics
     ///
-    /// Panics if an extension overlaps the base set or if `cols` has a
-    /// different process count than the base was instantiated from.
-    pub fn extension_counts(
-        &mut self,
-        cols: &NodeColumns,
-        child: NodeId,
-        batch: &ExtensionBatch,
-        mut sink: impl FnMut(usize, &[[u64; 2]]),
-    ) -> Result<(), ComboSizeError> {
+    /// Panics if `subset` has the wrong width or selects a position past
+    /// the candidate list.
+    pub fn table(&mut self, subset: &[u64]) -> Result<&[[u64; 2]], ComboSizeError> {
         assert_eq!(
-            self.words, cols.words_per_col,
-            "workspace base was instantiated from a different matrix shape"
+            subset.len(),
+            self.code_words,
+            "subset must span the candidate list"
         );
-        let f = self.base_parents.len();
-        for ext in batch.iter() {
-            assert!(
-                ext.iter()
-                    .all(|p| self.base_parents.binary_search(p).is_err()),
-                "extension set must be disjoint from the base parent set"
-            );
-            check_combo_size(f + ext.len())?;
-        }
-        self.refine_calls += batch.len() as u64;
-
+        // Candidate positions the last code word holds: 0 to 64.
+        let used = self.candidates - 64 * (self.code_words - 1);
+        assert!(
+            used == 64 || subset[self.code_words - 1] >> used == 0,
+            "subset selects a position past the candidate list"
+        );
+        let size = subset.iter().map(|w| w.count_ones() as usize).sum();
+        check_combo_size(size)?;
+        self.tables += 1;
+        self.counts.resize(1 << size, [0, 0]);
         let k = self.kernels.unwrap_or(*crate::simd::kernels());
-        let words = self.words;
-        let ccol = cols.col(child);
-        let live = self.cells.len();
-        self.members.clear();
-        self.members.extend_from_slice(&batch.nodes);
-        self.members.sort_unstable();
-        self.members.dedup();
-        let shared = (1 + self.members.len()) * live;
-        self.rows.resize(shared, [0, 0]);
-        let (cell_row, member_rows) = self.rows.split_at_mut(live);
-        k.and3_popcount_rows(&self.masks, words, &self.root, ccol, cell_row);
-        for (&a, row) in self
-            .members
-            .iter()
-            .zip(member_rows.chunks_exact_mut(live.max(1)))
-        {
-            k.and3_popcount_rows(&self.masks, words, cols.col(a), ccol, row);
-        }
-
-        for (t, ext) in batch.iter().enumerate() {
-            let subsets = 1usize << ext.len();
-            // Row S of `work`: [|m ∧ ⋀S|, |m ∧ ⋀S ∧ child|] for each cell,
-            // copied from the shared rows for S = ∅ and single members.
-            self.work.resize(subsets * live, [0, 0]);
-            self.ands.resize(subsets * words, 0);
-            for (s, row) in self.work.chunks_exact_mut(live.max(1)).enumerate() {
-                if s == 0 {
-                    row.copy_from_slice(&self.rows[..live]);
-                } else if s.is_power_of_two() {
-                    let member = ext[s.trailing_zeros() as usize];
-                    let i = self
-                        .members
-                        .binary_search(&member)
-                        .expect("batch members were collected");
-                    row.copy_from_slice(&self.rows[(1 + i) * live..(2 + i) * live]);
-                } else {
-                    // ⋀S = ⋀(S minus its lowest member) ∧ that member.
-                    let low = s & s.wrapping_neg();
-                    let rest = s ^ low;
-                    let (done, todo) = self.ands.split_at_mut(s * words);
-                    let prev: &[u64] = if rest.is_power_of_two() {
-                        cols.col(ext[rest.trailing_zeros() as usize])
-                    } else {
-                        &done[rest * words..(rest + 1) * words]
-                    };
-                    let col = cols.col(ext[low.trailing_zeros() as usize]);
-                    let and = &mut todo[..words];
-                    for ((o, &p), &c) in and.iter_mut().zip(prev).zip(col) {
-                        *o = p & c;
-                    }
-                    k.and3_popcount_rows(&self.masks, words, and, ccol, row);
-                }
-            }
-            // Superset Möbius inversion: row T becomes the counts of the
-            // processes whose members in T are infected and whose other
-            // members are not. Every partial sum counts processes, so no
-            // subtraction underflows.
-            for b in 0..ext.len() {
-                let bit = 1usize << b;
-                for s in (0..subsets).filter(|s| s & bit == 0) {
-                    let (lo, hi) = self.work.split_at_mut((s | bit) * live);
-                    for (x, y) in lo[s * live..(s + 1) * live].iter_mut().zip(&hi[..live]) {
-                        x[0] -= y[0];
-                        x[1] -= y[1];
-                    }
-                }
-            }
-
-            // Sorted-union index of each cell's base bits and of each
-            // subset's member bits: member `i` lands after every base
-            // parent below it and after the `i` members before it.
-            self.cell_index.clear();
-            self.cell_index
-                .extend(self.cells.iter().map(|&e| e as usize));
-            self.subset_index.resize(subsets, 0);
-            for (i, &p) in ext.iter().enumerate() {
-                let pos = i + self.base_parents.partition_point(|&b| b < p);
-                for s in 1usize << i..2usize << i {
-                    self.subset_index[s] = self.subset_index[s - (1 << i)] | 1 << pos;
-                }
-                // Open a zero bit at `pos` in every cell's base index.
-                let low = (1usize << pos) - 1;
-                for j in &mut self.cell_index {
-                    *j = (*j & low) | (*j & !low) << 1;
-                }
-            }
-            self.counts.clear();
-            self.counts.resize(1usize << (f + ext.len()), [0, 0]);
-            for (row, &js) in self.work.chunks_exact(live.max(1)).zip(&self.subset_index) {
-                for (&jc, &[total, infected]) in self.cell_index.iter().zip(row) {
-                    self.counts[jc | js] = [total - infected, infected];
-                }
-            }
-            sink(t, &self.counts);
-        }
-        Ok(())
+        k.marginal_counts(
+            &self.codes,
+            self.code_words,
+            &self.cells,
+            subset,
+            &mut self.counts,
+        );
+        Ok(&self.counts)
     }
 }
 
@@ -1222,75 +1078,77 @@ mod tests {
         m
     }
 
-    /// [`CountsWorkspace::extension_counts`] on a batch of one, as an
-    /// owned table.
-    fn one_table(
+    /// The workspace's table of `subset` (node ids, any order) after a
+    /// histogram over the sorted `candidates`.
+    fn subset_table(
         ws: &mut CountsWorkspace,
-        cols: &NodeColumns,
-        child: NodeId,
-        extra: &[NodeId],
+        candidates: &[NodeId],
+        subset: &[NodeId],
     ) -> Result<Vec<[u64; 2]>, ComboSizeError> {
-        let mut batch = ExtensionBatch::new();
-        batch.push(extra.iter().copied());
-        let mut table = Vec::new();
-        ws.extension_counts(cols, child, &batch, |_, counts| table = counts.to_vec())?;
-        Ok(table)
+        let mut mask = vec![0u64; candidates.len().div_ceil(64).max(1)];
+        for p in subset {
+            let t = candidates
+                .binary_search(p)
+                .expect("subset of the candidates");
+            mask[t / 64] |= 1 << (t % 64);
+        }
+        ws.table(&mask).map(<[_]>::to_vec)
+    }
+
+    /// `subset`, sorted.
+    fn sorted(subset: &[NodeId]) -> Vec<NodeId> {
+        let mut s = subset.to_vec();
+        s.sort_unstable();
+        s
     }
 
     #[test]
     fn workspace_counts_match_recursive_kernel() {
-        // β = 100 crosses the word boundary; exercise base/extension splits
-        // whose sorted unions interleave both ways.
+        // β = 100 crosses the word boundary; subsets pick candidates that
+        // interleave with the unselected ones both ways.
         let m = random_matrix(100, 12, 0x9E3779B97F4A7C15);
         let cols = m.columns();
         let mut ws = CountsWorkspace::new();
         let cases: &[(&[NodeId], &[NodeId])] = &[
             (&[], &[]),
-            (&[], &[4]),
-            (&[2], &[]),
-            (&[2], &[0]),
-            (&[2], &[7]),
-            (&[1, 5], &[3, 9]),
-            (&[0, 4, 8], &[2, 6, 10]),
-            (&[3, 4, 5], &[0, 1, 2]),
-            (&[0, 1, 2], &[9, 10, 11]),
+            (&[4], &[]),
+            (&[4], &[4]),
+            (&[0, 2, 7], &[0, 7]),
+            (&[1, 3, 5, 9], &[9, 3]),
+            (&[0, 2, 4, 6, 8, 10], &[2, 6, 10]),
+            (&[0, 1, 2, 3, 4, 5], &[0, 1, 2]),
+            (&[0, 1, 2, 9, 10], &[9, 10, 0]),
         ];
-        for &(base, extra) in cases {
-            ws.set_base(&cols, base).expect("small base");
-            let mut union: Vec<NodeId> = base.iter().chain(extra).copied().collect();
-            union.sort_unstable();
-            let got = one_table(&mut ws, &cols, 11, extra).expect("small union");
+        for &(candidates, subset) in cases {
+            ws.set_candidates(&cols, 11, candidates);
+            let got = subset_table(&mut ws, candidates, subset).expect("small subset");
             assert_eq!(
                 got,
-                cols.combo_counts(11, &union).expect("small"),
-                "base {base:?} extra {extra:?}"
+                cols.combo_counts(11, &sorted(subset)).expect("small"),
+                "candidates {candidates:?} subset {subset:?}"
             );
         }
     }
 
     #[test]
     fn workspace_reuse_across_rounds_and_shrinking_sets() {
-        // One workspace driven the way the greedy search drives it: bases
-        // that grow, then shrink, with varying extension widths in between.
+        // One workspace driven the way the search drives it: a histogram
+        // per child over candidate lists that grow, then shrink, with
+        // varying subset widths read from each.
         let m = random_matrix(70, 10, 0xDEADBEEFCAFE1234);
         let cols = m.columns();
         let mut ws = CountsWorkspace::new();
-        let rounds: &[&[NodeId]] = &[&[], &[3], &[3, 6], &[1, 3, 6], &[6]];
-        for &base in rounds {
-            ws.set_base(&cols, base).expect("small base");
-            assert_eq!(ws.base_parents(), base);
-            for extra in [vec![], vec![0], vec![0, 9], vec![2, 4, 9]] {
-                if extra.iter().any(|p| base.contains(p)) {
-                    continue;
-                }
-                let mut union: Vec<NodeId> = base.iter().chain(&extra).copied().collect();
-                union.sort_unstable();
-                for child in [5u32, 8] {
-                    let got = one_table(&mut ws, &cols, child, &extra).expect("small union");
+        let lists: &[&[NodeId]] = &[&[], &[3], &[3, 6], &[0, 1, 3, 6, 9], &[6]];
+        for &candidates in lists {
+            for child in [5u32, 8] {
+                ws.set_candidates(&cols, child, candidates);
+                for take in 0..=candidates.len() {
+                    let subset = &candidates[candidates.len() - take..];
+                    let got = subset_table(&mut ws, candidates, subset).expect("small subset");
                     assert_eq!(
                         got,
-                        cols.combo_counts(child, &union).expect("small"),
-                        "base {base:?} extra {extra:?} child {child}"
+                        cols.combo_counts(child, subset).expect("small"),
+                        "candidates {candidates:?} subset {subset:?} child {child}"
                     );
                 }
             }
@@ -1298,83 +1156,51 @@ mod tests {
     }
 
     #[test]
-    fn batched_extensions_match_per_extension_tables() {
-        // One batch mixing extension sizes 0–3, repeats and shared members
-        // must reproduce the recursive kernel's table for every extension,
-        // with bases that interleave the extensions both ways and bases
-        // with empty cells, and charge one refinement per extension.
-        let m = random_matrix(100, 12, 0x1357_9BDF_2468_ACE0);
-        let cols = m.columns();
-        let mut ws = CountsWorkspace::new();
-        let cases: &[(&[NodeId], &[&[NodeId]])] = &[
-            (&[], &[&[0]]),
-            (&[], &[&[4], &[7, 4], &[], &[11, 4, 7], &[4]]),
-            (&[5], &[&[0], &[6, 9], &[9], &[0, 6, 9], &[6, 9]]),
-            (&[2, 8], &[&[0, 3], &[5], &[10, 11], &[3, 0], &[0, 5, 11]]),
-            (&[0, 1, 2, 3, 4, 5], &[&[6], &[7, 9], &[6, 7, 11]]),
-            (&[4, 6, 10], &[&[0, 5, 11], &[11], &[0]]),
-        ];
-        let mut batch = ExtensionBatch::new();
-        for &(base, extras) in cases {
-            ws.set_base(&cols, base).expect("small base");
-            batch.clear();
-            for ext in extras {
-                batch.push(ext.iter().copied());
+    fn marginal_tables_match_per_subset_tables() {
+        // Every subset of eight candidates, read from one histogram, must
+        // reproduce the recursive kernel's table and charge one
+        // refinement each — at β = 150 (cells ≤ β < 2⁸, so the histogram
+        // has empty cells) and at β = 12 (most combinations empty).
+        for beta in [150usize, 12] {
+            let m = random_matrix(beta, 12, 0x1357_9BDF_2468_ACE0);
+            let cols = m.columns();
+            let candidates: Vec<NodeId> = vec![0, 2, 3, 5, 6, 8, 9, 10];
+            let mut ws = CountsWorkspace::new();
+            ws.set_candidates(&cols, 11, &candidates);
+            assert!(ws.cells() <= beta.min(256));
+            for mask in 0u64..256 {
+                let subset: Vec<NodeId> = (0..8)
+                    .filter(|t| mask >> t & 1 == 1)
+                    .map(|t| candidates[t])
+                    .collect();
+                let got = ws.table(&[mask]).expect("small subset");
+                assert_eq!(
+                    got,
+                    cols.combo_counts(11, &subset).expect("small"),
+                    "beta {beta} subset {subset:?}"
+                );
             }
-            let before = ws.stats().refinements;
-            let mut seen = 0usize;
-            ws.extension_counts(&cols, 11, &batch, |t, counts| {
-                let mut union: Vec<NodeId> = base.iter().chain(extras[t]).copied().collect();
-                union.sort_unstable();
-                let expect = cols.combo_counts(11, &union).expect("small union");
-                assert_eq!(counts, expect, "base {base:?} extension {:?}", extras[t]);
-                assert_eq!(t, seen, "tables arrive in batch order");
-                seen += 1;
-            })
-            .expect("small unions");
-            assert_eq!(seen, extras.len());
-            assert_eq!(ws.stats().refinements, before + extras.len() as u64);
+            assert_eq!(ws.stats().refinements, 256);
         }
-        // Empty batches do nothing and charge nothing.
-        batch.clear();
-        let before = ws.stats().refinements;
-        ws.extension_counts(&cols, 11, &batch, |_, _| panic!("no extensions"))
-            .expect("empty batch");
-        assert_eq!(ws.stats().refinements, before);
     }
 
     #[test]
-    fn extension_batch_sorts_each_extension() {
-        let mut batch = ExtensionBatch::new();
-        assert!(batch.is_empty());
-        assert_eq!(batch.push([9, 2, 5]), 0);
-        assert_eq!(batch.push([]), 1);
-        assert_eq!(batch.push([3]), 2);
-        assert_eq!(batch.len(), 3);
-        assert_eq!(batch.get(0), &[2, 5, 9]);
-        assert!(batch.get(1).is_empty());
-        assert_eq!(batch.get(2), &[3]);
-        batch.clear();
-        assert!(batch.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate-free")]
-    fn extension_batch_rejects_repeated_nodes() {
-        ExtensionBatch::new().push([4, 1, 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "disjoint")]
-    fn batched_extensions_reject_base_overlap() {
-        let m = sample();
+    fn tables_over_more_than_64_candidates_chain_code_words() {
+        // 70 candidates: codes span two words, and a subset's packed
+        // index continues from the first word's bits into the second's.
+        let m = random_matrix(96, 72, 0x0F0F_1234_5678_9ABC);
         let cols = m.columns();
+        let candidates: Vec<NodeId> = (1..71).collect();
         let mut ws = CountsWorkspace::new();
-        ws.set_base(&cols, &[1]).expect("small base");
-        let mut batch = ExtensionBatch::new();
-        batch.push([0]);
-        batch.push([1]);
-        let _ = ws.extension_counts(&cols, 2, &batch, |_, _| {});
+        ws.set_candidates(&cols, 0, &candidates);
+        assert!(ws.cells() <= 96);
+        for subset in [vec![], vec![70], vec![1, 64, 65], vec![3, 40, 63, 66, 70]] {
+            assert_eq!(
+                subset_table(&mut ws, &candidates, &subset).expect("small subset"),
+                cols.combo_counts(0, &subset).expect("small"),
+                "subset {subset:?}"
+            );
+        }
     }
 
     #[test]
@@ -1382,9 +1208,10 @@ mod tests {
         let m = StatusMatrix::new(0, 4);
         let cols = m.columns();
         let mut ws = CountsWorkspace::new();
-        ws.set_base(&cols, &[1]).expect("small base");
+        ws.set_candidates(&cols, 0, &[1, 2]);
+        assert_eq!(ws.cells(), 0);
         assert_eq!(
-            one_table(&mut ws, &cols, 0, &[2]).expect("small union"),
+            subset_table(&mut ws, &[1, 2], &[1, 2]).expect("small subset"),
             vec![[0, 0]; 4]
         );
     }
@@ -1395,24 +1222,24 @@ mod tests {
         let cols = m.columns();
         let mut ws = CountsWorkspace::new();
         assert_eq!(ws.stats(), WorkspaceStats::default());
-        ws.set_base(&cols, &[]).expect("empty base");
-        one_table(&mut ws, &cols, 2, &[0]).expect("small");
-        one_table(&mut ws, &cols, 2, &[1]).expect("small");
-        ws.set_base(&cols, &[0]).expect("small base");
-        one_table(&mut ws, &cols, 2, &[1]).expect("small");
+        ws.set_candidates(&cols, 2, &[0, 1]);
+        subset_table(&mut ws, &[0, 1], &[0]).expect("small");
+        subset_table(&mut ws, &[0, 1], &[1]).expect("small");
+        ws.set_candidates(&cols, 0, &[1]);
+        subset_table(&mut ws, &[1], &[1]).expect("small");
         let stats = ws.stats();
         assert_eq!(stats.rebases, 2);
         assert_eq!(stats.refinements, 3);
     }
 
     #[test]
-    #[should_panic(expected = "disjoint")]
-    fn workspace_rejects_overlapping_extension() {
+    #[should_panic(expected = "past the candidate list")]
+    fn table_rejects_positions_past_the_candidate_list() {
         let m = sample();
         let cols = m.columns();
         let mut ws = CountsWorkspace::new();
-        ws.set_base(&cols, &[1]).expect("small base");
-        let _ = one_table(&mut ws, &cols, 2, &[1]);
+        ws.set_candidates(&cols, 2, &[0, 1]);
+        let _ = ws.table(&[0b100]);
     }
 
     #[test]
@@ -1420,7 +1247,7 @@ mod tests {
     fn workspace_rejects_unsorted_base() {
         let m = sample();
         let cols = m.columns();
-        let _ = CountsWorkspace::new().set_base(&cols, &[2, 1]);
+        CountsWorkspace::new().set_candidates(&cols, 0, &[2, 1]);
     }
 
     #[test]
@@ -1442,22 +1269,12 @@ mod tests {
         assert!(err.to_string().contains("too large"));
         let cols = m.columns();
         assert_eq!(cols.combo_counts(29, &parents).unwrap_err(), err);
+        // The workspace histograms any number of candidates, but a table
+        // of more than the limit errors without counting a refinement.
         let mut ws = CountsWorkspace::new();
-        assert_eq!(ws.set_base(&cols, &parents).unwrap_err(), err);
-        // A base/extension split whose union crosses the limit errors too,
-        // before scoring any extension of the batch and without counting
-        // the failed call as a refinement.
-        ws.set_base(&cols, &parents[..20]).expect("20 fits");
-        let rebases_before = ws.stats();
-        let mut batch = ExtensionBatch::new();
-        batch.push([20]);
-        batch.push(parents[20..].iter().copied());
-        batch.push(parents[21..].iter().copied());
-        assert_eq!(
-            ws.extension_counts(&cols, 29, &batch, |_, _| panic!("nothing is scored")),
-            Err(err)
-        );
-        assert_eq!(ws.stats().refinements, rebases_before.refinements);
+        ws.set_candidates(&cols, 29, &parents);
+        assert_eq!(ws.table(&[(1 << 26) - 1]).unwrap_err(), err);
+        assert_eq!(ws.stats().refinements, 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use diffnet_graph::NodeId;
 use diffnet_simulate::{
-    io, CountsWorkspace, DiffusionRecord, EdgeProbs, ExtensionBatch, IcConfig, IndependentCascade,
+    io, ComboSizeError, CountsWorkspace, DiffusionRecord, EdgeProbs, IcConfig, IndependentCascade,
     Kernels, LinearThreshold, ObservationSet, SimdMode, StatusMatrix, UNINFECTED,
 };
 use proptest::prelude::*;
@@ -239,8 +239,9 @@ proptest! {
     }
 
     // The word-parallel combination tables (recursive, and the workspace's
-    // batched extensions: the whole extension set and each of its nodes
-    // alone) all match the row-major scalar oracle.
+    // marginals of one histogram over every other node: the whole list,
+    // every other node, and each node alone) all match the row-major
+    // scalar oracle.
     #[test]
     fn combo_tables_match_row_oracle(m in simd_matrix(), seed in 0u64..1000) {
         let n = m.num_nodes();
@@ -249,53 +250,36 @@ proptest! {
         }
         let cols = m.columns();
         let child = (seed % n as u64) as NodeId;
-        // Split the remaining nodes into a base set and extension set.
         let others: Vec<NodeId> = (0..n as NodeId).filter(|&v| v != child).collect();
-        let base: Vec<NodeId> = others.iter().copied().step_by(2).collect();
-        let extras: Vec<NodeId> = others.iter().copied().skip(1).step_by(2).collect();
-
-        let union: Vec<NodeId> = {
-            let mut u = others.clone();
-            u.sort_unstable();
-            u
-        };
-        let oracle = m.combo_counts(child, &union).expect("within limit");
-        let word_parallel = cols.combo_counts(child, &union).expect("within limit");
+        let oracle = m.combo_counts(child, &others).expect("within limit");
+        let word_parallel = cols.combo_counts(child, &others).expect("within limit");
         prop_assert_eq!(word_parallel.as_slice(), oracle.as_slice());
 
-        let mut ws = diffnet_simulate::CountsWorkspace::new();
-        ws.set_base(&cols, &base).expect("within limit");
-        let mut batch = ExtensionBatch::new();
-        batch.push(extras.iter().copied());
-        for &p in &extras {
-            batch.push([p]);
-        }
-        let mut tables = Vec::new();
-        ws.extension_counts(&cols, child, &batch, |t, counts| {
-            tables.push((t, counts.to_vec()));
-        })
-        .expect("within limit");
-        prop_assert_eq!(tables.len(), 1 + extras.len());
-        for (t, counts) in tables {
-            let mut one = base.clone();
-            one.extend_from_slice(batch.get(t));
-            one.sort_unstable();
-            let want = m.combo_counts(child, &one).expect("within limit");
-            prop_assert_eq!(counts, want, "extension {:?}", batch.get(t));
+        let mut ws = CountsWorkspace::new();
+        ws.set_candidates(&cols, child, &others);
+        let all = (1u64 << others.len()) - 1;
+        let mut subsets = vec![all, all & 0x5555_5555_5555_5555];
+        subsets.extend((0..others.len()).map(|t| 1u64 << t));
+        for subset in subsets {
+            let nodes: Vec<NodeId> =
+                (0..others.len()).filter(|t| subset >> t & 1 == 1).map(|t| others[t]).collect();
+            let got = ws.table(&[subset]).expect("within limit").to_vec();
+            prop_assert_eq!(got, m.combo_counts(child, &nodes).expect("within limit"), "subset {:?}", nodes);
         }
     }
 
-    // The batched extension kernel emits, for every extension of a batch
-    // that mixes sizes 1–3 and repeats some of them, against bases of 0–6
-    // parents, exactly the recursive kernel's table over the sorted union
-    // — under every SIMD tier the host has (unavailable ones degrade to
-    // an available one), at β around the word and lane edges and at the
-    // paper's and the archive's β.
+    // Every marginal table of a histogram over 0–70 candidates — more
+    // than 25 and more than 64 included, so codes span two words — is
+    // exactly the recursive kernel's table over the sorted subset, under
+    // every SIMD tier the host has (unavailable ones degrade to an
+    // available one), at β around the word and lane edges and at the
+    // paper's and the archive's β. Subsets hold up to 16 nodes (a 1 MiB
+    // table); past 25 nodes the table is refused with a typed error.
     #[test]
-    fn extension_counts_match_combo_counts(
+    fn marginal_tables_match_combo_counts(
         (beta, n, bits) in (
             (0usize..7).prop_map(|i| [0usize, 1, 63, 64, 65, 150, 1100][i]),
-            10usize..14,
+            (0usize..4).prop_map(|i| [4usize, 12, 30, 72][i]),
         )
             .prop_flat_map(|(beta, n)| {
                 use proptest::strategy::Just;
@@ -313,52 +297,54 @@ proptest! {
         let cols = m.columns();
         let mut rng = StdRng::seed_from_u64(seed);
         let child = rng.gen_range(0..n) as NodeId;
-        let mut others: Vec<NodeId> = (0..n as NodeId).filter(|&v| v != child).collect();
-        for i in (1..others.len()).rev() {
-            others.swap(i, rng.gen_range(0..=i));
-        }
-        let f = rng.gen_range(0..=6usize);
-        let mut base = others[..f].to_vec();
-        base.sort_unstable();
-        let pool = &others[f..];
-        let mut extensions: Vec<Vec<NodeId>> = Vec::new();
-        for _ in 0..rng.gen_range(1..=8usize) {
-            if !extensions.is_empty() && rng.gen_bool(0.25) {
-                let again = extensions[rng.gen_range(0..extensions.len())].clone();
-                extensions.push(again);
+        let mut candidates: Vec<NodeId> = (0..n as NodeId)
+            .filter(|&v| v != child && rng.gen_bool(0.8))
+            .collect();
+        candidates.truncate(rng.gen_range(0..=candidates.len()));
+        let c = candidates.len();
+        let words = c.div_ceil(64).max(1);
+        // Random subsets by a partial shuffle of the candidate positions.
+        let mut subsets: Vec<Vec<usize>> = Vec::new();
+        for _ in 0..6 {
+            let size = if c > 25 && rng.gen_bool(0.2) {
+                rng.gen_range(26..=c)
             } else {
-                let k = rng.gen_range(1..=3usize);
-                // Distinct picks by a partial shuffle; |pool| ≥ 3 ≥ k.
-                let mut ext = pool.to_vec();
-                for j in 0..k {
-                    let r = rng.gen_range(j..ext.len());
-                    ext.swap(j, r);
-                }
-                ext.truncate(k);
-                extensions.push(ext);
+                rng.gen_range(0..=c.min(16))
+            };
+            let mut pos: Vec<usize> = (0..c).collect();
+            for j in 0..size {
+                let r = rng.gen_range(j..c);
+                pos.swap(j, r);
             }
-        }
-        let mut batch = ExtensionBatch::new();
-        for ext in &extensions {
-            batch.push(ext.iter().copied());
+            pos.truncate(size);
+            subsets.push(pos);
         }
         for mode in [SimdMode::Scalar, SimdMode::Popcnt, SimdMode::Avx2, SimdMode::Auto] {
             let mut ws = CountsWorkspace::with_kernels(Kernels::for_mode(mode));
-            ws.set_base(&cols, &base).expect("small base");
-            let mut seen = 0usize;
-            let mut mismatch = None;
-            ws.extension_counts(&cols, child, &batch, |t, counts| {
-                let mut union: Vec<NodeId> = base.iter().chain(&extensions[t]).copied().collect();
-                union.sort_unstable();
-                if counts != cols.combo_counts(child, &union).expect("small union").as_slice() {
-                    mismatch.get_or_insert(t);
+            ws.set_candidates(&cols, child, &candidates);
+            prop_assert!(ws.cells() <= beta.min(1 << c.min(20)));
+            let mut tables = 0u64;
+            for pos in &subsets {
+                let mut mask = vec![0u64; words];
+                for &t in pos {
+                    mask[t / 64] |= 1 << (t % 64);
                 }
-                seen += 1;
-            })
-            .expect("small unions");
-            prop_assert_eq!(mismatch, None, "{:?} base {:?} batch {:?}", mode, &base, &extensions);
-            prop_assert_eq!(seen, extensions.len());
-            prop_assert_eq!(ws.stats().refinements, extensions.len() as u64);
+                let mut nodes: Vec<NodeId> = pos.iter().map(|&t| candidates[t]).collect();
+                nodes.sort_unstable();
+                match ws.table(&mask) {
+                    Ok(got) => {
+                        tables += 1;
+                        let want = cols.combo_counts(child, &nodes).expect("small subset");
+                        prop_assert_eq!(got, want.as_slice(), "{:?} subset {:?}", mode, &nodes);
+                    }
+                    Err(err) => {
+                        prop_assert_eq!(err, ComboSizeError { parents: nodes.len() });
+                        prop_assert!(nodes.len() > 25);
+                    }
+                }
+            }
+            prop_assert_eq!(ws.stats().refinements, tables);
+            prop_assert_eq!(ws.stats().rebases, 1);
         }
     }
 

@@ -107,7 +107,7 @@ pub struct TendsConfig {
     /// keeps global node ids. Incompatible with
     /// [`DirectionPolicy::MutualOnly`], which needs every node's parent
     /// set: [`Tends::reconstruct_robust`] refuses that combination, and a
-    /// shard past the last node, with a typed [`CheckpointError::Format`].
+    /// shard past the last node, with a typed [`CheckpointError::Config`].
     pub shard: Option<Shard>,
 }
 
@@ -410,13 +410,14 @@ impl Tends {
     /// problem is reported before any pair state is allocated:
     /// - [`CheckpointError::DenseLimit`] for a dense run over more than
     ///   [`crate::MAX_DENSE_NODES`] nodes;
-    /// - [`CheckpointError::Format`] for a shard that does not fit the
-    ///   `n` nodes, or [`DirectionPolicy::MutualOnly`] with a partial
-    ///   shard (it needs every node's parent set);
-    /// - for an append, [`CheckpointError::Format`] when the config is
-    ///   streamed, or the checkpoint is missing, carries no sufficient
-    ///   statistics (streamed checkpoints), disagrees with the matrix
-    ///   shapes, or its revision cannot warm-start `options.revision`;
+    /// - [`CheckpointError::Config`] for a shard that does not fit the
+    ///   `n` nodes, [`DirectionPolicy::MutualOnly`] with a partial shard
+    ///   (it needs every node's parent set), or an append asked of a
+    ///   streamed config or without a checkpoint path;
+    /// - for an append, [`CheckpointError::Format`] when the checkpoint
+    ///   carries no sufficient statistics (streamed checkpoints),
+    ///   disagrees with the matrix shapes, or its revision cannot
+    ///   warm-start `options.revision`;
     /// - an unreadable, corrupt, or mismatched (different inputs/config)
     ///   checkpoint file, or a failed checkpoint write.
     pub fn reconstruct_robust(
@@ -432,7 +433,7 @@ impl Tends {
         let source = if self.config.memory_budget.is_some() || self.config.shard.is_some() {
             let shard = self.config.shard.unwrap_or_else(|| Shard::full(n));
             if shard.start > shard.end || shard.end as usize > n {
-                return Err(CheckpointError::Format(format!(
+                return Err(CheckpointError::Config(format!(
                     "shard {}..{} out of range for n = {n}",
                     shard.start, shard.end,
                 )));
@@ -440,7 +441,7 @@ impl Tends {
             // MutualOnly needs the parent set of every node in the graph;
             // a shard only computes its own range.
             if self.config.direction == DirectionPolicy::MutualOnly && shard.len() != n {
-                return Err(CheckpointError::Format(
+                return Err(CheckpointError::Config(
                     "MutualOnly direction requires an unsharded run".into(),
                 ));
             }
@@ -463,14 +464,14 @@ impl Tends {
         options: &RobustOptions<'_>,
     ) -> Result<PartialReconstruction, CheckpointError> {
         if self.config.memory_budget.is_some() || self.config.shard.is_some() {
-            return Err(CheckpointError::Format(
+            return Err(CheckpointError::Config(
                 "incremental append needs the dense pipeline \
                  (memory_budget and shard configs cannot warm-start appends)"
                     .into(),
             ));
         }
         let path = options.checkpoint.clone().ok_or_else(|| {
-            CheckpointError::Format("incremental append requires a checkpoint file".into())
+            CheckpointError::Config("incremental append requires a checkpoint file".into())
         })?;
         // Header and statistics only: the old revision's node entries are
         // never read, because every node is searched over the combined
@@ -1988,8 +1989,8 @@ mod tests {
                 )
                 .expect_err("streamed configs cannot append");
             assert!(
-                matches!(&err, CheckpointError::Format(m) if m.contains("memory_budget and shard")),
-                "expected a Format error naming the cause, got {err:?}"
+                matches!(&err, CheckpointError::Config(m) if m.contains("memory_budget and shard")),
+                "expected a Config error naming the cause, got {err:?}"
             );
         }
     }
@@ -2771,10 +2772,14 @@ mod tests {
                 .reconstruct_robust(&combined, Recorder::disabled(), options)
                 .expect_err("config must be refused")
         };
-        let format_naming = |err: CheckpointError, what: &str| {
+        let config_naming = |err: CheckpointError, what: &str| {
             assert!(
-                matches!(&err, CheckpointError::Format(m) if m.contains(what)),
-                "expected a Format error naming {what:?}, got {err:?}"
+                matches!(&err, CheckpointError::Config(m) if m.contains(what)),
+                "expected a Config error naming {what:?}, got {err:?}"
+            );
+            assert!(
+                err.to_string().starts_with("invalid configuration: "),
+                "{err}"
             );
         };
 
@@ -2782,7 +2787,7 @@ mod tests {
             shard: Some(Shard { start: 2, end: 7 }),
             ..Default::default()
         };
-        format_naming(
+        config_naming(
             refused(past_n, &RobustOptions::default()),
             "shard 2..7 out of range for n = 6",
         );
@@ -2791,7 +2796,7 @@ mod tests {
             shard: Some(Shard { start: 0, end: 3 }),
             ..Default::default()
         };
-        format_naming(
+        config_naming(
             refused(mutual_partial, &RobustOptions::default()),
             "MutualOnly direction requires an unsharded run",
         );
@@ -2811,7 +2816,7 @@ mod tests {
             appended: Some(&appended),
             ..Default::default()
         };
-        format_naming(
+        config_naming(
             refused(streamed, &streamed_append),
             "memory_budget and shard",
         );
@@ -2820,7 +2825,7 @@ mod tests {
             appended: Some(&appended),
             ..Default::default()
         };
-        format_naming(
+        config_naming(
             refused(TendsConfig::default(), &no_checkpoint),
             "requires a checkpoint file",
         );

@@ -117,6 +117,13 @@ pub enum CheckpointError {
     /// missing or ill-typed field, bytes that are not UTF-8, or a
     /// statistics section that disagrees with its header.
     Format(String),
+    /// The run's configuration cannot be carried out, whatever the
+    /// checkpoint holds: a shard past the last node,
+    /// [`DirectionPolicy::MutualOnly`](crate::DirectionPolicy::MutualOnly)
+    /// on a partial shard, or an append asked of a streamed config or
+    /// without a checkpoint file. Found before any pair state is
+    /// allocated.
+    Config(String),
     /// The checkpoint was written for different inputs or configuration.
     Mismatch {
         /// Fingerprint of the current run.
@@ -140,6 +147,7 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
             CheckpointError::Parse(e) => write!(f, "corrupt checkpoint: {e}"),
             CheckpointError::Format(msg) => write!(f, "invalid checkpoint: {msg}"),
+            CheckpointError::Config(msg) => write!(f, "invalid configuration: {msg}"),
             CheckpointError::Mismatch { expected, found } => write!(
                 f,
                 "checkpoint fingerprint {found} does not match this run ({expected}): \
@@ -192,7 +200,10 @@ pub struct CheckpointEntry {
     pub stats: SearchStats,
     /// Score-cache counters of the original search.
     pub cache_stats: ScoreCacheStats,
-    /// Counting-workspace activity the original search performed.
+    /// Counting-workspace activity the original search performed: the
+    /// tables it counted and its candidate histograms (one; entries from
+    /// builds before the histogram search hold one partition rebuild per
+    /// greedy round there).
     pub ws: WorkspaceStats,
 }
 

@@ -16,7 +16,7 @@
 //!
 //! All logarithms are base 2, following the paper.
 
-use std::collections::hash_map::{self, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
@@ -232,23 +232,20 @@ pub struct CachedScore {
 /// standing for candidate `t`. Greedy rounds re-probe subsets already
 /// scored during enumeration (round one re-scores every combination
 /// verbatim), and the exhaustive strategy re-visits every enumerated
-/// combination; both hit this cache instead of re-refining the workspace
-/// partition.
+/// combination; both hit this cache instead of counting the subset's
+/// table again.
 ///
 /// A cached score was computed from the exact counts table (same sorted
 /// parent order, same summation order) a fresh evaluation would build, so
 /// reuse is bit-identical. The cache is per-child: callers must
 /// [`reset`](Self::reset) it between nodes.
 ///
-/// A batched round [`probe`](Self::probe)s every subset before scoring
-/// any: the first probe of a new key counts the miss and reserves the key
-/// for the batch slot that will score it, and later probes of that key
-/// count hits on the same slot — the hit/miss split of scoring the round's
-/// subsets one at a time. [`fill`](Self::fill) stores the slot's score
-/// once the batch has run.
+/// Every [`get`](Self::get) counts a hit or a miss; the search
+/// [`insert`](Self::insert)s a subset's score right after the miss that
+/// counted it.
 #[derive(Clone, Debug, Default)]
 pub struct ScoreCache {
-    map: HashMap<u64, Entry, BuildHasherDefault<MaskHasher>>,
+    map: HashMap<u64, CachedScore, BuildHasherDefault<MaskHasher>>,
     stats: ScoreCacheStats,
 }
 
@@ -278,24 +275,6 @@ impl Hasher for MaskHasher {
     }
 }
 
-/// A cache entry: a score, or the batch slot that will produce it.
-#[derive(Clone, Copy, Debug)]
-enum Entry {
-    Scored(CachedScore),
-    Queued(usize),
-}
-
-/// What [`ScoreCache::probe`] found for a key.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Probe {
-    /// Scored before (a hit).
-    Scored(CachedScore),
-    /// Reserved by an earlier probe for this batch slot (a hit).
-    Queued(usize),
-    /// New: the key is now reserved for the slot probed with (a miss).
-    Missed,
-}
-
 impl ScoreCache {
     /// An empty cache.
     pub fn new() -> Self {
@@ -309,28 +288,20 @@ impl ScoreCache {
         self.stats = ScoreCacheStats::default();
     }
 
-    /// Looks up a subset, counting a hit if it is scored or queued; a new
-    /// key counts a miss and is queued for batch slot `slot`.
-    pub fn probe(&mut self, key: u64, slot: usize) -> Probe {
-        match self.map.entry(key) {
-            hash_map::Entry::Occupied(e) => {
-                self.stats.hits += 1;
-                match *e.get() {
-                    Entry::Scored(value) => Probe::Scored(value),
-                    Entry::Queued(t) => Probe::Queued(t),
-                }
-            }
-            hash_map::Entry::Vacant(e) => {
-                self.stats.misses += 1;
-                e.insert(Entry::Queued(slot));
-                Probe::Missed
-            }
+    /// The memoized evaluation of a subset, counting a hit if there is
+    /// one and a miss otherwise.
+    pub fn get(&mut self, key: u64) -> Option<CachedScore> {
+        let value = self.map.get(&key).copied();
+        match value {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
         }
+        value
     }
 
-    /// Stores the score of a key [`probe`](Self::probe) queued.
-    pub fn fill(&mut self, key: u64, value: CachedScore) {
-        self.map.insert(key, Entry::Scored(value));
+    /// Memoizes a subset's evaluation.
+    pub fn insert(&mut self, key: u64, value: CachedScore) {
+        self.map.insert(key, value);
     }
 
     /// Hit/miss counters since the last [`reset`](Self::reset).
@@ -452,15 +423,15 @@ mod tests {
             score: -3.5,
             phi: 1,
         };
-        assert_eq!(cache.probe(7, 0), Probe::Missed);
-        assert_eq!(cache.probe(7, 1), Probe::Queued(0));
-        assert_eq!(cache.probe(9, 1), Probe::Missed);
-        cache.fill(7, value);
-        assert_eq!(cache.probe(7, 2), Probe::Scored(value));
+        assert_eq!(cache.get(7), None);
+        cache.insert(7, value);
+        assert_eq!(cache.get(7), Some(value));
+        assert_eq!(cache.get(9), None);
+        assert_eq!(cache.get(7), Some(value));
         assert_eq!(cache.stats(), ScoreCacheStats { hits: 2, misses: 2 });
         cache.reset();
         assert_eq!(cache.stats(), ScoreCacheStats::default());
-        assert_eq!(cache.probe(7, 0), Probe::Missed);
+        assert_eq!(cache.get(7), None);
     }
 
     #[test]

@@ -13,27 +13,23 @@
 //! ([`GreedyStrategy`]); the improvement-driven variant is the default and
 //! the literal one is kept for the ablation bench.
 //!
-//! Every evaluated subset is memoized in a [`ScoreCache`] keyed on its
-//! candidate-subset bitmask, so greedy rounds (and the exhaustive
-//! strategy) that re-probe a subset already scored — round one re-scores
-//! every enumerated combination verbatim — reuse the score and `φ` instead
-//! of recounting. Cached reuse is bit-identical to recounting, which the
-//! reference-oracle test pins down.
-//!
-//! Combinations are classified as bitmasks over the candidate list,
-//! computed once when they are enumerated: a round's extension of `F` by
-//! `W` is `W & !F`, its size a popcount, and `W ⊆ F` is an empty
-//! extension. Every novel extension of a round, whatever its size, is
-//! queued into one [`ExtensionBatch`] that
-//! [`CountsWorkspace::extension_counts`] scores in a single pass over the
-//! round's base partition; enumeration (base `∅`) goes through the same
-//! batches.
+//! Every set the search scores is a subset of the node's candidate list,
+//! so the search runs in candidate-mask space: bit `t` of a mask stands
+//! for the `t`-th candidate in ascending node-id order. A round's union
+//! `F ∪ W` is `F | W`, its novelty `W & !F`, and its table is a marginal
+//! of the child's histogram against the whole candidate list
+//! ([`CountsWorkspace`], built once per node). Every evaluated subset is
+//! memoized in a [`ScoreCache`] keyed on its mask, so greedy rounds (and
+//! the exhaustive strategy) that re-probe a subset already scored — round
+//! one re-scores every enumerated combination verbatim — reuse the score
+//! and `φ` instead of recounting. Cached reuse is bit-identical to
+//! recounting, which the reference-oracle test pins down.
 
 #[cfg(test)]
 use crate::imi::CorrelationMatrix;
-use crate::score::{self, CachedScore, Probe, ScoreCache, ScoreCacheStats};
+use crate::score::{self, CachedScore, ScoreCache, ScoreCacheStats};
 use diffnet_graph::NodeId;
-use diffnet_simulate::{ComboSizeError, CountsWorkspace, ExtensionBatch, NodeColumns};
+use diffnet_simulate::{ComboSizeError, CountsWorkspace, NodeColumns};
 use std::fmt;
 
 /// How the greedy expansion of a node's parent set accepts combinations.
@@ -159,18 +155,16 @@ impl SearchStats {
     }
 }
 
-/// Per-worker scratch state for the parent search: the incremental
-/// counting workspace plus the cross-round score cache. One instance
-/// serves many nodes in sequence, retaining every buffer.
+/// Per-worker scratch state for the parent search: the counting
+/// workspace plus the cross-round score cache. One instance serves many
+/// nodes in sequence, retaining every buffer.
 #[derive(Clone, Debug, Default)]
 pub struct SearchScratch {
-    /// Incremental `N_ijk` counting engine.
+    /// Per-node candidate histogram and its marginal tables.
     pub ws: CountsWorkspace,
     /// Cross-round `g(v_i, F ∪ W)` memo (reset per child).
     pub cache: ScoreCache,
-    /// One batch of evaluations against the workspace's base.
-    round: Round,
-    /// Bitmask of every enumerated combination, [`mask_words`] words each.
+    /// Bitmask of every enumerated combination, [`Ctx::words`] words each.
     masks: Vec<u64>,
 }
 
@@ -222,33 +216,59 @@ pub(crate) fn candidate_parents(
     crate::stream::top_ids(cands, max_candidates)
 }
 
-/// Words per candidate-subset bitmask: bit `t % 64` of word `t / 64`
-/// stands for `candidates[t]`. One word whenever the list fits 64
-/// candidates — the only case in which the score cache is on, keyed on
-/// that word.
-fn mask_words(candidates: &[NodeId]) -> usize {
-    candidates.len().div_ceil(64).max(1)
+/// What one child's search scores against, in candidate-mask space: bit
+/// `t % 64` of word `t / 64` of a mask stands for `sorted[t]`.
+struct Ctx {
+    /// The candidates in ascending node-id order — the histogram's code
+    /// order, so a mask's table indexes its parents in sorted order.
+    sorted: Vec<NodeId>,
+    /// Mask bit of each candidate, in the caller's (correlation) order.
+    bit: Vec<usize>,
+    /// Words per mask: one whenever the list fits 64 candidates — the
+    /// only case in which the score cache is on, keyed on that word.
+    words: usize,
+    /// Theorem-2 slack `δ_i`.
+    delta: f64,
+    /// The empty subset's mask.
+    empty: Vec<u64>,
 }
 
-/// The candidates `mask & !exclude` selects, in candidate order.
-fn members<'a>(
-    mask: &'a [u64],
-    exclude: &'a [u64],
-    candidates: &'a [NodeId],
-) -> impl Iterator<Item = NodeId> + 'a {
-    mask.iter()
-        .zip(exclude)
-        .enumerate()
-        .flat_map(move |(w, (&m, &x))| {
-            let mut bits = m & !x;
-            std::iter::from_fn(move || {
-                (bits != 0).then(|| {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    candidates[64 * w + b]
-                })
-            })
-        })
+impl Ctx {
+    fn new(candidates: &[NodeId], delta: f64) -> Self {
+        let mut sorted = candidates.to_vec();
+        sorted.sort_unstable();
+        let bit = candidates
+            .iter()
+            .map(|c| sorted.binary_search(c).expect("sorted copy"))
+            .collect();
+        let words = candidates.len().div_ceil(64).max(1);
+        Ctx {
+            sorted,
+            bit,
+            words,
+            delta,
+            empty: vec![0; words],
+        }
+    }
+
+    /// The cache key of `subset`, if caching is on (at most 64
+    /// candidates).
+    fn key(&self, subset: &[u64]) -> Option<u64> {
+        (self.sorted.len() <= 64).then(|| subset[0])
+    }
+
+    /// The sorted node set a mask selects.
+    fn nodes(&self, mask: &[u64]) -> Vec<NodeId> {
+        let mut nodes = Vec::new();
+        for (w, &m) in mask.iter().enumerate() {
+            let mut bits = m;
+            while bits != 0 {
+                nodes.push(self.sorted[64 * w + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
+        nodes
+    }
 }
 
 /// Size of `mask & !exclude`.
@@ -259,156 +279,24 @@ fn count_outside(mask: &[u64], exclude: &[u64]) -> usize {
         .sum()
 }
 
-/// The sorted node set a bitmask selects.
-fn mask_nodes(mask: &[u64], candidates: &[NodeId]) -> Vec<NodeId> {
-    let none = vec![0; mask.len()];
-    let mut nodes: Vec<NodeId> = members(mask, &none, candidates).collect();
-    nodes.sort_unstable();
-    nodes
-}
-
-/// What one child's search scores against.
-struct Ctx<'a> {
-    cols: &'a NodeColumns,
-    child: NodeId,
-    candidates: &'a [NodeId],
-    /// [`mask_words`] of `candidates`.
-    words: usize,
-    /// Whether subsets are memoized (at most 64 candidates).
-    cache_on: bool,
-    /// Theorem-2 slack `δ_i`.
-    delta: f64,
-    /// The empty subset's bitmask.
-    empty: Vec<u64>,
-}
-
-impl<'a> Ctx<'a> {
-    fn new(cols: &'a NodeColumns, child: NodeId, candidates: &'a [NodeId], delta: f64) -> Self {
-        let words = mask_words(candidates);
-        Ctx {
-            cols,
-            child,
-            candidates,
-            words,
-            cache_on: candidates.len() <= 64,
-            delta,
-            empty: vec![0; words],
-        }
-    }
-
-    /// The cache key of the subset `base | mask`, if caching is on.
-    fn key(&self, base: &[u64], mask: &[u64]) -> Option<u64> {
-        self.cache_on.then(|| base[0] | mask[0])
-    }
-}
-
-/// How one subset's evaluation is obtained within a [`Round`].
-#[derive(Clone, Copy, Debug)]
-enum RoundEval {
-    /// Scored in an earlier batch: a cache hit.
-    Cached(CachedScore),
-    /// Entry `t` of this round's batch: queued by this subset (a miss), or
-    /// by an earlier subset with the same key (a hit).
-    Batched(usize),
-}
-
-/// One batch of subset evaluations against the workspace's current base:
-/// each subset is classified first, then every queued extension is scored
-/// by one [`CountsWorkspace::extension_counts`] pass, then the subsets are
-/// resolved in classification order. Hit/miss totals, workspace
-/// refinements and every evaluation equal scoring the subsets one at a
-/// time in that order.
-#[derive(Clone, Debug, Default)]
-struct Round {
-    /// Extensions queued for the kernel.
-    batch: ExtensionBatch,
-    /// Cache key of each queued extension (`None` with the cache off).
-    keys: Vec<Option<u64>>,
-    /// Evaluation of each queued extension, filled by [`Round::flush`].
-    scores: Vec<CachedScore>,
-    /// Each classified subset: caller tag, parent-set size, evaluation.
-    pending: Vec<(usize, usize, RoundEval)>,
-}
-
-impl Round {
-    fn clear(&mut self) {
-        self.batch.clear();
-        self.keys.clear();
-        self.scores.clear();
-        self.pending.clear();
-    }
-
-    /// Classifies the subset with cache key `key` whose extension of the
-    /// base is `ext`: a cached score, or a batch entry — queuing `ext`
-    /// unless an earlier subset of the round already queued the same key.
-    /// With the cache off every subset is queued, as each would be
-    /// recounted one at a time.
-    fn classify(
-        &mut self,
-        cache: &mut ScoreCache,
-        key: Option<u64>,
-        ext: impl IntoIterator<Item = NodeId>,
-    ) -> RoundEval {
-        let slot = self.batch.len();
-        if let Some(k) = key {
-            match cache.probe(k, slot) {
-                Probe::Scored(value) => return RoundEval::Cached(value),
-                Probe::Queued(t) => return RoundEval::Batched(t),
-                Probe::Missed => {}
-            }
-        }
-        self.batch.push(ext);
-        self.keys.push(key);
-        RoundEval::Batched(slot)
-    }
-
-    /// Scores every queued extension in one pass over the workspace's base
-    /// partition and memoizes the keyed ones.
-    fn flush(
-        &mut self,
-        ws: &mut CountsWorkspace,
-        cache: &mut ScoreCache,
-        ctx: &Ctx,
-    ) -> Result<(), ComboSizeError> {
-        if self.batch.is_empty() {
-            return Ok(());
-        }
-        let (keys, scores) = (&self.keys, &mut self.scores);
-        ws.extension_counts(ctx.cols, ctx.child, &self.batch, |t, counts| {
-            let value = score::evaluate(counts);
-            if let Some(k) = keys[t] {
-                cache.fill(k, value);
-            }
-            scores.push(value);
-        })
-    }
-
-    fn resolve(&self, eval: RoundEval) -> CachedScore {
-        match eval {
-            RoundEval::Cached(value) => value,
-            RoundEval::Batched(t) => self.scores[t],
-        }
-    }
-}
-
-/// Scores one subset — `base | mask`, where `base` is the workspace's
-/// base set — on its own: a batch of at most one extension.
-fn eval_one(
+/// `g(v_i, ·)` and `φ` of the subset `mask`: from the cache when it was
+/// scored before, otherwise from its marginal table (memoized when the
+/// cache is on).
+fn eval(
     ws: &mut CountsWorkspace,
     cache: &mut ScoreCache,
-    round: &mut Round,
     ctx: &Ctx,
-    base: &[u64],
     mask: &[u64],
 ) -> Result<CachedScore, ComboSizeError> {
-    round.clear();
-    let eval = round.classify(
-        cache,
-        ctx.key(base, mask),
-        members(mask, base, ctx.candidates),
-    );
-    round.flush(ws, cache, ctx)?;
-    Ok(round.resolve(eval))
+    let key = ctx.key(mask);
+    if let Some(value) = key.and_then(|k| cache.get(k)) {
+        return Ok(value);
+    }
+    let value = score::evaluate(ws.table(mask)?);
+    if let Some(k) = key {
+        cache.insert(k, value);
+    }
+    Ok(value)
 }
 
 /// An admitted combination: where its bitmask starts in
@@ -437,34 +325,29 @@ pub fn enumerate_combos(
     stats: &mut SearchStats,
 ) -> Result<Vec<Combo>, ComboSizeError> {
     let mut scratch = SearchScratch::new();
-    let ctx = Ctx::new(cols, child, candidates, delta);
+    let ctx = Ctx::new(candidates, delta);
+    scratch.ws.set_candidates(cols, child, &ctx.sorted);
     let combos = enumerate(&mut scratch, &ctx, max_combo_size, stats)?;
     Ok(combos
         .iter()
         .map(|c| Combo {
-            nodes: mask_nodes(&scratch.masks[c.at..c.at + ctx.words], candidates),
+            nodes: ctx.nodes(&scratch.masks[c.at..c.at + ctx.words]),
             score: c.score,
         })
         .collect())
 }
 
-/// Extensions queued per enumeration batch: bounds the batch's memory
-/// when `max_combo_size` admits very many combinations.
-const ENUMERATION_BATCH: usize = 256;
-
 /// [`enumerate_combos`] on caller-provided scratch state, in depth-first
-/// order: every combination's bitmask is appended to `scratch.masks`, and
-/// the combinations are scored against the empty base in batches of
-/// [`ENUMERATION_BATCH`] and memoized for the greedy rounds that follow.
+/// order over the candidates' (correlation) order: every combination's
+/// bitmask is appended to `scratch.masks`, and its score memoized for the
+/// greedy rounds that follow.
 fn enumerate(
     scratch: &mut SearchScratch,
     ctx: &Ctx,
     max_combo_size: usize,
     stats: &mut SearchStats,
 ) -> Result<Vec<Scored>, ComboSizeError> {
-    scratch.ws.set_base(ctx.cols, &[])?;
     scratch.masks.clear();
-    scratch.round.clear();
     let mut combos = Vec::new();
     let mut mask = vec![0u64; ctx.words];
     enumerate_rec(
@@ -477,7 +360,6 @@ fn enumerate(
         &mut combos,
         stats,
     )?;
-    resolve_enumerated(scratch, ctx, &mut combos, stats)?;
     Ok(combos)
 }
 
@@ -492,53 +374,25 @@ fn enumerate_rec(
     out: &mut Vec<Scored>,
     stats: &mut SearchStats,
 ) -> Result<(), ComboSizeError> {
-    for idx in start..ctx.candidates.len() {
-        mask[idx / 64] |= 1 << (idx % 64);
-        let at = scratch.masks.len();
-        scratch.masks.extend_from_slice(mask);
-        let SearchScratch { cache, round, .. } = &mut *scratch;
-        let eval = round.classify(
-            cache,
-            ctx.key(&ctx.empty, mask),
-            members(mask, &ctx.empty, ctx.candidates),
-        );
-        round.pending.push((at, size, eval));
-        if round.batch.len() >= ENUMERATION_BATCH {
-            resolve_enumerated(scratch, ctx, out, stats)?;
+    for idx in start..ctx.bit.len() {
+        let b = ctx.bit[idx];
+        mask[b / 64] |= 1 << (b % 64);
+        let eval = eval(&mut scratch.ws, &mut scratch.cache, ctx, mask)?;
+        stats.evaluations += 1;
+        if score::within_bound(size, eval.phi, ctx.delta) {
+            out.push(Scored {
+                at: scratch.masks.len(),
+                score: eval.score,
+            });
+            scratch.masks.extend_from_slice(mask);
+        } else {
+            stats.bound_rejections += 1;
         }
         if size < max_size {
             enumerate_rec(scratch, ctx, idx + 1, size + 1, max_size, mask, out, stats)?;
         }
-        mask[idx / 64] &= !(1 << (idx % 64));
+        mask[b / 64] &= !(1 << (b % 64));
     }
-    Ok(())
-}
-
-/// Scores the queued enumeration batch and admits, in enumeration order,
-/// each combination within the Theorem-2 bound.
-fn resolve_enumerated(
-    scratch: &mut SearchScratch,
-    ctx: &Ctx,
-    out: &mut Vec<Scored>,
-    stats: &mut SearchStats,
-) -> Result<(), ComboSizeError> {
-    let SearchScratch {
-        ws, cache, round, ..
-    } = scratch;
-    round.flush(ws, cache, ctx)?;
-    for &(at, size, eval) in &round.pending {
-        let eval = round.resolve(eval);
-        stats.evaluations += 1;
-        if score::within_bound(size, eval.phi, ctx.delta) {
-            out.push(Scored {
-                at,
-                score: eval.score,
-            });
-        } else {
-            stats.bound_rejections += 1;
-        }
-    }
-    round.clear();
     Ok(())
 }
 
@@ -590,14 +444,12 @@ pub fn find_parents(
 
 /// [`find_parents`] on caller-provided scratch state.
 ///
-/// Every strategy scores `g(v_i, F ∪ W)` through the score cache backed by
-/// [`CountsWorkspace::extension_counts`]: the accepted parent set `F` is
-/// instantiated once per greedy round, and the round's novel extensions
-/// are counted against that cached partition in one batch — unless the
-/// subset was already scored this search, in which case the memoized
-/// `(score, φ)` pair is reused and the count skipped. Results are
-/// bit-identical to [`find_parents_reference`], including all
-/// [`SearchStats`] counters.
+/// The workspace histograms the child against its whole candidate list
+/// once; every strategy then scores each subset `g(v_i, F ∪ W)` as a
+/// marginal table of that histogram — unless the subset was already
+/// scored this search, in which case the memoized `(score, φ)` pair is
+/// reused and the count skipped. Results are bit-identical to
+/// [`find_parents_reference`], including all [`SearchStats`] counters.
 pub fn find_parents_with(
     scratch: &mut SearchScratch,
     cols: &NodeColumns,
@@ -608,22 +460,19 @@ pub fn find_parents_with(
     let wrap = |source: ComboSizeError| SearchError { child, source };
     let beta = cols.num_processes() as u64;
     let n2 = cols.ones(child);
-    let ctx = Ctx::new(cols, child, candidates, score::delta(beta, beta - n2, n2));
+    let ctx = Ctx::new(candidates, score::delta(beta, beta - n2, n2));
 
     let mut stats = SearchStats::default();
     scratch.cache.reset();
-    scratch.ws.set_base(cols, &[]).map_err(wrap)?;
-    let SearchScratch {
-        ws, cache, round, ..
-    } = scratch;
-    let empty_score = eval_one(ws, cache, round, &ctx, &ctx.empty, &ctx.empty)
+    scratch.ws.set_candidates(cols, child, &ctx.sorted);
+    let empty_score = eval(&mut scratch.ws, &mut scratch.cache, &ctx, &ctx.empty)
         .map_err(wrap)?
         .score;
     stats.evaluations += 1;
 
     let mut combos = enumerate(scratch, &ctx, params.max_combo_size, &mut stats).map_err(wrap)?;
 
-    let (parents, final_score) = match params.strategy {
+    let (mask, final_score) = match params.strategy {
         GreedyStrategy::BestImprovement => {
             greedy_best_improvement(scratch, &ctx, combos, empty_score, &mut stats).map_err(wrap)?
         }
@@ -637,7 +486,7 @@ pub fn find_parents_with(
     };
 
     Ok(NodeSearchResult {
-        parents,
+        parents: ctx.nodes(&mask),
         score: final_score,
         candidates: candidates.to_vec(),
         stats,
@@ -756,43 +605,31 @@ fn enumerate_rec_reference(
 /// §IV-A greedy: each round, evaluate `g(v_i, F ∪ W)` for every remaining
 /// admissible combination and take the best strict improvement.
 ///
-/// The round's parent set `F` is instantiated in the workspace once and
-/// the round is one [`Round`]: each combination is classified by its
-/// bitmask — `W ⊆ F` drops it for good, a memoized union comes from the
-/// cache, and every novel extension `W \ F` of any size is queued — then
-/// one [`CountsWorkspace::extension_counts`] pass scores the whole queue,
-/// and the sequential acceptance logic replays in combination order.
-///
-/// Scores, `SearchStats`, score-cache hit/miss totals, and workspace
-/// refinement counts are all bit-identical to scoring the combinations
-/// one at a time (and so to [`find_parents_reference`]) — the
-/// reference-oracle tests pin this.
+/// Each combination is classified by its bitmask — `W ⊆ F` drops it for
+/// good, a memoized union comes from the cache, and any other union's
+/// table is marginalized from the node's histogram. Returns the accepted
+/// parent mask and its score.
 fn greedy_best_improvement(
     scratch: &mut SearchScratch,
     ctx: &Ctx,
     mut combos: Vec<Scored>,
     empty_score: f64,
     stats: &mut SearchStats,
-) -> Result<(Vec<NodeId>, f64), ComboSizeError> {
+) -> Result<(Vec<u64>, f64), ComboSizeError> {
     const EPS: f64 = 1e-9;
-    let SearchScratch {
-        ws,
-        cache,
-        round,
-        masks,
-    } = scratch;
+    let SearchScratch { ws, cache, masks } = scratch;
     let words = ctx.words;
     let mut mask_f = ctx.empty.clone();
-    let mut f: Vec<NodeId> = Vec::new();
+    let mut union = ctx.empty.clone();
+    let mut f_len = 0usize;
     let mut current = empty_score;
     let mut keep: Vec<bool> = Vec::new();
 
     while !combos.is_empty() {
         stats.greedy_rounds += 1;
-        ws.set_base(ctx.cols, &f)?;
-        round.clear();
         keep.clear();
         keep.resize(combos.len(), true);
+        let mut best: Option<(usize, f64, usize)> = None;
         for (idx, combo) in combos.iter().enumerate() {
             let w = &masks[combo.at..combo.at + words];
             let ext = count_outside(w, &mask_f);
@@ -801,38 +638,30 @@ fn greedy_best_improvement(
                 keep[idx] = false;
                 continue;
             }
-            if f.len() + ext > MAX_PARENTS {
+            if f_len + ext > MAX_PARENTS {
                 continue;
             }
-            let eval = round.classify(
-                cache,
-                ctx.key(&mask_f, w),
-                members(w, &mask_f, ctx.candidates),
-            );
-            round.pending.push((idx, f.len() + ext, eval));
-        }
-        round.flush(ws, cache, ctx)?;
-
-        let mut best: Option<(usize, f64)> = None;
-        for &(idx, union_len, eval) in &round.pending {
-            let eval = round.resolve(eval);
+            for ((u, &f), &b) in union.iter_mut().zip(&mask_f).zip(w) {
+                *u = f | b;
+            }
+            let eval = eval(ws, cache, ctx, &union)?;
             stats.evaluations += 1;
-            if !score::within_bound(union_len, eval.phi, ctx.delta) {
+            if !score::within_bound(f_len + ext, eval.phi, ctx.delta) {
                 stats.bound_rejections += 1;
                 continue;
             }
-            if eval.score > current + EPS && best.is_none_or(|(_, bs)| eval.score > bs) {
-                best = Some((idx, eval.score));
+            if eval.score > current + EPS && best.is_none_or(|(_, bs, _)| eval.score > bs) {
+                best = Some((idx, eval.score, ext));
             }
         }
 
         match best {
-            Some((idx, s)) => {
+            Some((idx, s, ext)) => {
                 let at = combos[idx].at;
                 for (m, &w) in mask_f.iter_mut().zip(&masks[at..at + words]) {
                     *m |= w;
                 }
-                f = mask_nodes(&mask_f, ctx.candidates);
+                f_len += ext;
                 current = s;
                 keep[idx] = false;
                 let mut it = keep.iter();
@@ -841,7 +670,7 @@ fn greedy_best_improvement(
             None => break,
         }
     }
-    Ok((f, current))
+    Ok((mask_f, current))
 }
 
 /// The reference counterpart of [`greedy_best_improvement`], recounting
@@ -898,46 +727,39 @@ fn greedy_best_improvement_reference(
 
 /// Literal Algorithm-1 greedy: pop combinations in descending standalone
 /// score; union in each one whose union satisfies the Theorem-2 bound.
-/// Each acceptance changes the base, so every evaluation is a batch of
-/// one.
 fn greedy_score_ordered(
     scratch: &mut SearchScratch,
     ctx: &Ctx,
     combos_sorted: &[Scored],
     empty_score: f64,
     stats: &mut SearchStats,
-) -> Result<(Vec<NodeId>, f64), ComboSizeError> {
-    let SearchScratch {
-        ws,
-        cache,
-        round,
-        masks,
-    } = scratch;
+) -> Result<(Vec<u64>, f64), ComboSizeError> {
+    let SearchScratch { ws, cache, masks } = scratch;
     let mut mask_f = ctx.empty.clone();
-    let mut f: Vec<NodeId> = Vec::new();
+    let mut union = ctx.empty.clone();
+    let mut f_len = 0usize;
     let mut current = empty_score;
-    ws.set_base(ctx.cols, &f)?;
     for combo in combos_sorted {
         let w = &masks[combo.at..combo.at + ctx.words];
         let ext = count_outside(w, &mask_f);
-        if ext == 0 || f.len() + ext > MAX_PARENTS {
+        if ext == 0 || f_len + ext > MAX_PARENTS {
             continue;
         }
-        let eval = eval_one(ws, cache, round, ctx, &mask_f, w)?;
+        for ((u, &f), &b) in union.iter_mut().zip(&mask_f).zip(w) {
+            *u = f | b;
+        }
+        let eval = eval(ws, cache, ctx, &union)?;
         stats.evaluations += 1;
-        if score::within_bound(f.len() + ext, eval.phi, ctx.delta) {
+        if score::within_bound(f_len + ext, eval.phi, ctx.delta) {
             stats.greedy_rounds += 1;
-            for (m, &b) in mask_f.iter_mut().zip(w) {
-                *m |= b;
-            }
-            f = mask_nodes(&mask_f, ctx.candidates);
+            mask_f.copy_from_slice(&union);
+            f_len += ext;
             current = eval.score;
-            ws.set_base(ctx.cols, &f)?;
         } else {
             stats.bound_rejections += 1;
         }
     }
-    Ok((f, current))
+    Ok((mask_f, current))
 }
 
 /// The reference counterpart of [`greedy_score_ordered`].
@@ -973,7 +795,8 @@ fn greedy_score_ordered_reference(
 /// of the candidate set.
 ///
 /// Subsets larger than [`MAX_PARENTS`] or violating the Theorem-2 bound
-/// are skipped. With `c` candidates this evaluates up to `2^c` subsets;
+/// are skipped. With `c` candidates this evaluates up to `2^c` subsets, in
+/// the order of their masks over the candidates' (correlation) order;
 /// candidate sets beyond [`MAX_EXHAUSTIVE_CANDIDATES`] are rejected as a
 /// typed error. Subsets already scored during enumeration (every `W` with
 /// `|W| ≤ max_combo_size`) come straight from the score cache.
@@ -982,34 +805,36 @@ fn exhaustive_search(
     ctx: &Ctx,
     empty_score: f64,
     stats: &mut SearchStats,
-) -> Result<(Vec<NodeId>, f64), ComboSizeError> {
-    let c = ctx.candidates.len();
+) -> Result<(Vec<u64>, f64), ComboSizeError> {
+    let c = ctx.bit.len();
     if c > MAX_EXHAUSTIVE_CANDIDATES {
         return Err(ComboSizeError { parents: c });
     }
-    let SearchScratch {
-        ws, cache, round, ..
-    } = scratch;
-    ws.set_base(ctx.cols, &[])?;
-    let mut best: (Vec<NodeId>, f64) = (Vec::new(), empty_score);
-    for mask in 1u64..(1u64 << c) {
-        let size = mask.count_ones() as usize;
+    let SearchScratch { ws, cache, .. } = scratch;
+    let mut best: (u64, f64) = (0, empty_score);
+    for order_mask in 1u64..(1u64 << c) {
+        let size = order_mask.count_ones() as usize;
         if size > MAX_PARENTS {
             continue;
         }
-        // With at most 25 candidates a subset is one mask word, and the
-        // loop value is that word.
-        let eval = eval_one(ws, cache, round, ctx, &ctx.empty, &[mask])?;
+        // With at most 25 candidates a subset is one mask word.
+        let mask = ctx
+            .bit
+            .iter()
+            .enumerate()
+            .filter(|&(t, _)| order_mask >> t & 1 == 1)
+            .fold(0u64, |m, (_, &b)| m | 1 << b);
+        let eval = eval(ws, cache, ctx, &[mask])?;
         stats.evaluations += 1;
         if !score::within_bound(size, eval.phi, ctx.delta) {
             stats.bound_rejections += 1;
             continue;
         }
         if eval.score > best.1 {
-            best = (mask_nodes(&[mask], ctx.candidates), eval.score);
+            best = (mask, eval.score);
         }
     }
-    Ok(best)
+    Ok((vec![best.0], best.1))
 }
 
 /// The reference counterpart of [`exhaustive_search`].
@@ -1528,22 +1353,25 @@ mod tests {
 
     #[test]
     fn candidate_masks_select_candidate_positions() {
-        let candidates = [7u32, 3, 9, 1];
-        let none = [0u64];
-        assert_eq!(mask_words(&candidates), 1);
-        assert_eq!(mask_nodes(&none, &candidates), Vec::<NodeId>::new());
-        assert_eq!(mask_nodes(&[0b0001], &candidates), vec![7]);
-        assert_eq!(mask_nodes(&[0b1100], &candidates), vec![1, 9]);
-        assert_eq!(mask_nodes(&[0b1111], &candidates), vec![1, 3, 7, 9]);
-        // The extension of {7, 3} by {3, 9, 1}, in candidate order.
-        let ext: Vec<NodeId> = members(&[0b1110], &[0b0011], &candidates).collect();
-        assert_eq!(ext, vec![9, 1]);
+        // Mask bits follow ascending node id, whatever the candidates'
+        // (correlation) order.
+        let ctx = Ctx::new(&[7, 3, 9, 1], 0.0);
+        assert_eq!(ctx.words, 1);
+        assert_eq!(ctx.bit, vec![2, 1, 3, 0]);
+        assert_eq!(ctx.nodes(&ctx.empty), Vec::<NodeId>::new());
+        assert_eq!(ctx.nodes(&[0b0001]), vec![1]);
+        assert_eq!(ctx.nodes(&[0b1100]), vec![7, 9]);
+        assert_eq!(ctx.nodes(&[0b1111]), vec![1, 3, 7, 9]);
+        assert_eq!(ctx.key(&[0b0110]), Some(0b0110));
+        // The extension of {1, 3} by {3, 7, 9}.
         assert_eq!(count_outside(&[0b1110], &[0b0011]), 2);
-        // Past 64 candidates a subset spans several words.
-        let many: Vec<NodeId> = (100..230).collect();
-        assert_eq!(mask_words(&many), 3);
+        // Past 64 candidates a subset spans several words, uncached.
+        let many: Vec<NodeId> = (100..230).rev().collect();
+        let ctx = Ctx::new(&many, 0.0);
+        assert_eq!(ctx.words, 3);
+        assert_eq!(ctx.key(&[1, 0, 0]), None);
         let mask = [1u64, 1 << 63, 0b10];
-        assert_eq!(mask_nodes(&mask, &many), vec![100, 227, 229]);
+        assert_eq!(ctx.nodes(&mask), vec![100, 227, 229]);
         assert_eq!(count_outside(&mask, &[1, 0, 0]), 2);
     }
 }

@@ -1,37 +1,44 @@
-//! The batched, mask-classified parent search against the from-scratch,
-//! cacheless reference at the paper's shape: a reciprocal LFR graph of 200
-//! nodes (mean degree 4, degree exponent 2), IC-simulated with the paper's
-//! α = 0.15 and μ = 0.3 at β = 150 and at β = 1100 (18-word columns), for
-//! every strategy and `max_combo_size` 1–3, over every node's IMI
-//! candidates.
+//! The mask-space parent search over per-node candidate histograms
+//! against the from-scratch, cacheless reference at the paper's shape: a
+//! reciprocal LFR graph of 200 nodes (mean degree 4, degree exponent 2),
+//! IC-simulated with the paper's α = 0.15 and μ = 0.3 at β = 150 and at
+//! β = 1100 (18-word columns), for every strategy and `max_combo_size`
+//! 1–3, over every node's IMI candidates — and over 70-candidate lists,
+//! where masks span two words and the score cache is off.
 
 use diffnet_graph::generators::{Lfr, Orientation};
-use diffnet_simulate::{EdgeProbs, IcConfig, IndependentCascade};
+use diffnet_simulate::{EdgeProbs, IcConfig, IndependentCascade, NodeColumns};
 use diffnet_tends::search::{find_parents_reference, find_parents_with};
 use diffnet_tends::{
-    BucketIndex, CorrelationMatrix, CorrelationMeasure, GreedyStrategy, SearchParams, SearchScratch,
+    BucketIndex, CorrelationMatrix, CorrelationMeasure, GreedyStrategy, ScoreCacheStats,
+    SearchParams, SearchScratch,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-#[test]
-fn workspace_search_matches_reference_at_paper_shape() {
+/// The paper-shaped input's columns at `beta` processes.
+fn paper_columns(beta: usize) -> NodeColumns {
     let mut lfr = Lfr::new(200, 4.0, 2.0);
     lfr.orientation = Orientation::Reciprocal;
     let truth = lfr
         .generate(&mut StdRng::seed_from_u64(11))
         .expect("LFR parameters are feasible");
+    let mut rng = StdRng::seed_from_u64(12);
+    let probs = EdgeProbs::gaussian(&truth, 0.3, 0.05, &mut rng);
+    let obs = IndependentCascade::new(&truth, &probs).observe(
+        IcConfig {
+            initial_ratio: 0.15,
+            num_processes: beta,
+        },
+        &mut rng,
+    );
+    obs.statuses.columns()
+}
+
+#[test]
+fn workspace_search_matches_reference_at_paper_shape() {
     for beta in [150usize, 1100] {
-        let mut rng = StdRng::seed_from_u64(12);
-        let probs = EdgeProbs::gaussian(&truth, 0.3, 0.05, &mut rng);
-        let obs = IndependentCascade::new(&truth, &probs).observe(
-            IcConfig {
-                initial_ratio: 0.15,
-                num_processes: beta,
-            },
-            &mut rng,
-        );
-        let cols = obs.statuses.columns();
+        let cols = paper_columns(beta);
         let corr = CorrelationMatrix::compute(&cols, CorrelationMeasure::Imi);
         let mut index = BucketIndex::new(corr.upper());
         let tau = index.pinned_two_means().tau;
@@ -75,6 +82,11 @@ fn workspace_search_matches_reference_at_paper_shape() {
                         "{what}: one workspace refinement per cache miss"
                     );
                     assert_eq!(
+                        after.rebases - before.rebases,
+                        1,
+                        "{what}: one histogram per searched node"
+                    );
+                    assert_eq!(
                         new.cache_stats.hits + new.cache_stats.misses,
                         new.stats.evaluations as u64,
                         "{what}: every evaluation is one hit or one miss"
@@ -84,6 +96,62 @@ fn workspace_search_matches_reference_at_paper_shape() {
                 assert!(
                     expanded > 20,
                     "β {beta} {strategy:?} size {max_combo_size}: too few multi-parent results"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn more_than_64_candidates_match_reference_at_paper_shape() {
+    // Every node's 70 most correlated others: masks span two words, the
+    // score cache is off, and every evaluation counts a table.
+    let cols = paper_columns(150);
+    let corr = CorrelationMatrix::compute(&cols, CorrelationMeasure::Imi);
+    let mut index = BucketIndex::new(corr.upper());
+    let (candidates, _) = index.candidate_lists(cols.num_nodes(), f64::NEG_INFINITY, 70);
+    let mut scratch = SearchScratch::new();
+    for strategy in [
+        GreedyStrategy::BestImprovement,
+        GreedyStrategy::ScoreOrdered,
+        GreedyStrategy::Exhaustive,
+    ] {
+        for max_combo_size in 1..=2 {
+            let params = SearchParams {
+                strategy,
+                max_combo_size,
+                max_candidates: 70,
+            };
+            // Pairs of 70 candidates are 2,415 combinations per round on
+            // the reference path: fewer nodes keep the debug build quick.
+            let stride = [20, 100][max_combo_size - 1];
+            for (child, cands) in candidates.iter().enumerate().step_by(stride) {
+                let child = child as u32;
+                let what = format!("{strategy:?} size {max_combo_size} node {child}");
+                assert_eq!(cands.len(), 70, "{what}");
+                let before = scratch.ws.stats();
+                let new = find_parents_with(&mut scratch, &cols, child, cands, &params);
+                let after = scratch.ws.stats();
+                let old = find_parents_reference(&cols, child, cands, &params);
+                let (new, old) = match (new, old) {
+                    (Ok(new), Ok(old)) => (new, old),
+                    (new, old) => {
+                        // Only the exhaustive sweep refuses 70 candidates,
+                        // with the same typed error on both paths.
+                        assert_eq!(strategy, GreedyStrategy::Exhaustive, "{what}");
+                        assert_eq!(new.unwrap_err(), old.unwrap_err(), "{what}");
+                        continue;
+                    }
+                };
+                assert_eq!(new.parents, old.parents, "{what}");
+                assert_eq!(new.score.to_bits(), old.score.to_bits(), "{what}");
+                assert_eq!(new.stats, old.stats, "{what}");
+                assert!(new.stats.greedy_rounds > 0, "{what}: the greedy loop ran");
+                assert_eq!(new.cache_stats, ScoreCacheStats::default(), "{what}");
+                assert_eq!(
+                    after.refinements - before.refinements,
+                    new.stats.evaluations as u64,
+                    "{what}: with the cache off every evaluation counts a table"
                 );
             }
         }

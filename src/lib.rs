@@ -75,8 +75,8 @@ pub mod prelude {
     pub use diffnet_metrics::{timed, EdgeSetComparison, Stopwatch};
     pub use diffnet_observe::{Recorder, RunReport};
     pub use diffnet_simulate::{
-        CountsWorkspace, DiffusionRecord, EdgeProbs, ExtensionBatch, IcConfig, IndependentCascade,
-        ObservationSet, StatusMatrix,
+        CountsWorkspace, DiffusionRecord, EdgeProbs, IcConfig, IndependentCascade, ObservationSet,
+        StatusMatrix,
     };
     pub use diffnet_tends::{
         CorrelationMeasure, GreedyStrategy, SearchParams, Tends, TendsConfig, TendsResult,

@@ -47,36 +47,28 @@ proptest! {
         );
     }
 
-    // The incremental workspace kernel agrees with the naive row-scan
-    // kernel for every split of a random parent set into a cached base and
-    // a refinement extension.
+    // The workspace's marginal tables agree with the naive row-scan
+    // kernel for every random subset of a random candidate list.
     #[test]
     fn workspace_counts_match_naive_kernel(
         m in status_matrix(1..80, 3..12),
-        base_mask in 0u32..256,
-        extra_mask in 0u32..256,
+        candidate_mask in 0u32..256,
+        subset_mask in 0u32..256,
     ) {
         let n = m.num_nodes() as u32;
         let child = 0u32;
-        let base: Vec<NodeId> =
-            (1..n).filter(|p| base_mask & (1 << (p % 8)) != 0).take(3).collect();
-        let extra: Vec<NodeId> = (1..n)
-            .filter(|p| extra_mask & (1 << (p % 8)) != 0)
-            .filter(|p| !base.contains(p))
-            .take(3)
-            .collect();
-        let mut union: Vec<NodeId> = base.iter().chain(&extra).copied().collect();
-        union.sort_unstable();
+        let candidates: Vec<NodeId> =
+            (1..n).filter(|p| candidate_mask & (1 << (p % 8)) != 0).take(6).collect();
+        let picked: Vec<usize> =
+            (0..candidates.len()).filter(|t| subset_mask & (1 << t) != 0).collect();
+        let subset: Vec<NodeId> = picked.iter().map(|&t| candidates[t]).collect();
 
         let cols = m.columns();
         let mut ws = CountsWorkspace::new();
-        ws.set_base(&cols, &base).expect("small base");
-        let mut batch = ExtensionBatch::new();
-        batch.push(extra.iter().copied());
-        let mut counts = Vec::new();
-        ws.extension_counts(&cols, child, &batch, |_, table| counts = table.to_vec())
-            .expect("small combo");
-        prop_assert_eq!(counts, m.combo_counts(child, &union).expect("small combo"));
+        ws.set_candidates(&cols, child, &candidates);
+        let mask = picked.iter().fold(0u64, |acc, &t| acc | 1 << t);
+        let counts = ws.table(&[mask]).expect("small combo").to_vec();
+        prop_assert_eq!(counts, m.combo_counts(child, &subset).expect("small combo"));
     }
 
     // The tiled pairwise kernel is bit-identical to the per-pair column
