@@ -12,8 +12,9 @@
 //!   that times the kernels at streaming depth; the nested
 //!   `inference_shape` row keeps the β=150 shape the pipeline sees.
 //!   Detected CPU features are recorded in the header;
-//! * the IMI correlation matrix, single-threaded vs 8 workers, and the
-//!   float work alone over precomputed `n11` counts: the pair evaluator
+//! * the IMI correlation matrix, single-threaded vs min(8, hardware
+//!   threads) workers, and the float work alone over precomputed `n11`
+//!   counts (each row widened from the stored width): the pair evaluator
 //!   vs the per-pair `MiCells` definition, with a check that both and the
 //!   matrix agree bit for bit (`values_bits_equal`);
 //! * the τ threshold: a sort-based pinned 2-means (filter, sort every
@@ -21,7 +22,8 @@
 //!   the n=1000, β=150 upper triangle (built from the bucket counts the
 //!   matrix pass took) and on a 2¹⁹-value streamed τ sample (with its
 //!   count pass), with a check that both give the same τ bits;
-//! * one full TENDS reconstruction, 1 vs 8 threads;
+//! * one full TENDS reconstruction, 1 vs min(8, hardware threads)
+//!   threads;
 //! * the `N_ijk` counting kernel: the recursive bitset kernel vs the
 //!   [`CountsWorkspace`]'s marginals of one candidate histogram, over the
 //!   15 tables of one greedy round, with a check that every table agrees
@@ -55,6 +57,8 @@
 //! single-CPU machine the thread-scaling rows are marked
 //! `"skipped_single_cpu"` instead of reporting ~1.0x noise as a speedup.
 //! The report records `hardware_threads` so the numbers are interpretable.
+//! Rows timed over repeats report the median with its `_min` and `_max`
+//! beside it and the row's `reps`.
 //! `--quick` (or `DIFFNET_QUICK=1`) shrinks the workloads for smoke runs.
 
 use diffnet_bench::harness::{observe, Setting};
@@ -72,8 +76,27 @@ use diffnet_tends::{
     ScoreCacheStats, SearchScratch, Tends, TendsConfig,
 };
 
-/// Median wall-clock seconds of `reps` runs of `f`.
-fn median_secs<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+/// Wall-clock seconds of repeated runs: the median and the extremes.
+#[derive(Clone, Copy)]
+struct Timing {
+    median: f64,
+    min: f64,
+    max: f64,
+    reps: usize,
+}
+
+impl Timing {
+    /// Pushes the median as `key`, with `{key}_min` and `{key}_max`
+    /// beside it.
+    fn push(&self, row: &mut Json, key: &str) {
+        row.push(key, self.median);
+        row.push(format!("{key}_min"), self.min);
+        row.push(format!("{key}_max"), self.max);
+    }
+}
+
+/// Times `reps` runs of `f`.
+fn timing<T>(reps: usize, mut f: impl FnMut() -> T) -> Timing {
     let mut times: Vec<f64> = (0..reps)
         .map(|_| {
             let (out, secs) = timed(&mut f);
@@ -82,7 +105,17 @@ fn median_secs<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
         })
         .collect();
     times.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-    times[times.len() / 2]
+    Timing {
+        median: times[times.len() / 2],
+        min: times[0],
+        max: times[times.len() - 1],
+        reps,
+    }
+}
+
+/// Median wall-clock seconds of `reps` runs of `f`.
+fn median_secs<T>(reps: usize, f: impl FnMut() -> T) -> f64 {
+    timing(reps, f).median
 }
 
 fn status_workload(n: usize, beta: usize, seed: u64) -> StatusMatrix {
@@ -241,8 +274,8 @@ fn greedy_row(n: usize, cols: &NodeColumns, reps: usize) -> Json {
             find_parents_with(&mut scratch, cols, i, cands, &params).expect("default search fits")
         })
     };
-    let reference_s = median_secs(reps.min(3), reference);
-    let workspace_s = median_secs(reps.min(3), workspace);
+    let reference_s = timing(reps, reference);
+    let workspace_s = timing(reps, workspace);
     let (old, new) = (reference(), workspace());
     let results_equal = old.iter().zip(&new).all(|(a, b)| {
         a.parents == b.parents && a.score.to_bits() == b.score.to_bits() && a.stats == b.stats
@@ -253,9 +286,10 @@ fn greedy_row(n: usize, cols: &NodeColumns, reps: usize) -> Json {
     }
     let mut row = Json::object();
     row.push("n", n as u64);
-    row.push("reference_s", reference_s);
-    row.push("cached_workspace_s", workspace_s);
-    row.push("speedup", reference_s / workspace_s);
+    row.push("reps", reps as u64);
+    reference_s.push(&mut row, "reference_s");
+    workspace_s.push(&mut row, "cached_workspace_s");
+    row.push("speedup", reference_s.median / workspace_s.median);
     row.push("score_cache_hits", cache.hits);
     row.push("score_cache_misses", cache.misses);
     row.push("results_equal", results_equal);
@@ -317,25 +351,29 @@ fn forced_sweep(cols: &NodeColumns, k: &Kernels) -> u64 {
 
 /// Times the pair evaluator against the per-pair definition on the whole
 /// triangle of `stats` (the `n11` counts precomputed, so only the float
-/// work is timed), and checks both, and the matrix `compute` builds, agree
-/// bit for bit: `(evaluator_s, per_pair_s, values_bits_equal)`.
+/// work and each row's widening from the stored counts are timed), and
+/// checks both, and the matrix `compute` builds, agree bit for bit:
+/// `(evaluator_s, per_pair_s, values_bits_equal)`.
 fn evaluator_row(cols: &NodeColumns, reps: usize) -> (f64, f64, bool) {
     let measure = CorrelationMeasure::Imi;
     let stats = PairStats::compute(cols, 1);
     let n = stats.num_nodes();
-    let eval = PairEvaluator::new(stats.num_processes(), stats.ones(), measure);
+    let pairs = n * n.saturating_sub(1) / 2;
+    let eval = PairEvaluator::new(stats.num_processes(), &stats.ones(), measure);
     let by_evaluator = || {
-        let mut out = vec![0.0f64; stats.n11().len()];
+        let mut out = vec![0.0f64; pairs];
+        let mut row = Vec::with_capacity(n);
         let mut at = 0;
         for i in 0..n {
-            let run = at..at + (n - 1 - i);
-            eval.row(i, i + 1, &stats.n11()[run.clone()], &mut out[run.clone()]);
+            stats.widen_row(i, &mut row);
+            let run = at..at + row.len();
+            eval.row(i, i + 1, &row, &mut out[run.clone()]);
             at = run.end;
         }
         out
     };
     let per_pair = || {
-        let mut out = Vec::with_capacity(stats.n11().len());
+        let mut out = Vec::with_capacity(pairs);
         for i in 0..n {
             for j in (i + 1)..n {
                 out.push(measure.value(&MiCells::from_counts(&stats.pair_counts(i, j))));
@@ -448,17 +486,20 @@ fn threshold_row(
     row
 }
 
-/// A thread-scaling row: on a single-CPU box the multi-thread timing is
-/// noise, so the row carries a status instead of a fake "speedup".
-fn scaling_row(n: usize, t1: f64, t8: Option<f64>) -> Json {
+/// A thread-scaling row: 1 thread against `threads` = min(8, hardware
+/// threads). On a single-CPU box the multi-thread timing is noise, so the
+/// row carries a status instead of a fake "speedup".
+fn scaling_row(n: usize, threads: usize, t1: Timing, tn: Option<Timing>) -> Json {
     let mut row = Json::object();
     row.push("n", n as u64);
-    row.push("threads_1_s", t1);
-    match t8 {
-        Some(t8) => {
+    row.push("threads", threads as u64);
+    row.push("reps", t1.reps as u64);
+    t1.push(&mut row, "threads_1_s");
+    match tn {
+        Some(tn) => {
             row.push("status", "ok");
-            row.push("threads_8_s", t8);
-            row.push("speedup", t1 / t8);
+            tn.push(&mut row, "threads_n_s");
+            row.push("speedup", t1.median / tn.median);
         }
         None => {
             row.push("status", "skipped_single_cpu");
@@ -474,6 +515,8 @@ fn main() {
     let beta = 150;
     let hardware_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     let multi_core = hardware_threads > 1;
+    // The thread-scaling rows' multi-thread side.
+    let scale_threads = hardware_threads.min(8);
 
     // Kernel-throughput workload: long columns (many AVX2 lane groups per
     // node) so the pair-kernel timings measure word-stream throughput. At
@@ -519,14 +562,14 @@ fn main() {
     let deep_simd = median_secs(reps, || forced_sweep(&deep_cols, auto_k));
     let deep_scalar = median_secs(reps, || forced_sweep(&deep_cols, &scalar_k));
 
-    // IMI matrix at the large size, 1 vs 8 threads.
+    // IMI matrix at the large size, 1 vs min(8, hardware) threads.
     eprintln!("perf_report: IMI matrix (n={n_large})");
-    let imi_1 = median_secs(reps, || {
+    let imi_1 = timing(reps, || {
         CorrelationMatrix::compute_parallel(&large_cols, CorrelationMeasure::Imi, 1)
     });
-    let imi_8 = multi_core.then(|| {
-        median_secs(reps, || {
-            CorrelationMatrix::compute_parallel(&large_cols, CorrelationMeasure::Imi, 8)
+    let imi_n = multi_core.then(|| {
+        timing(reps, || {
+            CorrelationMatrix::compute_parallel(&large_cols, CorrelationMeasure::Imi, scale_threads)
         })
     });
     let (evaluator_s, per_pair_eval_s, values_bits_equal) = evaluator_row(&large_cols, reps);
@@ -561,9 +604,10 @@ fn main() {
     ];
     drop(large_corr);
 
-    // Full reconstruction at the small size, 1 vs 8 threads.
+    // Full reconstruction at the small size, 1 vs min(8, hardware)
+    // threads.
     eprintln!("perf_report: reconstruction (n={n_small})");
-    let rec_1 = median_secs(reps.min(3), || {
+    let rec_1 = timing(reps, || {
         Tends::with_config(TendsConfig {
             threads: 1,
             ..Default::default()
@@ -571,10 +615,10 @@ fn main() {
         .reconstruct(&small)
         .expect("default search fits")
     });
-    let rec_8 = multi_core.then(|| {
-        median_secs(reps.min(3), || {
+    let rec_n = multi_core.then(|| {
+        timing(reps, || {
             Tends::with_config(TendsConfig {
-                threads: 8,
+                threads: scale_threads,
                 ..Default::default()
             })
             .reconstruct(&small)
@@ -691,7 +735,7 @@ fn main() {
         )
         .expect("base run");
     let warm_state = std::fs::read(&ck_append).expect("read base checkpoint");
-    let full_rerun_s = median_secs(reps.min(3), || {
+    let full_rerun_s = timing(reps, || {
         std::fs::remove_file(&ck_append).ok();
         append_tends()
             .reconstruct_robust(
@@ -722,7 +766,7 @@ fn main() {
     };
     // The column transposes stay inside the timed region, as the file
     // load does in the daemon's warm path.
-    let incremental_s = median_secs(reps.min(3), &warm_append);
+    let incremental_s = timing(reps, &warm_append);
     // The exactness check: the warm result must equal the fresh combined
     // run bit for bit.
     let append_full = append_tends()
@@ -793,7 +837,7 @@ fn main() {
     let mut serve_body = Vec::new();
     diffnet_simulate::io::write_status_matrix(&small, &mut serve_body).expect("serialize statuses");
     let mut submit_hist = DurationHistogram::default();
-    let submit_to_done_s = median_secs(reps.min(3), || {
+    let submit_to_done_s = timing(reps, || {
         let (_, secs) = timed(|| {
             let (code, job) = client.post_json("/v1/jobs", &serve_body).expect("submit");
             assert_eq!(code, 201, "{}", job.to_pretty());
@@ -933,14 +977,17 @@ fn main() {
     pair.push("inference_shape", pair_inf);
     json.push("pair_kernel", pair);
 
-    let mut imi_row = scaling_row(n_large, imi_1, imi_8);
+    let mut imi_row = scaling_row(n_large, scale_threads, imi_1, imi_n);
     imi_row.push("evaluator_s", evaluator_s);
     imi_row.push("per_pair_s", per_pair_eval_s);
     imi_row.push("evaluator_speedup", per_pair_eval_s / evaluator_s);
     imi_row.push("values_bits_equal", values_bits_equal);
     json.push("imi_matrix", imi_row);
     json.push("threshold", Json::Arr(threshold_rows));
-    json.push("reconstruction", scaling_row(n_small, rec_1, rec_8));
+    json.push(
+        "reconstruction",
+        scaling_row(n_small, scale_threads, rec_1, rec_n),
+    );
 
     let rows: Vec<Json> = kernels
         .iter()
@@ -965,9 +1012,10 @@ fn main() {
     append_row.push("base_processes", append_base_beta as u64);
     append_row.push("appended_processes", append_beta as u64);
     append_row.push("checkpoint_bytes", warm_state.len() as u64);
-    append_row.push("full_rerun_s", full_rerun_s);
-    append_row.push("incremental_s", incremental_s);
-    append_row.push("speedup", full_rerun_s / incremental_s);
+    append_row.push("reps", reps as u64);
+    full_rerun_s.push(&mut append_row, "full_rerun_s");
+    incremental_s.push(&mut append_row, "incremental_s");
+    append_row.push("speedup", full_rerun_s.median / incremental_s.median);
     json.push("incremental_append", append_row);
 
     let mut serve = Json::object();
@@ -990,7 +1038,8 @@ fn main() {
         throughput.push(row);
     }
     serve.push("throughput", Json::Arr(throughput));
-    serve.push("submit_to_done_s", submit_to_done_s);
+    serve.push("reps", reps as u64);
+    submit_to_done_s.push(&mut serve, "submit_to_done_s");
     serve.push("submit_to_done_p50_s", submit_hist.quantile(0.50));
     serve.push("submit_to_done_p95_s", submit_hist.quantile(0.95));
     serve.push("submit_to_done_p99_s", submit_hist.quantile(0.99));

@@ -38,7 +38,7 @@ pub use fault::FaultPlan;
 pub use json::{parse as parse_json, Json, ParseError};
 pub use prometheus::{lint_exposition, render_prometheus};
 pub use recorder::{
-    duration_bucket_bounds, DurationHistogram, PhaseGuard, Recorder, Snapshot, SpanGuard,
+    duration_bucket_bounds, DurationHistogram, PhaseGuard, Progress, Recorder, Snapshot, SpanGuard,
     DURATION_BUCKETS, DURATION_SUB_BUCKETS,
 };
 pub use report::{strip_runtime, validate_report_json, CheckpointInfo, PhaseTiming, RunReport};

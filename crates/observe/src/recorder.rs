@@ -235,6 +235,18 @@ impl Recorder {
         }
     }
 
+    /// Reads out only what a progress poll shows: the finished phases'
+    /// names and the counter totals. Unlike [`snapshot`](Self::snapshot)
+    /// it copies no spans, so polling a running job does not clone its
+    /// span ring while the job's workers wait on the lock to record.
+    pub fn progress(&self) -> Progress {
+        let inner = self.inner.lock().expect("recorder poisoned");
+        Progress {
+            phases: inner.phases.iter().map(|&(name, _)| name).collect(),
+            counters: inner.counters.clone(),
+        }
+    }
+
     fn finish_phase(&self, name: &'static str, seconds: f64, span: SpanRecord) {
         let mut inner = self.inner.lock().expect("recorder poisoned");
         inner.phases.push((name, seconds));
@@ -482,9 +494,34 @@ pub struct Snapshot {
     pub spans_dropped: u64,
 }
 
+/// A recorder's progress so far ([`Recorder::progress`]).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Progress {
+    /// Names of the completed phases, in completion order.
+    pub phases: Vec<&'static str>,
+    /// Counter totals, sorted by name.
+    pub counters: BTreeMap<&'static str, u64>,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn progress_is_the_snapshot_without_timings_or_spans() {
+        let rec = Recorder::new();
+        {
+            let _g = rec.phase("load");
+            let _s = rec.span("inner");
+        }
+        rec.add("pairs", 3);
+        rec.value("tau", 0.5);
+        let (snap, progress) = (rec.snapshot(), rec.progress());
+        assert_eq!(progress.phases, vec!["load"]);
+        assert_eq!(progress.counters, snap.counters);
+        assert_eq!(snap.spans.len(), 2);
+        assert_eq!(Recorder::disabled().progress(), Progress::default());
+    }
 
     #[test]
     fn disabled_recorder_stores_nothing() {

@@ -56,8 +56,8 @@ use diffnet_baselines::{Lift, MulTree, NetInf, NetRate, PathReconstruction};
 use diffnet_graph::io::{save_atomic, save_edge_list};
 use diffnet_graph::DiGraph;
 use diffnet_observe::{
-    parse_json, CheckpointInfo, FaultPlan, Json, Recorder, ResourceProfiler, RunReport, Snapshot,
-    DEFAULT_SAMPLE_INTERVAL,
+    parse_json, CheckpointInfo, FaultPlan, Json, Progress, Recorder, ResourceProfiler, RunReport,
+    Snapshot, DEFAULT_SAMPLE_INTERVAL,
 };
 use diffnet_simulate::io::{
     copy_status_rows, load_status_columns, read_observations, read_status_columns,
@@ -807,13 +807,42 @@ impl JobManager {
         Ok(meta)
     }
 
-    /// The job's current meta plus, while running, a live progress
-    /// snapshot of its recorder.
-    pub fn status(&self, id: u64) -> Option<(JobMeta, Option<Snapshot>)> {
+    /// The job's current meta plus, while running, its live recorder.
+    /// Only the `Arc` is cloned under the state lock; callers read the
+    /// recorder after the lock is released.
+    fn live(&self, id: u64) -> Option<(JobMeta, Option<Arc<Recorder>>)> {
         let st = self.state.lock().expect("state lock");
         let entry = st.jobs.get(&id)?;
-        let snap = entry.live.as_ref().map(|r| r.snapshot());
-        Some((entry.meta.clone(), snap))
+        Some((entry.meta.clone(), entry.live.clone()))
+    }
+
+    /// The job's current meta plus, while running, its progress so far:
+    /// everything [`status_json`] shows, without copying the job's spans.
+    pub fn status(&self, id: u64) -> Option<(JobMeta, Option<Progress>)> {
+        let (meta, live) = self.live(id)?;
+        Some((meta, live.map(|rec| rec.progress())))
+    }
+
+    /// The job's current meta plus, while running, a full live snapshot
+    /// of its recorder (spans included) — what the trace endpoint renders.
+    pub fn snapshot(&self, id: u64) -> Option<(JobMeta, Option<Snapshot>)> {
+        let (meta, live) = self.live(id)?;
+        Some((meta, live.map(|rec| rec.snapshot())))
+    }
+
+    /// Registers a job that is running with `rec` as its live recorder,
+    /// without queueing it, so no worker picks it up: progress and trace
+    /// queries see it mid-run for as long as the test needs.
+    #[cfg(test)]
+    pub(crate) fn insert_running(&self, rec: Arc<Recorder>) -> u64 {
+        let mut st = self.state.lock().expect("state lock");
+        let id = st.next_id;
+        st.next_id += 1;
+        let mut meta = JobMeta::new(id, JobSpec::default(), 40, 8);
+        meta.state = JobState::Running;
+        let live = Some(rec);
+        st.jobs.insert(id, Entry { meta, live });
+        id
     }
 
     /// All jobs, in id order.
@@ -825,7 +854,7 @@ impl JobManager {
     /// Reads a finished job's output file (`edges.txt` or `report.json`).
     pub fn read_output(&self, id: u64, file: &str) -> Result<Vec<u8>, JobError> {
         let meta = self
-            .status(id)
+            .live(id)
             .ok_or_else(|| JobError::new(404, format!("no job {id}")))?
             .0;
         match meta.state {
@@ -1235,7 +1264,7 @@ fn splice_status_files(
 }
 
 /// Renders the wire form of a job's status for `GET /v1/jobs/{id}`.
-pub fn status_json(meta: &JobMeta, live: Option<&Snapshot>) -> Json {
+pub fn status_json(meta: &JobMeta, live: Option<&Progress>) -> Json {
     let mut root = Json::object();
     root.push("id", meta.id);
     root.push("algorithm", meta.spec.algorithm.as_str());
@@ -1248,19 +1277,14 @@ pub fn status_json(meta: &JobMeta, live: Option<&Snapshot>) -> Json {
     if let Some(e) = &meta.error {
         root.push("error", e.as_str());
     }
-    if let Some(snap) = live {
+    if let Some(live) = live {
         let mut progress = Json::object();
         progress.push(
             "phases",
-            Json::Arr(
-                snap.phases
-                    .iter()
-                    .map(|&(name, _)| Json::from(name))
-                    .collect(),
-            ),
+            Json::Arr(live.phases.iter().map(|&name| Json::from(name)).collect()),
         );
         let mut counters = Json::object();
-        for (&name, &value) in &snap.counters {
+        for (&name, &value) in &live.counters {
             counters.push(name, value);
         }
         progress.push("counters", counters);

@@ -357,7 +357,7 @@ fn job_trace(shared: &Shared, id: &str) -> Response {
     let Some(id) = parse_id(id) else {
         return Response::error(404, format!("bad job id {id:?}"));
     };
-    let Some((meta, live)) = shared.manager.status(id) else {
+    let Some((meta, live)) = shared.manager.snapshot(id) else {
         return Response::error(404, format!("no job {id}"));
     };
     let trace = match live {
@@ -718,6 +718,69 @@ mod tests {
 
         let (status, _) = client.get("/v1/jobs/999/trace").expect("missing");
         assert_eq!(status, 404);
+
+        shut_down(addr, handle, &config);
+    }
+
+    #[test]
+    fn polls_of_a_running_job_show_its_progress_and_trace_its_live_spans() {
+        let config = temp_config("live-poll");
+        let server = Server::bind(&config).expect("bind");
+        let (addr, manager) = (server.addr(), Arc::clone(&server.shared.manager));
+        let handle = std::thread::spawn(move || server.serve_forever());
+        let client = crate::client::Client::new(addr);
+
+        // A job mid-search: two finished phases, counters, and node spans
+        // under the open parent_search phase.
+        let rec = Arc::new(Recorder::new());
+        drop(rec.phase("load_statuses"));
+        drop(rec.phase("correlation_matrix"));
+        rec.add("correlation_pairs", 28);
+        rec.add("pairs_above_tau", 5);
+        rec.value("tau", 0.25);
+        let search = rec.phase("parent_search");
+        for node in 0..3 {
+            let mut span = rec.span_with_parent("node_search", search.span_id());
+            span.attr("node", node);
+        }
+        let id = manager.insert_running(Arc::clone(&rec));
+
+        // The status poll shows what it showed when it was rendered from a
+        // full snapshot: phase names in completion order and every counter.
+        let (status, doc) = client.get_json(&format!("/v1/jobs/{id}")).expect("status");
+        assert_eq!(status, 200, "{}", doc.to_pretty());
+        assert_eq!(doc.get("state").and_then(Json::as_str), Some("running"));
+        let snap = rec.snapshot();
+        let mut expected = Json::object();
+        expected.push(
+            "phases",
+            Json::Arr(
+                snap.phases
+                    .iter()
+                    .map(|&(name, _)| Json::from(name))
+                    .collect(),
+            ),
+        );
+        let mut counters = Json::object();
+        for (&name, &value) in &snap.counters {
+            counters.push(name, value);
+        }
+        expected.push("counters", counters);
+        assert_eq!(doc.get("progress"), Some(&expected), "{}", doc.to_pretty());
+
+        // The trace endpoint still renders the live span ring.
+        let (status, doc) = client
+            .get_json(&format!("/v1/jobs/{id}/trace"))
+            .expect("trace");
+        assert_eq!(status, 200, "{}", doc.to_pretty());
+        assert_eq!(doc.get("state").and_then(Json::as_str), Some("running"));
+        let (spans, _) = diffnet_observe::spans_from_json(doc.get("trace").expect("trace"))
+            .expect("parseable span tree");
+        let nodes = spans
+            .iter()
+            .filter(|s| s.name == "node_search" && s.parent.is_some());
+        assert_eq!(nodes.count(), 3);
+        drop(search);
 
         shut_down(addr, handle, &config);
     }

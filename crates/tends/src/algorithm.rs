@@ -513,8 +513,10 @@ impl Tends {
                 appended.num_nodes()
             )));
         }
-        if stats.num_processes() + appended.num_processes() as u64
-            != combined.num_processes() as u64
+        if stats
+            .num_processes()
+            .checked_add(appended.num_processes() as u64)
+            != Some(combined.num_processes() as u64)
         {
             return Err(CheckpointError::Format(format!(
                 "process counts disagree: checkpoint {} + appended {} != combined {}",

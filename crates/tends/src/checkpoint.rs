@@ -18,19 +18,22 @@
 //! the sufficient-statistics revision, and — when the run captured the
 //! pairwise sufficient statistics ([`PairStats`]) — the shape of the
 //! section that stores them: `β`, the node count `n`, the count width `w`
-//! (the smallest of 1, 2, 4 or 8 bytes that holds `β`), the section length
-//! `L = w·(n + n(n−1)/2)`, and a `digest`. The **section** follows the
-//! header's newline: the per-node ones counts, then the upper-triangle
-//! `n11` counts, each a `w`-byte little-endian integer, then a newline.
-//! The digest is FNV-1a over `β`, `n` and `w` (each a `u64`, little-endian)
-//! and then the section bytes as stored. A run without statistics (a
-//! streamed one) writes no section. The file keeps its `checkpoint.json`
-//! name although it is no longer pure JSON.
+//! (the smallest of 1, 2, 4 or 8 bytes that holds `β`,
+//! [`crate::imi::count_width`]), the section length `L = w·(n + n(n−1)/2)`, and
+//! a `digest`. The **section** follows the header's newline: the per-node
+//! ones counts, then the upper-triangle `n11` counts, each a `w`-byte
+//! little-endian integer, then a newline. That is exactly how
+//! [`PairStats`] holds its counts in memory ([`PairStats::section`]), so a
+//! save writes the statistics' bytes as they are and a load keeps the
+//! bytes it read. The digest is FNV-1a over `β`, `n` and `w` (each a
+//! `u64`, little-endian) and then the section bytes as stored. A run
+//! without statistics (a streamed one) writes no section. The file keeps
+//! its `checkpoint.json` name although it is no longer pure JSON.
 //!
-//! Loading splits the file at the byte level. It checks `w` and `L`
-//! (checked arithmetic, against the bytes actually present) before it
-//! allocates anything sized from them, decodes the section straight into
-//! the counts, validates their consistency, and then re-verifies the
+//! Loading splits the file at the byte level. It checks `w` against `β`
+//! and `L` (checked arithmetic, against the bytes actually present) before
+//! it allocates anything sized from them, takes the section's bytes as the
+//! statistics, validates their consistency, and then re-verifies the
 //! digest, so edited statistics surface as a typed
 //! [`CheckpointError::Format`] or [`CheckpointError::Mismatch`] instead
 //! of silently shifting the MI pipeline an append folds into.
@@ -52,7 +55,8 @@
 //!
 //! Version 3 stored the statistics inside the header as space-separated
 //! decimal strings, with a digest over every count as a `u64`. Such files
-//! still load, read-only: every save writes version 4.
+//! still load, read-only — the decimals are packed at the section width as
+//! they are parsed — and every save writes version 4.
 //!
 //! Three properties make resume *bit-identical* to an uninterrupted run:
 //!
@@ -82,7 +86,7 @@
 //! fingerprints and still resume. `version` gates the file layout;
 //! unknown versions are refused.
 
-use crate::imi::PairStats;
+use crate::imi::{count_width, PairStats};
 use crate::score::ScoreCacheStats;
 use crate::search::{NodeSearchResult, SearchStats};
 use diffnet_graph::NodeId;
@@ -90,7 +94,7 @@ use diffnet_observe::{Json, ParseError};
 use diffnet_simulate::WorkspaceStats;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{self, BufRead, Read};
+use std::io::{self, BufRead, Read, Write};
 use std::path::Path;
 
 /// Schema identifier in the `format` field.
@@ -264,19 +268,19 @@ impl Checkpoint {
     }
 
     /// The header line (without its newline) and the statistics section
-    /// it describes, empty when there are no statistics.
-    pub fn header(&self) -> (String, Vec<u8>) {
+    /// it describes — the statistics' own bytes, empty when there are no
+    /// statistics.
+    pub fn header(&self) -> (String, &[u8]) {
         let mut root = Json::object();
         root.push("format", FORMAT);
         root.push("version", VERSION);
         root.push("fingerprint", format!("{:016x}", self.fingerprint));
         root.push("revision", self.revision);
-        let mut section = Vec::new();
+        let mut section: &[u8] = &[];
         if let Some(stats) = &self.stats {
-            let (beta, nodes) = (stats.num_processes(), stats.num_nodes());
-            let width = section_width(beta);
-            section = encode_section(stats, width);
-            let digest = section_digest(beta, nodes, width, &section);
+            let (beta, nodes, width) = (stats.num_processes(), stats.num_nodes(), stats.width());
+            section = stats.section();
+            let digest = section_digest(beta, nodes, width, section);
             let mut s = Json::object();
             s.push("beta", beta);
             s.push("nodes", nodes);
@@ -323,19 +327,32 @@ impl Checkpoint {
     /// The full compacted serialization: header line, statistics section,
     /// then every entry in ascending node order.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let (header, section) = self.header();
-        let mut out = Vec::with_capacity(header.len() + section.len() + 2);
-        out.extend_from_slice(header.as_bytes());
-        out.push(b'\n');
-        if self.stats.is_some() {
-            out.extend_from_slice(&section);
-            out.push(b'\n');
-        }
-        for (&id, e) in &self.entries {
-            out.extend_from_slice(Self::entry_line(id, e).as_bytes());
-            out.push(b'\n');
-        }
+        let mut out = Vec::new();
+        self.write_to(&mut out)
+            .expect("writing to a Vec cannot fail");
         out
+    }
+
+    /// Writes [`to_bytes`](Self::to_bytes)'s serialization to `w`, the
+    /// statistics section straight from the statistics' storage. Returns
+    /// the number of bytes written.
+    fn write_to(&self, w: &mut dyn Write) -> io::Result<usize> {
+        let (header, section) = self.header();
+        let mut written = header.len() + 1;
+        w.write_all(header.as_bytes())?;
+        w.write_all(b"\n")?;
+        if self.stats.is_some() {
+            w.write_all(section)?;
+            w.write_all(b"\n")?;
+            written += section.len() + 1;
+        }
+        let mut lines = String::new();
+        for (&id, e) in &self.entries {
+            lines.push_str(&Self::entry_line(id, e));
+            lines.push('\n');
+        }
+        w.write_all(lines.as_bytes())?;
+        Ok(written + lines.len())
     }
 
     /// Parses the serialized form back (exposed for tests and tools; the
@@ -390,9 +407,12 @@ impl Checkpoint {
     /// so a crash mid-write leaves the previous checkpoint intact. Returns
     /// the number of bytes written.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<usize, CheckpointError> {
-        let bytes = self.to_bytes();
-        diffnet_graph::io::save_atomic(path, |w| w.write_all(&bytes))?;
-        Ok(bytes.len())
+        let mut written = 0;
+        diffnet_graph::io::save_atomic(path, |w| {
+            written = self.write_to(w)?;
+            Ok(())
+        })?;
+        Ok(written)
     }
 
     /// Loads and validates a checkpoint file, compacting any delta log:
@@ -418,61 +438,11 @@ impl Checkpoint {
             let want = (section.bytes as u64).saturating_add(1);
             let mut raw = Vec::with_capacity(want.min(len) as usize);
             reader.take(want).read_to_end(&mut raw)?;
-            ck.stats = Some(section.read(&raw)?.0);
+            section.check_newline(&raw)?;
+            raw.truncate(section.bytes);
+            ck.stats = Some(section.stats(raw)?);
         }
         Ok(ck)
-    }
-}
-
-/// The smallest count width, in bytes, that holds every count of a run
-/// over `beta` processes (no count exceeds `β`).
-fn section_width(beta: u64) -> usize {
-    match beta {
-        0..=0xff => 1,
-        0x100..=0xffff => 2,
-        0x1_0000..=0xffff_ffff => 4,
-        _ => 8,
-    }
-}
-
-/// The statistics section: ones, then `n11`, each count as `width`
-/// little-endian bytes.
-fn encode_section(stats: &PairStats, width: usize) -> Vec<u8> {
-    fn encode<const W: usize>(counts: &[u64], out: &mut [u8]) {
-        for (chunk, &v) in out.chunks_exact_mut(W).zip(counts) {
-            chunk.copy_from_slice(&v.to_le_bytes()[..W]);
-        }
-    }
-    let (ones, n11) = (stats.ones(), stats.n11());
-    let mut out = vec![0u8; width * (ones.len() + n11.len())];
-    let (ones_out, n11_out) = out.split_at_mut(width * ones.len());
-    for (counts, dst) in [(ones, ones_out), (n11, n11_out)] {
-        match width {
-            1 => encode::<1>(counts, dst),
-            2 => encode::<2>(counts, dst),
-            4 => encode::<4>(counts, dst),
-            _ => encode::<8>(counts, dst),
-        }
-    }
-    out
-}
-
-/// Inverse of [`encode_section`] for one run of counts.
-fn decode_counts(raw: &[u8], width: usize) -> Vec<u64> {
-    fn decode<const W: usize>(raw: &[u8]) -> Vec<u64> {
-        raw.chunks_exact(W)
-            .map(|c| {
-                let mut le = [0u8; 8];
-                le[..W].copy_from_slice(c);
-                u64::from_le_bytes(le)
-            })
-            .collect()
-    }
-    match width {
-        1 => decode::<1>(raw),
-        2 => decode::<2>(raw),
-        4 => decode::<4>(raw),
-        _ => decode::<8>(raw),
     }
 }
 
@@ -493,7 +463,7 @@ fn v3_digest(stats: &PairStats) -> u64 {
     let mut h = Fnv::new();
     h.eat(&stats.num_processes().to_le_bytes());
     h.eat(&(stats.num_nodes() as u64).to_le_bytes());
-    for &v in stats.ones().iter().chain(stats.n11()) {
+    for v in stats.counts() {
         h.eat(&v.to_le_bytes());
     }
     h.0
@@ -588,10 +558,24 @@ fn push_ids(out: &mut String, ids: &[NodeId]) {
     }
 }
 
-/// Parses a version-3 statistics string: space-separated decimal counts,
-/// in a single pass over the raw bytes.
-fn parse_u64s(text: &str, what: &str) -> Result<Vec<u64>, CheckpointError> {
-    let mut out = Vec::with_capacity(text.len() / 2 + 1);
+/// Parses a version-3 statistics string — space-separated decimal counts,
+/// in a single pass over the raw bytes — appending each count to `out` as
+/// `width` little-endian bytes. A count too wide for `width` exceeds `β`.
+fn parse_u64s(
+    text: &str,
+    what: &str,
+    width: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), CheckpointError> {
+    let mut push = |v: u64| {
+        if width < 8 && v >> (8 * width) != 0 {
+            return Err(CheckpointError::Format(format!(
+                "{what} count {v} exceeds beta (counts are {width} bytes wide)"
+            )));
+        }
+        out.extend_from_slice(&v.to_le_bytes()[..width]);
+        Ok(())
+    };
     let mut cur: u64 = 0;
     let mut in_token = false;
     for (i, &b) in text.as_bytes().iter().enumerate() {
@@ -607,7 +591,7 @@ fn parse_u64s(text: &str, what: &str) -> Result<Vec<u64>, CheckpointError> {
             }
             b' ' | b'\t' | b'\n' | b'\r' => {
                 if in_token {
-                    out.push(cur);
+                    push(cur)?;
                     cur = 0;
                     in_token = false;
                 }
@@ -621,9 +605,9 @@ fn parse_u64s(text: &str, what: &str) -> Result<Vec<u64>, CheckpointError> {
         }
     }
     if in_token {
-        out.push(cur);
+        push(cur)?;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// A non-negative integer field of a JSON object.
@@ -645,9 +629,10 @@ struct Section {
 }
 
 impl Section {
-    /// Reads the header's `stats` object. `width` must be 1, 2, 4 or 8 and
-    /// `bytes` must be exactly `width·(n + n(n−1)/2)`, computed without
-    /// overflow, so nothing sized from the header is allocated unchecked.
+    /// Reads the header's `stats` object. `width` must be the count width
+    /// of `β` ([`count_width`]) and `bytes` exactly `width·(n + n(n−1)/2)`,
+    /// computed without overflow, so nothing sized from the header is
+    /// allocated unchecked.
     fn from_json(s: &Json) -> Result<Section, CheckpointError> {
         let field = |name: &str| {
             json_u64(s, name)
@@ -662,9 +647,10 @@ impl Section {
             .and_then(Json::as_str)
             .and_then(parse_hex16)
             .ok_or_else(|| CheckpointError::Format("stats: missing or bad \"digest\"".into()))?;
-        if !matches!(width, 1 | 2 | 4 | 8) {
+        if width != count_width(beta) as u64 {
             return Err(CheckpointError::Format(format!(
-                "stats: count width {width} is not 1, 2, 4 or 8"
+                "stats: count width {width} is not the width of beta = {beta} ({})",
+                count_width(beta)
             )));
         }
         let expected = nodes
@@ -688,11 +674,8 @@ impl Section {
         })
     }
 
-    /// Decodes the section at the front of `rest` and returns the
-    /// statistics and what follows the section's newline. The counts'
-    /// consistency is checked before the digest, so impossible counts are
-    /// a `Format` error and plausible edits a `Mismatch`.
-    fn read<'a>(&self, rest: &'a [u8]) -> Result<(PairStats, &'a [u8]), CheckpointError> {
+    /// Checks that `rest` holds the declared section and its newline.
+    fn check_newline(&self, rest: &[u8]) -> Result<(), CheckpointError> {
         if rest.len() <= self.bytes || rest[self.bytes] != b'\n' {
             return Err(CheckpointError::Format(format!(
                 "statistics section truncated: the header declares {} bytes and a newline, \
@@ -701,21 +684,30 @@ impl Section {
                 rest.len()
             )));
         }
-        let raw = &rest[..self.bytes];
-        let (ones, n11) = raw.split_at(self.width * self.nodes);
-        let stats = PairStats::from_parts(
-            self.beta,
-            decode_counts(ones, self.width),
-            decode_counts(n11, self.width),
-        )
-        .map_err(CheckpointError::Format)?;
-        let digest = section_digest(self.beta, self.nodes, self.width, raw);
+        Ok(())
+    }
+
+    /// The statistics the section's bytes hold. Their consistency is
+    /// checked before the digest, so impossible counts are a `Format`
+    /// error and plausible edits a `Mismatch`.
+    fn stats(&self, raw: Vec<u8>) -> Result<PairStats, CheckpointError> {
+        let stats =
+            PairStats::from_section(self.beta, self.nodes, raw).map_err(CheckpointError::Format)?;
+        let digest = section_digest(self.beta, self.nodes, self.width, stats.section());
         if digest != self.digest {
             return Err(CheckpointError::Mismatch {
                 expected: format!("{digest:016x}"),
                 found: format!("{:016x}", self.digest),
             });
         }
+        Ok(stats)
+    }
+
+    /// Reads the section at the front of `rest` and returns the
+    /// statistics and what follows the section's newline.
+    fn read<'a>(&self, rest: &'a [u8]) -> Result<(PairStats, &'a [u8]), CheckpointError> {
+        self.check_newline(rest)?;
+        let stats = self.stats(rest[..self.bytes].to_vec())?;
         Ok((stats, &rest[self.bytes + 1..]))
     }
 }
@@ -788,8 +780,12 @@ fn parse_v3_stats(s: &Json) -> Result<PairStats, CheckpointError> {
         .and_then(Json::as_str)
         .and_then(parse_hex16)
         .ok_or_else(|| CheckpointError::Format("stats: missing or bad \"digest\"".into()))?;
-    let stats = PairStats::from_parts(beta, parse_u64s(ones, "ones")?, parse_u64s(n11, "n11")?)
-        .map_err(CheckpointError::Format)?;
+    let width = count_width(beta);
+    let mut packed = Vec::new();
+    parse_u64s(ones, "ones", width, &mut packed)?;
+    let nodes = packed.len() / width;
+    parse_u64s(n11, "n11", width, &mut packed)?;
+    let stats = PairStats::from_section(beta, nodes, packed).map_err(CheckpointError::Format)?;
     if v3_digest(&stats) != digest {
         return Err(CheckpointError::Mismatch {
             expected: format!("{:016x}", v3_digest(&stats)),
@@ -939,8 +935,10 @@ pub(crate) mod tests {
             let decimals = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(" ");
             let mut s = Json::object();
             s.push("beta", stats.num_processes());
-            s.push("ones", decimals(stats.ones()));
-            s.push("n11", decimals(stats.n11()));
+            let counts: Vec<u64> = stats.counts().collect();
+            let (ones, n11) = counts.split_at(stats.num_nodes());
+            s.push("ones", decimals(ones));
+            s.push("n11", decimals(n11));
             s.push("digest", format!("{:016x}", v3_digest(stats)));
             root.push("stats", s);
         }
@@ -1130,7 +1128,7 @@ pub(crate) mod tests {
         let stats = back.stats.expect("stats restored");
         assert_eq!(stats.num_processes(), 10);
         assert_eq!(stats.ones(), &[4, 1, 10]);
-        assert_eq!(stats.n11(), &[1, 4, 1]);
+        assert_eq!(stats.section(), &[4, 1, 10, 1, 4, 1]);
         // A checkpoint without stats is still valid, and has no section.
         let mut bare = sample();
         bare.stats = None;
@@ -1161,6 +1159,98 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn saves_match_golden_bytes_at_every_width() {
+        // Counts at the top and bottom of each width. The digests are
+        // FNV-1a over β, n and the width (each a little-endian u64), then
+        // the section, computed independently of this crate.
+        type Case = (u64, [u64; 3], [u64; 3], usize, &'static str, &'static [u8]);
+        let cases: [Case; 4] = [
+            (
+                10,
+                [4, 1, 10],
+                [1, 4, 1],
+                1,
+                "53fafe0a215c5368",
+                b"\x04\x01\x0a\x01\x04\x01",
+            ),
+            (
+                300,
+                [300, 7, 256],
+                [7, 256, 7],
+                2,
+                "ea5f78dbeb965b47",
+                b"\x2c\x01\x07\x00\x00\x01\x07\x00\x00\x01\x07\x00",
+            ),
+            (
+                70_000,
+                [70_000, 65_536, 1],
+                [65_536, 1, 1],
+                4,
+                "56195a210728bac7",
+                b"\x70\x11\x01\x00\x00\x00\x01\x00\x01\x00\x00\x00\
+                  \x00\x00\x01\x00\x01\x00\x00\x00\x01\x00\x00\x00",
+            ),
+            (
+                1 << 32,
+                [1 << 32, (1 << 32) - 1, 0],
+                [(1 << 32) - 1, 0, 0],
+                8,
+                "bf2aed22fa9d1b46",
+                b"\x00\x00\x00\x00\x01\x00\x00\x00\xff\xff\xff\xff\x00\x00\x00\x00\
+                  \x00\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff\x00\x00\x00\x00\
+                  \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00",
+            ),
+        ];
+        for (beta, ones, n11, width, digest, section) in cases {
+            let mut ck = Checkpoint::new(0x0123_4567_89ab_cdef, 2);
+            ck.stats = Some(PairStats::from_parts(beta, ones.to_vec(), n11.to_vec()).unwrap());
+            let header = format!(
+                "{{\"format\":\"diffnet-checkpoint\",\"version\":4,\
+                 \"fingerprint\":\"0123456789abcdef\",\"revision\":2,\
+                 \"stats\":{{\"beta\":{beta},\"nodes\":3,\"width\":{width},\"bytes\":{},\
+                 \"digest\":\"{digest}\"}}}}\n",
+                6 * width
+            );
+            let golden = [header.as_bytes(), section, b"\n"].concat();
+            assert_eq!(ck.to_bytes(), golden, "width {width}");
+            let path = temp_path(&format!("golden_w{width}.json"));
+            assert_eq!(ck.save(&path).expect("save"), golden.len());
+            assert_eq!(std::fs::read(&path).unwrap(), golden, "width {width}");
+            assert_eq!(Checkpoint::load(&path).expect("load"), ck);
+            assert_eq!(Checkpoint::load_header(&path).expect("load header"), ck);
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn overflowing_counts_in_a_header_are_format_errors() {
+        // β = ones = n11 = u64::MAX at width 8: β + n11 overflows, so the
+        // section is refused with a typed error on both load paths.
+        let section = [u64::MAX.to_le_bytes(); 3].concat();
+        let header = format!(
+            "{{\"format\":\"diffnet-checkpoint\",\"version\":4,\
+             \"fingerprint\":\"0000000000000001\",\"revision\":0,\
+             \"stats\":{{\"beta\":{},\"nodes\":2,\"width\":8,\"bytes\":24,\
+             \"digest\":\"{:016x}\"}}}}\n",
+            u64::MAX,
+            section_digest(u64::MAX, 2, 8, &section)
+        );
+        let bytes = [header.as_bytes(), &section, b"\n"].concat();
+        let path = temp_path("overflowing_counts.json");
+        std::fs::write(&path, &bytes).expect("write");
+        for err in [
+            Checkpoint::from_bytes(&bytes, false).expect_err("from bytes"),
+            Checkpoint::load_header(&path).expect_err("load header"),
+        ] {
+            assert!(
+                matches!(&err, CheckpointError::Format(m) if m.contains("inconsistent")),
+                "{err:?}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn hand_emitted_lines_match_the_generic_json_form() {
         // The header layout is pinned byte for byte. The hand-rolled entry
         // writer exists purely for speed; its bytes must stay exactly what
@@ -1168,7 +1258,7 @@ pub(crate) mod tests {
         let ck = sample();
         let (header, section) = ck.header();
         assert_eq!(section, [4, 1, 10, 1, 4, 1]);
-        let digest = section_digest(10, 3, 1, &section);
+        let digest = section_digest(10, 3, 1, section);
         assert_eq!(
             header,
             format!(

@@ -316,44 +316,101 @@ pub(crate) fn tile_schedule(
     tiles
 }
 
-/// The tile schedule grouped by row block: each entry is the range of
-/// `tiles` sharing one row range, with the block's pair count. The
-/// schedule is row-block major, so a block's tiles are adjacent and its
-/// pairs fill one contiguous run of the triangle.
-fn row_blocks(tiles: &[Tile]) -> Vec<(Range<usize>, u64)> {
-    let mut blocks: Vec<(Range<usize>, u64)> = Vec::new();
-    for (t, tile) in tiles.iter().enumerate() {
-        match blocks.last_mut() {
-            Some((range, pairs)) if tiles[range.start].rows == tile.rows => {
-                range.end = t + 1;
-                *pairs += tile.pairs;
-            }
-            _ => blocks.push((t..t + 1, tile.pairs)),
-        }
-    }
-    blocks
+/// One unit of work of a full-triangle pass: a contiguous range of rows
+/// with every pair `(i, j)`, `i` in `rows`, `j > i`. Its pairs fill one
+/// contiguous run of the triangle; `tiles` are the schedule's tiles
+/// sharing its row block, walked in order so a tile's columns stay
+/// L1-resident while the part's rows stream past.
+struct RowPart {
+    rows: Range<usize>,
+    tiles: Range<usize>,
+    pairs: u64,
 }
 
-/// Splits a triangle (or an empty slice, for output that is not kept) into
-/// the contiguous runs of the row blocks, front to back.
-fn split_blocks<'t, T>(mut tri: &'t mut [T], blocks: &[(Range<usize>, u64)]) -> Vec<&'t mut [T]> {
+/// About this many parts per pass, so the pool balances at up to 8
+/// workers × 4 claims; never fewer than [`MIN_PART_ROWS`] rows a part, so
+/// each tile's columns still serve a run of rows.
+const TARGET_PARTS: u64 = 64;
+const MIN_PART_ROWS: usize = 32;
+
+/// Cuts a full-triangle tile schedule (every pair kept) into row parts:
+/// each row block — the tiles sharing a row range, adjacent in the
+/// row-block-major schedule — is split into row ranges of about
+/// `1/TARGET_PARTS` of the triangle's pairs. A whole row block is one
+/// claim no longer, so a pool of several workers is not left waiting on
+/// the widest block (the first holds three quarters of the pairs at
+/// n = 1000, tile 512).
+fn row_parts(n: usize, tiles: &[Tile]) -> Vec<RowPart> {
+    let total: u64 = tiles.iter().map(|t| t.pairs).sum();
+    let target = total.div_ceil(TARGET_PARTS).max(1);
+    let row_pairs = |i: usize| (n - 1 - i) as u64;
+    let mut parts: Vec<RowPart> = Vec::new();
+    let mut t = 0;
+    while t < tiles.len() {
+        let rows = tiles[t].rows.clone();
+        let block = t..t + tiles[t..].iter().take_while(|x| x.rows == rows).count();
+        t = block.end;
+        let mut start = rows.start;
+        let mut pairs = 0;
+        for i in rows.clone() {
+            pairs += row_pairs(i);
+            if pairs >= target && i + 1 - start >= MIN_PART_ROWS {
+                parts.push(RowPart {
+                    rows: start..i + 1,
+                    tiles: block.clone(),
+                    pairs,
+                });
+                (start, pairs) = (i + 1, 0);
+            }
+        }
+        if pairs > 0 {
+            parts.push(RowPart {
+                rows: start..rows.end,
+                tiles: block,
+                pairs,
+            });
+        } else if let Some(last) = parts.last_mut().filter(|p| p.tiles == block) {
+            // Only pair-free rows (the last node's) remain.
+            last.rows.end = rows.end;
+        }
+    }
+    parts
+}
+
+/// Splits a buffer holding `unit` elements per pair of the triangle (or
+/// an empty buffer, for output that is not kept) into the contiguous runs
+/// of the row parts, front to back.
+fn split_parts<'t, T>(mut tri: &'t mut [T], parts: &[RowPart], unit: usize) -> Vec<&'t mut [T]> {
     let keep = !tri.is_empty();
-    blocks
+    parts
         .iter()
-        .map(|&(_, pairs)| {
-            let (run, rest) =
-                std::mem::take(&mut tri).split_at_mut(if keep { pairs as usize } else { 0 });
+        .map(|part| {
+            let len = if keep { part.pairs as usize * unit } else { 0 };
+            let (run, rest) = std::mem::take(&mut tri).split_at_mut(len);
             tri = rest;
             run
         })
         .collect()
 }
 
-/// Index of pair `(i, j0)` (`i < j0`) in the run of the row block whose
-/// first row is `r0`.
-#[inline]
-fn run_index(n: usize, r0: usize, i: usize, j0: usize) -> usize {
-    tri_index(n, i, j0) - tri_index(n, r0, r0 + 1)
+/// Runs `emit(i, j0, at, n11s)` over every pair segment of `part`: the
+/// `n11` counts of pairs `(i, j0)`, `(i, j0 + 1)`, … from
+/// [`NodeColumns::pair_n11_block`], with `at` the position of pair
+/// `(i, j0)` in the part's run.
+fn part_segments(
+    cols: &NodeColumns,
+    tiles: &[Tile],
+    part: &RowPart,
+    emit: &mut impl FnMut(usize, usize, usize, &[u64]),
+) {
+    let n = cols.num_nodes();
+    let run_start = row_start(n, part.rows.start);
+    for tile in &tiles[part.tiles.clone()] {
+        cols.pair_n11_block(part.rows.clone(), tile.cols.clone(), &mut |i, j0, seg| {
+            let i = i as usize;
+            emit(i, j0, row_start(n, i) + (j0 - i - 1) - run_start, seg);
+        });
+    }
 }
 
 /// The largest node count the dense pipeline takes: the candidate step's
@@ -385,7 +442,7 @@ impl CorrelationMatrix {
         Self::compute_parallel(cols, measure, 1)
     }
 
-    /// Parallel variant of [`compute`](Self::compute): row blocks of the
+    /// Parallel variant of [`compute`](Self::compute): row ranges of the
     /// upper triangle are claimed by `threads` workers (0 = all cores).
     /// Each cell is a pure function of its pair, so the result is
     /// bit-identical for every thread count.
@@ -411,20 +468,22 @@ impl CorrelationMatrix {
     /// ones counts, upper-triangle `n11`) the values were derived from, in
     /// the same kernel pass. The matrix is bit-identical either way and at
     /// every thread count. The statistics are what incremental
-    /// re-estimation persists; `n11` costs `4·n²` bytes, so only
-    /// checkpointed runs capture it.
+    /// re-estimation persists; `n11` costs `w·n(n−1)/2` bytes at the
+    /// count width `w` = [`count_width`]`(β)` (one byte a pair at
+    /// `β ≤ 255`), so only checkpointed runs capture it.
     ///
     /// The pair loop is the cache-blocked [`NodeColumns::pair_n11_block`]
     /// kernel over the crate's one tile schedule (`tile_schedule`): `n11`
     /// comes from one row-batched SIMD AND+popcount call per tile row, and
     /// the [`PairEvaluator`] — built once from the per-column ones counts —
-    /// turns each row segment into values. A worker claims whole row
-    /// blocks (the tiles sharing a row range, weighted by their exact pair
-    /// count), whose pairs fill one contiguous run of the triangle, so each
-    /// value and `n11` is written straight into its final slot and counted
-    /// into the worker's bucket counts as its segment is written; the counts merge
-    /// by integer addition, so they too are the same at every thread
-    /// count.
+    /// turns each row segment into values. A worker claims row parts
+    /// (contiguous row ranges of one row block, weighted by their exact
+    /// pair count), whose pairs fill one contiguous run of the triangle, so
+    /// each value is written straight into its final slot, and each `n11`
+    /// narrowed straight into its slot of the packed statistics, and
+    /// counted into the worker's bucket counts as its segment is written;
+    /// the counts merge by integer addition, so they too are the same at
+    /// every thread count.
     pub fn compute_observed(
         cols: &NodeColumns,
         measure: CorrelationMeasure,
@@ -438,13 +497,23 @@ impl CorrelationMatrix {
         let ones = cols.ones_counts();
         let eval = PairEvaluator::new(beta, &ones, measure);
         let tiles = tile_schedule(n, cols.pair_tile_size(), |_, _| true);
-        let blocks = row_blocks(&tiles);
-        let costs: Vec<u64> = blocks.iter().map(|b| b.1).collect();
+        let row_parts = row_parts(n, &tiles);
+        let costs: Vec<u64> = row_parts.iter().map(|p| p.pairs).collect();
         let mut upper = vec![0.0f64; pairs];
-        let mut n11 = vec![0u64; if capture_stats { pairs } else { 0 }];
-        let parts: Vec<(&mut [f64], &mut [u64])> = split_blocks(&mut upper, &blocks)
+        let width = count_width(beta);
+        let packed_len = if capture_stats {
+            width * (n + pairs)
+        } else {
+            0
+        };
+        let mut packed = vec![0u8; packed_len];
+        let (packed_ones, packed_n11) = packed.split_at_mut(packed_len.min(width * n));
+        if capture_stats {
+            pack(packed_ones, &ones);
+        }
+        let parts: Vec<(&mut [f64], &mut [u8])> = split_parts(&mut upper, &row_parts, 1)
             .into_iter()
-            .zip(split_blocks(&mut n11, &blocks))
+            .zip(split_parts(packed_n11, &row_parts, width))
             .collect();
         let (_, pool) = crate::parallel::run_weighted_parts(
             &costs,
@@ -452,22 +521,16 @@ impl CorrelationMatrix {
             4,
             threads,
             || BucketCounts::new(pairs),
-            |counts, b, (values, n11s)| {
-                let r0 = tiles[blocks[b].0.start].rows.start;
-                for tile in &tiles[blocks[b].0.clone()] {
-                    cols.pair_n11_block(tile.rows.clone(), tile.cols.clone(), &mut |i, j0, seg| {
-                        let i = i as usize;
-                        let at = run_index(n, r0, i, j0);
-                        let run = at..at + seg.len();
-                        let out = &mut values[run.clone()];
-                        eval.row(i, j0, seg, out);
-                        // While the segment is still in L1.
-                        counts.add_all(out);
-                        if capture_stats {
-                            n11s[run].copy_from_slice(seg);
-                        }
-                    });
-                }
+            |counts, p, (values, n11s)| {
+                part_segments(cols, &tiles, &row_parts[p], &mut |i, j0, at, seg| {
+                    let out = &mut values[at..at + seg.len()];
+                    eval.row(i, j0, seg, out);
+                    // While the segment is still in L1.
+                    counts.add_all(out);
+                    if capture_stats {
+                        pack(&mut n11s[at * width..(at + seg.len()) * width], seg);
+                    }
+                });
             },
         );
         if rec.is_enabled() {
@@ -480,7 +543,7 @@ impl CorrelationMatrix {
         for partial in states {
             counts.merge(&partial);
         }
-        let stats = capture_stats.then_some(PairStats { n, beta, ones, n11 });
+        let stats = capture_stats.then_some(PairStats { n, beta, packed });
         (CorrelationMatrix { n, upper, counts }, stats)
     }
 
@@ -542,7 +605,99 @@ impl CorrelationMatrix {
 #[inline]
 fn tri_index(n: usize, i: usize, j: usize) -> usize {
     debug_assert!(i < j && j < n);
-    i * n - i * (i + 1) / 2 + (j - i - 1)
+    row_start(n, i) + (j - i - 1)
+}
+
+/// Index of row `i`'s first pair `(i, i + 1)` in the row-major triangle
+/// (for `i ≤ n`; the rows past `n − 2` start at the triangle's end).
+#[inline]
+fn row_start(n: usize, i: usize) -> usize {
+    i * n - i * (i + 1) / 2
+}
+
+/// The byte width the statistics of a run over `beta` processes store
+/// each count at: the smallest of 1, 2, 4 and 8 that holds `β` (no count
+/// exceeds `β`) — one byte at the paper's `β = 150`.
+pub fn count_width(beta: u64) -> usize {
+    match beta {
+        0..=0xff => 1,
+        0x100..=0xffff => 2,
+        0x1_0000..=0xffff_ffff => 4,
+        _ => 8,
+    }
+}
+
+/// Applies `$body` with the const `$w` bound to a count width (1, 2, 4
+/// or 8), so each width gets its own monomorphized loop.
+macro_rules! with_width {
+    ($width:expr, $w:ident => $body:expr) => {
+        match $width {
+            1 => {
+                const $w: usize = 1;
+                $body
+            }
+            2 => {
+                const $w: usize = 2;
+                $body
+            }
+            4 => {
+                const $w: usize = 4;
+                $body
+            }
+            _ => {
+                const $w: usize = 8;
+                $body
+            }
+        }
+    };
+}
+
+/// One `W`-byte little-endian count.
+#[inline(always)]
+fn load<const W: usize>(bytes: &[u8; W]) -> u64 {
+    let mut le = [0u8; 8];
+    le[..W].copy_from_slice(bytes);
+    u64::from_le_bytes(le)
+}
+
+/// Narrows `counts` into `dst`, `dst.len() / counts.len()` bytes each
+/// (every count must fit that width).
+fn pack(dst: &mut [u8], counts: &[u64]) {
+    fn run<const W: usize>(dst: &mut [u8], counts: &[u64]) {
+        for (d, &v) in dst.as_chunks_mut::<W>().0.iter_mut().zip(counts) {
+            d.copy_from_slice(&v.to_le_bytes()[..W]);
+        }
+    }
+    if let Some(width) = dst.len().checked_div(counts.len()) {
+        with_width!(width, W => run::<W>(dst, counts))
+    }
+}
+
+/// Widens the counts packed in `src`, `src.len() / dst.len()` bytes each,
+/// into `dst`.
+fn unpack(src: &[u8], dst: &mut [u64]) {
+    fn run<const W: usize>(src: &[u8], dst: &mut [u64]) {
+        for (d, s) in dst.iter_mut().zip(src.as_chunks::<W>().0) {
+            *d = load(s);
+        }
+    }
+    if let Some(width) = src.len().checked_div(dst.len()) {
+        with_width!(width, W => run::<W>(src, dst))
+    }
+}
+
+/// Adds `counts` in place to the counts packed in `dst`,
+/// `dst.len() / counts.len()` bytes each (every sum must fit that width).
+fn add_packed(dst: &mut [u8], counts: &[u64]) {
+    fn run<const W: usize>(dst: &mut [u8], counts: &[u64]) {
+        for (d, &v) in dst.as_chunks_mut::<W>().0.iter_mut().zip(counts) {
+            let sum = load(d) + v;
+            d.copy_from_slice(&sum.to_le_bytes()[..W]);
+        }
+    }
+    if let Some(width) = dst.len().checked_div(counts.len()) {
+        with_width!(width, W => run::<W>(dst, counts))
+    }
 }
 
 /// Pairwise sufficient statistics of a status matrix: `β`, the per-column
@@ -551,6 +706,13 @@ fn tri_index(n: usize, i: usize, j: usize) -> usize {
 /// − n11`, `n00 = β + n11 − ones_i − ones_j` — the same derivations
 /// [`NodeColumns::pair_counts_block`] uses), hence the exact correlation
 /// matrix, τ, and candidate sets of the run that produced them.
+///
+/// Every count is stored at [`count_width`]`(β)` bytes, little-endian:
+/// the `n` ones counts, then the `n(n−1)/2` `n11` counts in rank order.
+/// Those bytes are the checkpoint's statistics section
+/// ([`section`](Self::section)), so a save writes them as they are and a
+/// load keeps the bytes it read. At the paper's `β = 150` the triangle
+/// costs one byte a pair.
 ///
 /// The statistics are *additive over processes*: appending cascades only
 /// adds the appended columns' counts cell-wise, so [`append`](Self::append)
@@ -561,21 +723,34 @@ fn tri_index(n: usize, i: usize, j: usize) -> usize {
 pub struct PairStats {
     n: usize,
     beta: u64,
-    ones: Vec<u64>,
-    n11: Vec<u64>,
+    /// Ones, then `n11`, each at `count_width(beta)` bytes.
+    packed: Vec<u8>,
 }
 
 impl PairStats {
-    /// Rebuilds statistics from persisted parts, validating shape.
-    pub fn from_parts(beta: u64, ones: Vec<u64>, n11: Vec<u64>) -> Result<PairStats, String> {
-        let n = ones.len();
-        let pairs = n * n.saturating_sub(1) / 2;
-        if n11.len() != pairs {
+    /// Rebuilds statistics over `nodes` nodes from their packed counts
+    /// (the layout of [`section`](Self::section), at
+    /// [`count_width`]`(beta)` bytes a count), validating the shape and
+    /// that every 2×2 cell they imply is a non-negative count.
+    pub fn from_section(beta: u64, nodes: usize, packed: Vec<u8>) -> Result<PairStats, String> {
+        let width = count_width(beta);
+        let need = nodes
+            .checked_mul(nodes.saturating_sub(1))
+            .and_then(|p| (p / 2).checked_add(nodes))
+            .and_then(|counts| counts.checked_mul(width));
+        if need != Some(packed.len()) {
             return Err(format!(
-                "pair stats shape mismatch: {n} nodes need {pairs} n11 counts, got {}",
-                n11.len()
+                "pair stats shape mismatch: {nodes} nodes' counts at width {width} are not \
+                 {} bytes",
+                packed.len()
             ));
         }
+        let stats = PairStats {
+            n: nodes,
+            beta,
+            packed,
+        };
+        let ones = stats.ones();
         if let Some(i) = ones.iter().position(|&o| o > beta) {
             return Err(format!(
                 "pair stats ones[{i}] = {} exceeds beta = {beta}",
@@ -585,22 +760,40 @@ impl PairStats {
         // Every 2×2 cell the statistics imply must be a non-negative
         // count, or later derivations would underflow on hand-edited or
         // corrupted input: n11 ≤ min(ones_i, ones_j) and
-        // β + n11 ≥ ones_i + ones_j (n00 ≥ 0).
-        let mut t = 0usize;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let v = n11[t];
-                if v > ones[i].min(ones[j]) || ones[i] + ones[j] > beta + v {
+        // β + n11 ≥ ones_i + ones_j (n00 ≥ 0), with β + n11 itself
+        // representable.
+        let mut row = Vec::with_capacity(nodes.saturating_sub(1));
+        for i in 0..nodes {
+            stats.widen_row(i, &mut row);
+            for (&v, j) in row.iter().zip(i + 1..) {
+                let n00_fits = beta
+                    .checked_add(v)
+                    .zip(ones[i].checked_add(ones[j]))
+                    .is_some_and(|(total, margins)| margins <= total);
+                if v > ones[i].min(ones[j]) || !n00_fits {
                     return Err(format!(
                         "pair stats are inconsistent at pair ({i}, {j}): \
                          n11 = {v}, ones = ({}, {}), beta = {beta}",
                         ones[i], ones[j]
                     ));
                 }
-                t += 1;
             }
         }
-        Ok(PairStats { n, beta, ones, n11 })
+        Ok(stats)
+    }
+
+    /// Builds statistics from unpacked counts (test convenience).
+    #[cfg(test)]
+    pub(crate) fn from_parts(
+        beta: u64,
+        ones: Vec<u64>,
+        n11: Vec<u64>,
+    ) -> Result<PairStats, String> {
+        let width = count_width(beta);
+        let counts: Vec<u64> = ones.iter().chain(&n11).copied().collect();
+        let mut packed = vec![0u8; width * counts.len()];
+        pack(&mut packed, &counts);
+        PairStats::from_section(beta, ones.len(), packed)
     }
 
     /// Computes the statistics directly (test/oracle convenience; the
@@ -623,14 +816,43 @@ impl PairStats {
         self.beta
     }
 
-    /// Per-column ones counts.
-    pub fn ones(&self) -> &[u64] {
-        &self.ones
+    /// The byte width each count is stored at: [`count_width`]`(β)`.
+    pub fn width(&self) -> usize {
+        count_width(self.beta)
     }
 
-    /// Upper-triangle `n11` counts, row-major (`(0,1), (0,2), …`).
-    pub fn n11(&self) -> &[u64] {
-        &self.n11
+    /// Every count as stored: the ones counts, then the upper-triangle
+    /// `n11` counts row-major (`(0,1), (0,2), …`), each [`width`](Self::width)
+    /// bytes little-endian — the checkpoint's statistics section.
+    pub fn section(&self) -> &[u8] {
+        &self.packed
+    }
+
+    /// Count `k` of the [`section`](Self::section), widened.
+    #[inline]
+    fn count(&self, k: usize) -> u64 {
+        let w = self.width();
+        with_width!(w, W => load::<W>(self.packed[k * W..].first_chunk().expect("k is a count")))
+    }
+
+    /// Every count of the [`section`](Self::section) in order, widened.
+    pub(crate) fn counts(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.packed.len() / self.width()).map(|k| self.count(k))
+    }
+
+    /// Per-column ones counts.
+    pub fn ones(&self) -> Vec<u64> {
+        (0..self.n).map(|i| self.count(i)).collect()
+    }
+
+    /// Widens row `i`'s `n11` counts — pairs `(i, i + 1)`, …, `(i, n − 1)`
+    /// — into `out`, replacing its contents.
+    pub fn widen_row(&self, i: usize, out: &mut Vec<u64>) {
+        let w = self.width();
+        let run = (self.n + row_start(self.n, i)) * w..(self.n + row_start(self.n, i + 1)) * w;
+        out.clear();
+        out.resize(self.n - 1 - i, 0);
+        unpack(&self.packed[run], out);
     }
 
     /// The full joint counts of pair `(i, j)`, reconstructed exactly as the
@@ -638,21 +860,22 @@ impl PairStats {
     #[inline]
     pub fn pair_counts(&self, i: usize, j: usize) -> PairCounts {
         let (a, b) = if i < j { (i, j) } else { (j, i) };
-        let n11 = self.n11[tri_index(self.n, a, b)];
-        PairCounts::from_n11(n11, self.ones[i], self.ones[j], self.beta)
+        let n11 = self.count(self.n + tri_index(self.n, a, b));
+        PairCounts::from_n11(n11, self.count(i), self.count(j), self.beta)
     }
 
     /// Folds `appended` process columns into the statistics — the
-    /// incremental-update kernel pass. Runs the same cost-aware tile
-    /// schedule as the full computation through
-    /// [`NodeColumns::pair_n11_block`], but over the appended columns
-    /// only, each worker adding its row block's counts in place; integer
-    /// addition is order-independent, so the result is exact at every
-    /// thread count.
+    /// incremental-update kernel pass. When the combined `β` needs a wider
+    /// count, the storage is widened once first; then the same row parts
+    /// of the tile schedule as the full computation run through
+    /// [`NodeColumns::pair_n11_block`], over the appended columns only,
+    /// each worker adding its run's counts in place. Integer addition is
+    /// order-independent, so the result is exact at every thread count.
     ///
     /// # Panics
     ///
-    /// Panics if `appended` has a different node count.
+    /// Panics if `appended` has a different node count, or if the
+    /// combined process count overflows a `u64`.
     pub fn append(&mut self, appended: &NodeColumns, threads: usize) {
         assert_eq!(
             appended.num_nodes(),
@@ -660,57 +883,60 @@ impl PairStats {
             "appended cascades must cover the same nodes"
         );
         let n = self.n;
-        let ones = appended.ones_counts();
+        let beta = self
+            .beta
+            .checked_add(appended.num_processes() as u64)
+            .expect("combined process count fits a u64");
+        let (old, width) = (self.width(), count_width(beta));
+        if width != old {
+            // Little-endian counts widen by zero-extension.
+            let mut wide = vec![0u8; self.packed.len() / old * width];
+            for (w, o) in wide
+                .chunks_exact_mut(width)
+                .zip(self.packed.chunks_exact(old))
+            {
+                w[..old].copy_from_slice(o);
+            }
+            self.packed = wide;
+        }
+        self.beta = beta;
+        let (ones, n11) = self.packed.split_at_mut(width * n);
+        add_packed(ones, &appended.ones_counts());
         let tiles = tile_schedule(n, appended.pair_tile_size(), |_, _| true);
-        let blocks = row_blocks(&tiles);
-        let costs: Vec<u64> = blocks.iter().map(|b| b.1).collect();
-        let parts = split_blocks(&mut self.n11, &blocks);
+        let row_parts = row_parts(n, &tiles);
+        let costs: Vec<u64> = row_parts.iter().map(|p| p.pairs).collect();
+        let parts = split_parts(n11, &row_parts, width);
         crate::parallel::run_weighted_parts(
             &costs,
             parts,
             4,
             threads,
             || (),
-            |_, b, n11s| {
-                let r0 = tiles[blocks[b].0.start].rows.start;
-                for tile in &tiles[blocks[b].0.clone()] {
-                    appended.pair_n11_block(
-                        tile.rows.clone(),
-                        tile.cols.clone(),
-                        &mut |i, j0, seg| {
-                            let at = run_index(n, r0, i as usize, j0);
-                            for (c, &s) in n11s[at..at + seg.len()].iter_mut().zip(seg) {
-                                *c += s;
-                            }
-                        },
-                    );
-                }
+            |_, p, n11s| {
+                part_segments(appended, &tiles, &row_parts[p], &mut |_, _, at, seg| {
+                    add_packed(&mut n11s[at * width..(at + seg.len()) * width], seg);
+                });
             },
         );
-        for (o, &a) in self.ones.iter_mut().zip(ones.iter()) {
-            *o += a;
-        }
-        self.beta += appended.num_processes() as u64;
     }
 
     /// The correlation matrix these statistics determine — bit-identical
     /// to [`CorrelationMatrix::compute_observed`] over the matching status
     /// matrix, because the same [`PairEvaluator`] turns the same integer
-    /// counts into values (and counts them into the same buckets). Pure
-    /// float work per pair, so it runs single-threaded without a kernel
-    /// pass.
+    /// counts, widened one row at a time, into values (and counts them
+    /// into the same buckets). Pure float work per pair, so it runs
+    /// single-threaded without a kernel pass.
     pub fn correlation(&self, measure: CorrelationMeasure) -> CorrelationMatrix {
-        let eval = PairEvaluator::new(self.beta, &self.ones, measure);
-        let pairs = self.n11.len();
+        let eval = PairEvaluator::new(self.beta, &self.ones(), measure);
+        let pairs = self.n * self.n.saturating_sub(1) / 2;
         let mut upper = vec![0.0f64; pairs];
         let mut counts = BucketCounts::new(pairs);
-        let mut at = 0;
+        let mut row = Vec::with_capacity(self.n.saturating_sub(1));
         for i in 0..self.n {
-            let run = at..at + (self.n - 1 - i);
-            let out = &mut upper[run.clone()];
-            eval.row(i, i + 1, &self.n11[run.clone()], out);
+            self.widen_row(i, &mut row);
+            let out = &mut upper[row_start(self.n, i)..row_start(self.n, i + 1)];
+            eval.row(i, i + 1, &row, out);
             counts.add_all(out);
-            at = run.end;
         }
         CorrelationMatrix {
             n: self.n,
@@ -1001,13 +1227,143 @@ mod tests {
         let stats = PairStats::compute(&cols, 1);
         let rebuilt = PairStats::from_parts(
             stats.num_processes(),
-            stats.ones().to_vec(),
-            stats.n11().to_vec(),
+            stats.ones(),
+            stats.counts().skip(12).collect(),
         )
         .unwrap();
         assert_eq!(stats, rebuilt);
         assert!(PairStats::from_parts(70, vec![1, 2, 3], vec![0]).is_err());
         assert!(PairStats::from_parts(2, vec![5, 1, 1], vec![0, 0, 0]).is_err());
+    }
+
+    /// `rows` as a status matrix over `n` nodes (any number of rows,
+    /// zero included).
+    fn matrix(rows: &[Vec<bool>], n: usize) -> StatusMatrix {
+        let mut m = StatusMatrix::new(rows.len(), n);
+        for (l, row) in rows.iter().enumerate() {
+            for (i, _) in row.iter().enumerate().filter(|(_, &b)| b) {
+                m.set(l, i as u32);
+            }
+        }
+        m
+    }
+
+    /// `beta` rows over `n` nodes with node 0 never and node 1 always
+    /// infected, so the stored counts reach both 0 and `β`, the top of
+    /// their width.
+    fn boundary_rows(seed: u64, beta: usize, n: usize) -> Vec<Vec<bool>> {
+        let mut rows = random_rows(seed | 1, beta, n);
+        for row in &mut rows {
+            (row[0], row[1]) = (false, true);
+        }
+        rows
+    }
+
+    fn assert_same_values(a: &CorrelationMatrix, b: &CorrelationMatrix, what: &str) {
+        let bits =
+            |m: &CorrelationMatrix| m.upper().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{what}");
+    }
+
+    #[test]
+    fn captured_stats_are_stored_at_the_width_of_beta() {
+        let n = 6;
+        for (beta, width) in [(0, 1), (1, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 4)] {
+            let cols = matrix(&boundary_rows(beta as u64, beta, n), n).columns();
+            let plain = CorrelationMatrix::compute(&cols, CorrelationMeasure::Imi);
+            for threads in [1, 3] {
+                let stats = PairStats::compute(&cols, threads);
+                assert_eq!(stats.width(), width, "β {beta}");
+                assert_eq!(stats.section().len(), width * (n + n * (n - 1) / 2));
+                assert_eq!(stats.ones(), cols.ones_counts(), "β {beta}");
+                for i in 0..n {
+                    for j in (i + 1)..n {
+                        assert_eq!(
+                            stats.pair_counts(i, j),
+                            cols.pair_counts(i as u32, j as u32),
+                            "β {beta}, pair ({i}, {j})"
+                        );
+                    }
+                }
+                let derived = stats.correlation(CorrelationMeasure::Imi);
+                assert_same_values(&derived, &plain, &format!("β {beta}, {threads} threads"));
+            }
+        }
+    }
+
+    #[test]
+    fn appends_across_a_width_boundary_equal_fresh_stats() {
+        let n = 7;
+        for (base, added) in [(255, 1), (200, 100), (65_535, 1), (65_000, 1_000)] {
+            let rows = boundary_rows(base as u64 ^ 0xA11, base + added, n);
+            let (head, tail) = rows.split_at(base);
+            let combined = matrix(&rows, n).columns();
+            let fresh = PairStats::compute(&combined, 1);
+            assert_ne!(fresh.width(), count_width(base as u64), "{base} + {added}");
+            for threads in [1, 4] {
+                let mut stats = PairStats::compute(&matrix(head, n).columns(), threads);
+                stats.append(&matrix(tail, n).columns(), threads);
+                assert_eq!(stats, fresh, "{base} + {added} at {threads} threads");
+                assert_same_values(
+                    &stats.correlation(CorrelationMeasure::Mi),
+                    &CorrelationMatrix::compute(&combined, CorrelationMeasure::Mi),
+                    &format!("{base} + {added}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn counts_whose_cells_overflow_are_rejected() {
+        // β + n11 does not fit a u64: refused, neither panicking nor
+        // wrapping into an accepted section.
+        let max = u64::MAX;
+        let err = PairStats::from_parts(max, vec![max, max], vec![max]).expect_err("overflow");
+        assert!(err.contains("inconsistent"), "{err}");
+        // The same shape one below the limit is a valid (if huge) count.
+        let half = max / 2;
+        assert!(PairStats::from_parts(half, vec![half, half], vec![half]).is_ok());
+    }
+
+    #[test]
+    fn row_parts_cover_the_triangle_in_order() {
+        for (n, tile) in [
+            (0, 8),
+            (1, 8),
+            (2, 8),
+            (40, 8),
+            (100, 48),
+            (1000, 512),
+            (333, 64),
+        ] {
+            let tiles = tile_schedule(n, tile, |_, _| true);
+            let parts = row_parts(n, &tiles);
+            let mut next_row = 0;
+            let mut pairs = 0;
+            for part in &parts {
+                assert_eq!(part.rows.start, next_row, "n {n}, tile {tile}: gap");
+                assert!(part.pairs > 0, "n {n}, tile {tile}: an empty part");
+                let block = &tiles[part.tiles.clone()];
+                assert!(block
+                    .iter()
+                    .all(|t| t.rows.start <= part.rows.start && part.rows.end <= t.rows.end));
+                let row_pairs: u64 = part.rows.clone().map(|i| (n - 1 - i) as u64).sum();
+                assert_eq!(part.pairs, row_pairs);
+                next_row = part.rows.end;
+                pairs += part.pairs;
+            }
+            assert_eq!(pairs as usize, n * n.saturating_sub(1) / 2);
+            assert!(parts.is_empty() || next_row == n, "n {n}: rows left over");
+        }
+        // The paper's shape is no longer two claims, one with 76% of the
+        // pairs.
+        let parts = row_parts(1000, &tile_schedule(1000, 512, |_, _| true));
+        let widest = parts.iter().map(|p| p.pairs).max().unwrap();
+        assert!(
+            parts.len() >= 16 && widest * 12 < 499_500,
+            "{} parts",
+            parts.len()
+        );
     }
 
     /// The evaluator's value of a pair and its row path's, as bits,

@@ -199,7 +199,8 @@ proptest! {
         tends
             .reconstruct_robust(&cols(&statuses), Recorder::disabled(), &opts)
             .expect("checkpointed run");
-        let (header, section) = Checkpoint::load(&path).expect("load checkpoint").header();
+        let ck = Checkpoint::load(&path).expect("load checkpoint");
+        let (header, section) = ck.header();
         let mut bytes = std::fs::read(&path).expect("checkpoint bytes");
         // The header line, the section, and their two newlines.
         let at = at % (header.len() + section.len() + 2);
