@@ -252,10 +252,9 @@ fn kernel_row(n: usize, cols: &NodeColumns, reps: usize) -> KernelRow {
 fn greedy_row(n: usize, cols: &NodeColumns, reps: usize) -> Json {
     eprintln!("perf_report: greedy search (n={n})");
     let corr = CorrelationMatrix::compute(cols, CorrelationMeasure::Imi);
-    let mut index = corr.index();
-    let tau = index.pinned_two_means().tau;
+    let tau = corr.pinned_two_means().tau;
     let params = SearchParams::default();
-    let (candidates, _) = index.candidate_lists(n, tau, params.max_candidates);
+    let candidates = corr.candidates(tau, params.max_candidates).lists;
     let search_all = |search: &mut dyn FnMut(u32, &[u32]) -> NodeSearchResult| {
         candidates
             .iter()
@@ -575,9 +574,9 @@ fn main() {
     let (evaluator_s, per_pair_eval_s, values_bits_equal) = evaluator_row(&large_cols, reps);
 
     // The τ threshold at the large size (the pipeline's threshold phase:
-    // a ranked index, then the 2-means) and on a streamed-size τ sample
-    // (the rank-free `pinned_two_means` that `sample_tau` calls), each
-    // against the sort-based 2-means.
+    // the 2-means from the matrix's bucket counts) and on a streamed-size
+    // τ sample (the `pinned_two_means` that `sample_tau` calls, with its
+    // own count pass), each against the sort-based 2-means.
     let sample_len = if quick { 1 << 16 } else { 1 << 19 };
     eprintln!("perf_report: threshold (n={n_large} triangle, {sample_len}-value sample)");
     let large_corr = CorrelationMatrix::compute(&large_cols, CorrelationMeasure::Imi);
@@ -589,7 +588,7 @@ fn main() {
     // The pipeline's path: the index built from the bucket counts the
     // matrix pass took, so only its scatter and the 2-means are timed.
     let mut triangle_row = threshold_row("triangle", large_corr.upper(), reps, |_| {
-        large_corr.index().pinned_two_means()
+        large_corr.pinned_two_means()
     });
     triangle_row.push("n", n_large as u64);
     triangle_row.push("beta", beta as u64);
@@ -911,9 +910,7 @@ fn main() {
     // The reference side: the same fold evaluating every pair's measure.
     eprintln!("perf_report: streamed IMI reference fold (per-pair evaluation)");
     let (fold_ref, fold_reference_s) = stream_fold(Verdicts::PerPair);
-    let fold_results_equal = fold.candidates == fold_ref.candidates
-        && fold.pairs_above_tau == fold_ref.pairs_above_tau
-        && fold.candidate_evictions == fold_ref.candidate_evictions;
+    let fold_results_equal = fold.candidates == fold_ref.candidates;
     drop(fold_ref);
     drop(stream_cols);
 
@@ -1062,8 +1059,8 @@ fn main() {
     streaming.push("pairs_per_s", fold.scanned_pairs as f64 / fold_s);
     streaming.push("tiles", fold.tiles);
     streaming.push("values_evaluated", fold.values_evaluated);
-    streaming.push("pairs_above_tau", fold.pairs_above_tau);
-    streaming.push("candidate_evictions", fold.candidate_evictions);
+    streaming.push("pairs_above_tau", fold.candidates.pairs_above_tau);
+    streaming.push("candidate_evictions", fold.candidates.candidate_evictions);
     streaming.push("peak_rss_bytes", stream_profile.peak_rss_bytes);
     streaming.push(
         "under_budget",

@@ -448,9 +448,8 @@ fn infer(args: &ParsedArgs) -> Result<CommandOutput, ArgError> {
             if streamed {
                 // Out-of-core: the dense correlation matrix is never
                 // materialized either.
-                let shard = shard_spec.map(|(index, count)| {
-                    diffnet_tends::plan_shards(cols.num_nodes(), count)[index]
-                });
+                let shard = shard_spec
+                    .map(|(index, count)| diffnet_tends::shard_of(cols.num_nodes(), count, index));
                 cfg.shard = shard;
                 if let Some(budget) = memory_budget {
                     let estimate = diffnet_tends::stream::estimate_streamed_bytes(
@@ -1659,6 +1658,57 @@ mod tests {
         union.dedup();
         let dense_graph = diffnet_graph::io::load_edge_list(&dense, None).expect("parse dense");
         assert_eq!(union, dense_graph.edge_vec());
+    }
+
+    #[test]
+    fn shards_past_the_node_count_write_empty_edge_lists() {
+        // 40 shards of 30 nodes: shards 30..40 own no node.
+        let truth = tmp("empty_shard_truth.edges");
+        let statuses = tmp("empty_shard_statuses.txt");
+        let part = tmp("empty_shard_35.edges");
+        run_tokens(&[
+            "generate", "--model", "er", "--n", "30", "--m", "60", "--seed", "1", "--out", &truth,
+        ])
+        .expect("generate");
+        run_tokens(&[
+            "simulate", "--graph", &truth, "--beta", "100", "--seed", "2", "--out", &statuses,
+        ])
+        .expect("simulate");
+        let out = run_tokens(&[
+            "infer",
+            "--statuses",
+            &statuses,
+            "--out",
+            &part,
+            "--shard-index",
+            "35",
+            "--shard-count",
+            "40",
+        ])
+        .expect("an empty shard is a valid shard");
+        assert_eq!(out.exit_code(), 0);
+        let text = std::fs::read_to_string(&part).expect("shard edges");
+        assert_eq!(text, "# nodes: 30\n# edges: 0\n", "the global n, no edge");
+
+        // A huge shard count is never an allocation size.
+        let huge = (1u64 << 40).to_string();
+        for index in ["0", "35"] {
+            let out = run_tokens(&[
+                "infer",
+                "--statuses",
+                &statuses,
+                "--out",
+                &part,
+                "--shard-index",
+                index,
+                "--shard-count",
+                &huge,
+            ])
+            .expect("a huge shard count is a valid shard count");
+            assert_eq!(out.exit_code(), 0, "shard {index}");
+        }
+        let text = std::fs::read_to_string(&part).expect("shard edges");
+        assert_eq!(text, "# nodes: 30\n# edges: 0\n", "shard 35 owns no node");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use diffnet_observe::{parse_json, Json};
 
@@ -167,10 +167,13 @@ impl Client {
 
     /// Polls `GET /v1/jobs/{id}` until the state is terminal or the
     /// deadline passes; returns the final status document. The polls
-    /// share the pooled keep-alive connection.
+    /// share the pooled keep-alive connection. The pause between polls
+    /// starts at 1 ms and doubles up to 50 ms, so a job that finishes in a
+    /// few milliseconds is seen within about as long again; the deadline
+    /// counts wall time, requests included.
     pub fn wait_for_job(&self, id: u64, deadline: Duration) -> io::Result<Json> {
-        let poll = Duration::from_millis(50);
-        let mut waited = Duration::ZERO;
+        let start = Instant::now();
+        let mut delays = poll_delays();
         loop {
             let (status, json) = self.get_json(&format!("/v1/jobs/{id}"))?;
             if status != 200 {
@@ -183,15 +186,26 @@ impl Client {
             if matches!(state, "done" | "failed" | "partial") {
                 return Ok(json);
             }
-            if waited >= deadline {
+            let waited = start.elapsed();
+            let Some(left) = deadline.checked_sub(waited).filter(|l| !l.is_zero()) else {
                 return Err(io::Error::other(format!(
                     "job {id} still {state:?} after {waited:?}"
                 )));
-            }
-            std::thread::sleep(poll);
-            waited += poll;
+            };
+            std::thread::sleep(delays.next().unwrap_or(MAX_POLL_DELAY).min(left));
         }
     }
+}
+
+/// The longest pause between two status polls.
+const MAX_POLL_DELAY: Duration = Duration::from_millis(50);
+
+/// The pauses between [`Client::wait_for_job`]'s status polls: 1 ms,
+/// doubling up to [`MAX_POLL_DELAY`], then that for good.
+fn poll_delays() -> impl Iterator<Item = Duration> {
+    std::iter::successors(Some(Duration::from_millis(1)), |d| {
+        Some((*d * 2).min(MAX_POLL_DELAY))
+    })
 }
 
 /// A failed roundtrip, tagged with whether the request bytes had been
@@ -389,6 +403,57 @@ mod tests {
         assert!(!err.to_string().is_empty());
         let retried = server.join().expect("server thread");
         assert!(!retried, "POST was silently retried on a fresh dial");
+    }
+
+    #[test]
+    fn poll_delays_double_from_one_millisecond_to_the_cap() {
+        let ms: Vec<u128> = poll_delays().take(9).map(|d| d.as_millis()).collect();
+        assert_eq!(ms, [1, 2, 4, 8, 16, 32, 50, 50, 50]);
+    }
+
+    #[test]
+    fn waiting_gives_up_at_the_deadline_while_the_job_is_queued() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        // Answers every poll "queued" on one keep-alive connection, and
+        // returns when each poll arrived.
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut polls = Vec::new();
+            while !read_request(&mut stream).is_empty() {
+                polls.push(Instant::now());
+                let body = br#"{"state": "queued"}"#;
+                let head = format!(
+                    "HTTP/1.1 200 OK\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
+                    body.len()
+                );
+                stream.write_all(head.as_bytes()).expect("respond");
+                stream.write_all(body).expect("respond");
+            }
+            polls
+        });
+
+        let client = Client::with_timeout(addr, Duration::from_secs(5));
+        let deadline = Duration::from_millis(200);
+        let start = Instant::now();
+        let err = client.wait_for_job(7, deadline).expect_err("never done");
+        let took = start.elapsed();
+        assert!(err.to_string().contains("queued"), "{err}");
+        assert!(took >= deadline, "gave up after {took:?}");
+        assert!(
+            took < Duration::from_secs(2),
+            "overran the deadline: {took:?}"
+        );
+        drop(client);
+        let polls = server.join().expect("server thread");
+        // Backoff from 1 ms: the first polls follow each other closely,
+        // where a fixed 50 ms period would space every pair a period apart.
+        assert!(polls.len() >= 5, "{} polls", polls.len());
+        let quickest = polls[..5].windows(2).map(|w| w[1] - w[0]).min();
+        assert!(
+            quickest < Some(Duration::from_millis(40)),
+            "first polls {quickest:?} apart at the closest"
+        );
     }
 
     #[test]

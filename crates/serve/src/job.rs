@@ -63,7 +63,7 @@ use diffnet_simulate::io::{
     copy_status_rows, load_status_columns, read_observations, read_status_columns,
     read_status_header, write_status_header,
 };
-use diffnet_tends::{plan_shards, NodeError, RobustOptions, Tends, TendsConfig, MAX_DENSE_NODES};
+use diffnet_tends::{shard_of, NodeError, RobustOptions, Tends, TendsConfig, MAX_DENSE_NODES};
 
 /// Algorithms a job may request. `tends` takes a status matrix body;
 /// the baselines take an observations body plus an edge budget.
@@ -1006,7 +1006,7 @@ impl JobManager {
         // A memory budget or shard switches to the out-of-core streamed
         // pipeline, which never materializes the dense correlation matrix.
         let shard = match (meta.spec.shard_index, meta.spec.shard_count) {
-            (Some(i), Some(c)) => Some(plan_shards(cols.num_nodes(), c)[i]),
+            (Some(i), Some(c)) => Some(shard_of(cols.num_nodes(), c, i)),
             _ => None,
         };
         let tends = Tends::with_config(TendsConfig {
@@ -1543,6 +1543,56 @@ mod tests {
             dense.edge_vec(),
             "shard union must equal the dense edge set"
         );
+
+        m.shutdown_and_join();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shard_jobs_past_the_node_count_end_done_with_no_edges() {
+        let dir = tmp_dir("empty_shard");
+        let (m, _) = manager(&dir);
+        let body = statuses_bytes(&sample_statuses(60, 10));
+        // 20 shards of 10 nodes: shard 15 owns no node.
+        let meta = m
+            .submit(
+                JobSpec {
+                    shard_index: Some(15),
+                    shard_count: Some(20),
+                    ..JobSpec::default()
+                },
+                &body,
+            )
+            .expect("shard submit");
+        assert_eq!(wait_terminal(&m, meta.id).state, JobState::Done);
+        let bytes = m.read_output(meta.id, "edges.txt").expect("shard edges");
+        assert_eq!(bytes, b"# nodes: 10\n# edges: 0\n", "the global n, no edge");
+
+        // A request-sized shard count is never an allocation size: both
+        // jobs finish rather than abort the worker.
+        for (index, edges) in [
+            (0usize, None),
+            (35, Some(&b"# nodes: 10\n# edges: 0\n"[..])),
+        ] {
+            let meta = m
+                .submit(
+                    JobSpec {
+                        shard_index: Some(index),
+                        shard_count: Some(1 << 40),
+                        ..JobSpec::default()
+                    },
+                    &body,
+                )
+                .expect("huge shard-count submit");
+            assert_eq!(
+                wait_terminal(&m, meta.id).state,
+                JobState::Done,
+                "shard {index}"
+            );
+            if let Some(edges) = edges {
+                assert_eq!(m.read_output(meta.id, "edges.txt").expect("edges"), edges);
+            }
+        }
 
         m.shutdown_and_join();
         let _ = fs::remove_dir_all(&dir);

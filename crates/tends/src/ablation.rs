@@ -1,7 +1,6 @@
 //! Ablation variants of TENDS used by the benchmark suite.
 
 use crate::imi::CorrelationMatrix;
-use crate::kmeans::pinned_two_means;
 use crate::TendsConfig;
 use diffnet_graph::{DiGraph, GraphBuilder, NodeId};
 use diffnet_simulate::StatusMatrix;
@@ -18,8 +17,7 @@ pub fn correlation_threshold_baseline(statuses: &StatusMatrix, config: &TendsCon
     let n = statuses.num_nodes();
     let cols = statuses.columns();
     let corr = CorrelationMatrix::compute_parallel(&cols, config.correlation, config.threads);
-    let kmeans = pinned_two_means(corr.upper());
-    let tau = config.threshold.apply(kmeans.tau);
+    let tau = config.threshold.apply(corr.pinned_two_means().tau);
 
     let mut b = GraphBuilder::new(n);
     let pairs = (0..n as NodeId).flat_map(|i| ((i + 1)..n as NodeId).map(move |j| (i, j)));

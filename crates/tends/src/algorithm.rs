@@ -561,10 +561,11 @@ impl Tends {
     /// one of two sources. The *exact* source is the correlation matrix's
     /// upper triangle — computed from the columns, or derived from
     /// checkpointed statistics after an append fold — with `τ` from the
-    /// pinned 2-means over all of it and the candidate lists from a walk of
-    /// the same [`BucketIndex`]. The *sampled* source takes `τ` from a
-    /// budget-sized systematic pair sample and the candidates from bounded
-    /// accumulators folded tile by tile; the triangle never exists (see
+    /// pinned 2-means over all of it and the candidate lists from one scan
+    /// of it into a [`stream::SparseCandidates`]. The *sampled* source
+    /// takes `τ` from a budget-sized systematic pair sample and the
+    /// candidates from the same bounded accumulators folded tile by tile;
+    /// the triangle never exists (see
     /// [`crate::stream`] for why the result is invariant to threads, SIMD
     /// tier, and shard count, and bit-identical to the exact source
     /// whenever the τ sample is exhaustive).
@@ -575,7 +576,7 @@ impl Tends {
         rec: &Recorder,
     ) -> (Candidates, Option<PairStats>) {
         let cfg = &self.config;
-        let (kmeans, tau, shard, lists, above, stats) = match source {
+        let (kmeans, tau, shard, found, stats) = match source {
             CandidateSource::Sampled { shard } => {
                 let kmeans = {
                     let _p = rec.phase("tau_sample");
@@ -602,7 +603,6 @@ impl Tends {
                 );
                 if rec.is_enabled() {
                     rec.worker_chunks("streamed_fold", &fold.chunks_per_worker);
-                    rec.add("candidate_evictions", fold.candidate_evictions);
                     rec.add("correlation_pairs", fold.scanned_pairs);
                     rec.add("correlation_tiles", fold.tiles);
                     rec.add("fold_values_evaluated", fold.values_evaluated);
@@ -611,8 +611,7 @@ impl Tends {
                 // No sufficient statistics: the streamed path never holds
                 // the dense pair state an append would fold into, so its
                 // checkpoints resume but do not warm-start appends.
-                let above = fold.pairs_above_tau;
-                (kmeans, tau, shard, fold.candidates, above, None)
+                (kmeans, tau, shard, fold.candidates, None)
             }
             exact => {
                 let (corr, stats) = match exact {
@@ -642,28 +641,26 @@ impl Tends {
                     CandidateSource::Sampled { .. } => unreachable!("matched above"),
                 };
                 // Line 5: pinned 2-means over the whole upper triangle,
-                // through one bucketed index that sorts only the buckets
-                // the clustering reaches.
-                let (kmeans, tau, mut index) = {
+                // through a bucketed index that sorts only the buckets the
+                // clustering reaches.
+                let kmeans = {
                     let _p = rec.phase("threshold");
-                    let mut index = corr.index();
-                    let kmeans = index.pinned_two_means();
-                    let tau = cfg.threshold.apply(kmeans.tau);
-                    (kmeans, tau, index)
+                    corr.pinned_two_means()
                 };
-                // Lines 10–12: every node's candidates, from a walk of the
-                // same index over the pairs above τ.
+                let tau = cfg.threshold.apply(kmeans.tau);
+                // Lines 10–12: every pair above τ folded into the
+                // accumulator the sampled source uses.
                 let _p = rec.phase("candidate_pruning");
-                let n = corr.num_nodes();
-                let (lists, above) = index.candidate_lists(n, tau, cfg.search.max_candidates);
-                (kmeans, tau, Shard::full(n), lists, above, stats)
+                let found = corr.candidates(tau, cfg.search.max_candidates);
+                (kmeans, tau, Shard::full(corr.num_nodes()), found, stats)
             }
         };
         if rec.is_enabled() {
             rec.value("tau", tau);
             rec.value("tau_unscaled", kmeans.tau);
-            rec.add("pairs_above_tau", above);
-            for list in &lists {
+            rec.add("pairs_above_tau", found.pairs_above_tau);
+            rec.add("candidate_evictions", found.candidate_evictions);
+            for list in &found.lists {
                 rec.histogram("candidate_set_size", list.len());
             }
         }
@@ -671,7 +668,7 @@ impl Tends {
             kmeans,
             tau,
             shard,
-            lists,
+            lists: found.lists,
         };
         (cands, stats)
     }
@@ -1535,6 +1532,7 @@ mod tests {
             observed.total_evaluations() as u64
         );
         assert_eq!(snap.values["tau"], observed.tau);
+        assert!(snap.counters.contains_key("candidate_evictions"));
         let hist = &snap.histograms["candidate_set_size"];
         assert_eq!(hist.iter().sum::<u64>(), 6, "one histogram entry per node");
         assert!(snap.worker_chunks.contains_key("parent_search"));
@@ -1785,6 +1783,7 @@ mod tests {
                 "workspace_refinements",
                 "workspace_rebases",
                 "pairs_above_tau",
+                "candidate_evictions",
             ] {
                 assert_eq!(
                     snap.counters[counter], fresh_snap.counters[counter],
@@ -2760,6 +2759,21 @@ mod tests {
             snapshot.counters["candidate_evictions"] > 0,
             "clique + top-1 bound must evict above-τ candidates"
         );
+        // The dense fold counts what the streamed one does.
+        let dense = Recorder::new();
+        Tends::with_config(TendsConfig {
+            memory_budget: None,
+            ..cfg
+        })
+        .reconstruct_robust(&cols(&statuses), &dense, &RobustOptions::default())
+        .expect("dense run");
+        let dense = dense.snapshot();
+        for counter in ["candidate_evictions", "pairs_above_tau"] {
+            assert_eq!(
+                dense.counters[counter], snapshot.counters[counter],
+                "dense vs streamed {counter}"
+            );
+        }
         // The dense path with the same bound keeps the same candidates.
         assert_streamed_matches_dense(&statuses, cfg);
     }

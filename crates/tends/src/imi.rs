@@ -21,11 +21,15 @@
 //! in rank order `(0,1), (0,2), …, (1,2), …` — the layout the pairwise
 //! statistics' `n11` counts use — so a build writes each value once, into
 //! its final slot, with no mirrored copy: `4·n²` bytes instead of `8·n²`.
-//! The same pass counts each value into the bucket counts of the candidate
-//! step's index, which reads the slice in place
-//! ([`CorrelationMatrix::index`] builds the [`crate::BucketIndex`]).
+//! The same pass counts each value into the bucket counts of the τ
+//! threshold's index, which reads the slice in place
+//! ([`CorrelationMatrix::pinned_two_means`]); the candidate lists above τ
+//! come from one scan of the slice into the streamed path's accumulator
+//! ([`CorrelationMatrix::candidates`]).
 
-use crate::kmeans::{BucketCounts, BucketIndex};
+use crate::kmeans::{BucketCounts, BucketIndex, PinnedKmeans};
+use crate::stream::{CandidateLists, Shard, SparseCandidates};
+use diffnet_graph::NodeId;
 use diffnet_simulate::{NodeColumns, PairCounts};
 use std::ops::Range;
 
@@ -413,9 +417,9 @@ fn part_segments(
     }
 }
 
-/// The largest node count the dense pipeline takes: the candidate step's
-/// [`BucketIndex`] addresses the `n(n−1)/2` triangle values with `u32`
-/// positions and ranks, and `92,682 · 92,681 / 2 ≤ u32::MAX`. Larger inputs
+/// The largest node count the dense pipeline takes: the τ threshold's
+/// bucketed index addresses the `n(n−1)/2` triangle values with `u32`
+/// positions, and `92,682 · 92,681 / 2 ≤ u32::MAX`. Larger inputs
 /// need the streamed pipeline (a memory budget), which has no such limit;
 /// the pipeline checks this before it allocates any pair state.
 pub const MAX_DENSE_NODES: usize = 92_682;
@@ -423,7 +427,7 @@ pub const MAX_DENSE_NODES: usize = 92_682;
 /// Symmetric matrix of pairwise correlation values over all node pairs.
 ///
 /// Stores only the strictly upper triangle in rank order (see the module
-/// docs), with the bucket counts of its values for the candidate step's
+/// docs), with the bucket counts of its values for the τ threshold's
 /// index. [`get`](Self::get) looks a pair up in either orientation; the
 /// diagonal reads 0.
 #[derive(Clone, Debug)]
@@ -593,12 +597,59 @@ impl CorrelationMatrix {
         &self.upper
     }
 
-    /// The ranked [`BucketIndex`] over [`upper`](Self::upper), built from
-    /// the bucket counts the matrix's pass already took — the same index
-    /// as `BucketIndex::new(self.upper())` without its count pass.
-    pub fn index(&self) -> BucketIndex<'_> {
-        BucketIndex::from_counts(&self.upper, self.counts.clone(), true)
+    /// The pinned 2-means over [`upper`](Self::upper) (Algorithm 1 line
+    /// 5): [`crate::pinned_two_means`] of the triangle, bit for bit, from
+    /// the bucket counts the matrix's pass already took instead of a count
+    /// pass of its own.
+    pub fn pinned_two_means(&self) -> PinnedKmeans {
+        BucketIndex::from_counts(&self.upper, self.counts.clone()).pinned_two_means()
     }
+
+    /// Algorithm 1 lines 10–12 over the whole triangle: every pair with a
+    /// value strictly above `tau` (IEEE `>`, so NaN never qualifies and
+    /// `+0.0` is not above `−0.0`) folded into one [`SparseCandidates`]
+    /// over all nodes — the accumulator the streamed path folds its tiles
+    /// into, so both paths order and truncate lists one way. Single
+    /// threaded: one scan of the triangle, row by row.
+    pub fn candidates(&self, tau: f64, max_candidates: usize) -> CandidateLists {
+        let n = self.n;
+        let mut acc = SparseCandidates::new(Shard::full(n), max_candidates);
+        for i in 0..n {
+            let row = &self.upper[row_start(n, i)..row_start(n, i + 1)];
+            for (c, chunk) in row.chunks(64).enumerate() {
+                let mut above = above_mask(chunk, tau);
+                while above != 0 {
+                    let o = above.trailing_zeros() as usize;
+                    above &= above - 1;
+                    let j = i + 1 + 64 * c + o;
+                    acc.insert_pair(i as NodeId, j as NodeId, chunk[o]);
+                }
+            }
+        }
+        acc.finish()
+    }
+}
+
+/// Bit `b` set iff `values[b] > tau`, for up to 64 values. Branch-free —
+/// most values lie below τ, where a branch would mispredict — in groups
+/// of 8 the compiler vectorizes.
+#[inline]
+fn above_mask(values: &[f64], tau: f64) -> u64 {
+    debug_assert!(values.len() <= 64);
+    let mut mask = 0u64;
+    let mut groups = values.chunks_exact(8);
+    for (g, group) in (&mut groups).enumerate() {
+        let mut byte = 0u64;
+        for (l, &v) in group.iter().enumerate() {
+            byte |= u64::from(v > tau) << l;
+        }
+        mask |= byte << (8 * g);
+    }
+    let done = values.len() - groups.remainder().len();
+    for (l, &v) in groups.remainder().iter().enumerate() {
+        mask |= u64::from(v > tau) << (done + l);
+    }
+    mask
 }
 
 /// Index of pair `(i, j)` (`i < j`) in a row-major upper-triangle layout.

@@ -1,34 +1,34 @@
 //! The modified 2-means threshold finder (paper §IV-B, Algorithm 1 line 5)
-//! and the bucketed index that serves it and the candidate lists (lines
-//! 10–12).
+//! and the bucketed index that serves it.
 //!
 //! TENDS partitions all *non-negative* pairwise infection-MI values into two
 //! clusters with K-means, `K = 2`, keeping one centroid pinned at 0 through
 //! every iteration. The pinned cluster collects the compact mass of
 //! near-zero values produced by unrelated node pairs; the threshold `τ` is
 //! the largest value assigned to it, so every candidate parent must beat the
-//! "noise" cluster.
+//! "noise" cluster. Every pipeline folds the pairs above `τ` into its
+//! candidate lists (lines 10–12) through [`crate::stream::SparseCandidates`].
 //!
 //! # The bucketed index
 //!
 //! The 2-means is defined over the values in ascending order, but it only
 //! ever looks at the top of that order: `τ` is set by the free cluster,
-//! typically the top ~15% of the values. [`BucketIndex`] therefore never
+//! typically the top ~15% of the values. `BucketIndex` therefore never
 //! sorts the whole input, and never even scatters most of it. It keys every
 //! value by the IEEE total order (`−0.0` below `+0.0`) and buckets the
-//! values `≥ −0.0` by key prefix (`+∞` included, NaN dropped, the negatives
-//! left in place). The prefix width is a pure function of the input length,
+//! values `≥ −0.0` by key prefix (`+∞` included, NaN and negatives
+//! dropped). The prefix width is a pure function of the input length,
 //! so tiny inputs do not pay for 2¹⁶ empty buckets — and so a producer of
 //! the values can count each bucket as it writes the values: the dense
 //! correlation pass fills the `BucketCounts` itself, and the index never
 //! reads the triangle to count it. From the counts alone the index picks a
 //! cutoff bucket (`BucketIndex::first_cutoff`: the pinned 2-means over the
 //! bucket edges estimates `τ`'s bucket, and the cutoff sits one binade
-//! below it) and scatters keys, and ranks, only for the buckets at and
-//! above it, in one pass over the values. A query that reaches below the
-//! cutoff widens it on demand with one more pass. Positions stay global —
-//! each bucket's place in the order comes from the counts — and buckets
-//! are sorted from the top down, only as far as a query reaches.
+//! below it) and scatters keys only for the buckets at and above it, in
+//! one pass over the values. A query that reaches below the cutoff widens
+//! it on demand with one more pass. Positions stay global — each bucket's
+//! place in the order comes from the counts — and buckets are sorted from
+//! the top down, only as far as a query reaches.
 //!
 //! **Why the sorted region only grows downward.** The free cluster starts
 //! as `{v > max/2}` with centroid `c₁ = max`. If `c_{t+1} ≤ c_t`, the next
@@ -45,19 +45,6 @@
 //! would simply serve that boundary from the already-sorted region); the
 //! monotonicity is what bounds the work to the buckets above the final
 //! `τ`.
-//!
-//! **Candidate order from rank ties.** With ranks tracked
-//! ([`BucketIndex::new`]), a bucket sorts by (value descending, rank
-//! ascending), so walking down from the top visits the values above `τ`
-//! in that order. For a fixed node `i`, its
-//! pairs' upper-triangle ranks increase with the partner id (pairs `(j, i)`,
-//! `j < i`, sit in earlier rows than every `(i, j)`, `j > i`). Appending
-//! each visited pair's partner to both endpoints' lists until a list holds
-//! `max_candidates` therefore yields exactly the (value descending, id
-//! ascending) top-`max_candidates` lists of thresholding every row — in
-//! `O(pairs above τ)` instead of `O(n²)`.
-
-use diffnet_graph::NodeId;
 
 /// Outcome of the pinned 2-means clustering.
 #[derive(Clone, Debug, PartialEq)]
@@ -97,7 +84,7 @@ pub struct PinnedKmeans {
 /// In every case `τ = 0` keeps *all* positive correlations above threshold,
 /// which is the conservative choice when there is no noise mass to fit.
 ///
-/// Runs on a rank-free [`BucketIndex`]: its peak heap is 16 bytes per
+/// Runs on the module's bucketed index: its peak heap is 16 bytes per
 /// value plus the bucket bounds (the τ-sample term of
 /// [`crate::stream::estimate_streamed_bytes`] budgets for it), and the
 /// result is bit-identical to sorting every kept value (see the module
@@ -107,7 +94,7 @@ pub struct PinnedKmeans {
 ///
 /// Panics if `values` holds more than `u32::MAX` entries.
 pub fn pinned_two_means(values: &[f64]) -> PinnedKmeans {
-    BucketIndex::build(values, false).pinned_two_means()
+    BucketIndex::build(values).pinned_two_means()
 }
 
 /// Upper bound on the heap [`pinned_two_means`] allocates for `len`
@@ -129,7 +116,7 @@ const SPAN: u64 = (0x7FF0_0000_0000_0000 | SIGN) - NEG_ZERO_KEY;
 /// The IEEE total-order key of `v`: unsigned comparison of keys is
 /// `f64::total_cmp`.
 #[inline]
-fn order_key(v: f64) -> u64 {
+pub(crate) fn order_key(v: f64) -> u64 {
     let b = v.to_bits();
     b ^ (((b as i64) >> 63) as u64 | SIGN)
 }
@@ -204,16 +191,14 @@ impl BucketCounts {
 }
 
 /// A bucketed, lazily scattered and lazily sorted index over a slice of
-/// correlation values — the candidate step's one pass over the pair
-/// population (see the module docs).
+/// correlation values — the 2-means' one pass over the pair population
+/// (see the module docs).
 ///
 /// Built from the values' bucket counts, it holds the total-order key
-/// of every value `≥ −0.0` (`+∞` included, NaN dropped) of the buckets a
-/// query has reached, top bucket first, and, when built with ranks, each
-/// value's position in the input (its *rank*): at most 12 bytes per kept
-/// value, plus one `u32` per bucket. Negative values stay in the input and
-/// are gathered only by a query that reaches below zero.
-pub struct BucketIndex<'a> {
+/// of every value `≥ −0.0` (`+∞` included, NaN and negatives dropped) of
+/// the buckets a query has reached, top bucket first: at most 8 bytes per
+/// kept value, plus one `u32` per bucket.
+pub(crate) struct BucketIndex<'a> {
     values: &'a [f64],
     shift: u32,
     /// `depth[b]`: how many kept values lie in buckets `b..`. Counted from
@@ -226,48 +211,38 @@ pub struct BucketIndex<'a> {
     /// the `t`-th largest once sorted). Capacity for every kept value is
     /// reserved at build; only the scattered part is written.
     keys: Vec<u64>,
-    /// Input position of each key, when built with ranks.
-    ranks: Vec<u32>,
-    with_ranks: bool,
     /// Buckets `scattered..` have their keys in `keys`.
     scattered: usize,
-    /// Buckets `unsorted..` are sorted by key descending, ties by rank
-    /// ascending; `unsorted ≥ scattered`.
+    /// Buckets `unsorted..` are sorted by key descending; `unsorted ≥
+    /// scattered`.
     unsorted: usize,
-    scratch: Vec<u128>,
 }
 
 impl<'a> BucketIndex<'a> {
-    /// Indexes `values` with ranks, ready for both
-    /// [`pinned_two_means`](Self::pinned_two_means) and
-    /// [`candidate_lists`](Self::candidate_lists).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` holds more than `u32::MAX` entries — ranks are
-    /// `u32`, which bounds the dense path at `n ≤ 92,682` nodes (the
-    /// pipeline checks [`crate::MAX_DENSE_NODES`] before it allocates
-    /// the triangle; the streamed path has no such limit).
-    pub fn new(values: &'a [f64]) -> Self {
-        Self::build(values, true)
-    }
-
-    fn build(values: &'a [f64], with_ranks: bool) -> Self {
-        Self::from_counts(values, BucketCounts::of(values), with_ranks)
+    /// Indexes `values` after a count pass over them.
+    fn build(values: &'a [f64]) -> Self {
+        Self::from_counts(values, BucketCounts::of(values))
     }
 
     /// The index over `values` from their bucket counts, which must equal
     /// `BucketCounts::of(values)` (however they were filled). Scatters
     /// the buckets down to the first cutoff — one pass over the input.
-    pub(crate) fn from_counts(values: &'a [f64], counts: BucketCounts, with_ranks: bool) -> Self {
-        let mut index = Self::unscattered(values, counts, with_ranks);
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` holds more than `u32::MAX` entries — depths are
+    /// `u32`, which bounds the dense path at `n ≤ 92,682` nodes (the
+    /// pipeline checks [`crate::MAX_DENSE_NODES`] before it allocates
+    /// the triangle; the streamed path has no such limit).
+    pub(crate) fn from_counts(values: &'a [f64], counts: BucketCounts) -> Self {
+        let mut index = Self::unscattered(values, counts);
         let cutoff = index.first_cutoff();
         index.scatter(cutoff);
         index
     }
 
     /// The index with nothing scattered yet.
-    fn unscattered(values: &'a [f64], counts: BucketCounts, with_ranks: bool) -> Self {
+    fn unscattered(values: &'a [f64], counts: BucketCounts) -> Self {
         assert!(
             values.len() <= u32::MAX as usize,
             "the bucketed index addresses at most u32::MAX values, got {}",
@@ -296,11 +271,8 @@ impl<'a> BucketIndex<'a> {
             depth,
             infinities,
             keys: Vec::with_capacity(kept),
-            ranks: Vec::with_capacity(if with_ranks { kept } else { 0 }),
-            with_ranks,
             scattered: buckets,
             unsorted: buckets,
-            scratch: Vec::new(),
         }
     }
 
@@ -363,9 +335,6 @@ impl<'a> BucketIndex<'a> {
     fn scatter(&mut self, lo: usize) {
         let hi = self.scattered;
         self.keys.resize(self.depth[lo] as usize, 0);
-        if self.with_ranks {
-            self.ranks.resize(self.keys.len(), 0);
-        }
         // Entry `b` is bucket `b`'s write cursor: moved to the bucket's
         // first depth, it ends back at `depth[b]` once the bucket is
         // written.
@@ -378,7 +347,7 @@ impl<'a> BucketIndex<'a> {
         const CHUNK: usize = 1024;
         let mut picked = [0u32; CHUNK];
         let (values, shift) = (self.values, self.shift);
-        for (c, chunk) in values.chunks(CHUNK).enumerate() {
+        for chunk in values.chunks(CHUNK) {
             let mut k = 0;
             for (o, &v) in chunk.iter().enumerate() {
                 let d = order_key(v).wrapping_sub(NEG_ZERO_KEY);
@@ -387,15 +356,11 @@ impl<'a> BucketIndex<'a> {
                 k += usize::from((d <= SPAN) & (b >= lo) & (b < hi));
             }
             for &o in &picked[..k] {
-                let r = c * CHUNK + o as usize;
-                let d = order_key(values[r]) - NEG_ZERO_KEY;
-                let b = (d >> shift) as usize;
+                let key = order_key(chunk[o as usize]);
+                let b = ((key - NEG_ZERO_KEY) >> shift) as usize;
                 let pos = self.depth[b] as usize;
                 self.depth[b] += 1;
-                self.keys[pos] = d + NEG_ZERO_KEY;
-                if self.with_ranks {
-                    self.ranks[pos] = r as u32;
-                }
+                self.keys[pos] = key;
             }
         }
         self.scattered = lo;
@@ -419,26 +384,7 @@ impl<'a> BucketIndex<'a> {
         while (self.depth[self.unsorted] as usize) < depth {
             self.unsorted -= 1;
             let range = self.bucket(self.unsorted);
-            if range.len() < 2 {
-                continue;
-            }
-            if !self.with_ranks {
-                self.keys[range].sort_unstable_by(|a, b| b.cmp(a));
-            } else {
-                // (key, !rank) packed in one integer, sorted descending:
-                // keys descending, ties in ascending rank order.
-                self.scratch.clear();
-                self.scratch.extend(
-                    range
-                        .clone()
-                        .map(|t| u128::from(self.keys[t]) << 32 | u128::from(!self.ranks[t])),
-                );
-                self.scratch.sort_unstable_by(|a, b| b.cmp(a));
-                for (t, &e) in range.zip(&self.scratch) {
-                    self.keys[t] = (e >> 32) as u64;
-                    self.ranks[t] = !(e as u32);
-                }
-            }
+            self.keys[range].sort_unstable_by(|a, b| b.cmp(a));
         }
     }
 
@@ -454,7 +400,7 @@ impl<'a> BucketIndex<'a> {
 
     /// The pinned 2-means of [`pinned_two_means`] over the indexed values,
     /// bit-identical to the sort-based definition.
-    pub fn pinned_two_means(&mut self) -> PinnedKmeans {
+    pub(crate) fn pinned_two_means(&mut self) -> PinnedKmeans {
         const MAX_ITERS: usize = 100;
 
         // In ascending order the infinities come last: positions
@@ -533,86 +479,6 @@ impl<'a> BucketIndex<'a> {
             iterations,
         }
     }
-
-    /// Calls `visit` with the rank of every value strictly above `tau`
-    /// (IEEE `>`, so NaN never qualifies and `+0.0` is not above `−0.0`),
-    /// in (value descending, rank ascending) order, and returns how many
-    /// there were. Negative values are gathered from the input only when
-    /// `tau < 0`.
-    fn for_each_above(&mut self, tau: f64, mut visit: impl FnMut(u32)) -> u64 {
-        let kept = self.kept();
-        let mut t = 0;
-        while t < kept {
-            self.reach(t + 1);
-            while t < self.depth[self.unsorted] as usize {
-                let value = from_key(self.keys[t]);
-                if value.partial_cmp(&tau) != Some(std::cmp::Ordering::Greater) {
-                    return t as u64;
-                }
-                visit(self.ranks[t]);
-                t += 1;
-            }
-        }
-        let mut above = kept as u64;
-        // Every kept value is above τ; negatives can be too only if τ < 0.
-        if tau < 0.0 {
-            let mut negatives: Vec<u128> = self
-                .values
-                .iter()
-                .enumerate()
-                .filter(|&(_, &v)| v < 0.0 && v > tau)
-                .map(|(r, &v)| u128::from(order_key(v)) << 32 | u128::from(!(r as u32)))
-                .collect();
-            negatives.sort_unstable();
-            above += negatives.len() as u64;
-            for e in negatives.iter().rev() {
-                visit(!(*e as u32));
-            }
-        }
-        above
-    }
-
-    /// Algorithm 1 lines 10–12 over an index of the `n`-node upper
-    /// triangle (row-major, `(0,1), (0,2), …`): every node's partners with
-    /// a value strictly above `tau`, in (value descending, id ascending)
-    /// order, truncated to `max_candidates`; plus the number of pairs
-    /// above `tau`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indexed slice is not an `n`-node triangle.
-    pub fn candidate_lists(
-        &mut self,
-        n: usize,
-        tau: f64,
-        max_candidates: usize,
-    ) -> (Vec<Vec<NodeId>>, u64) {
-        assert_eq!(
-            self.values.len(),
-            n * n.saturating_sub(1) / 2,
-            "the index must cover the {n}-node upper triangle"
-        );
-        // `row_end[i]`: one past the last rank of row i.
-        let mut row_end = Vec::with_capacity(n);
-        let mut end = 0u32;
-        for i in 0..n {
-            end += (n - 1 - i) as u32;
-            row_end.push(end);
-        }
-        let mut lists: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        let above = self.for_each_above(tau, |rank| {
-            let i = row_end.partition_point(|&e| e <= rank);
-            let row_start = row_end[i] - (n - 1 - i) as u32;
-            let j = i + 1 + (rank - row_start) as usize;
-            if lists[i].len() < max_candidates {
-                lists[i].push(j as NodeId);
-            }
-            if lists[j].len() < max_candidates {
-                lists[j].push(i as NodeId);
-            }
-        });
-        (lists, above)
-    }
 }
 
 #[cfg(test)]
@@ -621,6 +487,7 @@ mod tests {
     use crate::imi::CorrelationMatrix;
     use crate::search::candidate_parents;
     use crate::ThresholdMode;
+    use diffnet_graph::NodeId;
     use proptest::prelude::*;
 
     /// The sort-based definition the index must reproduce bit for bit:
@@ -769,15 +636,13 @@ mod tests {
             let index = pinned_two_means(&vals);
             assert_eq!(bits(&index), bits(&sort_based(&vals)), "len {len}");
             assert!(index.free_count > 0 && index.pinned_count > 0);
-            let ranked = BucketIndex::new(&vals).pinned_two_means();
-            assert_eq!(bits(&ranked), bits(&index), "ranks must not change τ");
         }
     }
 
     #[test]
     fn the_index_sorts_only_the_buckets_a_query_reaches() {
         let vals = imi_like(499_500, 9);
-        let mut index = BucketIndex::new(&vals);
+        let mut index = BucketIndex::build(&vals);
         let scattered = index.depth[index.scattered] as usize;
         let r = index.pinned_two_means();
         let kept = index.kept();
@@ -796,8 +661,8 @@ mod tests {
 
     /// The index with its first scatter forced down to bucket `cutoff`
     /// (`None`: the top bucket, so every query widens it).
-    fn forced(values: &[f64], with_ranks: bool, cutoff: Option<usize>) -> BucketIndex<'_> {
-        let mut index = BucketIndex::unscattered(values, BucketCounts::of(values), with_ranks);
+    fn forced(values: &[f64], cutoff: Option<usize>) -> BucketIndex<'_> {
+        let mut index = BucketIndex::unscattered(values, BucketCounts::of(values));
         let top = index.buckets() - 1;
         index.scatter(cutoff.unwrap_or(top));
         index
@@ -883,7 +748,6 @@ mod tests {
         fn index_two_means_is_the_sort_based_one_bit_for_bit(values in hostile_values(300)) {
             let reference = sort_based(&values);
             prop_assert_eq!(bits(&pinned_two_means(&values)), bits(&reference));
-            prop_assert_eq!(bits(&BucketIndex::new(&values).pinned_two_means()), bits(&reference));
         }
     }
 
@@ -902,9 +766,52 @@ mod tests {
         )
     }
 
+    /// The upper triangle of an `n`-node matrix drawn cyclically from
+    /// `pool` (0.5 everywhere when the pool is empty).
+    fn triangle(n: usize, pool: &[f64]) -> CorrelationMatrix {
+        let pairs = n * n.saturating_sub(1) / 2;
+        let upper = (0..pairs)
+            .map(|r| pool.get(r % pool.len().max(1)).copied().unwrap_or(0.5))
+            .collect();
+        CorrelationMatrix::from_upper(n, upper)
+    }
+
+    /// The dense candidate fold at `tau` against per-row thresholding:
+    /// every list equals `search::candidate_parents`, `pairs_above_tau`
+    /// a direct count, and `candidate_evictions` the above-τ partners the
+    /// lists dropped.
+    fn assert_dense_fold(
+        corr: &CorrelationMatrix,
+        tau: f64,
+        max_candidates: usize,
+    ) -> Result<(), String> {
+        let found = corr.candidates(tau, max_candidates);
+        let n = corr.num_nodes();
+        prop_assert_eq!(found.lists.len(), n);
+        let mut dropped = 0u64;
+        for (i, list) in found.lists.iter().enumerate() {
+            prop_assert_eq!(
+                list,
+                &candidate_parents(corr, i as NodeId, tau, max_candidates),
+                "node {} at τ = {}",
+                i,
+                tau
+            );
+            let above = (0..n as NodeId)
+                .filter(|&j| j != i as NodeId && corr.get(i as NodeId, j) > tau)
+                .count();
+            dropped += (above - list.len()) as u64;
+        }
+        let direct = corr.upper().iter().filter(|&&v| v > tau).count() as u64;
+        prop_assert_eq!(found.pairs_above_tau, direct);
+        prop_assert_eq!(found.candidate_evictions, dropped);
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
+        /// τ from the matrix's fused bucket counts, then the dense fold.
         #[test]
         fn index_candidates_match_per_row_thresholding(
             n in 0usize..24,
@@ -912,23 +819,9 @@ mod tests {
             mode in threshold_mode(),
             max_candidates in 0usize..8,
         ) {
-            let pairs = n * n.saturating_sub(1) / 2;
-            let upper: Vec<f64> = (0..pairs)
-                .map(|r| pool.get(r % pool.len().max(1)).copied().unwrap_or(0.5))
-                .collect();
-            let corr = CorrelationMatrix::from_upper(n, upper);
-            let mut index = BucketIndex::new(corr.upper());
-            let tau = mode.apply(index.pinned_two_means().tau);
-            let (lists, above) = index.candidate_lists(n, tau, max_candidates);
-            for (i, list) in lists.iter().enumerate() {
-                prop_assert_eq!(
-                    list,
-                    &candidate_parents(&corr, i as NodeId, tau, max_candidates),
-                    "node {} at τ = {}", i, tau
-                );
-            }
-            let direct = corr.upper().iter().filter(|&&v| v > tau).count() as u64;
-            prop_assert_eq!(above, direct);
+            let corr = triangle(n, &pool);
+            let tau = mode.apply(corr.pinned_two_means().tau);
+            assert_dense_fold(&corr, tau, max_candidates)?;
         }
     }
 
@@ -937,9 +830,9 @@ mod tests {
 
         /// The first scatter forced to the top bucket (every query widens
         /// the index, as far down as it reaches) and to bucket 0 (the
-        /// whole input scattered at once): τ, every 2-means field, the
-        /// candidate lists and `pairs_above_tau` stay those of the
-        /// sort-based reference and per-row thresholding.
+        /// whole input scattered at once): τ and every 2-means field stay
+        /// those of the sort-based reference, and the dense fold at that τ
+        /// keeps the per-row lists, `pairs_above_tau` and evictions.
         #[test]
         fn forced_cutoffs_keep_every_result(
             n in 0usize..24,
@@ -947,31 +840,12 @@ mod tests {
             mode in threshold_mode(),
             max_candidates in 0usize..8,
         ) {
-            let pairs = n * n.saturating_sub(1) / 2;
-            let upper: Vec<f64> = (0..pairs)
-                .map(|r| pool.get(r % pool.len().max(1)).copied().unwrap_or(0.5))
-                .collect();
-            let reference = sort_based(&upper);
-            let corr = CorrelationMatrix::from_upper(n, upper);
+            let corr = triangle(n, &pool);
+            let reference = sort_based(corr.upper());
             for cutoff in [None, Some(0)] {
-                prop_assert_eq!(
-                    bits(&forced(corr.upper(), false, cutoff).pinned_two_means()),
-                    bits(&reference)
-                );
-                let mut index = forced(corr.upper(), true, cutoff);
-                let kmeans = index.pinned_two_means();
+                let kmeans = forced(corr.upper(), cutoff).pinned_two_means();
                 prop_assert_eq!(bits(&kmeans), bits(&reference));
-                let tau = mode.apply(kmeans.tau);
-                let (lists, above) = index.candidate_lists(n, tau, max_candidates);
-                for (i, list) in lists.iter().enumerate() {
-                    prop_assert_eq!(
-                        list,
-                        &candidate_parents(&corr, i as NodeId, tau, max_candidates),
-                        "node {} at τ = {}, cutoff {:?}", i, tau, cutoff
-                    );
-                }
-                let direct = corr.upper().iter().filter(|&&v| v > tau).count() as u64;
-                prop_assert_eq!(above, direct);
+                assert_dense_fold(&corr, mode.apply(kmeans.tau), max_candidates)?;
             }
         }
     }
@@ -979,20 +853,21 @@ mod tests {
     #[test]
     fn forced_cutoffs_on_a_large_input() {
         // 2¹⁶ buckets: widening from the top bucket takes several passes.
-        let vals = imi_like(100_000, 17);
-        let reference = sort_based(&vals);
+        // 100,128 values: the triangle of 448 nodes.
+        let corr = CorrelationMatrix::from_upper(448, imi_like(100_128, 17));
+        let reference = sort_based(corr.upper());
         for cutoff in [None, Some(0)] {
-            let mut index = forced(&vals, true, cutoff);
             assert_eq!(
-                bits(&index.pinned_two_means()),
+                bits(&forced(corr.upper(), cutoff).pinned_two_means()),
                 bits(&reference),
                 "{cutoff:?}"
             );
-            let direct = vals.iter().filter(|&&v| v > reference.tau).count() as u64;
-            assert_eq!(index.for_each_above(reference.tau, |_| {}), direct);
-            let below = -0.001;
-            let direct = vals.iter().filter(|&&v| v > below).count() as u64;
-            assert_eq!(index.for_each_above(below, |_| {}), direct);
+        }
+        assert_eq!(bits(&corr.pinned_two_means()), bits(&reference));
+        // Rows of up to 447 values: the fold's 64-value masks and their
+        // tails.
+        for tau in [reference.tau, -0.001] {
+            assert_dense_fold(&corr, tau, 8).unwrap_or_else(|e| panic!("τ = {tau}: {e}"));
         }
     }
 
@@ -1001,16 +876,18 @@ mod tests {
         // n = 4, triangle ranks: (0,1) (0,2) (0,3) (1,2) (1,3) (2,3).
         let upper = vec![0.5, 0.9, 0.5, 0.5, -0.25, 0.0];
         let corr = CorrelationMatrix::from_upper(4, upper);
-        let mut index = BucketIndex::new(corr.upper());
-        let (lists, above) = index.candidate_lists(4, -0.0, 8);
-        assert_eq!(above, 4, "+0.0 is not above −0.0");
-        assert_eq!(lists[0], vec![2, 1, 3]);
-        assert_eq!(lists[1], vec![0, 2]);
-        assert_eq!(lists[3], vec![0]);
-        let (lists, above) = index.candidate_lists(4, -1.0, 2);
-        assert_eq!(above, 6);
-        assert_eq!(lists[3], vec![0, 2], "−0.25 ranks below 0.0");
-        assert_eq!(lists[1], vec![0, 2]);
+        let found = corr.candidates(-0.0, 8);
+        assert_eq!(found.pairs_above_tau, 4, "+0.0 is not above −0.0");
+        assert_eq!(found.lists[0], vec![2, 1, 3]);
+        assert_eq!(found.lists[1], vec![0, 2]);
+        assert_eq!(found.lists[3], vec![0]);
+        assert_eq!(found.candidate_evictions, 0);
+        let found = corr.candidates(-1.0, 2);
+        assert_eq!(found.pairs_above_tau, 6);
+        assert_eq!(found.lists[3], vec![0, 2], "−0.25 ranks below 0.0");
+        assert_eq!(found.lists[1], vec![0, 2]);
+        // Every node has 3 partners above −1 and keeps 2.
+        assert_eq!(found.candidate_evictions, 4);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use estimate::{
     EstimateConfig, PropagationEstimate,
 };
 pub use imi::{CorrelationMatrix, CorrelationMeasure, PairEvaluator, PairStats, MAX_DENSE_NODES};
-pub use kmeans::{pinned_two_means, BucketIndex, PinnedKmeans};
+pub use kmeans::{pinned_two_means, PinnedKmeans};
 pub use score::ScoreCacheStats;
 pub use search::{GreedyStrategy, SearchError, SearchParams, SearchScratch, SearchStats};
-pub use stream::{plan_shards, Shard, SparseCandidates};
+pub use stream::{plan_shards, shard_of, CandidateLists, Shard, SparseCandidates};

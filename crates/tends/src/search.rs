@@ -195,8 +195,8 @@ pub struct NodeSearchResult {
 /// Candidate parents of `child`: all nodes whose correlation with `child`
 /// strictly exceeds `tau`, in descending correlation order, truncated to
 /// `max_candidates` (Algorithm 1 lines 10–12) — one row scan per node. The
-/// equivalence oracle for [`crate::BucketIndex::candidate_lists`], which
-/// the pipeline uses instead.
+/// equivalence oracle for [`CorrelationMatrix::candidates`], which the
+/// pipeline uses instead.
 #[cfg(test)]
 pub(crate) fn candidate_parents(
     corr: &CorrelationMatrix,

@@ -20,19 +20,20 @@
 //!    dense τ bit-for-bit.
 //! 2. **A bounded sparse accumulator** ([`SparseCandidates`]): tile
 //!    outputs fold straight into per-node top-`k` lists of above-τ
-//!    partners, ordered exactly like the dense candidate lists of
-//!    [`crate::BucketIndex::candidate_lists`] (value descending, node id
-//!    ascending tie-break). Top-k selection is a
+//!    partners (value descending, node id ascending tie-break). The dense
+//!    pipeline folds its triangle into the same accumulator
+//!    ([`crate::CorrelationMatrix::candidates`]), so every pipeline's lists
+//!    come from one implementation. Top-k selection is a
 //!    semilattice — `topk(topk(A) ∪ topk(B)) = topk(A ∪ B)` — so
 //!    per-worker partial accumulators merge to the same result regardless
 //!    of how tiles were scheduled, keeping candidates thread- and
-//!    tile-invariant. Every above-τ sighting is counted, so truncation is
-//!    reported (`candidate_evictions`), never silent.
-//! 3. **Node-range shards** ([`Shard`], [`plan_shards`]): a shard owns a
-//!    contiguous node range and folds only the tile blocks that touch it,
-//!    bounding accumulator memory to the shard's nodes. Shards of one
-//!    logical reconstruction merge by edge union — each child node's
-//!    parents are computed by exactly one shard.
+//!    tile-invariant. Every above-τ sighting a list drops is counted, so
+//!    truncation is reported (`candidate_evictions`), never silent.
+//! 3. **Node-range shards** ([`Shard`], [`plan_shards`], [`shard_of`]): a
+//!    shard owns a contiguous node range and folds only the tile blocks
+//!    that touch it, bounding accumulator memory to the shard's nodes.
+//!    Shards of one logical reconstruction merge by edge union — each
+//!    child node's parents are computed by exactly one shard.
 //!
 //! The tile fold builds its blocks with the one upper-triangle tile
 //! schedule (`imi::tile_schedule`) that
@@ -59,11 +60,10 @@
 //! evaluated directly; both give the same candidates bit for bit.
 
 use crate::imi::{tile_schedule, CorrelationMeasure, PairEvaluator, Tile};
-use crate::kmeans::{pinned_two_means, PinnedKmeans};
+use crate::kmeans::{order_key, pinned_two_means, PinnedKmeans};
 use crate::parallel;
 use diffnet_graph::NodeId;
 use diffnet_simulate::NodeColumns;
-use std::cmp::Ordering;
 use std::ops::Range;
 
 /// A contiguous node range `start..end` owned by one worker or job of a
@@ -113,8 +113,10 @@ impl Shard {
 /// pairs), so the costs are uniform and the planner degenerates to an
 /// even split — but going through `cost_chunks` keeps the shard map a
 /// pure function shared with the scheduler, and leaves one seam to plug
-/// in a smarter cost model. Deterministic; trailing shards may be empty
-/// when `count > n`.
+/// in a smarter cost model. Deterministic; `min(count, n)` shards, at
+/// least one when `n > 0`: a count past `n` adds no shard, so the list is
+/// never longer than the node range. [`shard_of`] names the empty shards
+/// past that end.
 pub fn plan_shards(n: usize, count: usize) -> Vec<Shard> {
     let costs = vec![1u64; n];
     parallel::cost_chunks(&costs, count.max(1))
@@ -126,123 +128,156 @@ pub fn plan_shards(n: usize, count: usize) -> Vec<Shard> {
         .collect()
 }
 
-/// The candidate order of the fold and of the dense candidate lists: value
-/// descending, node id ascending on ties. A total order (via `total_cmp`,
-/// so a NaN smuggled into a matrix cannot panic the comparator), which is
-/// what makes bounded top-k selection exact and merge-order-independent.
-fn rank(a: &(f64, NodeId), b: &(f64, NodeId)) -> Ordering {
-    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+/// Shard `index` of `count` over `0..n`: entry `index` of
+/// [`plan_shards`], or the empty shard `n..n` when `index` lies past the
+/// shards that own a node (`count > n` leaves the trailing ones empty).
+/// `count` comes from a request, so it is never an allocation size: the
+/// plan it reads is at most `n` entries long.
+pub fn shard_of(n: usize, count: usize, index: usize) -> Shard {
+    if index >= n.min(count.max(1)) {
+        return Shard {
+            start: n as NodeId,
+            end: n as NodeId,
+        };
+    }
+    plan_shards(n, count)[index]
 }
 
-/// The ids of the top `max` entries of `list`, in [`rank`] order.
+/// The ids of the top `max` entries of `list` in the candidate order —
+/// value descending by `f64::total_cmp`, node id ascending on ties — by
+/// a full sort: the definition [`SparseCandidates`] keeps incrementally.
+#[cfg(test)]
 pub(crate) fn top_ids(mut list: Vec<(f64, NodeId)>, max: usize) -> Vec<NodeId> {
-    prune(&mut list, max);
-    list.sort_unstable_by(rank);
+    list.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    list.truncate(max);
     list.into_iter().map(|(_, id)| id).collect()
 }
 
-/// Keeps the top `max` entries of `list` under [`rank`].
-fn prune(list: &mut Vec<(f64, NodeId)>, max: usize) {
-    if list.len() > max {
-        if max == 0 {
-            list.clear();
-        } else {
-            list.select_nth_unstable_by(max, rank);
-            list.truncate(max);
-        }
-    }
+/// A candidate's place in the candidate order as one integer: ascending
+/// keys run value descending, then partner id ascending. The value part
+/// is the complemented IEEE total-order key, so the order is total — a
+/// NaN smuggled into a matrix cannot break it — which is what makes
+/// bounded top-k selection exact and merge-order-independent.
+#[inline]
+fn rank_key(value: f64, partner: NodeId) -> u128 {
+    u128::from(!order_key(value)) << 32 | u128::from(partner)
 }
 
 /// Bounded per-node candidate lists for one node-range shard: the
-/// streamed replacement for the dense correlation matrix.
+/// accumulator every pipeline folds its above-τ pairs into.
 ///
-/// Holds, per shard node, at most `2·max_candidates + 16` `(value,
-/// partner)` entries at any time (amortized pruning), plus one above-τ
-/// sighting counter. Inserts must already be above τ — thresholding
-/// happens at the tile fold so sub-τ pairs never allocate anything.
+/// Holds, per shard node, its top `max_candidates` partners so far in
+/// the candidate order — value descending in the IEEE total order, node
+/// id ascending on ties — as ascending integer keys, so a full list
+/// rejects a pair at or below its last entry with one comparison; plus
+/// the pairs seen and the entries dropped. Inserts must already be above
+/// τ — thresholding happens at the fold so sub-τ pairs never allocate
+/// anything.
 #[derive(Clone, Debug)]
 pub struct SparseCandidates {
     shard: Shard,
     max_candidates: usize,
-    entries: Vec<Vec<(f64, NodeId)>>,
-    above_tau_seen: Vec<u64>,
+    entries: Vec<Vec<u128>>,
+    pairs_above_tau: u64,
+    evictions: u64,
+}
+
+/// The finished lists of a [`SparseCandidates`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CandidateLists {
+    /// Per-node candidate parent lists, indexed by `node − shard.start`,
+    /// value descending, node id ascending on ties.
+    pub lists: Vec<Vec<NodeId>>,
+    /// Pairs above τ with at least one endpoint in the shard.
+    pub pairs_above_tau: u64,
+    /// Above-τ candidates the top-`max_candidates` bound dropped: every
+    /// in-shard endpoint's sightings minus what its list kept.
+    pub candidate_evictions: u64,
 }
 
 impl SparseCandidates {
     /// An empty accumulator for `shard`, keeping at most `max_candidates`
     /// partners per node.
     pub fn new(shard: Shard, max_candidates: usize) -> SparseCandidates {
-        let len = shard.len();
         SparseCandidates {
             shard,
             max_candidates,
-            entries: vec![Vec::new(); len],
-            above_tau_seen: vec![0; len],
+            entries: vec![Vec::new(); shard.len()],
+            pairs_above_tau: 0,
+            evictions: 0,
         }
     }
 
-    /// Records that `node` saw above-τ correlation `value` with
-    /// `partner`. Callers guarantee `value > τ` and
-    /// `shard.contains(node)`.
+    /// Records pair `(i, j)` with correlation `value`, which the caller
+    /// guarantees is above τ: counted once if either endpoint is in the
+    /// shard, and offered to the list of each endpoint that is.
     #[inline]
-    pub fn insert(&mut self, node: NodeId, value: f64, partner: NodeId) {
-        debug_assert!(self.shard.contains(node));
-        let slot = (node - self.shard.start) as usize;
-        self.above_tau_seen[slot] += 1;
-        if self.max_candidates == 0 {
-            return;
+    pub fn insert_pair(&mut self, i: NodeId, j: NodeId, value: f64) {
+        let (in_i, in_j) = (self.shard.contains(i), self.shard.contains(j));
+        self.pairs_above_tau += u64::from(in_i || in_j);
+        if in_i {
+            self.offer(i, rank_key(value, j));
         }
-        let list = &mut self.entries[slot];
-        list.push((value, partner));
-        // Amortized bound: prune back to max once the list doubles, so
-        // each node's list stays O(max_candidates) no matter how many
-        // above-τ partners stream past.
-        if list.len() >= 2 * self.max_candidates + 16 {
-            prune(list, self.max_candidates);
+        if in_j {
+            self.offer(j, rank_key(value, i));
         }
+    }
+
+    /// Offers `entry` to `node`'s list; whatever the bound drops, the
+    /// entry or the list's last one, counts as one eviction.
+    #[inline]
+    fn offer(&mut self, node: NodeId, entry: u128) {
+        let list = &mut self.entries[(node - self.shard.start) as usize];
+        if list.len() == self.max_candidates {
+            match list.last_mut() {
+                Some(last) if entry < *last => *last = entry,
+                _ => {
+                    self.evictions += 1;
+                    return;
+                }
+            }
+            self.evictions += 1;
+        } else {
+            list.push(entry);
+        }
+        // Insertion sort's one step: move the entry up past the entries
+        // it ranks before.
+        let mut at = list.len() - 1;
+        while at > 0 && entry < list[at - 1] {
+            list[at] = list[at - 1];
+            at -= 1;
+        }
+        list[at] = entry;
     }
 
     /// Folds another partial accumulator (same shard, same bound) into
     /// this one. Top-k of a union is grouping-independent, so any merge
-    /// tree yields the same lists.
+    /// tree yields the same lists and counts.
     pub fn merge(&mut self, other: SparseCandidates) {
         assert_eq!(self.shard, other.shard, "accumulator shard mismatch");
         assert_eq!(self.max_candidates, other.max_candidates);
-        for (slot, (mut list, seen)) in other
-            .entries
-            .into_iter()
-            .zip(other.above_tau_seen)
-            .enumerate()
-        {
-            self.above_tau_seen[slot] += seen;
-            let dst = &mut self.entries[slot];
-            // Pruning both sides first keeps the union within the
-            // capacity the inserts already reached (see
-            // `fold_heap_bytes`), so a merge never grows a list past it.
-            prune(&mut list, self.max_candidates);
-            prune(dst, self.max_candidates);
-            dst.append(&mut list);
-            prune(dst, self.max_candidates);
+        self.pairs_above_tau += other.pairs_above_tau;
+        self.evictions += other.evictions;
+        for (k, list) in other.entries.into_iter().enumerate() {
+            let node = self.shard.start + k as NodeId;
+            for entry in list {
+                self.offer(node, entry);
+            }
         }
     }
 
-    /// Finalizes into per-node candidate id lists (indexed by
-    /// `node − shard.start`), sorted exactly like the dense lists,
-    /// plus the total number of above-τ candidates evicted by the top-k
-    /// bound — the count that must be surfaced, not silently dropped.
-    pub fn finish(self) -> (Vec<Vec<NodeId>>, u64) {
-        let mut evictions = 0u64;
-        let lists = self
-            .entries
-            .into_iter()
-            .zip(self.above_tau_seen)
-            .map(|(list, seen)| {
-                let ids = top_ids(list, self.max_candidates);
-                evictions += seen - ids.len() as u64;
-                ids
-            })
-            .collect();
-        (lists, evictions)
+    /// Finalizes into the per-node candidate id lists and the counts —
+    /// the evictions are surfaced, not silently dropped.
+    pub fn finish(self) -> CandidateLists {
+        CandidateLists {
+            lists: self
+                .entries
+                .into_iter()
+                .map(|list| list.into_iter().map(|key| key as NodeId).collect())
+                .collect(),
+            pairs_above_tau: self.pairs_above_tau,
+            candidate_evictions: self.evictions,
+        }
     }
 }
 
@@ -377,14 +412,9 @@ pub fn sample_tau(
 /// Outcome of [`fold_candidates`].
 #[derive(Clone, Debug)]
 pub struct FoldOutcome {
-    /// Per-node candidate parent lists, indexed by `node − shard.start`,
-    /// in the dense lists' order (value descending, id ascending).
-    pub candidates: Vec<Vec<NodeId>>,
-    /// Pairs above τ with at least one endpoint in the shard (equals the
-    /// dense path's global count when the shard is `0..n`).
-    pub pairs_above_tau: u64,
-    /// Above-τ candidates evicted by the top-k bound.
-    pub candidate_evictions: u64,
+    /// The shard's candidate lists and counts (equal to the dense fold's
+    /// when the shard is `0..n` and τ is the same).
+    pub candidates: CandidateLists,
     /// Tile blocks scanned by this shard.
     pub tiles: u64,
     /// Pairs scanned across those blocks.
@@ -599,28 +629,21 @@ pub fn fold_candidates_with(
         threads,
         || SparseCandidates::new(shard, max_candidates),
         |acc, b| {
-            // (pairs above τ, values evaluated) in this block.
-            let (mut above, mut evaluated) = (0u64, 0u64);
+            // Values evaluated in this block.
+            let mut evaluated = 0u64;
             let tile = &tiles[b];
             cols.pair_n11_block(tile.rows.clone(), tile.cols.clone(), &mut |i, j0, n11s| {
                 let in_i = shard.contains(i);
                 // Scores pair (i, j) and folds it if it is above τ.
                 let mut fold = |j: usize, n11: u64| {
                     let j = j as NodeId;
-                    let in_j = shard.contains(j);
-                    if !(in_i || in_j) {
+                    if !(in_i || shard.contains(j)) {
                         return;
                     }
                     evaluated += 1;
                     let v = eval.value(i as usize, j as usize, n11);
                     if v > tau {
-                        above += 1;
-                        if in_i {
-                            acc.insert(i, v, j);
-                        }
-                        if in_j {
-                            acc.insert(j, v, i);
-                        }
+                        acc.insert_pair(i, j, v);
                     }
                 };
                 match &table {
@@ -639,7 +662,7 @@ pub fn fold_candidates_with(
                     }
                 }
             });
-            (above, evaluated)
+            evaluated
         },
     );
     let mut states = pool.states.into_iter();
@@ -649,14 +672,11 @@ pub fn fold_candidates_with(
     for partial in states {
         acc.merge(partial);
     }
-    let (candidates, candidate_evictions) = acc.finish();
     FoldOutcome {
-        candidates,
-        pairs_above_tau: counts.iter().map(|c| c.0).sum(),
-        candidate_evictions,
+        candidates: acc.finish(),
         tiles: tiles.len() as u64,
         scanned_pairs,
-        values_evaluated: counts.iter().map(|c| c.1).sum(),
+        values_evaluated: counts.iter().sum(),
         chunks_per_worker: pool.chunks_per_worker,
     }
 }
@@ -668,10 +688,11 @@ pub fn fold_candidates_with(
 /// Sum of: the per-node ones counts and verdict classes (10 bytes a
 /// node); the tile schedule with each block's cost, result and the
 /// result's pool staging; the per-worker sparse accumulators — per shard
-/// node, one list whose capacity the amortized pruning keeps at
-/// `(2·max_candidates + 16)` rounded up to the `Vec` growth's power of
-/// two, of 16-byte `(f64, NodeId)` entries, plus the list header and one
-/// counter; the finished lists' headers; the verdict table (at most
+/// node, one list of at most `k = min(max_candidates, n − 1)` 16-byte
+/// rank keys, grown by doubling from the 4 entries of a `Vec`'s first
+/// allocation, so its capacity is `k` rounded up to a power of two and at
+/// least 4 — plus the list header; the finished lists
+/// (a header and `k` 4-byte ids per node); the verdict table (at most
 /// 4 MiB, and never more bits than an eighth of the pairs); and
 /// per-worker scratch (pool bookkeeping — the 2 KiB `n11` segment buffer
 /// lives on the worker's stack).
@@ -688,12 +709,13 @@ pub fn fold_heap_bytes(
     let side = NodeColumns::pair_tile_size_for(beta) as u64;
     let blocks = n.div_ceil(side);
     let schedule = blocks * (blocks + 1) / 2 * (std::mem::size_of::<Tile>() as u64 + 8 + 2 * 16);
-    let list_cap = match max_candidates {
+    let kept = (max_candidates as u64).min(n.saturating_sub(1));
+    let list_cap = match kept {
         0 => 0,
-        k => (2 * k as u64 + 16).next_power_of_two(),
+        k => k.next_power_of_two().max(4),
     };
-    let accumulators = workers * shard * (list_cap * 16 + 24 + 8);
-    let finished = shard * 24;
+    let accumulators = workers * shard * (list_cap * 16 + 24);
+    let finished = shard * (24 + 4 * kept);
     let pairs = n * n.saturating_sub(1) / 2;
     let bits = b1.saturating_mul(b1).saturating_mul(b1).min(pairs / 8);
     let table =
@@ -743,6 +765,31 @@ mod tests {
             }
             assert_eq!(next, n, "shards must cover 0..{n}");
         }
+    }
+
+    #[test]
+    fn shard_of_names_empty_shards_past_n() {
+        assert_eq!(
+            plan_shards(30, 40).len(),
+            30,
+            "no shard past the node range"
+        );
+        for k in 0..40 {
+            let at = k.min(30) as NodeId;
+            let end = if k < 30 { at + 1 } else { at };
+            assert_eq!(shard_of(30, 40, k), Shard { start: at, end }, "shard {k}");
+        }
+        assert!(shard_of(30, 40, 35).is_empty());
+        // A request-sized count is never an allocation size.
+        assert_eq!(shard_of(30, 1 << 40, 0), Shard { start: 0, end: 1 });
+        assert_eq!(shard_of(30, 1 << 40, 35), Shard { start: 30, end: 30 });
+        assert_eq!(
+            shard_of(30, usize::MAX, usize::MAX - 1),
+            Shard { start: 30, end: 30 }
+        );
+        assert_eq!(shard_of(0, 3, 0), Shard { start: 0, end: 0 });
+        assert_eq!(shard_of(7, 0, 0), Shard::full(7));
+        assert_eq!(shard_of(10, 3, 2), plan_shards(10, 3)[2]);
     }
 
     #[test]
@@ -797,16 +844,21 @@ mod tests {
         let shard = Shard { start: 2, end: 5 };
         let mut acc = SparseCandidates::new(shard, 2);
         // Node 3 sees four above-τ partners; only the top 2 survive.
-        acc.insert(3, 0.5, 9);
-        acc.insert(3, 0.9, 1);
-        acc.insert(3, 0.7, 4);
-        acc.insert(3, 0.9, 0); // tie with partner 1 → lower id wins order
-        acc.insert(2, 0.1, 7);
-        let (lists, evictions) = acc.finish();
-        assert_eq!(lists[0], vec![7]); // node 2
-        assert_eq!(lists[1], vec![0, 1]); // node 3: ties sorted by id
-        assert_eq!(lists[2], Vec::<NodeId>::new()); // node 4 untouched
-        assert_eq!(evictions, 2);
+        acc.insert_pair(3, 9, 0.5);
+        acc.insert_pair(1, 3, 0.9);
+        acc.insert_pair(3, 8, 0.7);
+        acc.insert_pair(0, 3, 0.9); // tie with partner 1 → lower id wins order
+        acc.insert_pair(2, 7, 0.1);
+        // Both endpoints in the shard: one pair, two sightings.
+        acc.insert_pair(2, 4, 0.05);
+        // Neither endpoint in the shard: not this shard's pair.
+        acc.insert_pair(0, 9, 0.8);
+        let found = acc.finish();
+        assert_eq!(found.lists[0], vec![7, 4]); // node 2
+        assert_eq!(found.lists[1], vec![0, 1]); // node 3: ties sorted by id
+        assert_eq!(found.lists[2], vec![2]); // node 4
+        assert_eq!(found.pairs_above_tau, 6);
+        assert_eq!(found.candidate_evictions, 2);
     }
 
     #[test]
@@ -816,7 +868,7 @@ mod tests {
         let build = |items: &[(f64, NodeId)]| {
             let mut acc = SparseCandidates::new(shard, 4);
             for &(v, p) in items {
-                acc.insert(0, v, p);
+                acc.insert_pair(0, p, v);
             }
             acc
         };
@@ -825,17 +877,24 @@ mod tests {
             let mut left = build(&pairs[..split]);
             left.merge(build(&pairs[split..]));
             assert_eq!(left.finish(), whole, "split at {split}");
+            let mut right = build(&pairs[split..]);
+            right.merge(build(&pairs[..split]));
+            assert_eq!(
+                right.finish(),
+                whole,
+                "split at {split}, merged the other way"
+            );
         }
     }
 
     #[test]
     fn zero_max_candidates_still_counts_evictions() {
         let mut acc = SparseCandidates::new(Shard { start: 0, end: 2 }, 0);
-        acc.insert(0, 0.4, 1);
-        acc.insert(1, 0.4, 0);
-        let (lists, evictions) = acc.finish();
-        assert!(lists.iter().all(Vec::is_empty));
-        assert_eq!(evictions, 2);
+        acc.insert_pair(0, 1, 0.4);
+        let found = acc.finish();
+        assert!(found.lists.iter().all(Vec::is_empty));
+        assert_eq!(found.pairs_above_tau, 1);
+        assert_eq!(found.candidate_evictions, 2);
     }
 
     #[test]

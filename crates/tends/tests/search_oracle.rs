@@ -10,8 +10,8 @@ use diffnet_graph::generators::{Lfr, Orientation};
 use diffnet_simulate::{EdgeProbs, IcConfig, IndependentCascade, NodeColumns};
 use diffnet_tends::search::{find_parents_reference, find_parents_with};
 use diffnet_tends::{
-    BucketIndex, CorrelationMatrix, CorrelationMeasure, GreedyStrategy, ScoreCacheStats,
-    SearchParams, SearchScratch,
+    CorrelationMatrix, CorrelationMeasure, GreedyStrategy, ScoreCacheStats, SearchParams,
+    SearchScratch,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,13 +40,10 @@ fn workspace_search_matches_reference_at_paper_shape() {
     for beta in [150usize, 1100] {
         let cols = paper_columns(beta);
         let corr = CorrelationMatrix::compute(&cols, CorrelationMeasure::Imi);
-        let mut index = BucketIndex::new(corr.upper());
-        let tau = index.pinned_two_means().tau;
-        let (candidates, _) = index.candidate_lists(
-            cols.num_nodes(),
-            tau,
-            SearchParams::default().max_candidates,
-        );
+        let tau = corr.pinned_two_means().tau;
+        let candidates = corr
+            .candidates(tau, SearchParams::default().max_candidates)
+            .lists;
         assert!(
             candidates.iter().filter(|c| c.len() == 8).count() >= 10,
             "β = {beta}: the input must give some nodes a full candidate list"
@@ -108,8 +105,7 @@ fn more_than_64_candidates_match_reference_at_paper_shape() {
     // score cache is off, and every evaluation counts a table.
     let cols = paper_columns(150);
     let corr = CorrelationMatrix::compute(&cols, CorrelationMeasure::Imi);
-    let mut index = BucketIndex::new(corr.upper());
-    let (candidates, _) = index.candidate_lists(cols.num_nodes(), f64::NEG_INFINITY, 70);
+    let candidates = corr.candidates(f64::NEG_INFINITY, 70).lists;
     let mut scratch = SearchScratch::new();
     for strategy in [
         GreedyStrategy::BestImprovement,

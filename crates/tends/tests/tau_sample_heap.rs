@@ -199,7 +199,7 @@ fn two_means_peak_heap_fits_the_estimates_sample_term() {
                     )
                 });
                 assert!(
-                    fold.candidate_evictions > 0,
+                    fold.candidates.candidate_evictions > 0,
                     "precondition: the top-k bound truncates"
                 );
                 assert!(

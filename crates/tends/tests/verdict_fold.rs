@@ -61,15 +61,8 @@ fn pairs_touching(n: usize, shard: Shard) -> u64 {
 }
 
 fn assert_same_fold(table: &FoldOutcome, per_pair: &FoldOutcome, what: &str) {
+    // Lists, pairs above τ and evictions.
     assert_eq!(table.candidates, per_pair.candidates, "{what}: candidates");
-    assert_eq!(
-        table.pairs_above_tau, per_pair.pairs_above_tau,
-        "{what}: above τ"
-    );
-    assert_eq!(
-        table.candidate_evictions, per_pair.candidate_evictions,
-        "{what}: evictions"
-    );
     assert_eq!(table.tiles, per_pair.tiles, "{what}: tiles");
     assert_eq!(
         table.scanned_pairs, per_pair.scanned_pairs,
@@ -111,11 +104,14 @@ fn table_fold_matches_per_pair_evaluation() {
                                 "{what}: per-pair evaluates every pair of the shard"
                             );
                             assert_eq!(
-                                table.values_evaluated, table.pairs_above_tau,
+                                table.values_evaluated, table.candidates.pairs_above_tau,
                                 "{what}: the table evaluates only above-τ pairs"
                             );
                             if shards == 1 {
-                                assert_eq!(per_pair.pairs_above_tau, strictly_above, "{what}");
+                                assert_eq!(
+                                    per_pair.candidates.pairs_above_tau, strictly_above,
+                                    "{what}"
+                                );
                             }
                         }
                     }
@@ -145,9 +141,12 @@ fn automatic_gate_takes_both_branches() {
                 |v| fold_candidates_with(&cols, CorrelationMeasure::Imi, 0.0, 3, full, threads, v);
             let auto = fold(Verdicts::Auto);
             assert_same_fold(&auto, &fold(Verdicts::PerPair), &format!("β {beta}"));
-            assert!(auto.pairs_above_tau < scanned, "β {beta}: τ must cut pairs");
+            assert!(
+                auto.candidates.pairs_above_tau < scanned,
+                "β {beta}: τ must cut pairs"
+            );
             let expect = if builds {
-                auto.pairs_above_tau
+                auto.candidates.pairs_above_tau
             } else {
                 scanned
             };
