@@ -24,10 +24,12 @@
 //!   count pass), with a check that both give the same τ bits;
 //! * one full TENDS reconstruction, 1 vs min(8, hardware threads)
 //!   threads;
-//! * the `N_ijk` counting kernel: the recursive bitset kernel vs the
-//!   [`CountsWorkspace`]'s marginals of one candidate histogram, over the
-//!   15 tables of one greedy round, with a check that every table agrees
-//!   (`tables_equal`);
+//! * the `N_ijk` tables: the two routes by which [`CountsWorkspace`]
+//!   reads a table out of a child's candidate histogram — the `pext`
+//!   scatter over every cell vs the subset lattice's gather and Möbius
+//!   passes — on every subset of at most five of eight candidates, with
+//!   a check that each route's every table equals the recursive bitset
+//!   kernel's (`scatter_tables_equal`, `lattice_tables_equal`);
 //! * the full greedy parent search, at both sizes: cached workspace path
 //!   vs the from-scratch reference path, both single-threaded, with the
 //!   score cache's hit/miss counts and whether every node's parents, score
@@ -65,7 +67,7 @@ use diffnet_bench::harness::{observe, Setting};
 use diffnet_datasets::LfrSpec;
 use diffnet_metrics::timed;
 use diffnet_observe::{DurationHistogram, Json, Recorder, RunReport};
-use diffnet_simulate::{CountsWorkspace, Kernels, NodeColumns, SimdMode, StatusMatrix};
+use diffnet_simulate::{CountsWorkspace, Kernels, NodeColumns, SimdMode, StatusMatrix, TableRoute};
 use diffnet_tends::imi::MiCells;
 use diffnet_tends::search::{
     find_parents_reference, find_parents_with, NodeSearchResult, SearchParams,
@@ -173,76 +175,57 @@ fn synthetic_statuses(beta: usize, n: usize, seed: u64) -> StatusMatrix {
     m
 }
 
-struct KernelRow {
-    n: usize,
-    recursive_s: f64,
-    workspace_s: f64,
-    tables_equal: bool,
-}
-
-/// Times the two ways of counting one greedy round's tables for every
-/// node as child: eight candidates, a 3-parent base, and each of its 15
-/// extensions by one or two of the other candidates. The recursive
-/// kernel counts each union from the columns; the workspace builds the
-/// child's candidate histogram once and reads each table as its
-/// marginal. `tables_equal` checks every table against the recursive
-/// kernel's.
-fn kernel_row(n: usize, cols: &NodeColumns, reps: usize) -> KernelRow {
+/// Times the two routes by which the workspace reads `N_ijk` tables out
+/// of a child's histogram over eight candidates, for every node as
+/// child, on one mix: every subset of at most five candidates (219
+/// tables), the sizes the lattice can take at β = 150 (5·2⁴ = 80 Möbius
+/// steps against up to 150 cells). Each side includes the histogram
+/// build, and the lattice side its own build, once per child. Both
+/// routes' tables are checked against the recursive kernel's.
+fn kernel_row(n: usize, cols: &NodeColumns, reps: usize) -> Json {
     let candidates: Vec<u32> = (0..8u32.min(n as u32)).collect();
-    let base = 0b0001_0101u64 & ((1 << candidates.len()) - 1);
-    let rest: Vec<u64> = (0..candidates.len())
-        .map(|t| 1u64 << t)
-        .filter(|b| base & b == 0)
+    let subsets: Vec<u64> = (0u64..1 << candidates.len())
+        .filter(|s| s.count_ones() <= 5)
         .collect();
-    let mut subsets: Vec<u64> = Vec::new();
-    for (i, &a) in rest.iter().enumerate() {
-        subsets.push(base | a);
-        subsets.extend(rest[i + 1..].iter().map(|&b| base | a | b));
-    }
-    let unions: Vec<Vec<u32>> = subsets
-        .iter()
-        .map(|&s| {
-            (0..candidates.len())
-                .filter(|t| s >> t & 1 == 1)
-                .map(|t| candidates[t])
-                .collect()
-        })
-        .collect();
-
     let children: Vec<u32> = (candidates.len() as u32..n as u32).collect();
-    let recursive_s = median_secs(reps, || {
-        let mut acc = 0u64;
-        for &child in &children {
-            for union in &unions {
-                acc += cols.combo_counts(child, union).expect("small combo")[0][0];
-            }
-        }
-        acc
-    });
     let mut ws = CountsWorkspace::new();
-    let workspace_s = median_secs(reps, || {
-        let mut acc = 0u64;
-        for &child in &children {
-            ws.set_candidates(cols, child, &candidates);
-            for &subset in &subsets {
-                acc += ws.table(&[subset]).expect("small combo")[0][0];
+    let mut time_route = |route| {
+        timing(reps, || {
+            let mut acc = 0u64;
+            for &child in &children {
+                ws.set_candidates(cols, child, &candidates);
+                for &subset in &subsets {
+                    acc += ws.table_via(&[subset], route).expect("small combo")[0][0];
+                }
             }
-        }
-        acc
-    });
-    let tables_equal = children.iter().all(|&child| {
-        ws.set_candidates(cols, child, &candidates);
-        subsets.iter().zip(&unions).all(|(&subset, union)| {
-            ws.table(&[subset]).expect("small combo")
-                == cols.combo_counts(child, union).expect("small combo")
+            acc
         })
-    });
-    KernelRow {
-        n,
-        recursive_s,
-        workspace_s,
-        tables_equal,
-    }
+    };
+    let scatter_s = time_route(TableRoute::Scatter);
+    let lattice_s = time_route(TableRoute::Lattice);
+    let mut tables_equal = |route| {
+        children.iter().all(|&child| {
+            ws.set_candidates(cols, child, &candidates);
+            subsets.iter().all(|&subset| {
+                let union: Vec<u32> = (0..candidates.len())
+                    .filter(|t| subset >> t & 1 == 1)
+                    .map(|t| candidates[t])
+                    .collect();
+                ws.table_via(&[subset], route).expect("small combo")
+                    == cols.combo_counts(child, &union).expect("small combo")
+            })
+        })
+    };
+    let mut row = Json::object();
+    row.push("n", n as u64);
+    row.push("tables_per_child", subsets.len() as u64);
+    row.push("reps", reps as u64);
+    scatter_s.push(&mut row, "scatter_s");
+    lattice_s.push(&mut row, "lattice_s");
+    row.push("speedup", scatter_s.median / lattice_s.median);
+    row.push("scatter_tables_equal", tables_equal(TableRoute::Scatter));
+    row.push("lattice_tables_equal", tables_equal(TableRoute::Lattice));
+    row
 }
 
 /// Times the full greedy parent search over every node of `cols` with its
@@ -986,19 +969,7 @@ fn main() {
         scaling_row(n_small, scale_threads, rec_1, rec_n),
     );
 
-    let rows: Vec<Json> = kernels
-        .iter()
-        .map(|k| {
-            let mut row = Json::object();
-            row.push("n", k.n as u64);
-            row.push("recursive_s", k.recursive_s);
-            row.push("workspace_s", k.workspace_s);
-            row.push("speedup", k.recursive_s / k.workspace_s);
-            row.push("tables_equal", k.tables_equal);
-            row
-        })
-        .collect();
-    json.push("counting_kernel", rows);
+    json.push("counting_kernel", Json::Arr(kernels.into()));
 
     json.push("greedy_search", Json::Arr(greedy_rows.into()));
 

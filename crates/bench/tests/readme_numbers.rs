@@ -119,10 +119,10 @@ fn readme_performance_table_matches_bench_micro_json() {
             ],
         ),
         (
-            "`N_ijk` counting kernel",
+            "`N_ijk` tables",
             [
-                "counting_kernel.1.recursive_s",
-                "counting_kernel.1.workspace_s",
+                "counting_kernel.1.scatter_s",
+                "counting_kernel.1.lattice_s",
                 "counting_kernel.1.speedup",
             ],
         ),

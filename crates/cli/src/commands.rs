@@ -1661,6 +1661,82 @@ mod tests {
     }
 
     #[test]
+    fn sharded_submit_merges_to_the_unsharded_edge_list() {
+        // An in-process daemon; `submit --shards 2 --wait --merged-out`
+        // must write the file `infer` writes, byte for byte — also when
+        // the last node has no inferred edge (here: never infected), so
+        // only the shards' `# nodes:` headers carry the node count.
+        let dir = std::env::temp_dir().join(format!("diffnet_cli_merge_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::bind(&ServeConfig {
+            data_dir: dir.join("data"),
+            access_log: false,
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let addr = server.addr().to_string();
+        let daemon = std::thread::spawn(move || server.serve_forever());
+
+        let truth = tmp("merge_truth.edges");
+        let seeded = tmp("merge_seeded.txt");
+        run_tokens(&[
+            "generate", "--model", "er", "--n", "30", "--m", "60", "--seed", "5", "--out", &truth,
+        ])
+        .expect("generate");
+        run_tokens(&[
+            "simulate", "--graph", &truth, "--beta", "120", "--seed", "6", "--out", &seeded,
+        ])
+        .expect("simulate");
+        // The same processes over 31 nodes, node 30 never infected.
+        let m = diffnet_simulate::io::load_status_matrix(&seeded).expect("statuses");
+        let mut wide = diffnet_simulate::StatusMatrix::new(m.num_processes(), 31);
+        for l in 0..m.num_processes() {
+            for i in 0..30 {
+                if m.get(l, i) {
+                    wide.set(l, i);
+                }
+            }
+        }
+        let isolated = tmp("merge_isolated.txt");
+        diffnet_simulate::io::save_status_matrix(&wide, &isolated).expect("write statuses");
+
+        for (tag, statuses, nodes) in [("er30", &seeded, 30), ("isolated31", &isolated, 31)] {
+            let offline = tmp(&format!("merge_{tag}_infer.edges"));
+            let merged = tmp(&format!("merge_{tag}_merged.edges"));
+            run_tokens(&["infer", "--statuses", statuses, "--out", &offline]).expect("infer");
+            let out = run_tokens(&[
+                "submit",
+                "--server",
+                &addr,
+                "--statuses",
+                statuses,
+                "--shards",
+                "2",
+                "--wait",
+                "--merged-out",
+                &merged,
+            ])
+            .expect("sharded submit");
+            assert_eq!(out.exit_code(), 0, "{tag}");
+            let want = std::fs::read_to_string(&offline).expect("infer edges");
+            assert!(
+                want.starts_with(&format!("# nodes: {nodes}\n")),
+                "{tag}: {want}"
+            );
+            assert_eq!(
+                std::fs::read_to_string(&merged).expect("merged edges"),
+                want,
+                "{tag}: merged shards must reproduce the unsharded edge list"
+            );
+        }
+        Client::new(addr.parse().expect("address"))
+            .shutdown()
+            .expect("shutdown");
+        daemon.join().expect("join").expect("serve");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn shards_past_the_node_count_write_empty_edge_lists() {
         // 40 shards of 30 nodes: shards 30..40 own no node.
         let truth = tmp("empty_shard_truth.edges");

@@ -1,7 +1,8 @@
 //! Plain edge-list I/O.
 //!
 //! The on-disk format is one directed edge per line, `source target`,
-//! separated by whitespace or a comma; `#`-prefixed lines are comments.
+//! separated by whitespace or a comma; `#`-prefixed lines are comments,
+//! of which `# nodes: N` and `# edges: M` declare the graph's size.
 //! This matches how NetSci, DUNF and most SNAP-style datasets are
 //! distributed, so real data can be dropped into the experiment harness.
 
@@ -84,13 +85,16 @@ impl From<io::Error> for EdgeListError {
 
 /// Parses a directed edge list from a reader.
 ///
-/// If `n` is `Some`, endpoints must lie in `0..n`; if `None`, the node count
-/// is `1 + max id` seen.
+/// If `n` is `Some`, endpoints must lie in `0..n`. If `None`, a
+/// `# nodes: N` header (as [`write_edge_list`] writes) sets the node
+/// count, so nodes past the last edge endpoint are kept, and endpoints
+/// must lie in `0..N`; without one the node count is `1 + max id` seen.
 pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<DiGraph, EdgeListError> {
     let mut buf = BufReader::new(reader);
     let mut edges: Vec<(u64, u64)> = Vec::new();
     let mut max_id: u64 = 0;
     let mut declared_edges: Option<usize> = None;
+    let mut declared_nodes: Option<usize> = None;
     let mut offset = 0usize;
     let mut lineno = 0usize;
     let mut line = String::new();
@@ -105,12 +109,11 @@ pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<DiGraph, E
         lineno += 1;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
-            if let Some(rest) = trimmed
-                .trim_start_matches('#')
-                .trim_start()
-                .strip_prefix("edges:")
-            {
+            let comment = trimmed.trim_start_matches('#').trim_start();
+            if let Some(rest) = comment.strip_prefix("edges:") {
                 declared_edges = rest.trim().parse().ok();
+            } else if let Some(rest) = comment.strip_prefix("nodes:") {
+                declared_nodes = rest.trim().parse().ok();
             }
             continue;
         }
@@ -142,7 +145,7 @@ pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<DiGraph, E
         }
     }
 
-    let node_count = match n {
+    let node_count = match n.or(declared_nodes) {
         Some(n) => n,
         None => {
             if edges.is_empty() {
@@ -317,6 +320,28 @@ mod tests {
         let text = "0 7\n";
         let g = read_edge_list(text.as_bytes(), None).expect("parse");
         assert_eq!(g.node_count(), 8);
+    }
+
+    #[test]
+    fn node_header_sets_the_count_when_none_is_given() {
+        // Nodes 3 and 4 have no edge: only the header knows about them.
+        let g = DiGraph::from_edges(5, &[(0, 1), (2, 1)]);
+        let mut buf = Vec::new();
+        write_edge_list(&g, &mut buf).expect("in-memory write");
+        let parsed = read_edge_list(buf.as_slice(), None).expect("parse back");
+        assert_eq!(parsed.node_count(), 5);
+        assert_eq!(parsed, g);
+        // An explicit count still wins over the header.
+        let wider = read_edge_list(buf.as_slice(), Some(7)).expect("parse");
+        assert_eq!(wider.node_count(), 7);
+        // No edges at all: the header alone sizes the graph.
+        let empty = read_edge_list("# nodes: 31\n# edges: 0\n".as_bytes(), None).expect("parse");
+        assert_eq!((empty.node_count(), empty.edge_count()), (31, 0));
+        // An endpoint past the declared count is out of range.
+        match read_edge_list("# nodes: 3\n0 1\n1 3\n".as_bytes(), None) {
+            Err(EdgeListError::OutOfRange { node, n, .. }) => assert_eq!((node, n), (3, 3)),
+            other => panic!("expected out-of-range error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -55,6 +55,6 @@ pub use noise::{delay_timestamps, flip_statuses};
 pub use probs::{sample_normal, EdgeProbs, ProbShapeError};
 pub use simd::{parse_simd, simd_from_env, Kernels, SimdMode};
 pub use status::{
-    ComboSizeError, CountsWorkspace, NodeColumns, PairCounts, StatusMatrix, WorkspaceStats,
-    MAX_TABULATED_PARENTS,
+    ComboSizeError, CountsWorkspace, NodeColumns, PairCounts, StatusMatrix, TableRoute,
+    WorkspaceStats, LATTICE_MAX_CANDIDATES, MAX_TABULATED_PARENTS,
 };

@@ -636,6 +636,21 @@ fn transpose64(a: &mut [u64; WORD_BITS]) {
     }
 }
 
+/// Longest candidate list [`CountsWorkspace`] builds a subset lattice
+/// for: `2^12` entries of 16 bytes, 64 KiB per workspace.
+pub const LATTICE_MAX_CANDIDATES: usize = 12;
+
+/// How a [`CountsWorkspace`] reads one table out of the child's
+/// histogram. Both routes give the same table, entry for entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TableRoute {
+    /// `counts[pext(code, U)] += cell` over every histogram cell.
+    Scatter,
+    /// The subset lattice gathered at the `2^|U|` subsets of `U`, then
+    /// `|U|` Möbius passes.
+    Lattice,
+}
+
 /// Reusable scratch state for the parent search's `N_ijk` tables.
 ///
 /// Every table the search scores for a child is a marginal of one joint
@@ -649,15 +664,31 @@ fn transpose64(a: &mut [u64; WORD_BITS]) {
 /// A cell's code has bit `t` set when candidate `t` (in that order) is
 /// infected.
 ///
-/// The table of any candidate subset `U` ([`table`]) is then
-/// `counts[pext(code, U)] += cell` over the cells
-/// ([`marginal_counts`](crate::simd::Kernels::marginal_counts)): no
-/// process mask is touched again. Because code bits follow node-id
-/// order, the packed index puts the subset's parents in sorted order —
-/// the same table, entry for entry, as `cols.combo_counts(child,
-/// &sorted_subset)`, so score sums visit the same terms in the same
-/// order and reproduce the same bits. All buffers are retained across
-/// calls, so steady-state evaluation performs no allocations.
+/// The table of a candidate subset `U` ([`table`]) is read one of two
+/// ways ([`TableRoute`]):
+///
+/// * **Scatter**: `counts[pext(code, U)] += cell` over the cells
+///   ([`marginal_counts`](crate::simd::Kernels::marginal_counts)) — one
+///   step per cell, whatever the table's size.
+/// * **Lattice**, for lists of at most [`LATTICE_MAX_CANDIDATES`]: the
+///   cells are scattered once into the dense `2^c` joint table and `c`
+///   in-place superset-sum passes turn it into the subset lattice, where
+///   entry `S` counts the processes in which every candidate in `S` is
+///   infected. A table gathers the lattice at the subsets of `U` in
+///   increasing order — the packed order `pext` gives — and `|U|`
+///   in-place Möbius passes turn "all of these infected" into "exactly
+///   these infected": `|U|·2^(|U|−1)` steps. The lattice is built on the
+///   first table that takes this route.
+///
+/// [`table`] takes the lattice when its Möbius steps are fewer than the
+/// histogram's cells, the scatter otherwise, so small tables over a busy
+/// histogram skip the per-cell pass. All arithmetic is exact integer
+/// counting, and because code bits follow node-id order the packed index
+/// puts the subset's parents in sorted order: either route gives the same
+/// table, entry for entry, as `cols.combo_counts(child, &sorted_subset)`,
+/// so score sums visit the same terms in the same order and reproduce the
+/// same bits. All buffers are retained across calls, so steady-state
+/// evaluation performs no allocations.
 ///
 /// [`set_candidates`]: CountsWorkspace::set_candidates
 /// [`table`]: CountsWorkspace::table
@@ -682,6 +713,11 @@ pub struct CountsWorkspace {
     root: Vec<u64>,
     /// Output table, in sorted-subset combination order.
     counts: Vec<[u64; 2]>,
+    /// The subset lattice of the current histogram, `2^candidates`
+    /// entries, once [`lattice_built`](Self::lattice_built).
+    lattice: Vec<[u64; 2]>,
+    /// Whether `lattice` holds the current histogram's lattice.
+    lattice_built: bool,
     /// A pinned kernel tier ([`with_kernels`](Self::with_kernels)); the
     /// process-wide table otherwise.
     kernels: Option<crate::simd::Kernels>,
@@ -770,7 +806,9 @@ impl CountsWorkspace {
     ///
     /// The root mask is split along each candidate in turn and cells left
     /// with no process are dropped, as [`NodeColumns::combo_counts`]
-    /// prunes empty branches.
+    /// prunes empty branches. The previous histogram's subset lattice is
+    /// dropped with it; the first table that takes the lattice route
+    /// builds this one's.
     ///
     /// # Panics
     ///
@@ -781,6 +819,7 @@ impl CountsWorkspace {
             "candidate list must be sorted and duplicate-free"
         );
         self.histograms += 1;
+        self.lattice_built = false;
         let words = cols.words_per_col;
         let cw = candidates.len().div_ceil(64).max(1);
         self.candidates = candidates.len();
@@ -842,14 +881,31 @@ impl CountsWorkspace {
         }
     }
 
+    /// The route [`table`](Self::table) takes for a subset of `size`
+    /// candidates: the lattice when the list fits it and its
+    /// `size·2^(size−1)` Möbius steps are fewer than the histogram's
+    /// cells — the scatter's step count — and the scatter otherwise.
+    fn route(&self, size: usize) -> TableRoute {
+        let moebius_steps = (size << size) / 2;
+        if self.candidates <= LATTICE_MAX_CANDIDATES && moebius_steps < self.cells.len() {
+            TableRoute::Lattice
+        } else {
+            TableRoute::Scatter
+        }
+    }
+
     /// Counts `N_ijk` for the child under the candidate subset `subset`:
     /// bit `t % 64` of word `t / 64` selects candidate `t` of the sorted
     /// list the histogram was built over, and `subset` spans that list's
     /// code width (one word up to 64 candidates).
     ///
     /// The table is indexed by sorted-subset combination order and is
-    /// bit-identical to `cols.combo_counts(child, &sorted_subset)`. Each
-    /// call counts once toward [`refinements`](WorkspaceStats::refinements).
+    /// bit-identical to `cols.combo_counts(child, &sorted_subset)`. It is
+    /// read from the subset lattice when the list has at most
+    /// [`LATTICE_MAX_CANDIDATES`] candidates and the table's
+    /// `|U|·2^(|U|−1)` Möbius steps are fewer than the histogram's cells,
+    /// by the scatter otherwise. Each call counts once toward
+    /// [`refinements`](WorkspaceStats::refinements).
     ///
     /// # Errors
     ///
@@ -861,6 +917,39 @@ impl CountsWorkspace {
     /// Panics if `subset` has the wrong width or selects a position past
     /// the candidate list.
     pub fn table(&mut self, subset: &[u64]) -> Result<&[[u64; 2]], ComboSizeError> {
+        let size = self.checked_size(subset)?;
+        self.read_table(subset, size, self.route(size))
+    }
+
+    /// [`table`](Self::table) read by `route` whatever its size — for
+    /// timing and testing the two routes against each other.
+    ///
+    /// # Errors
+    ///
+    /// As [`table`](Self::table).
+    ///
+    /// # Panics
+    ///
+    /// As [`table`](Self::table), and if `route` is
+    /// [`TableRoute::Lattice`] for a list of more than
+    /// [`LATTICE_MAX_CANDIDATES`] candidates.
+    pub fn table_via(
+        &mut self,
+        subset: &[u64],
+        route: TableRoute,
+    ) -> Result<&[[u64; 2]], ComboSizeError> {
+        assert!(
+            route == TableRoute::Scatter || self.candidates <= LATTICE_MAX_CANDIDATES,
+            "the subset lattice covers at most {LATTICE_MAX_CANDIDATES} candidates"
+        );
+        let size = self.checked_size(subset)?;
+        self.read_table(subset, size, route)
+    }
+
+    /// The number of candidates `subset` selects, after checking its
+    /// width and positions against the list and its size against the
+    /// table limit.
+    fn checked_size(&self, subset: &[u64]) -> Result<usize, ComboSizeError> {
         assert_eq!(
             subset.len(),
             self.code_words,
@@ -874,17 +963,104 @@ impl CountsWorkspace {
         );
         let size = subset.iter().map(|w| w.count_ones() as usize).sum();
         check_combo_size(size)?;
+        Ok(size)
+    }
+
+    fn read_table(
+        &mut self,
+        subset: &[u64],
+        size: usize,
+        route: TableRoute,
+    ) -> Result<&[[u64; 2]], ComboSizeError> {
         self.tables += 1;
         self.counts.resize(1 << size, [0, 0]);
-        let k = self.kernels.unwrap_or(*crate::simd::kernels());
-        k.marginal_counts(
-            &self.codes,
-            self.code_words,
-            &self.cells,
-            subset,
-            &mut self.counts,
-        );
+        match route {
+            TableRoute::Scatter => {
+                let k = self.kernels.unwrap_or(*crate::simd::kernels());
+                k.marginal_counts(
+                    &self.codes,
+                    self.code_words,
+                    &self.cells,
+                    subset,
+                    &mut self.counts,
+                );
+            }
+            TableRoute::Lattice => {
+                if !self.lattice_built {
+                    self.build_lattice();
+                }
+                // At most 12 candidates: one code word. `t` walks the
+                // subsets of `s` in increasing order, the `i`-th at
+                // packed index `i`.
+                let s = subset[0];
+                let mut t = 0u64;
+                for out in self.counts.iter_mut() {
+                    *out = self.lattice[t as usize];
+                    t = t.wrapping_sub(s) & s;
+                }
+                for_each_half(&mut self.counts, size, |lo, hi| *lo -= hi);
+            }
+        }
         Ok(&self.counts)
+    }
+
+    /// Scatters the cells into the dense `2^c` joint table and runs the
+    /// superset-sum passes over it, leaving at entry `S` the
+    /// `[uninfected, infected]` counts of the processes in which every
+    /// candidate in `S` is infected.
+    fn build_lattice(&mut self) {
+        let c = self.candidates;
+        debug_assert!(c <= LATTICE_MAX_CANDIDATES && self.code_words == 1);
+        self.lattice.clear();
+        self.lattice.resize(1 << c, [0, 0]);
+        for (&code, &[n0, n1]) in self.codes.iter().zip(&self.cells) {
+            let z = &mut self.lattice[code as usize];
+            z[0] += n0;
+            z[1] += n1;
+        }
+        for_each_half(&mut self.lattice, c, |lo, hi| *lo += hi);
+        self.lattice_built = true;
+    }
+}
+
+/// Runs `step(table[j], table[j | 2^b])` on both counts of every index
+/// `j` without bit `b`, for every bit `b < bits`, one bit after another:
+/// with `+=` the superset-sum (zeta) transform of a `2^bits` table, with
+/// `−=` its inverse (Möbius) transform.
+///
+/// Tables of up to `2^LATTICE_MAX_CANDIDATES` entries — every lattice
+/// and every table read from one — run with `bits` a constant, so each
+/// pass's run length is known and the loops unroll and vectorize; that
+/// halves the cost of an 8-candidate lattice and of a 5-parent table.
+#[inline(always)]
+fn for_each_half(table: &mut [[u64; 2]], bits: usize, step: impl Fn(&mut u64, u64)) {
+    macro_rules! constant_bits {
+        ($($b:literal)*) => {
+            match bits {
+                $($b => halves(&mut table[..1 << $b], $b, step),)*
+                _ => halves(table, bits, step),
+            }
+        };
+    }
+    constant_bits!(1 2 3 4 5 6 7 8 9 10 11 12)
+}
+
+// The arms above stop at the lattice's bound.
+const _: () = assert!(LATTICE_MAX_CANDIDATES == 12);
+
+/// The passes of [`for_each_half`] over the table's flat words: each adds
+/// one contiguous run onto the run before it.
+#[inline(always)]
+fn halves(table: &mut [[u64; 2]], bits: usize, step: impl Fn(&mut u64, u64)) {
+    let words = table.as_flattened_mut();
+    for b in 0..bits {
+        let half = 2 << b;
+        for block in words.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            for (l, &h) in lo.iter_mut().zip(hi.iter()) {
+                step(l, h);
+            }
+        }
     }
 }
 
@@ -1182,6 +1358,74 @@ mod tests {
             }
             assert_eq!(ws.stats().refinements, 256);
         }
+    }
+
+    #[test]
+    fn lattice_and_scatter_routes_give_the_same_tables() {
+        // Every subset of every list of up to LATTICE_MAX_CANDIDATES
+        // candidates, read by both routes from one workspace that moves
+        // between children (so a stale lattice would show), against the
+        // recursive kernel.
+        let m = random_matrix(150, 16, 0x2545_F491_4F6C_DD1D);
+        let cols = m.columns();
+        let mut ws = CountsWorkspace::new();
+        for c in 0..=LATTICE_MAX_CANDIDATES {
+            let candidates: Vec<NodeId> = (0..c as NodeId).map(|t| t + t / 4).collect();
+            for child in [15, 14] {
+                ws.set_candidates(&cols, child, &candidates);
+                for mask in 0u64..1 << c {
+                    let subset: Vec<NodeId> = (0..c)
+                        .filter(|t| mask >> t & 1 == 1)
+                        .map(|t| candidates[t])
+                        .collect();
+                    let want = cols.combo_counts(child, &subset).expect("small");
+                    for route in [TableRoute::Lattice, TableRoute::Scatter] {
+                        let got = ws.table_via(&[mask], route).expect("small subset");
+                        assert_eq!(got, want, "{route:?} child {child} subset {subset:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tables_take_the_lattice_while_its_steps_undercut_the_cells() {
+        let m = random_matrix(150, 14, 0x9E37_79B9_7F4A_7C15);
+        let cols = m.columns();
+        let mut ws = CountsWorkspace::new();
+        let candidates: Vec<NodeId> = (0..8).collect();
+        ws.set_candidates(&cols, 13, &candidates);
+        let cells = ws.cells();
+        assert!(cells > 32 && cells <= 150, "{cells} cells");
+        for size in 0..=8 {
+            let want = if size * (1 << size) / 2 < cells {
+                TableRoute::Lattice
+            } else {
+                TableRoute::Scatter
+            };
+            assert_eq!(ws.route(size), want, "size {size} over {cells} cells");
+        }
+        assert_eq!(ws.route(4), TableRoute::Lattice);
+        assert_eq!(ws.route(7), TableRoute::Scatter);
+        // Past the lattice's candidate bound every table scatters.
+        let long: Vec<NodeId> = (0..13).collect();
+        ws.set_candidates(&cols, 13, &long);
+        assert!(ws.cells() > 1);
+        assert_eq!(ws.route(0), TableRoute::Scatter);
+        // With no process there is no cell, so nothing undercuts it.
+        let empty = StatusMatrix::new(0, 4).columns();
+        ws.set_candidates(&empty, 0, &[1, 2]);
+        assert_eq!(ws.route(0), TableRoute::Scatter);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 12 candidates")]
+    fn lattice_route_rejects_long_candidate_lists() {
+        let m = random_matrix(20, 14, 1);
+        let cols = m.columns();
+        let mut ws = CountsWorkspace::new();
+        ws.set_candidates(&cols, 13, &(0..13).collect::<Vec<NodeId>>());
+        let _ = ws.table_via(&[1], TableRoute::Lattice);
     }
 
     #[test]

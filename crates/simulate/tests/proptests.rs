@@ -3,7 +3,8 @@
 use diffnet_graph::NodeId;
 use diffnet_simulate::{
     io, ComboSizeError, CountsWorkspace, DiffusionRecord, EdgeProbs, IcConfig, IndependentCascade,
-    Kernels, LinearThreshold, ObservationSet, SimdMode, StatusMatrix, UNINFECTED,
+    Kernels, LinearThreshold, ObservationSet, SimdMode, StatusMatrix, TableRoute,
+    LATTICE_MAX_CANDIDATES, UNINFECTED,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -268,13 +269,16 @@ proptest! {
         }
     }
 
-    // Every marginal table of a histogram over 0–70 candidates — more
+    // Every marginal table of a histogram over 0–71 candidates — more
     // than 25 and more than 64 included, so codes span two words — is
     // exactly the recursive kernel's table over the sorted subset, under
     // every SIMD tier the host has (unavailable ones degrade to an
     // available one), at β around the word and lane edges and at the
-    // paper's and the archive's β. Subsets hold up to 16 nodes (a 1 MiB
-    // table); past 25 nodes the table is refused with a typed error.
+    // paper's and the archive's β. One subset of every size 0..=c is
+    // read, except sizes 17–25, whose tables (up to 512 MiB) are left
+    // out; past 25 nodes the table is refused with a typed error. The
+    // candidate count lands on both sides of the subset lattice's bound,
+    // and at or below it every table is also read by each route.
     #[test]
     fn marginal_tables_match_combo_counts(
         (beta, n, bits) in (
@@ -297,20 +301,25 @@ proptest! {
         let cols = m.columns();
         let mut rng = StdRng::seed_from_u64(seed);
         let child = rng.gen_range(0..n) as NodeId;
-        let mut candidates: Vec<NodeId> = (0..n as NodeId)
-            .filter(|&v| v != child && rng.gen_bool(0.8))
-            .collect();
-        candidates.truncate(rng.gen_range(0..=candidates.len()));
-        let c = candidates.len();
+        let mut others: Vec<NodeId> = (0..n as NodeId).filter(|&v| v != child).collect();
+        let bound = LATTICE_MAX_CANDIDATES;
+        let c = match rng.gen_range(0..4) {
+            0 => bound - 1,
+            1 => bound,
+            2 => bound + 1,
+            _ => rng.gen_range(0..=others.len()),
+        }
+        .min(others.len());
+        for j in 0..c {
+            let r = rng.gen_range(j..others.len());
+            others.swap(j, r);
+        }
+        let mut candidates = others[..c].to_vec();
+        candidates.sort_unstable();
         let words = c.div_ceil(64).max(1);
-        // Random subsets by a partial shuffle of the candidate positions.
+        // One subset per size by a partial shuffle of the positions.
         let mut subsets: Vec<Vec<usize>> = Vec::new();
-        for _ in 0..6 {
-            let size = if c > 25 && rng.gen_bool(0.2) {
-                rng.gen_range(26..=c)
-            } else {
-                rng.gen_range(0..=c.min(16))
-            };
+        for size in (0..=c).filter(|s| !(17..=25).contains(s)) {
             let mut pos: Vec<usize> = (0..c).collect();
             for j in 0..size {
                 let r = rng.gen_range(j..c);
@@ -319,6 +328,11 @@ proptest! {
             pos.truncate(size);
             subsets.push(pos);
         }
+        let routes: &[Option<TableRoute>] = if c <= bound {
+            &[None, Some(TableRoute::Lattice), Some(TableRoute::Scatter)]
+        } else {
+            &[None]
+        };
         for mode in [SimdMode::Scalar, SimdMode::Popcnt, SimdMode::Avx2, SimdMode::Auto] {
             let mut ws = CountsWorkspace::with_kernels(Kernels::for_mode(mode));
             ws.set_candidates(&cols, child, &candidates);
@@ -331,15 +345,23 @@ proptest! {
                 }
                 let mut nodes: Vec<NodeId> = pos.iter().map(|&t| candidates[t]).collect();
                 nodes.sort_unstable();
-                match ws.table(&mask) {
-                    Ok(got) => {
-                        tables += 1;
-                        let want = cols.combo_counts(child, &nodes).expect("small subset");
-                        prop_assert_eq!(got, want.as_slice(), "{:?} subset {:?}", mode, &nodes);
-                    }
-                    Err(err) => {
-                        prop_assert_eq!(err, ComboSizeError { parents: nodes.len() });
-                        prop_assert!(nodes.len() > 25);
+                for &route in routes {
+                    let got = match route {
+                        None => ws.table(&mask),
+                        Some(route) => ws.table_via(&mask, route),
+                    };
+                    match got {
+                        Ok(got) => {
+                            tables += 1;
+                            let want = cols.combo_counts(child, &nodes).expect("small subset");
+                            prop_assert_eq!(
+                                got, want.as_slice(), "{:?} {:?} subset {:?}", mode, route, &nodes
+                            );
+                        }
+                        Err(err) => {
+                            prop_assert_eq!(err, ComboSizeError { parents: nodes.len() });
+                            prop_assert!(nodes.len() > 25);
+                        }
                     }
                 }
             }

@@ -16,8 +16,6 @@
 //!
 //! All logarithms are base 2, following the paper.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 use crate::imi::Log2Table;
@@ -235,6 +233,15 @@ pub struct CachedScore {
 /// combination; both hit this cache instead of counting the subset's
 /// table again.
 ///
+/// The memo is one open-addressed slot array: a key's home slot is the
+/// top bits of its Fibonacci hash (one multiply), and a probe walks
+/// forward from there to the key or to the first free slot. The array
+/// doubles — re-inserting the live entries — before it gets more than
+/// half full, so every probe ends within a few slots. Slots are stamped
+/// with a generation, and a slot from an older one counts as free, so
+/// [`reset`](Self::reset) clears nothing; only when the 32-bit stamp
+/// wraps are the stamps themselves cleared.
+///
 /// A cached score was computed from the exact counts table (same sorted
 /// parent order, same summation order) a fresh evaluation would build, so
 /// reuse is bit-identical. The cache is per-child: callers must
@@ -243,35 +250,48 @@ pub struct CachedScore {
 /// Every [`get`](Self::get) counts a hit or a miss; the search
 /// [`insert`](Self::insert)s a subset's score right after the miss that
 /// counted it.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct ScoreCache {
-    map: HashMap<u64, CachedScore, BuildHasherDefault<MaskHasher>>,
+    /// Power-of-two slot array (empty until the first insert).
+    slots: Vec<Slot>,
+    /// `64 − log₂(slots.len())`: the hash bits that pick a home slot.
+    shift: u32,
+    /// Entries stamped with the current generation.
+    len: usize,
+    /// The live generation; never 0, the stamp of a never-used slot.
+    generation: u32,
     stats: ScoreCacheStats,
 }
 
-/// Hashes a subset bitmask key with one multiply: the keys are small,
-/// trusted integers, so the default DoS-resistant hasher only costs time
-/// on every probe.
-#[derive(Clone, Copy, Debug, Default)]
-struct MaskHasher(u64);
+/// One memo slot: live while `generation` is the cache's.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    key: u64,
+    generation: u32,
+    value: CachedScore,
+}
 
-impl Hasher for MaskHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
+impl Slot {
+    const FREE: Slot = Slot {
+        key: 0,
+        generation: 0,
+        value: CachedScore { score: 0.0, phi: 0 },
+    };
+}
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
+/// Slots of the first allocation: room for 32 entries, about the
+/// number of tables one node's search counts at paper scale.
+const MIN_SLOTS: usize = 64;
+
+impl Default for ScoreCache {
+    fn default() -> Self {
+        ScoreCache {
+            slots: Vec::new(),
+            shift: 64,
+            len: 0,
+            generation: 1,
+            stats: ScoreCacheStats::default(),
         }
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        // Fibonacci hashing: the multiply carries every key bit into the
-        // high bits, and the rotate brings them down to the bucket bits.
-        self.0 = (self.0 ^ key)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(26);
     }
 }
 
@@ -281,17 +301,42 @@ impl ScoreCache {
         ScoreCache::default()
     }
 
-    /// Clears cached entries and counters for a new child node, retaining
-    /// the map's capacity.
+    /// Starts a new child node: every entry becomes stale and the
+    /// counters restart, in O(1) — except once every `2^32 − 1` resets,
+    /// when the generation wraps and the stamps are cleared.
     pub fn reset(&mut self) {
-        self.map.clear();
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.slots.fill(Slot::FREE);
+            self.generation = 1;
+        }
+        self.len = 0;
         self.stats = ScoreCacheStats::default();
+    }
+
+    /// The slot holding `key`, or the free slot where it would go.
+    #[inline]
+    fn probe(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            let slot = &self.slots[at];
+            if slot.generation != self.generation || slot.key == key {
+                return at;
+            }
+            at = (at + 1) & mask;
+        }
     }
 
     /// The memoized evaluation of a subset, counting a hit if there is
     /// one and a miss otherwise.
     pub fn get(&mut self, key: u64) -> Option<CachedScore> {
-        let value = self.map.get(&key).copied();
+        let value = if self.len == 0 {
+            None
+        } else {
+            let slot = &self.slots[self.probe(key)];
+            (slot.generation == self.generation).then_some(slot.value)
+        };
         match value {
             Some(_) => self.stats.hits += 1,
             None => self.stats.misses += 1,
@@ -299,9 +344,35 @@ impl ScoreCache {
         value
     }
 
-    /// Memoizes a subset's evaluation.
+    /// Memoizes a subset's evaluation, replacing any earlier one.
     pub fn insert(&mut self, key: u64, value: CachedScore) {
-        self.map.insert(key, value);
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let at = self.probe(key);
+        let slot = &mut self.slots[at];
+        if slot.generation != self.generation {
+            self.len += 1;
+        }
+        *slot = Slot {
+            key,
+            generation: self.generation,
+            value,
+        };
+    }
+
+    /// Doubles the slot array (or allocates the first one) and
+    /// re-inserts the live entries.
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![Slot::FREE; size]);
+        self.shift = 64 - size.trailing_zeros();
+        for slot in old {
+            if slot.generation == self.generation {
+                let at = self.probe(slot.key);
+                self.slots[at] = slot;
+            }
+        }
     }
 
     /// Hit/miss counters since the last [`reset`](Self::reset).
@@ -432,6 +503,101 @@ mod tests {
         cache.reset();
         assert_eq!(cache.stats(), ScoreCacheStats::default());
         assert_eq!(cache.get(7), None);
+    }
+
+    fn value(i: u64) -> CachedScore {
+        CachedScore {
+            score: -(i as f64) - 0.25,
+            phi: i as usize,
+        }
+    }
+
+    /// The home slot `key` probes from in a cache of `slots` slots.
+    fn home(key: u64, slots: usize) -> u64 {
+        key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - slots.trailing_zeros())
+    }
+
+    #[test]
+    fn colliding_keys_probe_past_each_other() {
+        // Three keys sharing one home slot, and a fourth whose home is
+        // the slot after it: each probe has to walk past the others.
+        let first = 1u64;
+        let slot = home(first, MIN_SLOTS);
+        let mut same: Vec<u64> = (2u64..)
+            .filter(|&k| home(k, MIN_SLOTS) == slot)
+            .take(2)
+            .collect();
+        same.insert(0, first);
+        let next = (2u64..)
+            .find(|&k| home(k, MIN_SLOTS) == (slot + 1) % MIN_SLOTS as u64)
+            .expect("some key homes in the next slot");
+        let mut cache = ScoreCache::new();
+        for (i, &key) in same.iter().chain([&next]).enumerate() {
+            cache.insert(key, value(i as u64));
+        }
+        assert_eq!(cache.slots.len(), MIN_SLOTS, "no growth for 4 entries");
+        for (i, &key) in same.iter().chain([&next]).enumerate() {
+            assert_eq!(cache.get(key), Some(value(i as u64)), "key {key}");
+        }
+        // A key homing in the same slot but never inserted misses after
+        // walking the whole run.
+        let absent = (same[2] + 1..)
+            .find(|&k| home(k, MIN_SLOTS) == slot)
+            .expect("another colliding key");
+        assert_eq!(cache.get(absent), None);
+        // Re-inserting a key replaces its value without a second entry.
+        cache.insert(same[1], value(9));
+        assert_eq!(cache.get(same[1]), Some(value(9)));
+        assert_eq!(cache.len, 4);
+        assert_eq!(cache.stats(), ScoreCacheStats { hits: 5, misses: 1 });
+    }
+
+    #[test]
+    fn growth_keeps_every_entry() {
+        let mut cache = ScoreCache::new();
+        // Spread-out keys and dense low ones, past several doublings.
+        let keys: Vec<u64> = (0..700u64)
+            .map(|i| {
+                if i % 2 == 0 {
+                    i
+                } else {
+                    i.wrapping_mul(0xD6E8_FEB8_6659_FD93)
+                }
+            })
+            .collect();
+        for (i, &key) in keys.iter().enumerate() {
+            cache.insert(key, value(i as u64));
+            assert!(2 * cache.len <= cache.slots.len(), "at most half full");
+        }
+        assert!(cache.slots.len() > MIN_SLOTS);
+        assert_eq!(cache.len, keys.len());
+        for (i, &key) in keys.iter().enumerate() {
+            assert_eq!(cache.get(key), Some(value(i as u64)), "key {key}");
+        }
+        // After a reset the grown array is kept and every entry is stale.
+        let slots = cache.slots.len();
+        cache.reset();
+        assert_eq!(cache.slots.len(), slots);
+        assert!(keys.iter().all(|&key| cache.get(key).is_none()));
+    }
+
+    #[test]
+    fn generation_wrap_leaves_no_stale_hit() {
+        let mut cache = ScoreCache::new();
+        // An entry stamped with generation 1, then a cache that has been
+        // reset `u32::MAX − 1` times since: the next reset wraps the
+        // stamp back to 1, the old entry's generation.
+        cache.insert(5, value(5));
+        cache.generation = u32::MAX;
+        cache.insert(6, value(6));
+        assert_eq!(cache.get(6), Some(value(6)));
+        cache.reset();
+        assert_eq!(cache.generation, 1);
+        assert_eq!(cache.get(5), None, "entry from the first generation");
+        assert_eq!(cache.get(6), None, "entry from the last generation");
+        cache.insert(7, value(7));
+        assert_eq!(cache.get(7), Some(value(7)));
+        assert_eq!(cache.stats(), ScoreCacheStats { hits: 1, misses: 2 });
     }
 
     #[test]

@@ -30,6 +30,7 @@ use crate::imi::CorrelationMatrix;
 use crate::score::{self, CachedScore, ScoreCache, ScoreCacheStats};
 use diffnet_graph::NodeId;
 use diffnet_simulate::{ComboSizeError, CountsWorkspace, NodeColumns};
+use std::cell::Cell;
 use std::fmt;
 
 /// How the greedy expansion of a node's parent set accepts combinations.
@@ -52,31 +53,93 @@ pub enum GreedyStrategy {
     Exhaustive,
 }
 
-/// The parent search hit a configuration its counting kernels cannot
-/// tabulate: some evaluated parent set (or, for
-/// [`GreedyStrategy::Exhaustive`], the candidate set itself) exceeds
-/// [`diffnet_simulate::MAX_TABULATED_PARENTS`].
-///
-/// Unreachable under [`SearchParams::default`]; hostile or degenerate
-/// configurations (a huge `max_combo_size` over a huge candidate list)
-/// surface here as a typed error instead of a process abort.
+/// Why a node's parent search could not run: an input the search API
+/// refuses (a repeated candidate, a node id past the matrix), or a
+/// configuration its counting kernels cannot tabulate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SearchError {
+pub enum SearchError {
+    /// Some evaluated parent set (or, for [`GreedyStrategy::Exhaustive`],
+    /// the candidate set itself) exceeds
+    /// [`diffnet_simulate::MAX_TABULATED_PARENTS`]. Unreachable under
+    /// [`SearchParams::default`]; hostile or degenerate configurations (a
+    /// huge `max_combo_size` over a huge candidate list) surface here
+    /// instead of as a process abort.
+    ComboSize {
+        /// The child node whose search failed.
+        child: NodeId,
+        /// The underlying kernel error.
+        source: ComboSizeError,
+    },
+    /// The candidate list names `candidate` more than once.
+    DuplicateCandidate {
+        /// The child node whose search was refused.
+        child: NodeId,
+        /// The repeated candidate.
+        candidate: NodeId,
+    },
+    /// The child or a candidate is not a node of the status matrix.
+    NodeOutOfRange {
+        /// The child node whose search was refused.
+        child: NodeId,
+        /// The offending node id (the child itself or a candidate).
+        node: NodeId,
+        /// The matrix's node count.
+        nodes: usize,
+    },
+}
+
+impl SearchError {
     /// The child node whose search failed.
-    pub child: NodeId,
-    /// The underlying kernel error.
-    pub source: ComboSizeError,
+    pub fn child(&self) -> NodeId {
+        match *self {
+            SearchError::ComboSize { child, .. }
+            | SearchError::DuplicateCandidate { child, .. }
+            | SearchError::NodeOutOfRange { child, .. } => child,
+        }
+    }
 }
 
 impl fmt::Display for SearchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parent search for node {}: {}", self.child, self.source)
+        write!(f, "parent search for node {}: ", self.child())?;
+        match self {
+            SearchError::ComboSize { source, .. } => source.fmt(f),
+            SearchError::DuplicateCandidate { candidate, .. } => {
+                write!(f, "candidate {candidate} is listed more than once")
+            }
+            SearchError::NodeOutOfRange { node, nodes, .. } => {
+                write!(f, "node {node} out of range for n = {nodes}")
+            }
+        }
     }
 }
 
 impl std::error::Error for SearchError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
+        match self {
+            SearchError::ComboSize { source, .. } => Some(source),
+            _ => None,
+        }
+    }
+}
+
+/// Refuses a child or candidate id past the matrix and a repeated
+/// candidate, which would otherwise index past a column slice or break
+/// the workspace's sorted-list contract. `sorted` is the candidate list
+/// in ascending order.
+fn check_inputs(cols: &NodeColumns, child: NodeId, sorted: &[NodeId]) -> Result<(), SearchError> {
+    let nodes = cols.num_nodes();
+    let last = sorted.last().map_or(child, |&c| c.max(child));
+    if last as usize >= nodes {
+        let node = if child as usize >= nodes { child } else { last };
+        return Err(SearchError::NodeOutOfRange { child, node, nodes });
+    }
+    match sorted.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(SearchError::DuplicateCandidate {
+            child,
+            candidate: w[0],
+        }),
+        None => Ok(()),
     }
 }
 
@@ -231,24 +294,47 @@ struct Ctx {
     delta: f64,
     /// The empty subset's mask.
     empty: Vec<u64>,
+    /// [`score::parent_bound`]`(φ, delta)` for small `φ`, NaN until
+    /// first needed: most tables have few empty cells, and the bound
+    /// check runs on every evaluation, hit or miss.
+    bounds: [Cell<f64>; 64],
 }
 
 impl Ctx {
-    fn new(candidates: &[NodeId], delta: f64) -> Self {
+    /// The context of `child`'s search over `candidates`, with the
+    /// child's own `δ_i`, after [`check_inputs`].
+    fn new(cols: &NodeColumns, child: NodeId, candidates: &[NodeId]) -> Result<Self, SearchError> {
         let mut sorted = candidates.to_vec();
         sorted.sort_unstable();
+        check_inputs(cols, child, &sorted)?;
+        let delta = child_delta(cols, child);
         let bit = candidates
             .iter()
             .map(|c| sorted.binary_search(c).expect("sorted copy"))
             .collect();
         let words = candidates.len().div_ceil(64).max(1);
-        Ctx {
+        Ok(Ctx {
             sorted,
             bit,
             words,
             delta,
             empty: vec![0; words],
+            bounds: std::array::from_fn(|_| Cell::new(f64::NAN)),
+        })
+    }
+
+    /// [`score::within_bound`]`(size, phi, delta)`, the log taken once
+    /// per node for each small `φ`.
+    fn within_bound(&self, size: usize, phi: usize) -> bool {
+        let Some(memo) = self.bounds.get(phi) else {
+            return score::within_bound(size, phi, self.delta);
+        };
+        let mut bound = memo.get();
+        if bound.is_nan() {
+            bound = score::parent_bound(phi, self.delta);
+            memo.set(bound);
         }
+        size as f64 <= bound
     }
 
     /// The cache key of `subset`, if caching is on (at most 64
@@ -269,6 +355,13 @@ impl Ctx {
         }
         nodes
     }
+}
+
+/// Theorem 2's slack `δ_i` for `child` (in range).
+fn child_delta(cols: &NodeColumns, child: NodeId) -> f64 {
+    let beta = cols.num_processes() as u64;
+    let n2 = cols.ones(child);
+    score::delta(beta, beta - n2, n2)
 }
 
 /// Size of `mask & !exclude`.
@@ -313,9 +406,11 @@ struct Scored {
 ///
 /// # Errors
 ///
-/// Returns [`ComboSizeError`] if `max_combo_size` admits a combination too
-/// large to tabulate (more than
-/// [`diffnet_simulate::MAX_TABULATED_PARENTS`] nodes).
+/// Returns [`SearchError::ComboSize`] if `max_combo_size` admits a
+/// combination too large to tabulate (more than
+/// [`diffnet_simulate::MAX_TABULATED_PARENTS`] nodes), and refuses a
+/// repeated candidate or a node id past `cols` the way
+/// [`find_parents`] does.
 pub fn enumerate_combos(
     cols: &NodeColumns,
     child: NodeId,
@@ -323,11 +418,15 @@ pub fn enumerate_combos(
     max_combo_size: usize,
     delta: f64,
     stats: &mut SearchStats,
-) -> Result<Vec<Combo>, ComboSizeError> {
+) -> Result<Vec<Combo>, SearchError> {
     let mut scratch = SearchScratch::new();
-    let ctx = Ctx::new(candidates, delta);
+    let ctx = Ctx {
+        delta,
+        ..Ctx::new(cols, child, candidates)?
+    };
     scratch.ws.set_candidates(cols, child, &ctx.sorted);
-    let combos = enumerate(&mut scratch, &ctx, max_combo_size, stats)?;
+    let combos = enumerate(&mut scratch, &ctx, max_combo_size, stats)
+        .map_err(|source| SearchError::ComboSize { child, source })?;
     Ok(combos
         .iter()
         .map(|c| Combo {
@@ -379,7 +478,7 @@ fn enumerate_rec(
         mask[b / 64] |= 1 << (b % 64);
         let eval = eval(&mut scratch.ws, &mut scratch.cache, ctx, mask)?;
         stats.evaluations += 1;
-        if score::within_bound(size, eval.phi, ctx.delta) {
+        if ctx.within_bound(size, eval.phi) {
             out.push(Scored {
                 at: scratch.masks.len(),
                 score: eval.score,
@@ -428,10 +527,14 @@ fn union(f: &[NodeId], w: &[NodeId]) -> Vec<NodeId> {
 ///
 /// # Errors
 ///
-/// Returns [`SearchError`] when the configuration asks the counting
-/// kernels to tabulate a parent set beyond
+/// Returns [`SearchError::ComboSize`] when the configuration asks the
+/// counting kernels to tabulate a parent set beyond
 /// [`diffnet_simulate::MAX_TABULATED_PARENTS`] — unreachable with
-/// [`SearchParams::default`], reachable with hostile parameters.
+/// [`SearchParams::default`], reachable with hostile parameters — and
+/// [`SearchError::DuplicateCandidate`] or
+/// [`SearchError::NodeOutOfRange`], before anything is counted, for a
+/// candidate listed twice or a child or candidate id not below
+/// `cols.num_nodes()`.
 pub fn find_parents(
     cols: &NodeColumns,
     child: NodeId,
@@ -457,10 +560,8 @@ pub fn find_parents_with(
     candidates: &[NodeId],
     params: &SearchParams,
 ) -> Result<NodeSearchResult, SearchError> {
-    let wrap = |source: ComboSizeError| SearchError { child, source };
-    let beta = cols.num_processes() as u64;
-    let n2 = cols.ones(child);
-    let ctx = Ctx::new(candidates, score::delta(beta, beta - n2, n2));
+    let wrap = |source: ComboSizeError| SearchError::ComboSize { child, source };
+    let ctx = Ctx::new(cols, child, candidates)?;
 
     let mut stats = SearchStats::default();
     scratch.cache.reset();
@@ -508,10 +609,11 @@ pub fn find_parents_reference(
     candidates: &[NodeId],
     params: &SearchParams,
 ) -> Result<NodeSearchResult, SearchError> {
-    let wrap = |source: ComboSizeError| SearchError { child, source };
-    let beta = cols.num_processes() as u64;
-    let n2 = cols.ones(child);
-    let delta = score::delta(beta, beta - n2, n2);
+    let wrap = |source: ComboSizeError| SearchError::ComboSize { child, source };
+    let mut sorted = candidates.to_vec();
+    sorted.sort_unstable();
+    check_inputs(cols, child, &sorted)?;
+    let delta = child_delta(cols, child);
 
     let mut stats = SearchStats::default();
     let empty_counts = cols.combo_counts(child, &[]).map_err(wrap)?;
@@ -646,7 +748,7 @@ fn greedy_best_improvement(
             }
             let eval = eval(ws, cache, ctx, &union)?;
             stats.evaluations += 1;
-            if !score::within_bound(f_len + ext, eval.phi, ctx.delta) {
+            if !ctx.within_bound(f_len + ext, eval.phi) {
                 stats.bound_rejections += 1;
                 continue;
             }
@@ -750,7 +852,7 @@ fn greedy_score_ordered(
         }
         let eval = eval(ws, cache, ctx, &union)?;
         stats.evaluations += 1;
-        if score::within_bound(f_len + ext, eval.phi, ctx.delta) {
+        if ctx.within_bound(f_len + ext, eval.phi) {
             stats.greedy_rounds += 1;
             mask_f.copy_from_slice(&union);
             f_len += ext;
@@ -826,7 +928,7 @@ fn exhaustive_search(
             .fold(0u64, |m, (_, &b)| m | 1 << b);
         let eval = eval(ws, cache, ctx, &[mask])?;
         stats.evaluations += 1;
-        if !score::within_bound(size, eval.phi, ctx.delta) {
+        if !ctx.within_bound(size, eval.phi) {
             stats.bound_rejections += 1;
             continue;
         }
@@ -1288,8 +1390,13 @@ mod tests {
             },
         )
         .unwrap_err();
-        assert_eq!(err.child, 39);
-        assert_eq!(err.source.parents, 26);
+        assert_eq!(
+            err,
+            SearchError::ComboSize {
+                child: 39,
+                source: ComboSizeError { parents: 26 }
+            }
+        );
         assert!(err.to_string().contains("node 39"));
         // Reference path agrees.
         let ref_err = find_parents_reference(
@@ -1315,7 +1422,13 @@ mod tests {
             },
         )
         .unwrap_err();
-        assert_eq!(ex_err.source.parents, 30);
+        assert_eq!(
+            ex_err,
+            SearchError::ComboSize {
+                child: 39,
+                source: ComboSizeError { parents: 30 }
+            }
+        );
     }
 
     #[test]
@@ -1345,6 +1458,80 @@ mod tests {
     }
 
     #[test]
+    fn repeated_candidates_are_a_typed_error() {
+        let m = or_gate_matrix();
+        let cols = m.columns();
+        let want = SearchError::DuplicateCandidate {
+            child: 2,
+            candidate: 1,
+        };
+        let params = SearchParams::default();
+        assert_eq!(
+            find_parents(&cols, 2, &[1, 0, 1], &params).unwrap_err(),
+            want
+        );
+        let mut scratch = SearchScratch::new();
+        let err = find_parents_with(&mut scratch, &cols, 2, &[3, 1, 0, 1], &params).unwrap_err();
+        assert_eq!(err, want);
+        assert_eq!(
+            find_parents_reference(&cols, 2, &[1, 1], &params).unwrap_err(),
+            want
+        );
+        let mut stats = SearchStats::default();
+        let err = enumerate_combos(&cols, 2, &[0, 1, 1], 2, 1.0, &mut stats).unwrap_err();
+        assert_eq!(err, want);
+        assert_eq!(stats, SearchStats::default(), "nothing was scored");
+        assert!(err
+            .to_string()
+            .contains("candidate 1 is listed more than once"));
+        // The scratch state still serves a valid search afterwards.
+        let res = find_parents_with(&mut scratch, &cols, 2, &[0, 1, 3], &params).expect("fits");
+        assert_eq!(res.parents, vec![0, 1]);
+    }
+
+    #[test]
+    fn node_ids_past_the_matrix_are_a_typed_error() {
+        let m = or_gate_matrix();
+        let cols = m.columns();
+        let params = SearchParams::default();
+        let err = find_parents(&cols, 2, &[0, 4], &params).unwrap_err();
+        assert_eq!(
+            err,
+            SearchError::NodeOutOfRange {
+                child: 2,
+                node: 4,
+                nodes: 4
+            }
+        );
+        assert!(err.to_string().contains("node 4 out of range for n = 4"));
+        // An out-of-range child is named even when a candidate is too.
+        let err = find_parents(&cols, 9, &[0, 7], &params).unwrap_err();
+        assert_eq!(
+            err,
+            SearchError::NodeOutOfRange {
+                child: 9,
+                node: 9,
+                nodes: 4
+            }
+        );
+        assert_eq!(err.child(), 9);
+        let mut scratch = SearchScratch::new();
+        assert!(matches!(
+            find_parents_with(&mut scratch, &cols, 0, &[u32::MAX], &params),
+            Err(SearchError::NodeOutOfRange { node: u32::MAX, .. })
+        ));
+        assert!(matches!(
+            find_parents_reference(&cols, 0, &[5], &params),
+            Err(SearchError::NodeOutOfRange { node: 5, .. })
+        ));
+        let mut stats = SearchStats::default();
+        assert!(matches!(
+            enumerate_combos(&cols, 4, &[], 2, 1.0, &mut stats),
+            Err(SearchError::NodeOutOfRange { node: 4, .. })
+        ));
+    }
+
+    #[test]
     fn union_helper() {
         assert_eq!(union(&[1, 3], &[2, 3]), vec![1, 2, 3]);
         assert_eq!(union(&[], &[5]), vec![5]);
@@ -1355,7 +1542,8 @@ mod tests {
     fn candidate_masks_select_candidate_positions() {
         // Mask bits follow ascending node id, whatever the candidates'
         // (correlation) order.
-        let ctx = Ctx::new(&[7, 3, 9, 1], 0.0);
+        let cols = StatusMatrix::new(4, 230).columns();
+        let ctx = Ctx::new(&cols, 0, &[7, 3, 9, 1]).expect("valid candidates");
         assert_eq!(ctx.words, 1);
         assert_eq!(ctx.bit, vec![2, 1, 3, 0]);
         assert_eq!(ctx.nodes(&ctx.empty), Vec::<NodeId>::new());
@@ -1367,7 +1555,7 @@ mod tests {
         assert_eq!(count_outside(&[0b1110], &[0b0011]), 2);
         // Past 64 candidates a subset spans several words, uncached.
         let many: Vec<NodeId> = (100..230).rev().collect();
-        let ctx = Ctx::new(&many, 0.0);
+        let ctx = Ctx::new(&cols, 0, &many).expect("valid candidates");
         assert_eq!(ctx.words, 3);
         assert_eq!(ctx.key(&[1, 0, 0]), None);
         let mask = [1u64, 1 << 63, 0b10];

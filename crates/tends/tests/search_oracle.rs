@@ -4,7 +4,8 @@
 //! IC-simulated with the paper's α = 0.15 and μ = 0.3 at β = 150 and at
 //! β = 1100 (18-word columns), for every strategy and `max_combo_size`
 //! 1–3, over every node's IMI candidates — and over 70-candidate lists,
-//! where masks span two words and the score cache is off.
+//! where masks span two words and the score cache is off. The score
+//! cache's hit and miss totals are pinned per strategy and size.
 
 use diffnet_graph::generators::{Lfr, Orientation};
 use diffnet_simulate::{EdgeProbs, IcConfig, IndependentCascade, NodeColumns};
@@ -49,12 +50,14 @@ fn workspace_search_matches_reference_at_paper_shape() {
             "β = {beta}: the input must give some nodes a full candidate list"
         );
         let mut scratch = SearchScratch::new();
+        let mut cache_totals = Vec::new();
         for strategy in [
             GreedyStrategy::BestImprovement,
             GreedyStrategy::ScoreOrdered,
             GreedyStrategy::Exhaustive,
         ] {
             for max_combo_size in 1..=3 {
+                let mut totals = ScoreCacheStats::default();
                 let params = SearchParams {
                     strategy,
                     max_combo_size,
@@ -89,13 +92,46 @@ fn workspace_search_matches_reference_at_paper_shape() {
                         "{what}: every evaluation is one hit or one miss"
                     );
                     expanded += usize::from(new.parents.len() >= 2);
+                    totals.merge(&new.cache_stats);
                 }
+                cache_totals.push((totals.hits, totals.misses));
                 assert!(
                     expanded > 20,
                     "β {beta} {strategy:?} size {max_combo_size}: too few multi-parent results"
                 );
             }
         }
+        // Score-cache (hits, misses) summed over every node, per strategy
+        // and combo size 1–3: a memo that forgot, dropped or mixed up
+        // entries would move them even where the results still agree.
+        let pinned: &[(u64, u64)] = match beta {
+            150 => &[
+                (725, 2246),
+                (3759, 3519),
+                (7604, 4997),
+                (198, 1452),
+                (200, 2661),
+                (226, 4424),
+                (725, 7860),
+                (2118, 7860),
+                (3999, 7860),
+            ],
+            _ => &[
+                (711, 2166),
+                (3555, 3312),
+                (7232, 4643),
+                (198, 1424),
+                (198, 2541),
+                (201, 4130),
+                (711, 7302),
+                (2016, 7302),
+                (3725, 7302),
+            ],
+        };
+        assert_eq!(
+            cache_totals, pinned,
+            "β {beta}: score-cache hits and misses"
+        );
     }
 }
 
