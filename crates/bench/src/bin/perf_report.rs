@@ -53,7 +53,10 @@
 //!   largest thread count whose estimate fits the budget, against the
 //!   same fold evaluating every pair's measure (`fold_reference_s`), with
 //!   a check that both give the same candidates and counts
-//!   (`results_equal`).
+//!   (`results_equal`); and nested in that row (`paper_scale`), the fold
+//!   at the `scale-stream` shape (LFR n=5000, β=150, 1 thread): the `n11`
+//!   kernel alone, the verdict pass with τ = +∞, and the full fold, with
+//!   the same check against per-pair evaluation.
 //!
 //! Multi-thread speedups are only meaningful on multi-core hardware; on a
 //! single-CPU machine the thread-scaling rows are marked
@@ -72,10 +75,10 @@ use diffnet_tends::imi::MiCells;
 use diffnet_tends::search::{
     find_parents_reference, find_parents_with, NodeSearchResult, SearchParams,
 };
-use diffnet_tends::stream::Verdicts;
+use diffnet_tends::stream::{fold_candidates_with, sample_tau, VerdictTable, Verdicts};
 use diffnet_tends::{
     CorrelationMatrix, CorrelationMeasure, PairEvaluator, PairStats, PinnedKmeans, RobustOptions,
-    ScoreCacheStats, SearchScratch, Tends, TendsConfig,
+    ScoreCacheStats, SearchScratch, Shard, Tends, TendsConfig,
 };
 
 /// Wall-clock seconds of repeated runs: the median and the extremes.
@@ -329,6 +332,57 @@ fn forced_sweep(cols: &NodeColumns, k: &Kernels) -> u64 {
         }
     }
     acc
+}
+
+/// Times the streamed fold at the `scale-stream` shape, single-threaded,
+/// at the τ a 64 MiB budget samples: the `n11` kernel alone over the
+/// triangle's tiles ([`forced_sweep`] at the resolved tier), the fold with
+/// τ = +∞ (its verdict pass, which no pair survives), and the full fold.
+/// Checks the full fold against per-pair evaluation (`results_equal`).
+fn paper_fold_row(cols: &NodeColumns, reps: usize) -> Json {
+    let n = cols.num_nodes();
+    let beta = cols.num_processes();
+    eprintln!("perf_report: streamed fold at paper scale (n={n}, beta={beta}, 1 thread)");
+    let budget: u64 = 64 << 20;
+    let measure = CorrelationMeasure::Imi;
+    let tau = sample_tau(cols, measure, Some(budget), 1).kmeans.tau;
+    let max_candidates = SearchParams::default().max_candidates;
+    let fold = |tau, verdicts| {
+        fold_candidates_with(
+            cols,
+            measure,
+            tau,
+            max_candidates,
+            Shard::full(n),
+            1,
+            verdicts,
+        )
+    };
+    let kernel_s = timing(reps, || {
+        forced_sweep(cols, diffnet_simulate::simd::kernels())
+    });
+    let verdict_pass_s = timing(reps, || fold(f64::INFINITY, Verdicts::Auto));
+    let fold_s = timing(reps, || fold(tau, Verdicts::Auto));
+    let auto = fold(tau, Verdicts::Auto);
+    let reference = fold(tau, Verdicts::PerPair);
+    let table = VerdictTable::pays_off(&cols.ones_counts(), beta as u64, auto.scanned_pairs);
+    let mut row = Json::object();
+    row.push("n", n as u64);
+    row.push("beta", beta as u64);
+    row.push("threads", 1u64);
+    row.push("memory_budget_bytes", budget);
+    row.push("tau", tau);
+    row.push("verdicts", if table { "table" } else { "per_pair" });
+    row.push("reps", reps as u64);
+    kernel_s.push(&mut row, "kernel_s");
+    verdict_pass_s.push(&mut row, "verdict_pass_s");
+    fold_s.push(&mut row, "fold_s");
+    row.push("scanned_pairs", auto.scanned_pairs);
+    row.push("values_evaluated", auto.values_evaluated);
+    row.push("pairs_above_tau", auto.candidates.pairs_above_tau);
+    row.push("candidate_evictions", auto.candidates.candidate_evictions);
+    row.push("results_equal", auto.candidates == reference.candidates);
+    row
 }
 
 /// Times the pair evaluator against the per-pair definition on the whole
@@ -585,6 +639,8 @@ fn main() {
         ),
     ];
     drop(large_corr);
+    // The streamed fold at the same n = 5000 shape.
+    let paper_fold = paper_fold_row(&sample_cols, reps);
 
     // Full reconstruction at the small size, 1 vs min(8, hardware)
     // threads.
@@ -868,7 +924,7 @@ fn main() {
     let stream_profiler =
         diffnet_observe::ResourceProfiler::start(diffnet_observe::DEFAULT_SAMPLE_INTERVAL);
     let (tau_sample, tau_sample_s) = timed(|| {
-        diffnet_tends::stream::sample_tau(
+        sample_tau(
             &stream_cols,
             CorrelationMeasure::Imi,
             Some(stream_budget),
@@ -877,12 +933,12 @@ fn main() {
     });
     let stream_fold = |verdicts| {
         timed(|| {
-            diffnet_tends::stream::fold_candidates_with(
+            fold_candidates_with(
                 &stream_cols,
                 CorrelationMeasure::Imi,
                 tau_sample.kmeans.tau,
                 max_candidates,
-                diffnet_tends::Shard::full(stream_cols.num_nodes()),
+                Shard::full(stream_cols.num_nodes()),
                 stream_threads,
                 verdicts,
             )
@@ -1037,6 +1093,7 @@ fn main() {
         "under_budget",
         stream_profile.peak_rss_bytes < stream_budget,
     );
+    streaming.push("paper_scale", paper_fold);
     json.push("streaming_imi", streaming);
 
     json.push("tends_run_report", run_report.to_json());

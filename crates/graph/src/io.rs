@@ -91,7 +91,8 @@ impl From<io::Error> for EdgeListError {
 /// must lie in `0..N`; without one the node count is `1 + max id` seen.
 pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<DiGraph, EdgeListError> {
     let mut buf = BufReader::new(reader);
-    let mut edges: Vec<(u64, u64)> = Vec::new();
+    // Each edge with the 1-based file line it came from, for errors.
+    let mut edges: Vec<(u64, u64, usize)> = Vec::new();
     let mut max_id: u64 = 0;
     let mut declared_edges: Option<usize> = None;
     let mut declared_nodes: Option<usize> = None;
@@ -124,7 +125,7 @@ pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<DiGraph, E
         match (parse(parts.next()), parse(parts.next())) {
             (Some(u), Some(v)) => {
                 max_id = max_id.max(u).max(v);
-                edges.push((u, v));
+                edges.push((u, v, lineno));
             }
             _ => {
                 return Err(EdgeListError::Parse {
@@ -157,11 +158,11 @@ pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<DiGraph, E
     };
 
     let mut b = GraphBuilder::new(node_count);
-    for (idx, &(u, v)) in edges.iter().enumerate() {
+    for &(u, v, line) in &edges {
         for node in [u, v] {
             if node as usize >= node_count {
                 return Err(EdgeListError::OutOfRange {
-                    line: idx + 1,
+                    line,
                     node,
                     n: node_count,
                 });
@@ -350,6 +351,23 @@ mod tests {
         match read_edge_list(text.as_bytes(), None) {
             Err(EdgeListError::Parse { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn out_of_range_reports_the_file_line() {
+        // Header, comment and blank lines sit between the edges, so the
+        // bad edge's ordinal (3) is not its line (6).
+        let text = "# nodes: 3\n0 1\n# a comment\n\n1 2\n2 3\n";
+        match read_edge_list(text.as_bytes(), None) {
+            Err(EdgeListError::OutOfRange { line, node, n }) => {
+                assert_eq!((line, node, n), (6, 3, 3));
+            }
+            other => panic!("expected out-of-range error, got {other:?}"),
+        }
+        match read_edge_list("# nodes: 3\n0 1\n1 3\n".as_bytes(), None) {
+            Err(EdgeListError::OutOfRange { line, .. }) => assert_eq!(line, 3),
+            other => panic!("expected out-of-range error, got {other:?}"),
         }
     }
 

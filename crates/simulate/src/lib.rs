@@ -56,5 +56,5 @@ pub use probs::{sample_normal, EdgeProbs, ProbShapeError};
 pub use simd::{parse_simd, simd_from_env, Kernels, SimdMode};
 pub use status::{
     ComboSizeError, CountsWorkspace, NodeColumns, PairCounts, StatusMatrix, TableRoute,
-    WorkspaceStats, LATTICE_MAX_CANDIDATES, MAX_TABULATED_PARENTS,
+    WorkspaceStats, LATTICE_MAX_CANDIDATES, MAX_TABULATED_PARENTS, N11_SEGMENT,
 };

@@ -193,8 +193,9 @@ impl StatusMatrix {
 }
 
 /// Most pairs one [`NodeColumns::pair_n11_block`] segment covers: the
-/// length of its on-stack count buffer (2 KiB).
-const N11_SEGMENT: usize = 256;
+/// length of its on-stack count buffer (2 KiB), so a consumer can size
+/// per-segment buffers of its own to it.
+pub const N11_SEGMENT: usize = 256;
 
 /// Joint status counts for a node pair across all processes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

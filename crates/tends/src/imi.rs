@@ -632,9 +632,10 @@ impl CorrelationMatrix {
 
 /// Bit `b` set iff `values[b] > tau`, for up to 64 values. Branch-free —
 /// most values lie below τ, where a branch would mispredict — in groups
-/// of 8 the compiler vectorizes.
+/// of 8 the compiler vectorizes. The streamed fold's per-pair path takes
+/// its verdicts here too.
 #[inline]
-fn above_mask(values: &[f64], tau: f64) -> u64 {
+pub(crate) fn above_mask(values: &[f64], tau: f64) -> u64 {
     debug_assert!(values.len() <= 64);
     let mut mask = 0u64;
     let mut groups = values.chunks_exact(8);

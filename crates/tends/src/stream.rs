@@ -52,18 +52,21 @@
 //! occurs, a bitmask over each feasible `n11` of whether the value is
 //! `> τ`, each bit computed by the same [`PairEvaluator`] the per-pair path
 //! uses, on the same counts — so every verdict is
-//! exact. A pair then costs one row-batched popcount and one bit test, and
-//! only pairs that pass evaluate the measure (ranking needs the value).
-//! The table is built when it is small against the pairs the shard scans
-//! ([`Verdicts::Auto`]), a pure function of `n`, `β`, the ones counts and
-//! the shard — never of threads or SIMD tier — and otherwise every pair is
-//! evaluated directly; both give the same candidates bit for bit.
+//! exact. A pair then costs one row-batched popcount and one bit of a
+//! 64-pair mask, set from its table lookup with no data-dependent branch;
+//! only the set bits are walked, and only those pairs evaluate the
+//! measure (ranking needs the value). The table is built when it is small
+//! against the pairs the shard scans ([`Verdicts::Auto`]), a pure function
+//! of `n`, `β`, the ones counts and the shard — never of threads or SIMD
+//! tier — and otherwise every pair is evaluated directly, a row segment
+//! at a time, and masked against τ the same way; both give the same
+//! candidates bit for bit.
 
-use crate::imi::{tile_schedule, CorrelationMeasure, PairEvaluator, Tile};
+use crate::imi::{above_mask, tile_schedule, CorrelationMeasure, PairEvaluator, Tile};
 use crate::kmeans::{order_key, pinned_two_means, PinnedKmeans};
 use crate::parallel;
 use diffnet_graph::NodeId;
-use diffnet_simulate::NodeColumns;
+use diffnet_simulate::{NodeColumns, N11_SEGMENT};
 use std::ops::Range;
 
 /// A contiguous node range `start..end` owned by one worker or job of a
@@ -168,16 +171,21 @@ fn rank_key(value: f64, partner: NodeId) -> u128 {
 ///
 /// Holds, per shard node, its top `max_candidates` partners so far in
 /// the candidate order — value descending in the IEEE total order, node
-/// id ascending on ties — as ascending integer keys, so a full list
-/// rejects a pair at or below its last entry with one comparison; plus
-/// the pairs seen and the entries dropped. Inserts must already be above
-/// τ — thresholding happens at the fold so sub-τ pairs never allocate
-/// anything.
+/// id ascending on ties — as ascending integer keys; plus the pairs seen
+/// and the entries dropped. Beside the lists sits a dense per-node
+/// **admission floor**: the list's last (`max_candidates`-th) key once it
+/// is full, `u128::MAX` before that (and `0` when the bound is 0, whose
+/// lists are full from the start). An offer at or past its node's floor
+/// is dropped with one comparison against that contiguous array, without
+/// loading the list — most offers are, and the partner `j`'s lands in a
+/// random list. Inserts must already be above τ — thresholding happens at
+/// the fold so sub-τ pairs never allocate anything.
 #[derive(Clone, Debug)]
 pub struct SparseCandidates {
     shard: Shard,
     max_candidates: usize,
     entries: Vec<Vec<u128>>,
+    floors: Vec<u128>,
     pairs_above_tau: u64,
     evictions: u64,
 }
@@ -199,10 +207,12 @@ impl SparseCandidates {
     /// An empty accumulator for `shard`, keeping at most `max_candidates`
     /// partners per node.
     pub fn new(shard: Shard, max_candidates: usize) -> SparseCandidates {
+        let open = if max_candidates == 0 { 0 } else { u128::MAX };
         SparseCandidates {
             shard,
             max_candidates,
             entries: vec![Vec::new(); shard.len()],
+            floors: vec![open; shard.len()],
             pairs_above_tau: 0,
             evictions: 0,
         }
@@ -227,27 +237,32 @@ impl SparseCandidates {
     /// entry or the list's last one, counts as one eviction.
     #[inline]
     fn offer(&mut self, node: NodeId, entry: u128) {
-        let list = &mut self.entries[(node - self.shard.start) as usize];
+        let at = (node - self.shard.start) as usize;
+        // Rank keys stay below 2⁹⁶, so an open floor admits every entry.
+        if entry >= self.floors[at] {
+            self.evictions += 1;
+            return;
+        }
+        let list = &mut self.entries[at];
         if list.len() == self.max_candidates {
-            match list.last_mut() {
-                Some(last) if entry < *last => *last = entry,
-                _ => {
-                    self.evictions += 1;
-                    return;
-                }
-            }
+            // Full, and the entry ranks before the last one: it evicts it.
+            let last = list.len() - 1;
+            list[last] = entry;
             self.evictions += 1;
         } else {
             list.push(entry);
         }
         // Insertion sort's one step: move the entry up past the entries
         // it ranks before.
-        let mut at = list.len() - 1;
-        while at > 0 && entry < list[at - 1] {
-            list[at] = list[at - 1];
-            at -= 1;
+        let mut k = list.len() - 1;
+        while k > 0 && entry < list[k - 1] {
+            list[k] = list[k - 1];
+            k -= 1;
         }
-        list[at] = entry;
+        list[k] = entry;
+        if list.len() == self.max_candidates {
+            self.floors[at] = list[list.len() - 1];
+        }
     }
 
     /// Folds another partial accumulator (same shard, same bound) into
@@ -549,12 +564,19 @@ impl VerdictTable {
         &self.base[c * self.classes..(c + 1) * self.classes]
     }
 
-    /// Whether pair `(i, j)`, `i < j`, with joint count `n11` is above τ,
-    /// given `row = self.row(i)`.
+    /// Bit `l` set iff pair `(i, j0 + l)` with joint count `n11s[l]` is
+    /// above τ, for up to 64 pairs with `i < j0`, given `row =
+    /// self.row(i)`: one table lookup per pair and no data-dependent
+    /// branch.
     #[inline]
-    fn above(&self, row: &[u32], j: usize, n11: u64) -> bool {
-        let bit = row[self.class[j] as usize].wrapping_add(n11 as u32);
-        self.bits[(bit >> 6) as usize] >> (bit & 63) & 1 == 1
+    fn above_mask(&self, row: &[u32], j0: usize, n11s: &[u64]) -> u64 {
+        debug_assert!(n11s.len() <= 64);
+        let mut mask = 0u64;
+        for (l, (&c, &n11)) in self.class[j0..].iter().zip(n11s).enumerate() {
+            let bit = row[c as usize].wrapping_add(n11 as u32);
+            mask |= (self.bits[(bit >> 6) as usize] >> (bit & 63) & 1) << l;
+        }
+        mask
     }
 }
 
@@ -633,33 +655,17 @@ pub fn fold_candidates_with(
             let mut evaluated = 0u64;
             let tile = &tiles[b];
             cols.pair_n11_block(tile.rows.clone(), tile.cols.clone(), &mut |i, j0, n11s| {
-                let in_i = shard.contains(i);
-                // Scores pair (i, j) and folds it if it is above τ.
-                let mut fold = |j: usize, n11: u64| {
-                    let j = j as NodeId;
-                    if !(in_i || shard.contains(j)) {
-                        return;
-                    }
-                    evaluated += 1;
-                    let v = eval.value(i as usize, j as usize, n11);
-                    if v > tau {
-                        acc.insert_pair(i, j, v);
-                    }
+                // The segment's pairs with an endpoint in the shard: all of
+                // them when `i` is in it, else those whose `j` is.
+                let span = if shard.contains(i) {
+                    0..n11s.len()
+                } else {
+                    let clip = |end: NodeId| (end as usize).saturating_sub(j0).min(n11s.len());
+                    clip(shard.start)..clip(shard.end)
                 };
-                match &table {
-                    Some(t) => {
-                        let row = t.row(i);
-                        for (j, &n11) in (j0..).zip(n11s) {
-                            if t.above(row, j, n11) {
-                                fold(j, n11);
-                            }
-                        }
-                    }
-                    None => {
-                        for (j, &n11) in (j0..).zip(n11s) {
-                            fold(j, n11);
-                        }
-                    }
+                if !span.is_empty() {
+                    let (j0, n11s) = (j0 + span.start, &n11s[span]);
+                    evaluated += fold_segment(acc, &eval, table.as_ref(), tau, i, j0, n11s);
                 }
             });
             evaluated
@@ -681,6 +687,78 @@ pub fn fold_candidates_with(
     }
 }
 
+/// Folds one [`NodeColumns::pair_n11_block`] segment — the pairs `(i,
+/// j0)`, `(i, j0 + 1)`, … with joint counts `n11s`, each with an endpoint
+/// in `acc`'s shard — into `acc`, and returns how many values it
+/// evaluated.
+///
+/// "Above τ" is decided for 64 pairs at a time into a bitmask, with no
+/// data-dependent branch: one verdict-table lookup per pair when there is
+/// a table, else the segment's values ([`PairEvaluator::row`]) against τ.
+/// One walk over the set bits then gathers the survivors' offsets; the
+/// table path evaluates their values as a batch (the per-pair path
+/// already has them), and they are inserted in order. About one pair in
+/// ten passes at paper scale, in no order a branch predictor could learn.
+/// The buffers live on the stack, one set per segment: kept in the pool's
+/// per-worker state instead, they made the verdict pass slower.
+#[inline]
+fn fold_segment(
+    acc: &mut SparseCandidates,
+    eval: &PairEvaluator,
+    table: Option<&VerdictTable>,
+    tau: f64,
+    i: NodeId,
+    j0: usize,
+    n11s: &[u64],
+) -> u64 {
+    let len = n11s.len();
+    let mut values = [0f64; N11_SEGMENT];
+    let mut masks = [0u64; N11_SEGMENT / 64];
+    let mut evaluated = 0;
+    match table {
+        Some(t) => {
+            let row = t.row(i);
+            for ((mask, chunk), c) in masks.iter_mut().zip(n11s.chunks(64)).zip(0..) {
+                *mask = t.above_mask(row, j0 + 64 * c, chunk);
+            }
+        }
+        None => {
+            eval.row(i as usize, j0, n11s, &mut values[..len]);
+            for (mask, chunk) in masks.iter_mut().zip(values[..len].chunks(64)) {
+                *mask = above_mask(chunk, tau);
+            }
+            evaluated = len;
+        }
+    }
+    let mut offsets = [0u16; N11_SEGMENT];
+    let mut survivors = 0;
+    for (c, &mask) in masks.iter().enumerate() {
+        let mut m = mask;
+        while m != 0 {
+            offsets[survivors] = (64 * c) as u16 + m.trailing_zeros() as u16;
+            survivors += 1;
+            m &= m - 1;
+        }
+    }
+    let offsets = &offsets[..survivors];
+    if table.is_some() {
+        for (v, &o) in values.iter_mut().zip(offsets) {
+            let o = usize::from(o);
+            *v = eval.value(i as usize, j0 + o, n11s[o]);
+        }
+        evaluated = survivors;
+    } else {
+        // Compacted in place: the k-th survivor's offset is at least k.
+        for (k, &o) in offsets.iter().enumerate() {
+            values[k] = values[usize::from(o)];
+        }
+    }
+    for (&o, &v) in offsets.iter().zip(&values) {
+        acc.insert_pair(i, (j0 + usize::from(o)) as NodeId, v);
+    }
+    evaluated as u64
+}
+
 /// Peak heap bytes of [`fold_candidates`] over `n` nodes and `beta`
 /// processes for a shard of `shard_len` nodes: the fold terms of
 /// [`estimate_streamed_bytes`].
@@ -691,11 +769,12 @@ pub fn fold_candidates_with(
 /// node, one list of at most `k = min(max_candidates, n − 1)` 16-byte
 /// rank keys, grown by doubling from the 4 entries of a `Vec`'s first
 /// allocation, so its capacity is `k` rounded up to a power of two and at
-/// least 4 — plus the list header; the finished lists
-/// (a header and `k` 4-byte ids per node); the verdict table (at most
-/// 4 MiB, and never more bits than an eighth of the pairs); and
-/// per-worker scratch (pool bookkeeping — the 2 KiB `n11` segment buffer
-/// lives on the worker's stack).
+/// least 4 — plus the list header and the node's 16-byte admission
+/// floor; the finished lists (a header and `k` 4-byte ids per node); the
+/// verdict table (at most 4 MiB, and never more bits than an eighth of
+/// the pairs); and per-worker scratch (pool bookkeeping — the `n11`
+/// segment buffer and the fold's per-segment values, masks and survivor
+/// offsets live on the worker's stack).
 pub fn fold_heap_bytes(
     n: usize,
     beta: usize,
@@ -714,7 +793,7 @@ pub fn fold_heap_bytes(
         0 => 0,
         k => k.next_power_of_two().max(4),
     };
-    let accumulators = workers * shard * (list_cap * 16 + 24);
+    let accumulators = workers * shard * (list_cap * 16 + 24 + 16);
     let finished = shard * (24 + 4 * kept);
     let pairs = n * n.saturating_sub(1) / 2;
     let bits = b1.saturating_mul(b1).saturating_mul(b1).min(pairs / 8);
@@ -885,6 +964,111 @@ mod tests {
                 "split at {split}, merged the other way"
             );
         }
+    }
+
+    /// Every pair `(i, j)`, `i < j < n`, with an endpoint in `shard`,
+    /// valued from a few levels so that ties are common.
+    fn shard_pairs(n: NodeId, shard: Shard) -> Vec<(NodeId, NodeId, f64)> {
+        let mut pairs = Vec::new();
+        for i in 0..n {
+            for j in i + 1..n {
+                if shard.contains(i) || shard.contains(j) {
+                    pairs.push((i, j, f64::from((7 * i + 13 * j) % 5) / 4.0));
+                }
+            }
+        }
+        pairs
+    }
+
+    fn accumulate(shard: Shard, k: usize, pairs: &[(NodeId, NodeId, f64)]) -> SparseCandidates {
+        let mut acc = SparseCandidates::new(shard, k);
+        for &(i, j, v) in pairs {
+            acc.insert_pair(i, j, v);
+        }
+        acc
+    }
+
+    #[test]
+    fn floors_keep_the_sorted_top_k_in_any_order() {
+        let shard = Shard { start: 3, end: 7 };
+        let mut pairs = shard_pairs(30, shard);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |below: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below as u64) as usize
+        };
+        for k in [0usize, 1, 3, 8] {
+            for _ in 0..20 {
+                for at in (1..pairs.len()).rev() {
+                    pairs.swap(at, next(at + 1));
+                }
+                let found = accumulate(shard, k, &pairs).finish();
+                let mut evictions = 0;
+                for node in shard.start..shard.end {
+                    let seen: Vec<(f64, NodeId)> = pairs
+                        .iter()
+                        .filter_map(|&(i, j, v)| {
+                            if node == i {
+                                Some((v, j))
+                            } else if node == j {
+                                Some((v, i))
+                            } else {
+                                None
+                            }
+                        })
+                        .collect();
+                    evictions += seen.len().saturating_sub(k) as u64;
+                    let list = &found.lists[(node - shard.start) as usize];
+                    assert_eq!(*list, top_ids(seen, k), "node {node}, k {k}");
+                }
+                assert_eq!(found.pairs_above_tau, pairs.len() as u64);
+                assert_eq!(
+                    found.candidate_evictions, evictions,
+                    "k {k}: evictions are sightings minus what was kept"
+                );
+                let split = next(pairs.len() + 1);
+                let (head, rest) = pairs.split_at(split);
+                for (a, b) in [(head, rest), (rest, head)] {
+                    let mut merged = accumulate(shard, k, a);
+                    merged.merge(accumulate(shard, k, b));
+                    assert_eq!(merged.finish(), found, "k {k}, split at {split}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn full_floor_admits_the_key_below_and_drops_the_key_above() {
+        let shard = Shard { start: 0, end: 1 };
+        let mut acc = SparseCandidates::new(shard, 3);
+        let mut seen = Vec::new();
+        let mut offer = |acc: &mut SparseCandidates, v: f64, p: NodeId| {
+            acc.insert_pair(0, p, v);
+            seen.push((v, p));
+            top_ids(seen.clone(), 3)
+        };
+        for p in [10, 20, 30] {
+            offer(&mut acc, 0.5, p);
+        }
+        // The list is full; its floor is (0.5, 30). One id past it and
+        // one value step below it rank after the floor and are dropped.
+        let below = f64::from_bits(0.5f64.to_bits() - 1);
+        for (v, p) in [(0.5, 31), (below, 1)] {
+            let expect = offer(&mut acc, v, p);
+            assert_eq!(acc.clone().finish().lists[0], expect, "({v}, {p})");
+        }
+        // One id before it, then one value step above it, rank before the
+        // floor and enter, each evicting the last entry.
+        let above = f64::from_bits(0.5f64.to_bits() + 1);
+        for (v, p) in [(0.5, 29), (above, 40)] {
+            let expect = offer(&mut acc, v, p);
+            assert_eq!(acc.clone().finish().lists[0], expect, "({v}, {p})");
+        }
+        let found = acc.finish();
+        assert_eq!(found.lists[0], vec![40, 10, 20]);
+        assert_eq!(found.candidate_evictions, 4);
     }
 
     #[test]

@@ -11,8 +11,10 @@ use diffnet_observe::Recorder;
 use diffnet_simulate::{EdgeProbs, IcConfig, IndependentCascade, NodeColumns, StatusMatrix};
 use diffnet_tends::stream::{fold_candidates_with, FoldOutcome, VerdictTable, Verdicts};
 use diffnet_tends::{
-    plan_shards, CorrelationMatrix, CorrelationMeasure, RobustOptions, Shard, Tends, TendsConfig,
+    plan_shards, CandidateLists, CorrelationMatrix, CorrelationMeasure, RobustOptions, Shard,
+    Tends, TendsConfig,
 };
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -226,5 +228,96 @@ fn streamed_matches_dense_where_the_table_is_built() {
             "threads {threads}: the table path evaluates only above-τ pairs"
         );
         assert!(counters["fold_values_evaluated"] < pairs);
+    }
+}
+
+/// The candidate lists of `shard` by a full sort of the dense triangle:
+/// per shard node, every partner strictly above `tau`, ordered value
+/// descending (IEEE total order) then id ascending and cut at `k`; the
+/// pairs with an endpoint in the shard; and the sightings the cut drops.
+fn sorted_oracle(dense: &CorrelationMatrix, tau: f64, k: usize, shard: Shard) -> CandidateLists {
+    let n = dense.num_nodes();
+    let mut seen: Vec<Vec<(f64, NodeId)>> = vec![Vec::new(); shard.len()];
+    let mut pairs_above_tau = 0u64;
+    for i in 0..n as NodeId {
+        for j in i + 1..n as NodeId {
+            let v = dense.get(i, j);
+            if v > tau && (shard.contains(i) || shard.contains(j)) {
+                pairs_above_tau += 1;
+                for (me, other) in [(i, j), (j, i)] {
+                    if shard.contains(me) {
+                        seen[(me - shard.start) as usize].push((v, other));
+                    }
+                }
+            }
+        }
+    }
+    let mut candidate_evictions = 0u64;
+    let lists = seen
+        .into_iter()
+        .map(|mut list| {
+            list.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            candidate_evictions += list.len().saturating_sub(k) as u64;
+            list.into_iter().take(k).map(|(_, id)| id).collect()
+        })
+        .collect();
+    CandidateLists {
+        lists,
+        pairs_above_tau,
+        candidate_evictions,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    // The table path, the per-pair path and the dense scan against one
+    // sort-based oracle. n is never a multiple of 64, so every row ends
+    // in a partial 64-pair chunk; at β ≤ 256 the pair tile is 512 nodes
+    // wide, so rows of the first tile run past one 256-pair n11 segment
+    // and larger n crosses into a second tile; the drawn shard's bounds
+    // fall anywhere, mostly inside a chunk; τ is a value some pair
+    // attains, so that pair stays out.
+    #[test]
+    fn fold_strategies_match_the_sorted_oracle(
+        chunks in 4usize..11,
+        tail in 1usize..64,
+        beta in 20usize..257,
+        seed in 0u64..1 << 32,
+        cut in 0usize..3,
+        quantile in 50usize..99,
+        lo in 0.0f64..1.0,
+        width in 0.0f64..1.0,
+        threads in 1usize..4,
+    ) {
+        let n = 64 * chunks + tail;
+        let k = [0usize, 1, 8][cut];
+        let cols = grouped_statuses(beta, n, seed).columns();
+        let dense = CorrelationMatrix::compute(&cols, CorrelationMeasure::Imi);
+        let mut sorted = dense.upper().to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let tau = sorted[sorted.len() * quantile / 100];
+        let start = (lo * n as f64) as NodeId;
+        let end = start + (width * (n as u32 - start) as f64) as NodeId + 1;
+        for shard in [Shard::full(n), Shard { start, end: end.min(n as NodeId) }] {
+            let fold = |v| fold_candidates_with(&cols, CorrelationMeasure::Imi, tau, k, shard, threads, v);
+            let (table, per_pair) = (fold(Verdicts::Table), fold(Verdicts::PerPair));
+            let oracle = sorted_oracle(&dense, tau, k, shard);
+            // The dense scan covers every node, so only the full shard.
+            let scan = (shard == Shard::full(n)).then(|| dense.candidates(tau, k));
+            // Lists, pairs above τ and evictions, each path at once.
+            let agree = [
+                table.candidates == oracle,
+                per_pair.candidates == oracle,
+                scan.is_none_or(|c| c == oracle),
+            ];
+            let what = format!("n {n} β {beta} k {k} τ {tau} {shard:?} threads {threads}");
+            prop_assert!(agree == [true; 3], "{what}: table, per-pair, dense agree: {agree:?}");
+            // Each strategy's own count: the table evaluates the pairs that
+            // pass, the per-pair path every pair with an endpoint in the
+            // shard.
+            prop_assert_eq!(table.values_evaluated, oracle.pairs_above_tau, "{}", what);
+            prop_assert_eq!(per_pair.values_evaluated, pairs_touching(n, shard), "{}", what);
+        }
     }
 }
